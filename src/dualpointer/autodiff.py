@@ -247,12 +247,10 @@ def affine(w, x, b) -> Tensor:
         raise ValueError(
             f"affine shape mismatch: W {w.data.shape} against x {x.data.shape}"
         )
-    out_rows = w.data.shape[0] if x.data.ndim == 1 else (w.data.shape[0],)
-    if b.data.shape != ((out_rows,) if isinstance(out_rows, int) else out_rows):
-        if b.data.shape != (w.data.shape[0],):
-            raise ValueError(
-                f"affine bias shape {b.data.shape} does not match output rows {w.data.shape[0]}"
-            )
+    if b.data.shape != (w.data.shape[0],):
+        raise ValueError(
+            f"affine bias shape {b.data.shape} does not match output rows {w.data.shape[0]}"
+        )
     return add(matmul(w, x), b)
 
 
@@ -287,20 +285,25 @@ def _sigmoid_backward(out_data: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def concat(xs) -> Tensor:
-    """Concatenate 1-d tensors into one vector."""
+    """Concatenate vectors into one vector, or matrices with equal row
+    counts side by side (along the last axis)."""
     xs = [_as_tensor(x) for x in xs]
     if not xs:
         raise ValueError("concat of an empty list")
+    lead = xs[0].data.shape[:-1]
     for x in xs:
-        if x.data.ndim != 1:
-            raise ValueError(f"concat expects vectors, got shape {x.data.shape}")
-    lengths = [x.data.shape[0] for x in xs]
+        if x.data.ndim not in (1, 2) or x.data.shape[:-1] != lead:
+            raise ValueError(
+                f"concat expects vectors or matrices with equal row counts, "
+                f"got shapes {[x.data.shape for x in xs]}"
+            )
+    lengths = [x.data.shape[-1] for x in xs]
     offsets = np.cumsum([0] + lengths)
 
     def backward(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(lengths)))
+        return tuple(g[..., offsets[i]:offsets[i + 1]] for i in range(len(lengths)))
 
-    return make_node(np.concatenate([x.data for x in xs]), tuple(xs), backward)
+    return make_node(np.concatenate([x.data for x in xs], axis=-1), tuple(xs), backward)
 
 
 def stack(xs) -> Tensor:

@@ -5,6 +5,15 @@ Each token is the concatenation of a pretrained-map vector and a randomly
 initialized vector, both fine-tuned during training.  Word dropout replaces
 both halves with the corresponding unknown vectors, with probability
 decreasing in the training-set frequency of the word.
+
+Sentences travel as matrices, one row per token: the lookup is one tape
+node gathering from both tables, and each (level, direction) of the BiLSTM
+is one tape node, :func:`lstm_sequence`.  It projects the inputs of every
+position with one matrix product before the recurrence starts (the
+hoisting of Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946), so each
+step only adds the recurrent product and applies the gates; its backward
+pass collects the gate gradients of all positions in one matrix and forms
+the weight gradients from it with one product per weight block.
 """
 from __future__ import annotations
 
@@ -24,6 +33,7 @@ __all__ = [
     "token_rows",
     "encode_tokens",
     "lstm_cell",
+    "lstm_sequence",
     "bilstm_encode",
     "glorot",
     "glorot_vector",
@@ -36,30 +46,6 @@ D_PRETRAINED = 100
 D_RANDOM = 150
 BILSTM_HIDDEN = 200
 BILSTM_LAYERS = 2
-
-
-def gather_rows(table: Tensor, indices: list[int]) -> Tensor:
-    """Select rows of a 2-d tensor; gradient scatters back (repeats add)."""
-    idx = np.asarray(indices, dtype=np.intp)
-    shape = table.data.shape
-
-    def backward(g):
-        full = np.zeros(shape)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return ad.make_node(table.data[idx], (table,), backward)
-
-
-def matrix_row(m: Tensor, i: int) -> Tensor:
-    shape = m.data.shape
-
-    def backward(g):
-        full = np.zeros(shape)
-        full[i] = g
-        return (full,)
-
-    return ad.make_node(m.data[i], (m,), backward)
 
 
 @dataclass
@@ -134,24 +120,38 @@ def encode_tokens(
     alpha: float = 0.25,
     rng: np.random.Generator | None = None,
     rows: list[tuple[int, int]] | None = None,
-) -> list[Tensor]:
-    """Per-token concatenated embedding vectors.
+) -> Tensor:
+    """Token encodings as one [n x (d_pretrained + d_random)] matrix.
 
-    ``rows`` can carry a precomputed :func:`token_rows` result so callers
-    that also need the touched row indices draw the dropout mask once.
+    One tape node gathers both tables; its gradient scatters back to the
+    rows used, repeated rows adding.  ``rows`` can carry a precomputed
+    :func:`token_rows` result so callers that also need the touched row
+    indices draw the dropout mask once.
     """
     if rows is None:
         rows = token_rows(sentence, params, vocab, training, alpha, rng)
-    pre = gather_rows(params.pretrained.weights, [r[0] for r in rows])
-    rand = gather_rows(params.random.weights, [r[1] for r in rows])
-    return [
-        ad.concat([matrix_row(pre, i), matrix_row(rand, i)])
-        for i in range(len(rows))
-    ]
+    idx = np.asarray(rows, dtype=np.intp).reshape(len(rows), 2)
+    pre, rand = params.pretrained.weights, params.random.weights
+    pre_shape, rand_shape = pre.data.shape, rand.data.shape
+    d = pre_shape[1]
+
+    def backward(g):
+        g_pre = np.zeros(pre_shape)
+        np.add.at(g_pre, idx[:, 0], g[:, :d])
+        g_rand = np.zeros(rand_shape)
+        np.add.at(g_rand, idx[:, 1], g[:, d:])
+        return g_pre, g_rand
+
+    data = np.concatenate([pre.data[idx[:, 0]], rand.data[idx[:, 1]]], axis=1)
+    return ad.make_node(data, (pre, rand), backward)
 
 
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, weights: LstmWeights):
-    """One LSTM step: returns (h, c)."""
+    """One LSTM step composed from tape primitives: returns (h, c).
+
+    The model runs :func:`lstm_sequence`; this cell is kept as the
+    reference that tests check the sequence node against.
+    """
     h = weights.hidden
     if x.data.ndim != 1 or h_prev.data.shape != (h,) or c_prev.data.shape != (h,):
         raise ValueError(
@@ -167,26 +167,94 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, weights: LstmWeights):
     return ad.mul(o, ad.tanh(c)), c
 
 
-def _run_direction(xs: list[Tensor], weights: LstmWeights) -> list[Tensor]:
-    h = Tensor(np.zeros(weights.hidden))
-    c = Tensor(np.zeros(weights.hidden))
-    out = []
-    for x in xs:
-        h, c = lstm_cell(x, h, c, weights)
-        out.append(h)
-    return out
+def _state_before(states: np.ndarray, reverse: bool) -> np.ndarray:
+    """Row t: the state the recurrence held before reading position t."""
+    before = np.zeros_like(states)
+    if reverse:
+        before[:-1] = states[1:]
+    else:
+        before[1:] = states[:-1]
+    return before
 
 
-def bilstm_encode(encodings: list[Tensor], params: EncoderParams) -> list[Tensor]:
-    """Stacked bidirectional pass; one context vector per input position."""
-    if not encodings:
+def lstm_sequence(x: Tensor, weights: LstmWeights, reverse: bool = False) -> Tensor:
+    """One LSTM direction over a whole sentence, as a single tape node.
+
+    ``x`` is [T x d_in]; row t of the [T x h] result is the hidden state
+    after reading position t, reading from the last position backwards
+    when ``reverse``.  Computes what a chain of :func:`lstm_cell` steps
+    from zero state computes, up to floating-point evaluation order.
+    """
+    xd, wd = x.data, weights.w.data
+    h = weights.hidden
+    if (xd.ndim != 2 or wd.shape != (4 * h, xd.shape[1] + h)
+            or weights.b.data.shape != (4 * h,)):
+        raise ValueError(
+            f"lstm_sequence shapes: x {xd.shape}, W {wd.shape}, "
+            f"b {weights.b.data.shape}, hidden {h}"
+        )
+    T, d_in = xd.shape
+    wx, wh = wd[:, :d_in], wd[:, d_in:]
+    zx = xd @ wx.T + weights.b.data
+    gates = np.empty((T, 4 * h))  # activated i, f, o, g
+    cells = np.empty((T, h))
+    tanh_cells = np.empty((T, h))
+    states = np.empty((T, h))
+    h_t, c_t = np.zeros(h), np.zeros(h)
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    for t in steps:
+        z = zx[t] + wh @ h_t
+        a = gates[t]
+        a[:3 * h] = ad.stable_sigmoid(z[:3 * h])
+        a[3 * h:] = np.tanh(z[3 * h:])
+        c_t = a[h:2 * h] * c_t + a[:h] * a[3 * h:]
+        cells[t] = c_t
+        tanh_cells[t] = np.tanh(c_t)
+        h_t = a[2 * h:3 * h] * tanh_cells[t]
+        states[t] = h_t
+
+    def backward(g):
+        # BPTT with everything that does not depend on the carried gradients
+        # computed for all positions up front.  Position t's pre-activation
+        # gradient dz[t] is dc * via_cell[t] on the i, f and g rows and
+        # dh * via_state[t] on the o row, with dh = g[t] + dz[t+1] Wh and
+        # dc = dh * dc_by_dh[t] + dc[t+1] * f[t+1] (t+1: the next position
+        # read).  Activation derivatives are the tape's own backward rules
+        # applied to a unit gradient.
+        i, f, o, cand = (gates[:, k * h:(k + 1) * h] for k in range(4))
+        d_sig = ad._sigmoid_backward(gates[:, :3 * h], 1.0)
+        via_cell = np.zeros((T, 4, h))
+        via_cell[:, 0] = cand * d_sig[:, :h]
+        via_cell[:, 1] = _state_before(cells, reverse) * d_sig[:, h:2 * h]
+        via_cell[:, 3] = i * ad._tanh_backward(cand, 1.0)
+        via_state = tanh_cells * d_sig[:, 2 * h:]
+        dc_by_dh = o * ad._tanh_backward(tanh_cells, 1.0)
+        dz = np.empty((T, 4, h))
+        dh_next, dc_next = np.zeros(h), np.zeros(h)
+        for t in reversed(steps):
+            dh = g[t] + dh_next
+            dc = dh * dc_by_dh[t] + dc_next
+            np.multiply(via_cell[t], dc, out=dz[t])
+            np.multiply(dh, via_state[t], out=dz[t, 2])
+            dc_next = dc * f[t]
+            dh_next = dz[t].reshape(-1) @ wh
+        dz = dz.reshape(T, 4 * h)
+        # dW = dz^T [X, H_before] as one product: concatenating the outputs
+        # of two products, a [4h x (d_in + h)] copy, costs more than both
+        inputs = np.concatenate([xd, _state_before(states, reverse)], axis=1)
+        return dz @ wx, dz.T @ inputs, dz.sum(axis=0)
+
+    return ad.make_node(states, (x, weights.w, weights.b), backward)
+
+
+def bilstm_encode(encodings: Tensor, params: EncoderParams) -> Tensor:
+    """Stacked bidirectional pass: [n x d] encodings to [n x 2h] context
+    vectors, each row the forward state beside the backward state."""
+    if encodings.data.shape[0] == 0:
         raise ValueError("cannot encode an empty sentence")
     xs = encodings
     for fwd, bwd in params.layers:
-        f_states = _run_direction(xs, fwd)
-        b_states = _run_direction(list(reversed(xs)), bwd)
-        b_states.reverse()
-        xs = [ad.concat([f, b]) for f, b in zip(f_states, b_states)]
+        xs = ad.concat([lstm_sequence(xs, fwd), lstm_sequence(xs, bwd, reverse=True)])
     return xs
 
 

@@ -17,6 +17,7 @@ damaged file never yields a partial model.
 """
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from io import BytesIO
@@ -48,11 +49,11 @@ def _pack_str(out: BytesIO, s: str) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise ModelFormatError(
                 f"truncated model file: needed {n} bytes at offset {self.pos}, "
@@ -71,7 +72,7 @@ class _Reader:
     def string(self) -> str:
         n = self.u32()
         try:
-            return self.take(n).decode("utf-8")
+            return str(self.take(n), "utf-8")
         except UnicodeDecodeError as e:
             raise ModelFormatError(f"bad UTF-8 at offset {self.pos}: {e}") from None
 
@@ -88,6 +89,26 @@ def _meta_for(model: ModelParams) -> list[tuple[str, str]]:
         ("ptr_hidden", str((model.heads_net or model.deps_net).hidden)),
         ("pretrained_indexed", "1" if enc.pretrained.index is not None else "0"),
     ]
+
+
+def _tensor_layout(mode: str, vocab_size: int, indexed: bool, dims: dict[str, int]):
+    """Yield (name, shape) of every tensor a model file with this metadata
+    holds, in file order.  The row count of a pretrained table loaded from
+    a file is None: only its index bounds it."""
+    hidden = dims["bilstm_hidden"]
+    yield "emb.pretrained", (None if indexed else vocab_size, dims["d_pretrained"])
+    yield "emb.random", (vocab_size, dims["d_random"])
+    input_dim = dims["d_pretrained"] + dims["d_random"]
+    for li in range(dims["bilstm_levels"]):
+        for direction in ("fwd", "bwd"):
+            yield f"lstm.l{li}.{direction}.w", (4 * hidden, input_dim + hidden)
+            yield f"lstm.l{li}.{direction}.b", (4 * hidden,)
+        input_dim = 2 * hidden
+    for tag, owner_modes in (("heads", (JOINT, HEADS_ONLY)), ("deps", (JOINT, DEPS_ONLY))):
+        if mode in owner_modes:
+            yield f"ptr.{tag}.w", (dims["ptr_hidden"], 2 * input_dim)
+            yield f"ptr.{tag}.b", (dims["ptr_hidden"],)
+            yield f"ptr.{tag}.v", (dims["ptr_hidden"],)
 
 
 def save_model(model: ModelParams, dest: BinaryIO | str | Path) -> None:
@@ -129,12 +150,16 @@ def save_model(model: ModelParams, dest: BinaryIO | str | Path) -> None:
         out.write(arr.tobytes())
 
     body = out.getvalue()
-    payload = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    crc = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    # two writes, not body + crc: that concatenation is a second copy of
+    # every parameter held at once
     if isinstance(dest, (str, Path)):
         with open(dest, "wb") as fh:
-            fh.write(payload)
+            fh.write(body)
+            fh.write(crc)
     else:
-        dest.write(payload)
+        dest.write(body)
+        dest.write(crc)
 
 
 def load_model(src: BinaryIO | str | Path) -> ModelParams:
@@ -144,6 +169,8 @@ def load_model(src: BinaryIO | str | Path) -> ModelParams:
             data = fh.read()
     else:
         data = src.read()
+    # views, not copies: the file's bytes are copied once, into the tensors
+    data = memoryview(data)
 
     r = _Reader(data)
     if r.take(len(MAGIC)) != MAGIC:
@@ -171,51 +198,75 @@ def load_model(src: BinaryIO | str | Path) -> ModelParams:
     try:
         mode = meta["mode"]
         activation = meta["activation"]
-        d_random = int(meta["d_random"])
-        hidden = int(meta["bilstm_hidden"])
-        levels = int(meta["bilstm_levels"])
+        dims = {k: int(meta[k]) for k in ("d_pretrained", "d_random", "bilstm_hidden",
+                                          "bilstm_levels", "ptr_hidden")}
         indexed = meta["pretrained_indexed"] == "1"
     except KeyError as e:
         raise ModelFormatError(f"missing metadata entry {e}") from None
+    except ValueError as e:
+        raise ModelFormatError(f"non-integer size in metadata: {e}") from None
     if mode not in MODES:
         raise ModelFormatError(f"unknown mode {mode!r} in model file")
+    if activation not in ("sigmoid", "tanh"):
+        raise ModelFormatError(f"unknown output activation {activation!r} in model file")
+    if min(dims.values()) < 1:
+        raise ModelFormatError(f"non-positive size in metadata: {dims}")
 
     nvocab = r.u32()
     forms, counts = [], []
     for _ in range(nvocab):
         forms.append(r.string())
         counts.append(r.u64())
-    vocab = Vocabulary(forms, counts)
+    try:
+        vocab = Vocabulary(forms, counts)
+    except ValueError as e:
+        raise ModelFormatError(f"bad vocabulary in model file: {e}") from None
 
     index: dict[str, int] = {}
     for _ in range(r.u32()):
         word = r.string()
         index[word] = r.u32()
 
+    count = r.u32()
+    # every shape is checked, and its size bounded by the bytes left, before
+    # any data is read, so a crafted header can neither mis-split a weight
+    # matrix nor ask for an absurd allocation
     tensors: dict[str, np.ndarray] = {}
-    order: list[str] = []
-    for _ in range(r.u32()):
+    for expected_name, expected_shape in _tensor_layout(mode, len(vocab), indexed, dims):
         name = r.string()
-        ndim = r.u32()
-        shape = tuple(r.u64() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        raw = r.take(count * 8)
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        order.append(name)
+        shape = tuple(r.u64() for _ in range(r.u32()))
+        fits = len(shape) == len(expected_shape) and all(
+            e is None or d == e for d, e in zip(shape, expected_shape))
+        if name != expected_name or not fits:
+            raise ModelFormatError(
+                f"tensor {name!r} of shape {shape} where the metadata calls for "
+                f"{expected_name!r} of shape {expected_shape}"
+            )
+        if expected_shape[0] is None and max(index.values(), default=0) >= shape[0]:
+            raise ModelFormatError(f"pretrained index points past the {shape[0]} table rows")
+        nbytes = 8 * math.prod(shape)
+        if nbytes > len(body) - r.pos:
+            raise ModelFormatError(
+                f"tensor {name!r} needs {nbytes} bytes, {len(body) - r.pos} remain"
+            )
+        tensors[name] = np.frombuffer(r.take(nbytes), dtype="<f8").reshape(shape).copy()
+    if count != len(tensors):
+        raise ModelFormatError(
+            f"model file declares {count} tensors, its metadata calls for {len(tensors)}"
+        )
     if r.pos != len(body):
         raise ModelFormatError(
             f"{len(body) - r.pos} unexpected trailing bytes at offset {r.pos}"
         )
 
     def grab(name: str) -> Tensor:
-        if name not in tensors:
-            raise ModelFormatError(f"model file lacks tensor {name!r}")
-        return Tensor(tensors.pop(name), requires_grad=True)
+        return Tensor(tensors[name], requires_grad=True)
 
     pretrained = EmbeddingTable(grab("emb.pretrained"), index=index if indexed else None)
     random_table = EmbeddingTable(grab("emb.random"), index=None)
+    hidden = dims["bilstm_hidden"]
     layers = []
-    for li in range(levels):
+    for li in range(dims["bilstm_levels"]):
         fwd = LstmWeights(grab(f"lstm.l{li}.fwd.w"), grab(f"lstm.l{li}.fwd.b"), hidden)
         bwd = LstmWeights(grab(f"lstm.l{li}.bwd.w"), grab(f"lstm.l{li}.bwd.b"), hidden)
         layers.append((fwd, bwd))
@@ -231,12 +282,5 @@ def load_model(src: BinaryIO | str | Path) -> ModelParams:
         deps_net = PointerParams(
             grab("ptr.deps.w"), grab("ptr.deps.b"), grab("ptr.deps.v"),
             orientation=DEPENDENTS, activation=activation,
-        )
-    if tensors:
-        raise ModelFormatError(f"unexpected tensors in model file: {sorted(tensors)}")
-
-    if random_table.dim != d_random:
-        raise ModelFormatError(
-            f"random embedding dimension {random_table.dim} contradicts metadata {d_random}"
         )
     return ModelParams(vocab, encoder, heads_net, deps_net, mode)

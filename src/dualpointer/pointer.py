@@ -129,12 +129,15 @@ def _as_row(x: Tensor) -> Tensor:
     return ad.make_node(x.data[None, :], (x,), backward)
 
 
-def score_all(contexts: list[Tensor], params: PointerParams) -> ScoreMatrix:
-    """All ordered pairs at once, diagonal included."""
-    if not contexts:
-        raise ValueError("score_all needs at least one context vector")
-    c = ad.stack(contexts)
-    return ScoreMatrix(_attention_kernel(c, c, params), params.orientation)
+def score_all(contexts: Tensor, params: PointerParams) -> ScoreMatrix:
+    """All ordered pairs of the rows of an [n x context] matrix at once,
+    diagonal included."""
+    if contexts.data.ndim != 2 or contexts.data.shape[0] == 0:
+        raise ValueError(
+            f"score_all needs a non-empty matrix of context rows, got shape "
+            f"{contexts.data.shape}"
+        )
+    return ScoreMatrix(_attention_kernel(contexts, contexts, params), params.orientation)
 
 
 def target_matrix(sentence: Sentence, orientation: str) -> np.ndarray:

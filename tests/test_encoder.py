@@ -1,6 +1,8 @@
 """Encoder behaviour: dropout law, embedding lookup paths, LSTM math,
-bidirectional stacking, and gradients against finite differences."""
+bidirectional stacking, gradients against finite differences, and the
+sequence LSTM node against the composed per-step cell it replaces."""
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from fd import numeric_grad, rel_err
 from dualpointer import autodiff as ad
 from dualpointer import encoder as enc
 from dualpointer.autodiff import Tensor
-from dualpointer.conll import Sentence, Token
+from dualpointer import model as model_module
+from dualpointer.conll import Sentence, Token, read_conll
+from dualpointer.decoding import parse
 from dualpointer.encoder import (
     EncoderParams,
     LstmWeights,
@@ -17,9 +21,12 @@ from dualpointer.encoder import (
     dropout_prob,
     encode_tokens,
     init_encoder_params,
+    init_lstm,
     lstm_cell,
+    lstm_sequence,
     token_rows,
 )
+from dualpointer.model import init_model
 from dualpointer.vocab import UNKNOWN_ID, build_vocab, load_pretrained
 
 
@@ -29,6 +36,11 @@ def sent(words):
 
 def tiny_params(rng, vocab, d_pre=3, d_rand=4, hidden=5, levels=2):
     return init_encoder_params(rng, vocab, None, d_pre, d_rand, hidden, levels)
+
+
+def rows_of(matrix):
+    """The rows of an encoder output matrix as separate (tape-free) vectors."""
+    return [Tensor(row) for row in matrix.data]
 
 
 class TestDropoutProb:
@@ -58,8 +70,8 @@ class TestEncodeTokens:
         vocab = build_vocab([sent(["a", "b", "c"])])
         params = tiny_params(rng, vocab)
         s = sent(["a", "c"])
-        out1 = encode_tokens(s, params, vocab)
-        out2 = encode_tokens(s, params, vocab)
+        out1 = rows_of(encode_tokens(s, params, vocab))
+        out2 = rows_of(encode_tokens(s, params, vocab))
         assert all(v.data.shape == (7,) for v in out1)
         for v1, v2 in zip(out1, out2):
             np.testing.assert_array_equal(v1.data, v2.data)
@@ -67,7 +79,7 @@ class TestEncodeTokens:
     def test_oov_takes_both_unknown_vectors(self, rng):
         vocab = build_vocab([sent(["a", "b"])])
         params = tiny_params(rng, vocab)
-        (v,) = encode_tokens(sent(["zzz"]), params, vocab)
+        (v,) = rows_of(encode_tokens(sent(["zzz"]), params, vocab))
         expected = np.concatenate([
             params.pretrained.weights.data[UNKNOWN_ID],
             params.random.weights.data[UNKNOWN_ID],
@@ -125,7 +137,7 @@ class TestEncodeTokens:
         vocab = build_vocab([sent(["a", "b"])])
         params = tiny_params(rng, vocab, levels=1)
         out = encode_tokens(sent(["a", "a"]), params, vocab)
-        loss = ad.sum_all(ad.stack([ad.mul(v, v) for v in out]))
+        loss = ad.sum_all(ad.mul(out, out))
         loss.backward()
         g = params.random.weights.grad
         row_a = vocab.lookup("a")
@@ -202,7 +214,7 @@ class TestBilstm:
     def test_single_token(self, rng):
         vocab = build_vocab([sent(["a"])])
         params = tiny_params(rng, vocab)
-        out = bilstm_encode(encode_tokens(sent(["a"]), params, vocab), params)
+        out = rows_of(bilstm_encode(encode_tokens(sent(["a"]), params, vocab), params))
         assert len(out) == 1
         assert out[0].data.shape == (10,)  # 2 * hidden
 
@@ -210,12 +222,12 @@ class TestBilstm:
         vocab = build_vocab([sent(["a"])])
         params = tiny_params(rng, vocab)
         with pytest.raises(ValueError):
-            bilstm_encode([], params)
+            bilstm_encode(Tensor(np.zeros((0, 7))), params)
 
     def test_two_levels_stack(self, rng):
         vocab = build_vocab([sent(["a", "b", "c"])])
         params = tiny_params(rng, vocab, levels=2)
-        out = bilstm_encode(encode_tokens(sent(["a", "b", "c"]), params, vocab), params)
+        out = rows_of(bilstm_encode(encode_tokens(sent(["a", "b", "c"]), params, vocab), params))
         assert len(out) == 3
         assert all(v.data.shape == (10,) for v in out)
 
@@ -230,8 +242,8 @@ class TestBilstm:
         )
         s = sent(["a", "b", "c", "d"])
         xs = encode_tokens(s, params, vocab)
-        out = bilstm_encode(xs, params)
-        out_sw = bilstm_encode(list(reversed(xs)), swapped)
+        out = rows_of(bilstm_encode(xs, params))
+        out_sw = rows_of(bilstm_encode(Tensor(xs.data[::-1]), swapped))
         h = 5
         for i, v in enumerate(out):
             mirror = out_sw[len(out) - 1 - i].data
@@ -260,8 +272,8 @@ class TestBilstm:
         )
         s = sent(["a", "b", "c", "d"])
         xs = encode_tokens(s, params, vocab)
-        out = bilstm_encode(xs, params)
-        out_sw = bilstm_encode(list(reversed(xs)), swapped)
+        out = rows_of(bilstm_encode(xs, params))
+        out_sw = rows_of(bilstm_encode(Tensor(xs.data[::-1]), swapped))
         for i, v in enumerate(out):
             mirror = out_sw[len(out) - 1 - i].data
             np.testing.assert_allclose(v.data[:h], mirror[h:], rtol=1e-12)
@@ -272,11 +284,12 @@ class TestBilstm:
         vocab = build_vocab([sent(["a", "b", "c", "d", "e", "f"])])
         params = tiny_params(rng, vocab)
         base_words = ["a", "b", "c", "d", "e"]
-        base = [v.data for v in bilstm_encode(encode_tokens(sent(base_words), params, vocab), params)]
+        encoded = bilstm_encode(encode_tokens(sent(base_words), params, vocab), params)
+        base = [v.data for v in rows_of(encoded)]
         for j in range(len(base_words)):
             changed = list(base_words)
             changed[j] = "f"
-            out = bilstm_encode(encode_tokens(sent(changed), params, vocab), params)
+            out = rows_of(bilstm_encode(encode_tokens(sent(changed), params, vocab), params))
             for i in range(len(base_words)):
                 assert not np.array_equal(out[i].data, base[i])
 
@@ -290,7 +303,7 @@ class TestBilstm:
 
         def loss_with(params_):
             out = bilstm_encode(encode_tokens(s, params_, vocab), params_)
-            return ad.sum_all(ad.mul(ad.stack(out), Tensor(np.tile(proj, (4, 1)))))
+            return ad.sum_all(ad.mul(out, Tensor(np.tile(proj, (4, 1)))))
 
         named = [
             ("pretrained", params.pretrained.weights),
@@ -317,3 +330,117 @@ class TestBilstm:
             assert p.grad is not None, name
             err = rel_err(p.grad, num)
             assert err < 1e-4, f"{name}: rel err {err}"
+
+
+def composed_bilstm(rows, params):
+    """Reference BiLSTM: chains of the per-step :func:`lstm_cell` over a
+    list of per-token vectors, levels stacked by vector concatenation."""
+    xs = rows
+    for fwd, bwd in params.layers:
+        states = []
+        for weights, order in ((fwd, xs), (bwd, xs[::-1])):
+            h = Tensor(np.zeros(weights.hidden))
+            c = Tensor(np.zeros(weights.hidden))
+            out = []
+            for x in order:
+                h, c = lstm_cell(x, h, c, weights)
+                out.append(h)
+            states.append(out)
+        xs = [ad.concat([f, b]) for f, b in zip(states[0], states[1][::-1])]
+    return ad.stack(xs)
+
+
+def random_levels(rng, d_in, hidden, levels=2):
+    layers = []
+    for _ in range(levels):
+        pair = (init_lstm(rng, d_in, hidden), init_lstm(rng, d_in, hidden))
+        for weights in pair:
+            weights.b.data[:] = rng.normal(size=4 * hidden) * 0.5
+        layers.append(pair)
+        d_in = 2 * hidden
+    return layers
+
+
+class TestLstmSequence:
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradient_vs_finite_differences(self, rng, reverse):
+        hidden, d_in, T = 3, 2, 4
+        w0 = rng.normal(size=(4 * hidden, d_in + hidden)) * 0.5
+        b0 = rng.normal(size=4 * hidden) * 0.5
+        x0 = rng.normal(size=(T, d_in))
+        proj = rng.normal(size=(T, hidden))
+
+        def run(w_arr, b_arr, x_arr):
+            weights = LstmWeights(Tensor(w_arr), Tensor(b_arr), hidden=hidden)
+            out = lstm_sequence(Tensor(x_arr), weights, reverse=reverse)
+            return ad.sum_all(ad.mul(out, Tensor(proj)))
+
+        w = Tensor(w0.copy(), requires_grad=True)
+        b = Tensor(b0.copy(), requires_grad=True)
+        x = Tensor(x0.copy(), requires_grad=True)
+        out = lstm_sequence(x, LstmWeights(w, b, hidden=hidden), reverse=reverse)
+        ad.sum_all(ad.mul(out, Tensor(proj))).backward()
+
+        def numeric(which):
+            args = [w0, b0, x0]
+
+            def f(arr):
+                with ad.no_grad():
+                    return run(*(arr if i == which else a for i, a in enumerate(args))).item()
+
+            return numeric_grad(f, args[which].copy())
+
+        assert rel_err(w.grad, numeric(0)) < 1e-6
+        assert rel_err(b.grad, numeric(1)) < 1e-6
+        assert rel_err(x.grad, numeric(2)) < 1e-6
+
+    def test_shape_mismatch_rejected(self):
+        w = LstmWeights(Tensor(np.zeros((20, 8))), Tensor(np.zeros(20)), hidden=5)
+        with pytest.raises(ValueError):
+            lstm_sequence(Tensor(np.ones((4, 2))), w)
+
+    @pytest.mark.parametrize("T", [1, 2, 7, 120])
+    @pytest.mark.parametrize("hidden", [3, 64, 200])
+    def test_matches_composed_cells(self, T, hidden):
+        """Two-level BiLSTM, both directions: forward values and every
+        gradient within 1e-12 relative of the per-step reference."""
+        rng = np.random.default_rng(T * 1000 + hidden)
+        d_in = 7
+        layers = random_levels(rng, d_in, hidden)
+        params = EncoderParams(pretrained=None, random=None, layers=layers)
+        weights = [t for pair in layers for lw in pair for t in (lw.w, lw.b)]
+        x0 = rng.normal(size=(T, d_in))
+        proj = Tensor(rng.normal(size=(T, 2 * hidden)))
+
+        x = Tensor(x0.copy(), requires_grad=True)
+        out = bilstm_encode(x, params)
+        ad.sum_all(ad.mul(out, proj)).backward()
+        fused = [out.data, x.grad] + [t.grad for t in weights]
+        for t in weights:
+            t.grad = None
+
+        rows = [Tensor(r.copy(), requires_grad=True) for r in x0]
+        ref_out = composed_bilstm(rows, params)
+        ad.sum_all(ad.mul(ref_out, proj)).backward()
+        reference = [ref_out.data, np.stack([r.grad for r in rows])]
+        reference += [t.grad for t in weights]
+
+        for got, want in zip(fused, reference):
+            assert got.shape == want.shape
+            assert rel_err(got, want) <= 1e-12
+
+    def test_decodes_like_composed_cells(self, monkeypatch):
+        """Every sentence of the bundled dev corpus gets the same heads from
+        one fixed-seed default-size model through either BiLSTM."""
+        path = Path(__file__).resolve().parent.parent / "data" / "ambiguous-dev.conllu"
+        with open(path, encoding="utf-8") as f:
+            sentences = read_conll(f)
+        model = init_model(np.random.default_rng(7), build_vocab(sentences))
+        fused = [parse(s, model).heads for s in sentences]
+        monkeypatch.setattr(
+            model_module, "bilstm_encode",
+            lambda x, params: composed_bilstm([Tensor(r) for r in x.data], params),
+        )
+        composed = [parse(s, model).heads for s in sentences]
+        assert len(fused) == 200
+        assert fused == composed

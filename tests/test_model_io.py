@@ -1,10 +1,13 @@
 """Model file round trips and damage handling."""
 import io
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from dualpointer.conll import Sentence, Token
+from dualpointer.cli import main
+from dualpointer.conll import Sentence, Token, write_conll
 from dualpointer.model import DEPS_ONLY, HEADS_ONLY, JOINT, init_model, score_sentence
 from dualpointer.modelio import (
     FORMAT_VERSION,
@@ -111,6 +114,17 @@ def test_nonfinite_params_refused():
         save_model(m, io.BytesIO())
 
 
+def with_tensor_dims(data, name, dims):
+    """A saved model with the dims of one tensor rewritten and the checksum
+    recomputed, so that only the shape checks can catch it."""
+    body = bytearray(data[:-4])
+    raw = name.encode("utf-8")
+    at = body.index(struct.pack("<I", len(raw)) + raw) + 4 + len(raw)
+    assert struct.unpack_from("<I", body, at)[0] == len(dims)
+    struct.pack_into(f"<{len(dims)}Q", body, at + 4, *dims)
+    return bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
 class TestDamage:
     def test_bad_magic(self):
         data = b"NOTMODEL" + save_bytes(make_model())[8:]
@@ -143,3 +157,31 @@ class TestDamage:
     def test_empty_stream(self):
         with pytest.raises(ModelFormatError):
             load_model(io.BytesIO(b""))
+
+    def test_transposed_weight_rejected(self):
+        # same byte count, so only the shape check against the metadata
+        # stops the fused LSTM from splitting the matrix at the wrong column
+        data = with_tensor_dims(save_bytes(make_model()), "lstm.l0.fwd.w", (12, 20))
+        with pytest.raises(ModelFormatError, match="metadata calls for"):
+            load_model(io.BytesIO(data))
+
+    def test_duplicate_vocabulary_form_rejected(self):
+        body = bytearray(save_bytes(make_model())[:-4])
+        at = body.index(b"dog")
+        body[at:at + 3] = b"the"  # "the" is already a form: vocabulary keys are lowercased
+        data = bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        with pytest.raises(ModelFormatError, match="vocabulary"):
+            load_model(io.BytesIO(data))
+
+    def test_absurd_dims_are_a_model_error_on_the_command_line(self, tmp_path, capsys):
+        data = with_tensor_dims(save_bytes(make_model()), "emb.pretrained", (2**40, 2**40))
+        model_path = tmp_path / "crafted.bin"
+        model_path.write_bytes(data)
+        test_path = tmp_path / "test.conllu"
+        with open(test_path, "w", encoding="utf-8") as f:
+            write_conll([sent(["a", "b"])], f)
+        code = main(["parse", "--model", str(model_path), "--test", str(test_path),
+                     "--output", str(tmp_path / "out.conllu")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:model:"), err

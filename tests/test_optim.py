@@ -2,9 +2,10 @@
 import logging
 
 import numpy as np
+import pytest
 
 from dualpointer.autodiff import Tensor
-from dualpointer.optim import Adam
+from dualpointer.optim import ADAM_CHUNK, Adam
 
 
 def reference_adam(param, grads, alpha=0.001, b1=0.9, b2=0.999, eps=1e-8):
@@ -137,3 +138,84 @@ def test_sparse_rows_vary_per_step(rng):
     # row 1 kept its first-step moments verbatim
     np.testing.assert_allclose(opt.state.m[0][1], 0.1 * np.ones(2), rtol=1e-15)
     np.testing.assert_array_equal(opt.state.m[0][2], np.zeros(2))
+
+
+def formula_step(param, grad, m, v, t, alpha=0.001, b1=0.9, b2=0.999, eps=1e-8):
+    """One dense Adam update as whole-array expressions, in the operation
+    order the blocked in-place update must reproduce bit for bit."""
+    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * (grad * grad)
+    mhat = m / bc1
+    vhat = v / bc2
+    param -= alpha * mhat / (np.sqrt(vhat) + eps)
+
+
+def test_blocked_update_bit_identical_to_formula(rng):
+    shapes = [
+        (2 * ADAM_CHUNK,),           # several whole blocks
+        (3, ADAM_CHUNK // 2 + 7),    # more than a block, not a multiple of it
+        (5, 4),                      # less than one block
+        (40, 6),                     # sparse-row embedding table
+    ]
+    sparse_slot, touched = 3, [1, 8, 8, 30]
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    opt = Adam(params, sparse_rows={sparse_slot})
+    ref_p = [p.data.copy() for p in params]
+    ref_m = [np.zeros(s) for s in shapes]
+    ref_v = [np.zeros(s) for s in shapes]
+    rows = sorted(set(touched))
+    for t in range(1, 6):
+        grads = [rng.normal(size=s) for s in shapes]
+        grads[sparse_slot] = np.zeros(shapes[sparse_slot])
+        grads[sparse_slot][touched] = rng.normal(size=(len(touched), 6))
+        for p, g in zip(params, grads):
+            p.grad = g.copy()
+        assert opt.step(row_sets={sparse_slot: set(touched)})
+        opt.zero_grad()
+        for i, g in enumerate(grads):
+            if i == sparse_slot:
+                p_rows, m_rows, v_rows = ref_p[i][rows], ref_m[i][rows], ref_v[i][rows]
+                formula_step(p_rows, g[rows], m_rows, v_rows, t)
+                ref_p[i][rows], ref_m[i][rows], ref_v[i][rows] = p_rows, m_rows, v_rows
+            else:
+                formula_step(ref_p[i], g, ref_m[i], ref_v[i], t)
+    for i, p in enumerate(params):
+        assert np.array_equal(p.data, ref_p[i]), i
+        assert np.array_equal(opt.state.m[i], ref_m[i]), i
+        assert np.array_equal(opt.state.v[i], ref_v[i]), i
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_entry_in_large_grad_skips_step(rng, bad):
+    a = Tensor(rng.normal(size=3 * ADAM_CHUNK + 5), requires_grad=True)
+    b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    opt = Adam([a, b])
+    for _ in range(2):
+        a.grad, b.grad = rng.normal(size=a.data.shape), rng.normal(size=(4, 3))
+        assert opt.step()
+    saved = [x.copy() for x in (a.data, b.data, *opt.state.m, *opt.state.v)]
+    a.grad = rng.normal(size=a.data.shape)
+    a.grad[2 * ADAM_CHUNK + 1] = bad
+    b.grad = rng.normal(size=(4, 3))
+    assert not opt.step()
+    after = [a.data, b.data, *opt.state.m, *opt.state.v]
+    assert all(np.array_equal(x, y) for x, y in zip(saved, after))
+    assert opt.state.t == 2
+
+
+@np.errstate(over="ignore")
+def test_finite_grad_with_overflowing_sum_is_applied():
+    grad = np.full(4, 1e308)
+    assert not np.isfinite(grad.sum())
+    p = Tensor(np.ones(4), requires_grad=True)
+    opt = Adam([p])
+    p.grad = grad.copy()
+    assert opt.step()
+    ref_p, ref_m, ref_v = np.ones(4), np.zeros(4), np.zeros(4)
+    formula_step(ref_p, grad, ref_m, ref_v, 1)
+    assert opt.state.t == 1
+    assert np.array_equal(opt.state.m[0], ref_m)
+    assert np.array_equal(p.data, ref_p)

@@ -83,7 +83,7 @@ class TestAttentionScore:
 class TestScoreAll:
     def test_single_context(self, rng):
         p = make_params(rng)
-        m = score_all(contexts(rng, 1), p)
+        m = score_all(ad.stack(contexts(rng, 1)), p)
         assert m.data.shape == (1, 1)
 
     def test_entries_match_pairwise_calls_exactly(self, rng):
@@ -91,7 +91,7 @@ class TestScoreAll:
         bit-for-bit, diagonal included."""
         p = make_params(rng, ctx=8, hidden=5)
         ctx = contexts(rng, 7, ctx=8)
-        m = score_all(ctx, p)
+        m = score_all(ad.stack(ctx), p)
         for i in range(7):
             for j in range(7):
                 single = attention_score(ctx[i], ctx[j], p).item()
@@ -101,30 +101,31 @@ class TestScoreAll:
         ph = make_params(rng, orientation=HEADS)
         pd = make_params(rng, orientation=DEPENDENTS)
         ctx = contexts(rng, 3)
-        assert score_all(ctx, ph).orientation == HEADS
-        assert score_all(ctx, pd).orientation == DEPENDENTS
+        assert score_all(ad.stack(ctx), ph).orientation == HEADS
+        assert score_all(ad.stack(ctx), pd).orientation == DEPENDENTS
 
     def test_two_instances_share_nothing(self, rng):
         ph = make_params(rng, orientation=HEADS)
         pd = make_params(rng, orientation=DEPENDENTS)
         ctx = contexts(rng, 4)
-        before = score_all(ctx, ph).data.copy()
+        before = score_all(ad.stack(ctx), ph).data.copy()
         pd.w.data[:] = 99.0
-        np.testing.assert_array_equal(score_all(ctx, ph).data, before)
+        np.testing.assert_array_equal(score_all(ad.stack(ctx), ph).data, before)
 
     def test_pure_under_reevaluation(self, rng):
         p = make_params(rng)
         ctx = contexts(rng, 5)
-        np.testing.assert_array_equal(score_all(ctx, p).data, score_all(ctx, p).data)
+        np.testing.assert_array_equal(score_all(ad.stack(ctx), p).data,
+                                      score_all(ad.stack(ctx), p).data)
 
     def test_all_entries_finite(self, rng):
         p = make_params(rng)
         ctx = [Tensor(rng.normal(size=6) * 100.0) for _ in range(6)]
-        assert np.all(np.isfinite(score_all(ctx, p).data))
+        assert np.all(np.isfinite(score_all(ad.stack(ctx), p).data))
 
     def test_empty_rejected(self, rng):
         with pytest.raises(ValueError):
-            score_all([], make_params(rng))
+            score_all(Tensor(np.zeros((0, 6))), make_params(rng))
 
     def test_gradient_through_batched_scorer(self, rng):
         p = make_params(rng, ctx=4, hidden=3)
@@ -135,7 +136,7 @@ class TestScoreAll:
 
         def loss_value():
             ctx = [Tensor(c0[i]) for i in range(5)]
-            m = score_all(ctx, p)
+            m = score_all(ad.stack(ctx), p)
             return ad.sum_all(ad.mul(m.scores, Tensor(weights)))
 
         loss_value().backward(free_graph=False)
