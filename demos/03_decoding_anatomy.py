@@ -3,7 +3,7 @@ head picking, and cycle repair on a matrix built to contain a cycle."""
 import numpy as np
 
 import dualpointer.autodiff as ad
-from dualpointer.decoding import find_top, fix_cycles, greedy_heads, merge
+from dualpointer.decoding import decode, find_top, fix_cycles, greedy_heads, merge
 from dualpointer.pointer import ScoreMatrix
 
 
@@ -33,3 +33,8 @@ print("greedy assignment:", assignment, "<- tokens 1 and 2 form a cycle")
 
 tree = fix_cycles(assignment, merged, top)
 print("after repair:    ", tree.heads, " top =", tree.top)
+
+# decode() runs the three steps above in one call and also says whether the
+# greedy assignment was already a tree (here it was not)
+tree, greedy_was_tree = decode(merged)
+print("decode():        ", tree.heads, " greedy was a tree:", greedy_was_tree)

@@ -11,10 +11,13 @@ import os
 import sys
 
 from .conll import ConllError, read_conll, write_conll
-from .config import VARIANTS, ConfigError, RunConfig, dump_config, load_config, validate
-from .decoding import AlignmentError, DepTree, PunctuationPolicy, cycle_stats, parse, uas
+from .config import ConfigError, RunConfig, dump_config, load_config, validate
+# cycle_stats is unused here but stays bound as dualpointer.cli.cycle_stats,
+# a name the benchmark's tracer (perfbench/tracing.py) wraps when it installs
+from .decoding import (AlignmentError, DepTree, PunctuationPolicy, cycle_stats,
+                       decode_corpus, parse, uas)
 from .gradcheck import format_report, run_gradcheck
-from .model import ModeMismatchError
+from .model import VARIANT_REQUIRES, VARIANTS, ModeMismatchError
 from .modelio import ModelFormatError, load_model
 from .training import default_variant, train
 
@@ -202,12 +205,10 @@ def cmd_parse(run: RunConfig) -> int:
     return 0
 
 
-def _eval_variants(run: RunConfig, mode: str) -> list:
+def _eval_variants(run: RunConfig, mode: str) -> tuple:
     if run.variant:
-        return [run.variant]
-    if mode == "joint":
-        return ["p1", "p2", "p3"]
-    return [default_variant(mode)]
+        return (run.variant,)
+    return tuple(v for v, needs in VARIANT_REQUIRES.items() if needs == mode)
 
 
 def cmd_eval(run: RunConfig) -> int:
@@ -224,11 +225,10 @@ def cmd_eval(run: RunConfig) -> int:
     for seed in run.seeds:
         path = seed_model_path(run.model_path, run.seeds, seed)
         model = _load_model(path)
-        for variant in _eval_variants(run, model.mode):
-            trees = [parse(s, model, variant=variant, root_agg=run.root_agg)
-                     for s in gold]
+        variants = _eval_variants(run, model.mode)
+        decoded = decode_corpus(gold, model, variants, run.root_agg)
+        for variant, (trees, clean) in decoded.items():
             score = float(f"{uas(gold, trees, policy):.10f}")
-            clean = cycle_stats(gold, model, variant=variant, root_agg=run.root_agg)
             print(f"seed {seed}  {variant}  uas {score:.10f}  cycle-free {clean:.4f}")
             per_variant.setdefault(variant, []).append(score)
     if len(run.seeds) > 1:

@@ -3,12 +3,11 @@ train/parse/eval/gradcheck invocation, and command-line flags override
 individual values.  Dumping and reloading a config reproduces it exactly."""
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
-from .model import DEPS_ONLY, HEADS_ONLY, JOINT
+from .model import DEPS_ONLY, HEADS_ONLY, JOINT, VARIANTS
 from .training import TrainConfig
-
-VARIANTS = ("p1", "p2", "p3", "p4", "p5")
 
 
 class ConfigError(ValueError):
@@ -161,3 +160,18 @@ def validate(config: RunConfig) -> None:
         raise ConfigError("seeds must not be empty")
     if config.epochs < 1:
         raise ConfigError("epochs must be >= 1")
+    if any(seed < 0 for seed in config.seeds):
+        raise ConfigError("seeds must be >= 0")
+    for name in ("d_pretrained", "d_random", "bilstm_hidden", "bilstm_levels",
+                 "ptr_hidden"):
+        if getattr(config, name) < 1:
+            raise ConfigError(f"{name} must be >= 1")
+    # the comparisons against inf also reject NaN
+    if not 0 <= config.alpha_word_dropout < math.inf:
+        raise ConfigError("alpha_word_dropout must be finite and >= 0")
+    for name in ("adam_alpha", "adam_eps"):
+        if not 0 < getattr(config, name) < math.inf:
+            raise ConfigError(f"{name} must be finite and > 0")
+    for name in ("adam_beta1", "adam_beta2"):
+        if not 0 <= getattr(config, name) < 1:
+            raise ConfigError(f"{name} must be in [0, 1)")

@@ -1,6 +1,12 @@
 """Inference and evaluation: merge score matrices, find the top token,
 assign heads greedily, repair cycles, score with UAS.
 
+``decode`` turns one merged matrix into a tree (top, greedy heads, cycle
+repair) and says whether the greedy heads were already a tree.
+``decode_corpus`` is the one inference path: it scores each sentence once
+and decodes every requested variant from those two matrices; ``parse`` and
+``cycle_stats`` are single-variant views of it.
+
 Token indices here are 1-based to match the treebank convention; a head
 value of 0 marks the top token.  There is no virtual root element: the top
 is detected as the token whose head pointers are weakest across the board.
@@ -26,6 +32,8 @@ __all__ = [
     "find_top",
     "greedy_heads",
     "fix_cycles",
+    "decode",
+    "decode_corpus",
     "parse",
     "uas",
     "cycle_stats",
@@ -96,26 +104,6 @@ class DepTree:
 
     def __len__(self) -> int:
         return len(self.heads)
-
-
-def is_tree(heads: list[int]) -> bool:
-    """Whether a raw head assignment satisfies every DepTree invariant."""
-    n = len(heads)
-    if heads.count(0) != 1:
-        return False
-    if any(h == i for i, h in enumerate(heads, start=1)):
-        return False
-    if any(not 0 <= h <= n for h in heads):
-        return False
-    for i in range(1, n + 1):
-        seen = set()
-        j = i
-        while j != 0:
-            if j in seen:
-                return False
-            seen.add(j)
-            j = heads[j - 1]
-    return True
 
 
 def merge(
@@ -242,6 +230,43 @@ def fix_cycles(assignment: list[int], scores: MergedHeadScores, top: int) -> Dep
     return DepTree(heads)
 
 
+def decode(merged: MergedHeadScores, root_agg: str = "max") -> tuple[DepTree, bool]:
+    """Top, greedy heads and cycle repair; also whether the greedy heads
+    were already a tree before any repair."""
+    top = find_top(merged, root_agg)
+    greedy = greedy_heads(merged, top)
+    tree = fix_cycles(greedy, merged, top)
+    # a repair round moves the dropped arc off its old head, which lies on the
+    # cycle and so can reach the dependent: heads change iff greedy had a cycle
+    return tree, tree.heads == greedy
+
+
+def decode_corpus(
+    corpus: list[Sentence],
+    model: ModelParams,
+    variants: tuple[str, ...],
+    root_agg: str = "max",
+) -> dict[str, tuple[list[DepTree], float]]:
+    """Score each sentence once and decode every variant from its matrices.
+
+    Returns variant -> (trees, fraction of sentences whose greedy decode was
+    already a tree); an empty corpus counts as fully cycle-free.
+    """
+    for variant in variants:
+        require_variant(model, variant)
+    trees = {v: [] for v in variants}
+    clean = dict.fromkeys(variants, 0)
+    for sentence in corpus:
+        with ad.no_grad():
+            scored = score_sentence(model, sentence, training=False)
+        for variant in variants:
+            merged = merge(scored.heads, scored.deps, variant, model.activation)
+            tree, was_tree = decode(merged, root_agg)
+            trees[variant].append(tree)
+            clean[variant] += was_tree
+    return {v: (trees[v], clean[v] / len(corpus) if corpus else 1.0) for v in variants}
+
+
 def parse(
     sentence: Sentence,
     model: ModelParams,
@@ -249,12 +274,7 @@ def parse(
     root_agg: str = "max",
 ) -> DepTree:
     """Full inference pipeline for one sentence."""
-    require_variant(model, variant)
-    with ad.no_grad():
-        scored = score_sentence(model, sentence, training=False)
-    merged = merge(scored.heads, scored.deps, variant, model.activation)
-    top = find_top(merged, root_agg)
-    return fix_cycles(greedy_heads(merged, top), merged, top)
+    return decode_corpus([sentence], model, (variant,), root_agg)[variant][0][0]
 
 
 @dataclass
@@ -315,14 +335,4 @@ def cycle_stats(
 ) -> float:
     """Fraction of sentences whose greedy decode is already a valid tree
     before any cycle repair."""
-    require_variant(model, variant)
-    if not corpus:
-        return 1.0
-    ok = 0
-    for sentence in corpus:
-        with ad.no_grad():
-            scored = score_sentence(model, sentence, training=False)
-        merged = merge(scored.heads, scored.deps, variant, model.activation)
-        top = find_top(merged, root_agg)
-        ok += is_tree(greedy_heads(merged, top))
-    return ok / len(corpus)
+    return decode_corpus(corpus, model, (variant,), root_agg)[variant][1]

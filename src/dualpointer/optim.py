@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tensor
 
-__all__ = ["OptimizerState", "Adam"]
+__all__ = ["Adam"]
 
 log = logging.getLogger(__name__)
 
@@ -30,26 +30,13 @@ log = logging.getLogger(__name__)
 ADAM_CHUNK = 16384
 
 
-class OptimizerState:
-    """Moment buffers and step count for one parameter set.
-
-    Kept separate from the update logic so it can be serialized or
-    inspected without touching the optimizer itself.  A parameter's
-    buffers are allocated, as zeros, when it is first updated.
-    """
-
-    def __init__(self, params: list[Tensor]):
-        self.m: list[np.ndarray | None] = [None] * len(params)
-        self.v: list[np.ndarray | None] = [None] * len(params)
-        self.t = 0
-
-
 class Adam:
     """Adam with bias correction (step size alpha, decay rates beta1/beta2).
 
     ``sparse_rows`` marks parameters (by position) whose updates should
     touch only rows with nonzero gradient; everything else is updated
-    densely.
+    densely.  ``m``/``v`` hold each parameter's moments, allocated as zeros
+    when it is first updated, and ``t`` counts the steps applied.
     """
 
     def __init__(
@@ -67,7 +54,9 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.sparse_rows = sparse_rows or set()
-        self.state = OptimizerState(params)
+        self.m: list[np.ndarray | None] = [None] * len(params)
+        self.v: list[np.ndarray | None] = [None] * len(params)
+        self.t = 0
         self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
 
     def zero_grad(self) -> None:
@@ -93,27 +82,26 @@ class Adam:
                 return False
             grads.append(p.grad)
 
-        self.state.t += 1
-        t = self.state.t
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
         for i, (p, g) in enumerate(zip(self.params, grads)):
             if g is None:
                 continue
-            if self.state.m[i] is None:
-                self.state.m[i] = np.zeros(p.data.shape)
-                self.state.v[i] = np.zeros(p.data.shape)
+            if self.m[i] is None:
+                self.m[i] = np.zeros(p.data.shape)
+                self.v[i] = np.zeros(p.data.shape)
             if i in self.sparse_rows and row_sets is not None:
                 rows = sorted(row_sets.get(i, ()))
                 if not rows:
                     continue
                 adam_step_rows(
-                    p.data, g, self.state.m[i], self.state.v[i], rows,
+                    p.data, g, self.m[i], self.v[i], rows,
                     self.alpha, self.beta1, self.beta2, self.eps, bc1, bc2,
                 )
             else:
                 adam_step(
-                    p.data, g, self.state.m[i], self.state.v[i],
+                    p.data, g, self.m[i], self.v[i],
                     self.alpha, self.beta1, self.beta2, self.eps, bc1, bc2,
                     self._scratch,
                 )

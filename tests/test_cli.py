@@ -5,7 +5,8 @@ import pytest
 
 from dualpointer.cli import main, seed_model_path
 from dualpointer.conll import read_conll, write_conll
-from dualpointer.decoding import is_tree
+from dualpointer.decoding import DepTree, cycle_stats, parse, uas
+from dualpointer.modelio import load_model
 from dualpointer.toygrammar import toy_treebank
 
 FAST = [
@@ -93,7 +94,8 @@ class TestParse:
         assert code == 0
         parsed = read_conll(open(out_path, encoding="utf-8"))
         assert len(parsed) == 12
-        assert all(is_tree(s.gold_heads()) for s in parsed)
+        for s in parsed:
+            DepTree(s.gold_heads())  # raises ValueError unless a valid tree
 
     def test_empty_input_empty_output(self, capsys, model_path, tmp_path):
         src = tmp_path / "empty.conllu"
@@ -135,9 +137,16 @@ class TestEval:
             "eval", "--model", model_path, "--test", corpus_path,
             "--seeds", "4"])
         assert code == 0
-        variants = re.findall(r"seed 4  (p\d)  uas", out)
-        assert variants == ["p1", "p2", "p3"]
+        rows = re.findall(r"seed 4  (p\d)  uas (\S+)  cycle-free (\S+)", out)
+        assert [variant for variant, _, _ in rows] == ["p1", "p2", "p3"]
         assert out.count("cycle-free") == 3
+        with open(corpus_path, encoding="utf-8") as f:
+            gold = read_conll(f)
+        model = load_model(model_path)
+        for variant, shown_uas, shown_clean in rows:
+            trees = [parse(s, model, variant) for s in gold]
+            assert shown_uas == f"{uas(gold, trees):.10f}"
+            assert shown_clean == f"{cycle_stats(gold, model, variant):.4f}"
 
     def test_pipeline_consistency(self, capsys, corpus_path, model_path, tmp_path):
         out_path = str(tmp_path / "pred.conllu")
@@ -222,6 +231,17 @@ class TestConfigFlow:
         code, _, err = run(capsys, ["eval", "--config", str(bad)])
         assert code == 1
         assert err.startswith("error:config:")
+
+    def test_hostile_hyperparameter_is_config_error(self, capsys, corpus_path, tmp_path):
+        dest = tmp_path / "m.bin"
+        for flag in (["--bilstm-hidden", "0"], ["--seeds", "-1"], ["--adam-beta1", "1"]):
+            code, out, err = run(capsys, [
+                "train", "--train", corpus_path, "--dev", corpus_path,
+                "--model", str(dest)] + FAST + flag)
+            assert code == 1 and out == ""
+            assert err.startswith("error:config:") and err.count("\n") == 1
+            assert "Traceback" not in err
+            assert not dest.exists()
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["eval", "--config", str(tmp_path / "no.ini")])

@@ -74,6 +74,24 @@ def test_bad_enum_values_rejected():
         "[training]\nactivation = relu\n",
         "[run]\nseeds = \n",
         "[training]\nepochs = 0\n",
+        "[run]\nseeds = 1,-1\n",
+        "[training]\nd_pretrained = 0\n",
+        "[training]\nd_pretrained = -3\n",
+        "[training]\nd_random = 0\n",
+        "[training]\nbilstm_hidden = 0\n",
+        "[training]\nbilstm_levels = 0\n",
+        "[training]\nptr_hidden = -1\n",
+        "[training]\nalpha_word_dropout = nan\n",
+        "[training]\nalpha_word_dropout = inf\n",
+        "[training]\nalpha_word_dropout = -0.5\n",
+        "[training]\nadam_alpha = 0\n",
+        "[training]\nadam_alpha = inf\n",
+        "[training]\nadam_eps = nan\n",
+        "[training]\nadam_eps = -1e-8\n",
+        "[training]\nadam_beta1 = 1\n",
+        "[training]\nadam_beta1 = -0.1\n",
+        "[training]\nadam_beta2 = 1.5\n",
+        "[training]\nadam_beta2 = nan\n",
     ):
         with pytest.raises(ConfigError):
             load_config(text)

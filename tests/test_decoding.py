@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dualpointer.decoding as decoding
 from dualpointer.conll import Sentence, Token
 from dualpointer.decoding import (
     AlignmentError,
@@ -12,15 +13,16 @@ from dualpointer.decoding import (
     MergedHeadScores,
     PunctuationPolicy,
     cycle_stats,
+    decode,
+    decode_corpus,
     find_top,
     fix_cycles,
     greedy_heads,
-    is_tree,
     merge,
     parse,
     uas,
 )
-from dualpointer.model import JOINT, init_model
+from dualpointer.model import JOINT, ModeMismatchError, init_model, score_sentence
 from dualpointer.pointer import DEPENDENTS, HEADS, ScoreMatrix
 from dualpointer.autodiff import Tensor
 from dualpointer.vocab import build_vocab
@@ -317,18 +319,6 @@ class TestDepTree:
         with pytest.raises(ValueError, match="cycle"):
             DepTree([2, 3, 1, 0])
 
-    def test_is_tree_matches_constructor(self, rng):
-        for _ in range(200):
-            n = int(rng.integers(1, 7))
-            heads = [int(h) for h in rng.integers(0, n + 1, size=n)]
-            ok = is_tree(heads)
-            try:
-                DepTree(heads)
-                built = True
-            except ValueError:
-                built = False
-            assert ok == built
-
 
 class TestParse:
     @pytest.fixture
@@ -439,3 +429,73 @@ class TestCycleStats:
         model = init_model(rng, vocab, d_pretrained=3, d_random=3,
                            bilstm_hidden=4, bilstm_levels=1, ptr_hidden=4)
         assert cycle_stats([], model, "p1") == 1.0
+
+
+class TestDecodeCorpus:
+    WORDS = ["a", "b", "c", "d", "e"]
+
+    @pytest.fixture
+    def model(self, rng):
+        vocab = build_vocab([sent(self.WORDS)])
+        return init_model(rng, vocab, mode=JOINT, d_pretrained=3, d_random=4,
+                          bilstm_hidden=5, bilstm_levels=2, ptr_hidden=6)
+
+    @pytest.fixture
+    def corpus(self, rng):
+        return [sent([self.WORDS[int(rng.integers(0, 5))]
+                      for _ in range(int(rng.integers(1, 9)))])
+                for _ in range(40)]
+
+    @staticmethod
+    def greedy_is_tree(sentence, model, variant):
+        scored = score_sentence(model, sentence)
+        merged = merge(scored.heads, scored.deps, variant)
+        try:
+            DepTree(greedy_heads(merged, find_top(merged)))
+        except ValueError:
+            return False
+        return True
+
+    def test_matches_parse_and_greedy_tree_share(self, model, corpus):
+        decoded = decode_corpus(corpus, model, ("p1", "p2", "p3"))
+        assert list(decoded) == ["p1", "p2", "p3"]
+        for variant, (trees, fraction) in decoded.items():
+            assert [t.heads for t in trees] == [parse(s, model, variant).heads
+                                                for s in corpus]
+            clean = sum(self.greedy_is_tree(s, model, variant) for s in corpus)
+            assert fraction == clean / len(corpus)
+            assert fraction == cycle_stats(corpus, model, variant)
+
+    def test_scores_each_sentence_once(self, model, corpus, monkeypatch):
+        calls = []
+        real = decoding.score_sentence
+
+        def counted(model, sentence, **kwargs):
+            calls.append(sentence)
+            return real(model, sentence, **kwargs)
+
+        monkeypatch.setattr(decoding, "score_sentence", counted)
+        decode_corpus(corpus, model, ("p1", "p2", "p3"))
+        assert len(calls) == len(corpus)
+        assert all(a is b for a, b in zip(calls, corpus))
+
+    def test_variant_checked_before_scoring(self, model):
+        with pytest.raises(ModeMismatchError):
+            decode_corpus([], model, ("p1", "p4"))
+
+    def test_empty_corpus_is_cycle_free(self, model):
+        assert decode_corpus([], model, ("p2",)) == {"p2": ([], 1.0)}
+
+    def test_flag_is_greedy_tree(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            merged = MergedHeadScores(rng.uniform(size=(n, n)))
+            greedy = greedy_heads(merged, find_top(merged))
+            tree, was_tree = decode(merged)
+            try:
+                DepTree(greedy)
+                valid = True
+            except ValueError:
+                valid = False
+            assert was_tree == valid
+            assert (tree.heads == greedy) == valid

@@ -62,10 +62,10 @@ def test_step_count_shared_across_params(rng):
         a.grad = np.ones(2)
         opt.step()
         opt.zero_grad()
-    assert opt.state.t == 5
+    assert opt.t == 5
     b.grad = np.ones(2)
     opt.step()
-    assert opt.state.t == 6
+    assert opt.t == 6
 
 
 def test_missing_grad_leaves_param_untouched():
@@ -89,7 +89,7 @@ def test_nonfinite_grad_skips_whole_step(caplog):
     assert "non-finite" in caplog.text
     np.testing.assert_array_equal(a.data, [1.0])
     np.testing.assert_array_equal(b.data, [1.0])
-    assert opt.state.t == 0
+    assert opt.t == 0
 
 
 def test_sparse_rows_match_dense_on_touched_rows(rng):
@@ -136,8 +136,8 @@ def test_sparse_rows_vary_per_step(rng):
     opt.zero_grad()
 
     # row 1 kept its first-step moments verbatim
-    np.testing.assert_allclose(opt.state.m[0][1], 0.1 * np.ones(2), rtol=1e-15)
-    np.testing.assert_array_equal(opt.state.m[0][2], np.zeros(2))
+    np.testing.assert_allclose(opt.m[0][1], 0.1 * np.ones(2), rtol=1e-15)
+    np.testing.assert_array_equal(opt.m[0][2], np.zeros(2))
 
 
 def formula_step(param, grad, m, v, t, alpha=0.001, b1=0.9, b2=0.999, eps=1e-8):
@@ -184,8 +184,8 @@ def test_blocked_update_bit_identical_to_formula(rng):
                 formula_step(ref_p[i], g, ref_m[i], ref_v[i], t)
     for i, p in enumerate(params):
         assert np.array_equal(p.data, ref_p[i]), i
-        assert np.array_equal(opt.state.m[i], ref_m[i]), i
-        assert np.array_equal(opt.state.v[i], ref_v[i]), i
+        assert np.array_equal(opt.m[i], ref_m[i]), i
+        assert np.array_equal(opt.v[i], ref_v[i]), i
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -196,14 +196,14 @@ def test_nonfinite_entry_in_large_grad_skips_step(rng, bad):
     for _ in range(2):
         a.grad, b.grad = rng.normal(size=a.data.shape), rng.normal(size=(4, 3))
         assert opt.step()
-    saved = [x.copy() for x in (a.data, b.data, *opt.state.m, *opt.state.v)]
+    saved = [x.copy() for x in (a.data, b.data, *opt.m, *opt.v)]
     a.grad = rng.normal(size=a.data.shape)
     a.grad[2 * ADAM_CHUNK + 1] = bad
     b.grad = rng.normal(size=(4, 3))
     assert not opt.step()
-    after = [a.data, b.data, *opt.state.m, *opt.state.v]
+    after = [a.data, b.data, *opt.m, *opt.v]
     assert all(np.array_equal(x, y) for x, y in zip(saved, after))
-    assert opt.state.t == 2
+    assert opt.t == 2
 
 
 @np.errstate(over="ignore")
@@ -216,6 +216,6 @@ def test_finite_grad_with_overflowing_sum_is_applied():
     assert opt.step()
     ref_p, ref_m, ref_v = np.ones(4), np.zeros(4), np.zeros(4)
     formula_step(ref_p, grad, ref_m, ref_v, 1)
-    assert opt.state.t == 1
-    assert np.array_equal(opt.state.m[0], ref_m)
+    assert opt.t == 1
+    assert np.array_equal(opt.m[0], ref_m)
     assert np.array_equal(p.data, ref_p)

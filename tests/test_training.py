@@ -117,7 +117,7 @@ def test_nonfinite_loss_skips_step(caplog):
     assert value is None
     assert "7" in caplog.text and "skipped" in caplog.text
     np.testing.assert_array_equal(model.encoder.random.weights.data, snapshot)
-    assert opt.state.t == 0
+    assert opt.t == 0
 
 
 def test_loss_trend_decreases_on_repeated_sentence():
