@@ -11,17 +11,16 @@ import os
 import sys
 
 from .conll import ConllError, read_conll, write_conll
-from .config import ConfigError, RunConfig, dump_config, load_config, validate
+from .config import (FLAGS, ConfigError, RunConfig, dump_config, load_config,
+                     parse_value, validate)
 # cycle_stats is unused here but stays bound as dualpointer.cli.cycle_stats,
 # a name the benchmark's tracer (perfbench/tracing.py) wraps when it installs
 from .decoding import (AlignmentError, DepTree, PunctuationPolicy, cycle_stats,
                        decode_corpus, parse, uas)
 from .gradcheck import format_report, run_gradcheck
-from .model import VARIANT_REQUIRES, VARIANTS, ModeMismatchError
+from .model import MODE_VARIANTS, ModeMismatchError
 from .modelio import ModelFormatError, load_model
 from .training import default_variant, train
-
-MODE_ALIASES = {"heads": "heads-only", "deps": "deps-only"}
 
 
 class CliError(Exception):
@@ -35,31 +34,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", metavar="FILE", help="config file to start from")
     shared.add_argument("--save-config", metavar="FILE",
                         help="write the effective configuration and continue")
-    shared.add_argument("--train", dest="train_path", metavar="FILE")
-    shared.add_argument("--dev", dest="dev_path", metavar="FILE")
-    shared.add_argument("--test", dest="test_path", metavar="FILE")
-    shared.add_argument("--pretrained", dest="pretrained_path", metavar="FILE")
-    shared.add_argument("--model", dest="model_path", metavar="FILE")
-    shared.add_argument("--output", dest="output_path", metavar="FILE")
-    shared.add_argument("--seeds", help="comma-separated seed list, e.g. 1,2,3")
-    shared.add_argument("--variant", choices=VARIANTS)
-    shared.add_argument("--root-agg", dest="root_agg", choices=["max", "sum"])
-    shared.add_argument("--punct-tags", dest="punct_tags",
-                        help="comma-separated POS tags always counted as punctuation")
-    shared.add_argument("--mode",
-                        choices=["joint", "heads", "heads-only", "deps", "deps-only"])
-    shared.add_argument("--epochs", type=int)
-    shared.add_argument("--alpha-word-dropout", dest="alpha_word_dropout", type=float)
-    shared.add_argument("--adam-alpha", dest="adam_alpha", type=float)
-    shared.add_argument("--adam-beta1", dest="adam_beta1", type=float)
-    shared.add_argument("--adam-beta2", dest="adam_beta2", type=float)
-    shared.add_argument("--adam-eps", dest="adam_eps", type=float)
-    shared.add_argument("--d-pretrained", dest="d_pretrained", type=int)
-    shared.add_argument("--d-random", dest="d_random", type=int)
-    shared.add_argument("--bilstm-hidden", dest="bilstm_hidden", type=int)
-    shared.add_argument("--bilstm-levels", dest="bilstm_levels", type=int)
-    shared.add_argument("--ptr-hidden", dest="ptr_hidden", type=int)
-    shared.add_argument("--activation", choices=["sigmoid", "tanh"])
+    # flag values stay text here: parse_value reads them as it reads the
+    # config file, so a bad value is a ConfigError, not an argparse exit
+    for flag, fld in FLAGS.items():
+        spec = fld.metadata
+        if spec["choices"]:
+            metavar = "{" + ",".join(spec["choices"]) + "}"
+        else:
+            metavar = "FILE" if spec["section"] == "paths" else None
+        shared.add_argument(flag, dest=fld.name, metavar=metavar, help=spec["help"])
 
     parser = argparse.ArgumentParser(prog="dualpointer")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -84,23 +67,10 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
     else:
         run = RunConfig()
     run.command = args.command
-    for attr in ("train_path", "dev_path", "test_path", "pretrained_path",
-                 "model_path", "output_path", "variant", "root_agg", "mode",
-                 "epochs", "alpha_word_dropout", "adam_alpha", "adam_beta1",
-                 "adam_beta2", "adam_eps", "d_pretrained", "d_random",
-                 "bilstm_hidden", "bilstm_levels", "ptr_hidden", "activation"):
-        value = getattr(args, attr)
-        if value is not None:
-            setattr(run, attr, value)
-    if args.seeds is not None:
-        try:
-            run.seeds = tuple(int(p) for p in args.seeds.split(",") if p.strip())
-        except ValueError:
-            raise CliError("config", f"bad --seeds value: {args.seeds!r}")
-    run.mode = MODE_ALIASES.get(run.mode, run.mode)
-    if args.punct_tags is not None:
-        run.punct_tags = tuple(
-            p.strip() for p in args.punct_tags.split(",") if p.strip())
+    for flag, fld in FLAGS.items():
+        text = getattr(args, fld.name)
+        if text is not None:
+            setattr(run, fld.name, parse_value(fld, text, flag))
     validate(run)
     if args.save_config:
         try:
@@ -205,12 +175,6 @@ def cmd_parse(run: RunConfig) -> int:
     return 0
 
 
-def _eval_variants(run: RunConfig, mode: str) -> tuple:
-    if run.variant:
-        return (run.variant,)
-    return tuple(v for v, needs in VARIANT_REQUIRES.items() if needs == mode)
-
-
 def cmd_eval(run: RunConfig) -> int:
     gold = _read_corpus(run.test_path or run.dev_path, "gold")
     policy = PunctuationPolicy(frozenset(run.punct_tags))
@@ -225,7 +189,7 @@ def cmd_eval(run: RunConfig) -> int:
     for seed in run.seeds:
         path = seed_model_path(run.model_path, run.seeds, seed)
         model = _load_model(path)
-        variants = _eval_variants(run, model.mode)
+        variants = (run.variant,) if run.variant else MODE_VARIANTS[model.mode]
         decoded = decode_corpus(gold, model, variants, run.root_agg)
         for variant, (trees, clean) in decoded.items():
             score = float(f"{uas(gold, trees, policy):.10f}")
@@ -238,12 +202,7 @@ def cmd_eval(run: RunConfig) -> int:
 
 
 def cmd_gradcheck(run: RunConfig) -> int:
-    report = run_gradcheck(
-        seed=run.seeds[0], mode=run.mode, activation=run.activation,
-        d_pretrained=run.d_pretrained, d_random=run.d_random,
-        bilstm_hidden=run.bilstm_hidden, bilstm_levels=run.bilstm_levels,
-        ptr_hidden=run.ptr_hidden,
-    )
+    report = run_gradcheck(seed=run.seeds[0], shape=run.shape)
     print(format_report(report))
     if not report.passed:
         print(f"error:gradcheck: worst relative error {report.worst:.3e} "

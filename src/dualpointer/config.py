@@ -1,126 +1,173 @@
-"""Declarative run configuration: one INI-style file describes a complete
-train/parse/eval/gradcheck invocation, and command-line flags override
-individual values.  Dumping and reloading a config reproduces it exactly."""
+"""Declarative run configuration.
+
+Every hyperparameter is declared once, as a field of :class:`RunConfig`:
+its type, its default, its INI section and key, and its valid values.
+Everything else is derived from that field list:
+
+- the INI layout, three sections ``[run]``, ``[paths]`` and ``[training]``,
+  which :func:`dump_config` writes and :func:`load_config` reads;
+- the command-line flags: INI key ``some_key`` is flag ``--some-key``, and
+  its text goes through the same :func:`parse_value` as the file's, so a
+  bad value from either source is a :class:`ConfigError`;
+- :func:`validate`;
+- :class:`TrainConfig`, the fields one training run reads plus its seed.
+
+The mode, the output activation and the five sizes take their defaults
+from :class:`~dualpointer.model.ModelShape`, which also checks them.
+Dumping and reloading a config reproduces it exactly.
+"""
 import configparser
 import io
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import Field, dataclass, field, fields, make_dataclass
 
-from .model import DEPS_ONLY, HEADS_ONLY, JOINT, VARIANTS
-from .training import TrainConfig
+from .model import ACTIVATIONS, DEPS_ONLY, HEADS_ONLY, MODES, VARIANTS, ModelShape
 
 
 class ConfigError(ValueError):
     pass
 
 
+MODE_ALIASES = {"heads": HEADS_ONLY, "deps": DEPS_ONLY}
+SHAPE_FIELDS = tuple(f.name for f in fields(ModelShape))
+
+
+def param(default, section: str, key: str = "", valid=None, choices: tuple = (),
+          aliases: dict | None = None, help: str | None = None, flag: bool = True,
+          train: bool = False) -> Field:
+    """A RunConfig field: its default, where it lives and which values it takes.
+
+    ``key`` is its INI key and flag stem (the field name when empty), and
+    ``flag`` is false for the one key the subcommand sets.  ``valid`` is a
+    (test, rule) pair.  ``choices`` are listed in --help; unless ModelShape
+    checks the field, a value must be one of them or the default.
+    ``aliases`` map other spellings onto a choice.  ``train`` makes the
+    field a TrainConfig field too, as every ``[training]`` field is.
+    """
+    return field(default=default, metadata=dict(
+        section=section, key=key, valid=valid, choices=choices, aliases=aliases or {},
+        help=help, flag=flag, train=train or section == "training"))
+
+
+# the comparisons against inf also reject NaN
+POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
+UNIT_INTERVAL = (lambda v: 0 <= v < 1, "in [0, 1)")
+
+
 @dataclass
 class RunConfig:
-    command: str = ""
-    train_path: str = ""
-    dev_path: str = ""
-    test_path: str = ""
-    pretrained_path: str = ""
-    model_path: str = ""
-    output_path: str = ""
-    seeds: tuple = (1,)
-    variant: str = ""          # empty = default for the model's mode
-    root_agg: str = "max"
-    punct_tags: tuple = ()
-    mode: str = JOINT
-    epochs: int = 10
-    alpha_word_dropout: float = 0.25
-    adam_alpha: float = 0.001
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    d_pretrained: int = 100
-    d_random: int = 150
-    bilstm_hidden: int = 200
-    bilstm_levels: int = 2
-    ptr_hidden: int = 100
-    activation: str = "sigmoid"
+    """One train/parse/eval/gradcheck invocation."""
 
-    def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            mode=self.mode, epochs=self.epochs, seed=seed,
-            alpha_word_dropout=self.alpha_word_dropout,
-            adam_alpha=self.adam_alpha, adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2, adam_eps=self.adam_eps,
-            d_pretrained=self.d_pretrained, d_random=self.d_random,
-            bilstm_hidden=self.bilstm_hidden,
-            bilstm_levels=self.bilstm_levels, ptr_hidden=self.ptr_hidden,
-            activation=self.activation, root_agg=self.root_agg,
-            punct_tags=self.punct_tags,
-        )
+    command: str = param("", "run", flag=False)
+    train_path: str = param("", "paths", key="train")
+    dev_path: str = param("", "paths", key="dev")
+    test_path: str = param("", "paths", key="test")
+    pretrained_path: str = param("", "paths", key="pretrained")
+    model_path: str = param("", "paths", key="model")
+    output_path: str = param("", "paths", key="output")
+    seeds: tuple[int, ...] = param(
+        (1,), "run", valid=(lambda v: len(v) > 0 and min(v) >= 0, "one or more integers >= 0"),
+        help="comma-separated seed list, e.g. 1,2,3")
+    variant: str = param("", "run", choices=VARIANTS)  # empty = default for the model's mode
+    root_agg: str = param("max", "run", choices=("max", "sum"), train=True)
+    punct_tags: tuple[str, ...] = param(
+        (), "run", train=True,
+        help="comma-separated POS tags always counted as punctuation")
+    mode: str = param(ModelShape.mode, "training", choices=MODES + tuple(MODE_ALIASES),
+                      aliases=MODE_ALIASES)
+    epochs: int = param(10, "training", valid=(lambda v: v >= 1, ">= 1"))
+    alpha_word_dropout: float = param(
+        0.25, "training", valid=(lambda v: 0 <= v < math.inf, "finite and >= 0"))
+    adam_alpha: float = param(0.001, "training", valid=POSITIVE)
+    adam_beta1: float = param(0.9, "training", valid=UNIT_INTERVAL)
+    adam_beta2: float = param(0.999, "training", valid=UNIT_INTERVAL)
+    adam_eps: float = param(1e-8, "training", valid=POSITIVE)
+    d_pretrained: int = param(ModelShape.d_pretrained, "training")
+    d_random: int = param(ModelShape.d_random, "training")
+    bilstm_hidden: int = param(ModelShape.bilstm_hidden, "training")
+    bilstm_levels: int = param(ModelShape.bilstm_levels, "training")
+    ptr_hidden: int = param(ModelShape.ptr_hidden, "training")
+    activation: str = param(ModelShape.activation, "training", choices=ACTIVATIONS)
 
+    @property
+    def shape(self) -> ModelShape:
+        """The model these hyperparameters build."""
+        return ModelShape(**{name: getattr(self, name) for name in SHAPE_FIELDS})
 
-# section -> [(option, attribute, kind)]; kind drives parsing and dumping
-LAYOUT = [
-    ("run", [
-        ("command", "command", "str"),
-        ("seeds", "seeds", "int-list"),
-        ("variant", "variant", "str"),
-        ("root_agg", "root_agg", "str"),
-        ("punct_tags", "punct_tags", "str-list"),
-    ]),
-    ("paths", [
-        ("train", "train_path", "str"),
-        ("dev", "dev_path", "str"),
-        ("test", "test_path", "str"),
-        ("pretrained", "pretrained_path", "str"),
-        ("model", "model_path", "str"),
-        ("output", "output_path", "str"),
-    ]),
-    ("training", [
-        ("mode", "mode", "str"),
-        ("epochs", "epochs", "int"),
-        ("alpha_word_dropout", "alpha_word_dropout", "float"),
-        ("adam_alpha", "adam_alpha", "float"),
-        ("adam_beta1", "adam_beta1", "float"),
-        ("adam_beta2", "adam_beta2", "float"),
-        ("adam_eps", "adam_eps", "float"),
-        ("d_pretrained", "d_pretrained", "int"),
-        ("d_random", "d_random", "int"),
-        ("bilstm_hidden", "bilstm_hidden", "int"),
-        ("bilstm_levels", "bilstm_levels", "int"),
-        ("ptr_hidden", "ptr_hidden", "int"),
-        ("activation", "activation", "str"),
-    ]),
-]
+    def train_config(self, seed: int) -> "TrainConfig":
+        return TrainConfig(seed=seed, **{name: getattr(self, name) for name in TRAIN_FIELDS})
 
 
-def _format(value, kind: str) -> str:
-    if kind == "int-list":
+TRAIN_FIELDS = tuple(f.name for f in fields(RunConfig) if f.metadata["train"])
+
+# section -> {INI key -> field}, in file order
+LAYOUT: dict[str, dict[str, Field]] = {}
+for _f in fields(RunConfig):
+    LAYOUT.setdefault(_f.metadata["section"], {})[_f.metadata["key"] or _f.name] = _f
+
+FLAGS = {"--" + key.replace("_", "-"): f for entries in LAYOUT.values()
+         for key, f in entries.items() if f.metadata["flag"]}
+
+
+def validate(config) -> None:
+    """Raise ConfigError unless every field of ``config``, a RunConfig or a
+    TrainConfig, holds a valid value."""
+    for f in fields(config):
+        if not f.metadata or f.name in SHAPE_FIELDS:  # ModelShape checks these below
+            continue
+        value = getattr(config, f.name)
+        choices, valid = f.metadata["choices"], f.metadata["valid"]
+        if choices and value not in choices + (f.default,):
+            raise ConfigError(f"unknown {f.name} {value!r}")
+        if valid and not valid[0](value):
+            raise ConfigError(f"{f.name} must be {valid[1]}, got {value!r}")
+    try:
+        config.shape
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+TrainConfig = make_dataclass(
+    "TrainConfig",
+    [("seed", int, 1)] + [(f.name, f.type, field(default=f.default, metadata=f.metadata))
+                          for f in fields(RunConfig) if f.metadata["train"]],
+    namespace={
+        "__doc__": "What one training run reads: RunConfig's training fields and a seed.",
+        "__module__": __name__,
+        "__post_init__": validate,
+        "shape": RunConfig.shape,
+    },
+)
+
+
+def parse_value(f: Field, text: str, where: str):
+    """The value of RunConfig field ``f`` that ``text``, from a config file
+    or a flag, spells."""
+    try:
+        if typing.get_origin(f.type) is tuple:
+            item = typing.get_args(f.type)[0]
+            return tuple(item(p.strip()) for p in text.split(",") if p.strip())
+        value = f.type(text)
+    except ValueError:
+        raise ConfigError(f"bad value for {where}: {text!r}") from None
+    return f.metadata["aliases"].get(value, value)
+
+
+def _format(value) -> str:
+    if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    if kind == "str-list":
-        return ",".join(value)
-    if kind == "float":
+    if isinstance(value, float):
         return repr(value)   # shortest form that parses back to the same float
     return str(value)
 
 
-def _parse(text: str, kind: str, where: str):
-    try:
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)
-        if kind == "int-list":
-            return tuple(int(p) for p in text.split(",") if p.strip() != "")
-        if kind == "str-list":
-            return tuple(p.strip() for p in text.split(",") if p.strip() != "")
-        return text
-    except ValueError:
-        raise ConfigError(f"bad value for {where}: {text!r}") from None
-
-
 def dump_config(config: RunConfig) -> str:
     out = io.StringIO()
-    for section, entries in LAYOUT:
+    for section, entries in LAYOUT.items():
         out.write(f"[{section}]\n")
-        for option, attr, kind in entries:
-            out.write(f"{option} = {_format(getattr(config, attr), kind)}\n")
+        for key, f in entries.items():
+            out.write(f"{key} = {_format(getattr(config, f.name))}\n")
         out.write("\n")
     return out.getvalue()
 
@@ -131,47 +178,17 @@ def load_config(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"unreadable config: {exc}") from None
-    known = {section: dict(entries) for section, entries in
-             ((s, [(o, (a, k)) for o, a, k in e]) for s, e in LAYOUT)}
+    # configparser copies [DEFAULT] entries into every other section
+    if parser.defaults():
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
     config = RunConfig()
     for section in parser.sections():
-        if section not in known:
+        if section not in LAYOUT:
             raise ConfigError(f"unknown config section [{section}]")
-        for option, text_value in parser.items(section):
-            if option not in known[section]:
-                raise ConfigError(f"unknown config key {section}.{option}")
-            attr, kind = known[section][option]
-            setattr(config, attr,
-                    _parse(text_value, kind, f"{section}.{option}"))
+        for key, text_value in parser.items(section):
+            if key not in LAYOUT[section]:
+                raise ConfigError(f"unknown config key {section}.{key}")
+            f = LAYOUT[section][key]
+            setattr(config, f.name, parse_value(f, text_value, f"{section}.{key}"))
     validate(config)
     return config
-
-
-def validate(config: RunConfig) -> None:
-    if config.mode not in (JOINT, HEADS_ONLY, DEPS_ONLY):
-        raise ConfigError(f"unknown mode {config.mode!r}")
-    if config.variant not in ("",) + VARIANTS:
-        raise ConfigError(f"unknown variant {config.variant!r}")
-    if config.root_agg not in ("max", "sum"):
-        raise ConfigError(f"unknown root_agg {config.root_agg!r}")
-    if config.activation not in ("sigmoid", "tanh"):
-        raise ConfigError(f"unknown activation {config.activation!r}")
-    if not config.seeds:
-        raise ConfigError("seeds must not be empty")
-    if config.epochs < 1:
-        raise ConfigError("epochs must be >= 1")
-    if any(seed < 0 for seed in config.seeds):
-        raise ConfigError("seeds must be >= 0")
-    for name in ("d_pretrained", "d_random", "bilstm_hidden", "bilstm_levels",
-                 "ptr_hidden"):
-        if getattr(config, name) < 1:
-            raise ConfigError(f"{name} must be >= 1")
-    # the comparisons against inf also reject NaN
-    if not 0 <= config.alpha_word_dropout < math.inf:
-        raise ConfigError("alpha_word_dropout must be finite and >= 0")
-    for name in ("adam_alpha", "adam_eps"):
-        if not 0 < getattr(config, name) < math.inf:
-            raise ConfigError(f"{name} must be finite and > 0")
-    for name in ("adam_beta1", "adam_beta2"):
-        if not 0 <= getattr(config, name) < 1:
-            raise ConfigError(f"{name} must be in [0, 1)")

@@ -260,7 +260,7 @@ def decode_corpus(
         with ad.no_grad():
             scored = score_sentence(model, sentence, training=False)
         for variant in variants:
-            merged = merge(scored.heads, scored.deps, variant, model.activation)
+            merged = merge(scored.heads, scored.deps, variant, model.shape.activation)
             tree, was_tree = decode(merged, root_agg)
             trees[variant].append(tree)
             clean[variant] += was_tree

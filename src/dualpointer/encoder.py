@@ -42,11 +42,6 @@ __all__ = [
     "init_encoder_params",
 ]
 
-D_PRETRAINED = 100
-D_RANDOM = 150
-BILSTM_HIDDEN = 200
-BILSTM_LAYERS = 2
-
 
 @dataclass
 class LstmWeights:
@@ -66,10 +61,6 @@ class EncoderParams:
     pretrained: EmbeddingTable
     random: EmbeddingTable
     layers: list[tuple[LstmWeights, LstmWeights]]  # (forward, backward) per level
-
-    @property
-    def encoding_dim(self) -> int:
-        return self.pretrained.dim + self.random.dim
 
     @property
     def context_dim(self) -> int:
@@ -293,10 +284,10 @@ def init_encoder_params(
     rng: np.random.Generator,
     vocab: Vocabulary,
     pretrained: EmbeddingTable | None,
-    d_pretrained: int = D_PRETRAINED,
-    d_random: int = D_RANDOM,
-    hidden: int = BILSTM_HIDDEN,
-    levels: int = BILSTM_LAYERS,
+    d_pretrained: int,
+    d_random: int,
+    hidden: int,
+    levels: int,
 ) -> EncoderParams:
     """Build all encoder parameters.
 

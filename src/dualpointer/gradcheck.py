@@ -8,13 +8,13 @@ the tensor as a whole (a directional derivative mixes every entry, so a
 systematically wrong backward rule cannot hide in unsampled entries).
 """
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .conll import Sentence, Token
-from .model import JOINT, init_model
+from .model import ModelShape, init_model
 from .training import TrainConfig, sentence_loss
 from .vocab import build_vocab
 
@@ -78,30 +78,14 @@ def run_gradcheck(
     step: float = 1e-5,
     samples_per_tensor: int = 48,
     directions_per_tensor: int = 2,
-    mode: str = JOINT,
-    activation: str = "sigmoid",
-    d_pretrained: int = 100,
-    d_random: int = 150,
-    bilstm_hidden: int = 16,
-    bilstm_levels: int = 2,
-    ptr_hidden: int = 100,
+    shape: ModelShape = ModelShape(bilstm_hidden=16),
 ) -> GradCheckReport:
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     sentence = random_sentence(rng, n_tokens)
     vocab = build_vocab([sentence])
-    model = init_model(
-        rng, vocab, mode=mode,
-        d_pretrained=d_pretrained, d_random=d_random,
-        bilstm_hidden=bilstm_hidden, bilstm_levels=bilstm_levels,
-        ptr_hidden=ptr_hidden, activation=activation,
-    )
-    config = TrainConfig(
-        mode=mode, activation=activation, alpha_word_dropout=0.0,
-        d_pretrained=d_pretrained, d_random=d_random,
-        bilstm_hidden=bilstm_hidden, bilstm_levels=bilstm_levels,
-        ptr_hidden=ptr_hidden,
-    )
+    model = init_model(rng, vocab, **asdict(shape))
+    config = TrainConfig(alpha_word_dropout=0.0, **asdict(shape))
 
     def loss_value() -> float:
         with ad.no_grad():

@@ -6,16 +6,12 @@ single-task models serve only their own variant (p4 heads, p5 dependents).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .conll import Sentence
 from .encoder import (
-    BILSTM_HIDDEN,
-    BILSTM_LAYERS,
-    D_PRETRAINED,
-    D_RANDOM,
     EncoderParams,
     bilstm_encode,
     encode_tokens,
@@ -25,7 +21,6 @@ from .encoder import (
 from .pointer import (
     DEPENDENTS,
     HEADS,
-    PTR_HIDDEN,
     PointerParams,
     ScoreMatrix,
     init_pointer_params,
@@ -38,9 +33,13 @@ __all__ = [
     "HEADS_ONLY",
     "DEPS_ONLY",
     "MODES",
+    "MODE_NETS",
+    "ACTIVATIONS",
     "VARIANTS",
     "VARIANT_REQUIRES",
+    "MODE_VARIANTS",
     "ModeMismatchError",
+    "ModelShape",
     "ModelParams",
     "init_model",
     "require_variant",
@@ -50,7 +49,10 @@ __all__ = [
 JOINT = "joint"
 HEADS_ONLY = "heads-only"
 DEPS_ONLY = "deps-only"
-MODES = (JOINT, HEADS_ONLY, DEPS_ONLY)
+# training mode -> orientations of the pointer nets it owns, heads first
+MODE_NETS = {JOINT: (HEADS, DEPENDENTS), HEADS_ONLY: (HEADS,), DEPS_ONLY: (DEPENDENTS,)}
+MODES = tuple(MODE_NETS)
+ACTIVATIONS = ("sigmoid", "tanh")
 
 # inference variant -> training mode that can serve it
 VARIANT_REQUIRES = {
@@ -61,10 +63,37 @@ VARIANT_REQUIRES = {
     "p5": DEPS_ONLY,
 }
 VARIANTS = tuple(VARIANT_REQUIRES)
+# training mode -> the variants its models serve
+MODE_VARIANTS = {m: tuple(v for v in VARIANTS if VARIANT_REQUIRES[v] == m) for m in MODES}
 
 
 class ModeMismatchError(Exception):
     """An inference variant was requested from a model of the wrong mode."""
+
+
+@dataclass(frozen=True)
+class ModelShape:
+    """What fixes a model's tensors: the training mode, the output
+    activation and the five sizes, in the order of a model file's metadata.
+    This is the one place they are checked."""
+
+    mode: str = JOINT
+    activation: str = "sigmoid"
+    d_pretrained: int = 100
+    d_random: int = 150
+    bilstm_hidden: int = 200
+    bilstm_levels: int = 2
+    ptr_hidden: int = 100
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(
+                f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}")
+        for f in fields(self)[2:]:
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)!r}")
 
 
 @dataclass
@@ -73,7 +102,7 @@ class ModelParams:
     encoder: EncoderParams
     heads_net: PointerParams | None
     deps_net: PointerParams | None
-    mode: str
+    shape: ModelShape
 
     def named_params(self) -> list[tuple[str, object]]:
         """Every trainable tensor in a fixed, documented order.
@@ -99,39 +128,30 @@ class ModelParams:
         return named
 
     @property
-    def activation(self) -> str:
-        net = self.heads_net or self.deps_net
-        return net.activation
+    def mode(self) -> str:
+        return self.shape.mode
 
 
 def init_model(
     rng: np.random.Generator,
     vocab: Vocabulary,
     pretrained: EmbeddingTable | None = None,
-    mode: str = JOINT,
-    d_pretrained: int = D_PRETRAINED,
-    d_random: int = D_RANDOM,
-    bilstm_hidden: int = BILSTM_HIDDEN,
-    bilstm_levels: int = BILSTM_LAYERS,
-    ptr_hidden: int = PTR_HIDDEN,
-    activation: str = "sigmoid",
+    **shape,
 ) -> ModelParams:
-    """Draw all parameters.  Draw order is fixed (encoder, heads net, deps
-    net) so one seed plus one configuration pins every value."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if activation not in ("sigmoid", "tanh"):
-        raise ValueError(f"unknown output activation {activation!r}")
+    """Draw all parameters of a model whose :class:`ModelShape` has the
+    given keyword arguments as fields.  Draw order is fixed (encoder, heads
+    net, deps net) so one seed plus one configuration pins every value."""
+    shape = ModelShape(**shape)
+    if pretrained is not None:  # a pretrained table brings its own width
+        shape = replace(shape, d_pretrained=pretrained.dim)
     encoder = init_encoder_params(
-        rng, vocab, pretrained, d_pretrained, d_random, bilstm_hidden, bilstm_levels
+        rng, vocab, pretrained, shape.d_pretrained, shape.d_random,
+        shape.bilstm_hidden, shape.bilstm_levels,
     )
-    ctx = encoder.context_dim
-    heads_net = deps_net = None
-    if mode in (JOINT, HEADS_ONLY):
-        heads_net = init_pointer_params(rng, ctx, HEADS, ptr_hidden, activation)
-    if mode in (JOINT, DEPS_ONLY):
-        deps_net = init_pointer_params(rng, ctx, DEPENDENTS, ptr_hidden, activation)
-    return ModelParams(vocab, encoder, heads_net, deps_net, mode)
+    nets = {orientation: init_pointer_params(rng, encoder.context_dim, orientation,
+                                             shape.ptr_hidden)
+            for orientation in MODE_NETS[shape.mode]}
+    return ModelParams(vocab, encoder, nets.get(HEADS), nets.get(DEPENDENTS), shape)
 
 
 def require_variant(model: ModelParams, variant: str) -> None:

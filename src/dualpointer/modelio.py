@@ -4,7 +4,8 @@ Layout, all integers little-endian, all floats IEEE-754 float64:
 
     magic    8 bytes  b"DPTRMODL"
     version  u32      format version (currently 1)
-    meta     u32 count, then per entry: str key, str value
+    meta     u32 count, then per entry: str key, str value -- the fields of
+             the model's ModelShape in order, then pretrained_indexed
     vocab    u32 count, then per non-reserved form: str form, u64 count
     index    u32 count, then per pretrained word: str word, u32 row
     tensors  u32 count, then per tensor: str name, u32 ndim, u64 dims, raw data
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
+from dataclasses import fields
 from io import BytesIO
 from pathlib import Path
 from typing import BinaryIO
@@ -28,7 +30,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .encoder import EncoderParams, LstmWeights
-from .model import DEPS_ONLY, HEADS_ONLY, JOINT, MODES, ModelParams
+from .model import MODE_NETS, ModelParams, ModelShape
 from .pointer import DEPENDENTS, HEADS, PointerParams
 from .vocab import EmbeddingTable, Vocabulary
 
@@ -77,38 +79,28 @@ class _Reader:
             raise ModelFormatError(f"bad UTF-8 at offset {self.pos}: {e}") from None
 
 
-def _meta_for(model: ModelParams) -> list[tuple[str, str]]:
-    enc = model.encoder
-    return [
-        ("mode", model.mode),
-        ("activation", model.activation),
-        ("d_pretrained", str(enc.pretrained.dim)),
-        ("d_random", str(enc.random.dim)),
-        ("bilstm_hidden", str(enc.layers[0][0].hidden)),
-        ("bilstm_levels", str(len(enc.layers))),
-        ("ptr_hidden", str((model.heads_net or model.deps_net).hidden)),
-        ("pretrained_indexed", "1" if enc.pretrained.index is not None else "0"),
-    ]
+# file tensor-name tag of each pointer-net orientation
+NET_TAGS = {HEADS: "heads", DEPENDENTS: "deps"}
 
 
-def _tensor_layout(mode: str, vocab_size: int, indexed: bool, dims: dict[str, int]):
+def _tensor_layout(shape: ModelShape, vocab_size: int, indexed: bool):
     """Yield (name, shape) of every tensor a model file with this metadata
     holds, in file order.  The row count of a pretrained table loaded from
     a file is None: only its index bounds it."""
-    hidden = dims["bilstm_hidden"]
-    yield "emb.pretrained", (None if indexed else vocab_size, dims["d_pretrained"])
-    yield "emb.random", (vocab_size, dims["d_random"])
-    input_dim = dims["d_pretrained"] + dims["d_random"]
-    for li in range(dims["bilstm_levels"]):
+    hidden = shape.bilstm_hidden
+    yield "emb.pretrained", (None if indexed else vocab_size, shape.d_pretrained)
+    yield "emb.random", (vocab_size, shape.d_random)
+    input_dim = shape.d_pretrained + shape.d_random
+    for li in range(shape.bilstm_levels):
         for direction in ("fwd", "bwd"):
             yield f"lstm.l{li}.{direction}.w", (4 * hidden, input_dim + hidden)
             yield f"lstm.l{li}.{direction}.b", (4 * hidden,)
         input_dim = 2 * hidden
-    for tag, owner_modes in (("heads", (JOINT, HEADS_ONLY)), ("deps", (JOINT, DEPS_ONLY))):
-        if mode in owner_modes:
-            yield f"ptr.{tag}.w", (dims["ptr_hidden"], 2 * input_dim)
-            yield f"ptr.{tag}.b", (dims["ptr_hidden"],)
-            yield f"ptr.{tag}.v", (dims["ptr_hidden"],)
+    for orientation in MODE_NETS[shape.mode]:
+        tag = NET_TAGS[orientation]
+        yield f"ptr.{tag}.w", (shape.ptr_hidden, 2 * input_dim)
+        yield f"ptr.{tag}.b", (shape.ptr_hidden,)
+        yield f"ptr.{tag}.v", (shape.ptr_hidden,)
 
 
 def save_model(model: ModelParams, dest: BinaryIO | str | Path) -> None:
@@ -120,7 +112,8 @@ def save_model(model: ModelParams, dest: BinaryIO | str | Path) -> None:
     out.write(MAGIC)
     out.write(struct.pack("<I", FORMAT_VERSION))
 
-    meta = _meta_for(model)
+    meta = [(f.name, str(getattr(model.shape, f.name))) for f in fields(model.shape)]
+    meta.append(("pretrained_indexed", "0" if model.encoder.pretrained.index is None else "1"))
     out.write(struct.pack("<I", len(meta)))
     for k, v in meta:
         _pack_str(out, k)
@@ -196,21 +189,14 @@ def load_model(src: BinaryIO | str | Path) -> ModelParams:
         k = r.string()
         meta[k] = r.string()
     try:
-        mode = meta["mode"]
-        activation = meta["activation"]
-        dims = {k: int(meta[k]) for k in ("d_pretrained", "d_random", "bilstm_hidden",
-                                          "bilstm_levels", "ptr_hidden")}
+        # each field's default gives its type: str or int
+        shape = ModelShape(**{f.name: type(f.default)(meta[f.name])
+                              for f in fields(ModelShape)})
         indexed = meta["pretrained_indexed"] == "1"
     except KeyError as e:
         raise ModelFormatError(f"missing metadata entry {e}") from None
     except ValueError as e:
-        raise ModelFormatError(f"non-integer size in metadata: {e}") from None
-    if mode not in MODES:
-        raise ModelFormatError(f"unknown mode {mode!r} in model file")
-    if activation not in ("sigmoid", "tanh"):
-        raise ModelFormatError(f"unknown output activation {activation!r} in model file")
-    if min(dims.values()) < 1:
-        raise ModelFormatError(f"non-positive size in metadata: {dims}")
+        raise ModelFormatError(f"bad metadata in model file: {e}") from None
 
     nvocab = r.u32()
     forms, counts = [], []
@@ -232,24 +218,24 @@ def load_model(src: BinaryIO | str | Path) -> ModelParams:
     # any data is read, so a crafted header can neither mis-split a weight
     # matrix nor ask for an absurd allocation
     tensors: dict[str, np.ndarray] = {}
-    for expected_name, expected_shape in _tensor_layout(mode, len(vocab), indexed, dims):
+    for expected_name, expected_shape in _tensor_layout(shape, len(vocab), indexed):
         name = r.string()
-        shape = tuple(r.u64() for _ in range(r.u32()))
-        fits = len(shape) == len(expected_shape) and all(
-            e is None or d == e for d, e in zip(shape, expected_shape))
+        dims = tuple(r.u64() for _ in range(r.u32()))
+        fits = len(dims) == len(expected_shape) and all(
+            e is None or d == e for d, e in zip(dims, expected_shape))
         if name != expected_name or not fits:
             raise ModelFormatError(
-                f"tensor {name!r} of shape {shape} where the metadata calls for "
+                f"tensor {name!r} of shape {dims} where the metadata calls for "
                 f"{expected_name!r} of shape {expected_shape}"
             )
-        if expected_shape[0] is None and max(index.values(), default=0) >= shape[0]:
-            raise ModelFormatError(f"pretrained index points past the {shape[0]} table rows")
-        nbytes = 8 * math.prod(shape)
+        if expected_shape[0] is None and max(index.values(), default=0) >= dims[0]:
+            raise ModelFormatError(f"pretrained index points past the {dims[0]} table rows")
+        nbytes = 8 * math.prod(dims)
         if nbytes > len(body) - r.pos:
             raise ModelFormatError(
                 f"tensor {name!r} needs {nbytes} bytes, {len(body) - r.pos} remain"
             )
-        tensors[name] = np.frombuffer(r.take(nbytes), dtype="<f8").reshape(shape).copy()
+        tensors[name] = np.frombuffer(r.take(nbytes), dtype="<f8").reshape(dims).copy()
     if count != len(tensors):
         raise ModelFormatError(
             f"model file declares {count} tensors, its metadata calls for {len(tensors)}"
@@ -264,23 +250,16 @@ def load_model(src: BinaryIO | str | Path) -> ModelParams:
 
     pretrained = EmbeddingTable(grab("emb.pretrained"), index=index if indexed else None)
     random_table = EmbeddingTable(grab("emb.random"), index=None)
-    hidden = dims["bilstm_hidden"]
+    hidden = shape.bilstm_hidden
     layers = []
-    for li in range(dims["bilstm_levels"]):
+    for li in range(shape.bilstm_levels):
         fwd = LstmWeights(grab(f"lstm.l{li}.fwd.w"), grab(f"lstm.l{li}.fwd.b"), hidden)
         bwd = LstmWeights(grab(f"lstm.l{li}.bwd.w"), grab(f"lstm.l{li}.bwd.b"), hidden)
         layers.append((fwd, bwd))
     encoder = EncoderParams(pretrained=pretrained, random=random_table, layers=layers)
-
-    heads_net = deps_net = None
-    if mode in (JOINT, HEADS_ONLY):
-        heads_net = PointerParams(
-            grab("ptr.heads.w"), grab("ptr.heads.b"), grab("ptr.heads.v"),
-            orientation=HEADS, activation=activation,
-        )
-    if mode in (JOINT, DEPS_ONLY):
-        deps_net = PointerParams(
-            grab("ptr.deps.w"), grab("ptr.deps.b"), grab("ptr.deps.v"),
-            orientation=DEPENDENTS, activation=activation,
-        )
-    return ModelParams(vocab, encoder, heads_net, deps_net, mode)
+    nets = {}
+    for orientation in MODE_NETS[shape.mode]:
+        tag = NET_TAGS[orientation]
+        nets[orientation] = PointerParams(
+            grab(f"ptr.{tag}.w"), grab(f"ptr.{tag}.b"), grab(f"ptr.{tag}.v"), orientation)
+    return ModelParams(vocab, encoder, nets.get(HEADS), nets.get(DEPENDENTS), shape)

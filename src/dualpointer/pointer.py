@@ -26,7 +26,6 @@ from .encoder import glorot, glorot_vector
 __all__ = [
     "HEADS",
     "DEPENDENTS",
-    "PTR_HIDDEN",
     "PointerParams",
     "ScoreMatrix",
     "attention_score",
@@ -37,7 +36,6 @@ __all__ = [
 
 HEADS = "heads"
 DEPENDENTS = "dependents"
-PTR_HIDDEN = 100
 
 
 @dataclass
@@ -48,7 +46,6 @@ class PointerParams:
     b: Tensor  # [hidden]
     v: Tensor  # [hidden]
     orientation: str = HEADS
-    activation: str = "sigmoid"  # output activation: "sigmoid" or "tanh"
 
     @property
     def hidden(self) -> int:
@@ -167,8 +164,7 @@ def init_pointer_params(
     rng: np.random.Generator,
     context_dim: int,
     orientation: str,
-    hidden: int = PTR_HIDDEN,
-    activation: str = "sigmoid",
+    hidden: int,
 ) -> PointerParams:
     return PointerParams(
         w=Tensor(glorot(rng, 2 * context_dim, hidden, (hidden, 2 * context_dim)),
@@ -176,5 +172,4 @@ def init_pointer_params(
         b=Tensor(np.zeros(hidden), requires_grad=True),
         v=Tensor(glorot_vector(rng, hidden), requires_grad=True),
         orientation=orientation,
-        activation=activation,
     )

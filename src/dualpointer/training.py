@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import io
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from .config import TrainConfig
 from .conll import Sentence
 from .decoding import PunctuationPolicy, parse, uas
-from .model import DEPS_ONLY, HEADS_ONLY, JOINT, MODES, ModelParams, init_model, score_sentence
+from .model import MODE_VARIANTS, ModelParams, init_model, score_sentence
 from .modelio import load_model, save_model
 from .optim import Adam
 from .pointer import DEPENDENTS, HEADS, target_matrix
@@ -42,35 +43,10 @@ EMB_PRETRAINED_SLOT = 0
 EMB_RANDOM_SLOT = 1
 
 
-@dataclass
-class TrainConfig:
-    mode: str = JOINT
-    epochs: int = 10
-    seed: int = 1
-    alpha_word_dropout: float = 0.25
-    adam_alpha: float = 0.001
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    d_pretrained: int = 100
-    d_random: int = 150
-    bilstm_hidden: int = 200
-    bilstm_levels: int = 2
-    ptr_hidden: int = 100
-    activation: str = "sigmoid"
-    root_agg: str = "max"
-    punct_tags: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-
 def default_variant(mode: str) -> str:
-    """The inference variant a model of this mode is evaluated with."""
-    return {JOINT: "p1", HEADS_ONLY: "p4", DEPS_ONLY: "p5"}[mode]
+    """The inference variant a model of this mode is evaluated with: the
+    first one it can serve."""
+    return MODE_VARIANTS[mode][0]
 
 
 @dataclass
@@ -110,7 +86,7 @@ def sentence_loss(
         if matrix is None:
             continue
         target = target_matrix(sentence, orientation)
-        if model.activation == "tanh":
+        if model.shape.activation == "tanh":
             parts.append(ad.mse_loss(ad.tanh(matrix.scores), target))
         else:
             parts.append(ad.bce_with_logits(matrix.scores, target))
@@ -186,12 +162,7 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     vocab = build_vocab(corpus)
-    model = init_model(
-        rng, vocab, pretrained=pretrained, mode=config.mode,
-        d_pretrained=config.d_pretrained, d_random=config.d_random,
-        bilstm_hidden=config.bilstm_hidden, bilstm_levels=config.bilstm_levels,
-        ptr_hidden=config.ptr_hidden, activation=config.activation,
-    )
+    model = init_model(rng, vocab, pretrained=pretrained, **asdict(config.shape))
     optimizer = make_optimizer(model, config)
     variant = default_variant(config.mode)
     punct = PunctuationPolicy(frozenset(config.punct_tags))

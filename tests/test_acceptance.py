@@ -24,7 +24,7 @@ from dualpointer.decoding import (
     PunctuationPolicy,
 )
 from dualpointer.gradcheck import run_gradcheck
-from dualpointer.model import score_sentence
+from dualpointer.model import ModelShape, score_sentence
 from dualpointer.modelio import load_model, save_model
 from dualpointer.pointer import ScoreMatrix, target_matrix
 from dualpointer.toygrammar import ambiguous_treebank, toy_treebank
@@ -66,7 +66,7 @@ def overfit():
 
 
 def test_criterion_1_gradient_integrity():
-    report_obj = run_gradcheck(seed=1, n_tokens=5, bilstm_hidden=16)
+    report_obj = run_gradcheck(seed=1, n_tokens=5, shape=ModelShape(bilstm_hidden=16))
     report(
         "1 gradient integrity",
         report_obj.passed and report_obj.seconds < 120.0,

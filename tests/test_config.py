@@ -113,3 +113,24 @@ def test_all_fields_appear_in_dump():
     names = {f.name for f in dataclasses.fields(RunConfig)}
     # every dataclass field is written under some option name
     assert text.count("=") == len(names)
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nepochs = 4\n",
+    "[DEFAULT]\nepochs = 4\n[training]\nmode = joint\n",
+    "[DEFAULT]\nepochs = 4\n[run]\nseeds = 1\n",
+])
+def test_default_section_rejected(text):
+    # configparser copies [DEFAULT] entries into every other section, so
+    # without this check they were dropped, leaked into [training], or
+    # failed as an unknown [run] key
+    with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+        load_config(text)
+
+
+def test_empty_default_section_allowed():
+    assert load_config("[DEFAULT]\n[training]\nepochs = 4\n").epochs == 4
+
+
+def test_mode_alias_in_file():
+    assert load_config("[training]\nmode = heads\n").mode == "heads-only"

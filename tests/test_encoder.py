@@ -89,7 +89,8 @@ class TestEncodeTokens:
     def test_pretrained_file_lookup_separate_from_vocab(self, rng):
         vocab = build_vocab([sent(["cat", "dog"])])
         table = load_pretrained(io.StringIO("cat 1 0 0\nbird 0 1 0\n"))
-        params = init_encoder_params(rng, vocab, table, d_random=4, hidden=5, levels=1)
+        params = init_encoder_params(rng, vocab, table, d_pretrained=3, d_random=4,
+                                     hidden=5, levels=1)
         rows = token_rows(sent(["cat", "dog", "bird"]), params, vocab)
         # cat: both maps know it; dog: only vocab; bird: only pretrained
         assert rows[0] == (table.row_of("cat"), vocab.lookup("cat"))
@@ -118,7 +119,8 @@ class TestEncodeTokens:
     def test_dropout_hits_both_maps_together(self, rng):
         vocab = build_vocab([sent(["cat", "a", "b"])])
         table = load_pretrained(io.StringIO("cat 1 0 0\n"))
-        params = init_encoder_params(rng, vocab, table, d_random=4, hidden=5, levels=1)
+        params = init_encoder_params(rng, vocab, table, d_pretrained=3, d_random=4,
+                                     hidden=5, levels=1)
         s = sent(["cat"])
         saw_hit = False
         for _ in range(500):

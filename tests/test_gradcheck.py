@@ -1,5 +1,7 @@
 """Gradient-check harness: honest pass on a fresh model, detection of a
 corrupted backward rule, coverage and determinism of the report."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,11 @@ from dualpointer.gradcheck import (
     random_sentence,
     run_gradcheck,
 )
+from dualpointer.model import ModelShape
 
-SMALL = dict(
-    d_pretrained=6, d_random=7, bilstm_hidden=5, ptr_hidden=6,
-    samples_per_tensor=10, directions_per_tensor=1,
-)
+SHAPE = ModelShape(d_pretrained=6, d_random=7, bilstm_hidden=5, ptr_hidden=6)
+SAMPLING = dict(samples_per_tensor=10, directions_per_tensor=1)
+SMALL = dict(shape=SHAPE, **SAMPLING)
 
 
 def test_fresh_init_passes():
@@ -40,7 +42,7 @@ def test_report_covers_every_parameter_tensor():
 
 
 def test_single_task_reports_only_owned_net():
-    report = run_gradcheck(seed=3, mode="heads-only", **SMALL)
+    report = run_gradcheck(seed=3, shape=replace(SHAPE, mode="heads-only"), **SAMPLING)
     names = [c.name for c in report.checks]
     assert "ptr.heads.w" in names
     assert not any("deps" in n for n in names)
@@ -48,7 +50,7 @@ def test_single_task_reports_only_owned_net():
 
 
 def test_tanh_output_variant_passes():
-    report = run_gradcheck(seed=3, activation="tanh", **SMALL)
+    report = run_gradcheck(seed=3, shape=replace(SHAPE, activation="tanh"), **SAMPLING)
     assert report.passed
 
 

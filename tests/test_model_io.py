@@ -185,3 +185,70 @@ class TestDamage:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:model:"), err
+
+
+def with_metadata(data, changes):
+    """A saved model with metadata entries replaced (or, for a None value,
+    removed) and the checksum recomputed, so that only the metadata checks
+    can catch it."""
+    body = bytes(data[:-4])
+    pos = len(MAGIC) + 4
+    (count,) = struct.unpack_from("<I", body, pos)
+    pos += 4
+    entries = []
+    for _ in range(count):
+        pair = []
+        for _ in range(2):
+            (n,) = struct.unpack_from("<I", body, pos)
+            pair.append(body[pos + 4:pos + 4 + n].decode("utf-8"))
+            pos += 4 + n
+        entries.append(pair)
+    meta = {k: changes.get(k, v) for k, v in entries if changes.get(k, v) is not None}
+    out = bytearray(body[:len(MAGIC) + 4])
+    out += struct.pack("<I", len(meta))
+    for k, v in meta.items():
+        for s in (k, v):
+            raw = s.encode("utf-8")
+            out += struct.pack("<I", len(raw)) + raw
+    out += body[pos:]
+    return bytes(out) + struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
+
+
+def test_metadata_rewrite_unchanged_is_loadable():
+    data = save_bytes(make_model())
+    assert with_metadata(data, {}) == data
+
+
+@pytest.mark.parametrize("changes", [
+    {"mode": None}, {"activation": None}, {"bilstm_hidden": None},
+    {"ptr_hidden": None}, {"pretrained_indexed": None},
+    {"ptr_hidden": "1e3"}, {"bilstm_levels": "0"}, {"d_random": "-2"},
+    {"mode": "both"}, {"activation": "relu"},
+], ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+def test_bad_metadata_is_a_model_error(changes, tmp_path, capsys):
+    data = with_metadata(save_bytes(make_model()), changes)
+    with pytest.raises(ModelFormatError):
+        load_model(io.BytesIO(data))
+    model_path = tmp_path / "crafted.bin"
+    model_path.write_bytes(data)
+    test_path = tmp_path / "test.conllu"
+    with open(test_path, "w", encoding="utf-8") as f:
+        write_conll([sent(["a", "b"])], f)
+    code = main(["parse", "--model", str(model_path), "--test", str(test_path),
+                 "--output", str(tmp_path / "out.conllu")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:model:") and err.count("\n") == 1, err
+
+
+def test_pretrained_table_sets_the_recorded_width():
+    # a pretrained table brings its own width, whatever d_pretrained says,
+    # and the model file must record that width to load again
+    table = load_pretrained(io.StringIO("dog 1 0 0\nThe 0 1 0\n"))
+    vocab = build_vocab([sent(["a", "dog"])])
+    m = init_model(np.random.default_rng(1), vocab, pretrained=table, d_random=4,
+                   bilstm_hidden=5, bilstm_levels=1, ptr_hidden=6)
+    assert m.shape.d_pretrained == 3
+    loaded = load_model(io.BytesIO(save_bytes(m)))
+    assert loaded.shape == m.shape
+    assert save_bytes(loaded) == save_bytes(m)
