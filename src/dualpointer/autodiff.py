@@ -26,10 +26,8 @@ __all__ = [
     "matmul",
     "affine",
     "tanh",
-    "sigmoid",
     "concat",
     "stack",
-    "segment",
     "sum_all",
     "bce_loss",
     "bce_with_logits",
@@ -269,17 +267,6 @@ def _tanh_backward(out_data: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g * (1.0 - out_data * out_data)
 
 
-def sigmoid(x) -> Tensor:
-    x = _as_tensor(x)
-    out_data = stable_sigmoid(x.data)
-    od = out_data
-
-    def backward(g):
-        return (_sigmoid_backward(od, g),)
-
-    return make_node(out_data, (x,), backward)
-
-
 def _sigmoid_backward(out_data: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g * out_data * (1.0 - out_data)
 
@@ -319,23 +306,6 @@ def stack(xs) -> Tensor:
         return tuple(g[i] for i in range(len(xs)))
 
     return make_node(np.stack([x.data for x in xs]), tuple(xs), backward)
-
-
-def segment(x, start: int, stop: int) -> Tensor:
-    """Contiguous slice of a vector."""
-    x = _as_tensor(x)
-    if x.data.ndim != 1:
-        raise ValueError(f"segment expects a vector, got shape {x.data.shape}")
-    n = x.data.shape[0]
-    if not (0 <= start <= stop <= n):
-        raise ValueError(f"segment [{start}:{stop}] out of bounds for length {n}")
-
-    def backward(g):
-        full = np.zeros(n)
-        full[start:stop] = g
-        return (full,)
-
-    return make_node(x.data[start:stop], (x,), backward)
 
 
 def sum_all(x) -> Tensor:

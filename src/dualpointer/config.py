@@ -130,8 +130,9 @@ def validate(config) -> None:
 
 TrainConfig = make_dataclass(
     "TrainConfig",
-    [("seed", int, 1)] + [(f.name, f.type, field(default=f.default, metadata=f.metadata))
-                          for f in fields(RunConfig) if f.metadata["train"]],
+    [("seed", int, param(1, "run", valid=(lambda v: v >= 0, ">= 0"), flag=False))]
+    + [(f.name, f.type, field(default=f.default, metadata=f.metadata))
+       for f in fields(RunConfig) if f.metadata["train"]],
     namespace={
         "__doc__": "What one training run reads: RunConfig's training fields and a seed.",
         "__module__": __name__,

@@ -32,14 +32,8 @@ __all__ = [
     "dropout_prob",
     "token_rows",
     "encode_tokens",
-    "lstm_cell",
     "lstm_sequence",
     "bilstm_encode",
-    "glorot",
-    "glorot_vector",
-    "init_lstm",
-    "init_embedding_data",
-    "init_encoder_params",
 ]
 
 
@@ -61,10 +55,6 @@ class EncoderParams:
     pretrained: EmbeddingTable
     random: EmbeddingTable
     layers: list[tuple[LstmWeights, LstmWeights]]  # (forward, backward) per level
-
-    @property
-    def context_dim(self) -> int:
-        return 2 * self.layers[-1][0].hidden
 
 
 def dropout_prob(frequency: int, alpha: float) -> float:
@@ -137,27 +127,6 @@ def encode_tokens(
     return ad.make_node(data, (pre, rand), backward)
 
 
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, weights: LstmWeights):
-    """One LSTM step composed from tape primitives: returns (h, c).
-
-    The model runs :func:`lstm_sequence`; this cell is kept as the
-    reference that tests check the sequence node against.
-    """
-    h = weights.hidden
-    if x.data.ndim != 1 or h_prev.data.shape != (h,) or c_prev.data.shape != (h,):
-        raise ValueError(
-            f"lstm_cell shapes: x {x.data.shape}, h {h_prev.data.shape}, "
-            f"c {c_prev.data.shape}, hidden {h}"
-        )
-    z = ad.affine(weights.w, ad.concat([x, h_prev]), weights.b)
-    i = ad.sigmoid(ad.segment(z, 0, h))
-    f = ad.sigmoid(ad.segment(z, h, 2 * h))
-    o = ad.sigmoid(ad.segment(z, 2 * h, 3 * h))
-    g = ad.tanh(ad.segment(z, 3 * h, 4 * h))
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    return ad.mul(o, ad.tanh(c)), c
-
-
 def _state_before(states: np.ndarray, reverse: bool) -> np.ndarray:
     """Row t: the state the recurrence held before reading position t."""
     before = np.zeros_like(states)
@@ -173,8 +142,9 @@ def lstm_sequence(x: Tensor, weights: LstmWeights, reverse: bool = False) -> Ten
 
     ``x`` is [T x d_in]; row t of the [T x h] result is the hidden state
     after reading position t, reading from the last position backwards
-    when ``reverse``.  Computes what a chain of :func:`lstm_cell` steps
-    from zero state computes, up to floating-point evaluation order.
+    when ``reverse``.  Computes what a chain of single LSTM steps from
+    zero state computes, up to floating-point evaluation order; the tests
+    hold it to such a chain composed from tape primitives.
     """
     xd, wd = x.data, weights.w.data
     h = weights.hidden
@@ -247,69 +217,3 @@ def bilstm_encode(encodings: Tensor, params: EncoderParams) -> Tensor:
     for fwd, bwd in params.layers:
         xs = ad.concat([lstm_sequence(xs, fwd), lstm_sequence(xs, bwd, reverse=True)])
     return xs
-
-
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def glorot_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    # a lone vector: both fans are its own length
-    return rng.uniform(-np.sqrt(3.0 / dim), np.sqrt(3.0 / dim), size=dim)
-
-
-def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int) -> LstmWeights:
-    """Per-gate Glorot blocks stacked into one matrix, zero biases."""
-    blocks = [
-        glorot(rng, input_dim + hidden, hidden, (hidden, input_dim + hidden))
-        for _ in range(4)
-    ]
-    return LstmWeights(
-        w=Tensor(np.vstack(blocks), requires_grad=True),
-        b=Tensor(np.zeros(4 * hidden), requires_grad=True),
-        hidden=hidden,
-    )
-
-
-def init_embedding_data(rng: np.random.Generator, size: int, dim: int) -> np.ndarray:
-    """Embedding matrix with a zero unknown row; per-row scale from the
-    vector dimension alone, the lookup-table reading of Glorot."""
-    data = rng.uniform(-np.sqrt(3.0 / dim), np.sqrt(3.0 / dim), size=(size, dim))
-    data[UNKNOWN_ID] = 0.0
-    return data
-
-
-def init_encoder_params(
-    rng: np.random.Generator,
-    vocab: Vocabulary,
-    pretrained: EmbeddingTable | None,
-    d_pretrained: int,
-    d_random: int,
-    hidden: int,
-    levels: int,
-) -> EncoderParams:
-    """Build all encoder parameters.
-
-    Without a pretrained file the first map falls back to a second
-    randomly initialized, vocabulary-indexed table of the same dimension.
-    Draw order is fixed: pretrained fallback, random map, then LSTM levels
-    forward-before-backward.
-    """
-    if pretrained is None:
-        pretrained = EmbeddingTable(
-            Tensor(init_embedding_data(rng, len(vocab), d_pretrained), requires_grad=True),
-            index=None,
-        )
-    random_table = EmbeddingTable(
-        Tensor(init_embedding_data(rng, len(vocab), d_random), requires_grad=True),
-        index=None,
-    )
-    layers = []
-    input_dim = pretrained.dim + d_random
-    for _ in range(levels):
-        fwd = init_lstm(rng, input_dim, hidden)
-        bwd = init_lstm(rng, input_dim, hidden)
-        layers.append((fwd, bwd))
-        input_dim = 2 * hidden
-    return EncoderParams(pretrained=pretrained, random=random_table, layers=layers)

@@ -3,6 +3,9 @@
 A model carries its training mode.  Joint training produces both scorers
 and serves the merged (p1) and single-matrix (p2, p3) inference variants;
 single-task models serve only their own variant (p4 heads, p5 dependents).
+
+Every trainable tensor is named, sized and ordered by :func:`tensor_layout`
+alone; init, :meth:`ModelParams.named_params` and the model file walk it.
 """
 from __future__ import annotations
 
@@ -11,22 +14,10 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .conll import Sentence
-from .encoder import (
-    EncoderParams,
-    bilstm_encode,
-    encode_tokens,
-    init_encoder_params,
-    token_rows,
-)
-from .pointer import (
-    DEPENDENTS,
-    HEADS,
-    PointerParams,
-    ScoreMatrix,
-    init_pointer_params,
-    score_all,
-)
-from .vocab import EmbeddingTable, Vocabulary
+from .autodiff import Tensor
+from .encoder import EncoderParams, LstmWeights, bilstm_encode, encode_tokens, token_rows
+from .pointer import DEPENDENTS, HEADS, PointerParams, ScoreMatrix, score_all
+from .vocab import UNKNOWN_ID, EmbeddingTable, Vocabulary
 
 __all__ = [
     "JOINT",
@@ -38,9 +29,11 @@ __all__ = [
     "VARIANTS",
     "VARIANT_REQUIRES",
     "MODE_VARIANTS",
+    "NET_TAGS",
     "ModeMismatchError",
     "ModelShape",
     "ModelParams",
+    "tensor_layout",
     "init_model",
     "require_variant",
     "score_sentence",
@@ -52,6 +45,8 @@ DEPS_ONLY = "deps-only"
 # training mode -> orientations of the pointer nets it owns, heads first
 MODE_NETS = {JOINT: (HEADS, DEPENDENTS), HEADS_ONLY: (HEADS,), DEPS_ONLY: (DEPENDENTS,)}
 MODES = tuple(MODE_NETS)
+# tensor-name tag of each pointer-net orientation
+NET_TAGS = {HEADS: "heads", DEPENDENTS: "deps"}
 ACTIVATIONS = ("sigmoid", "tanh")
 
 # inference variant -> training mode that can serve it
@@ -96,36 +91,94 @@ class ModelShape:
                 raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)!r}")
 
 
+def tensor_layout(shape: ModelShape, vocab_size: int, indexed: bool = False):
+    """Yield (name, dims) of every trainable tensor of a model of this
+    shape, in the order that init, optimizer slots, model files and
+    gradient-check reports follow.  The row count of a pretrained table
+    read from a file (``indexed``) is None: only its word index bounds it."""
+    hidden = shape.bilstm_hidden
+    yield "emb.pretrained", (None if indexed else vocab_size, shape.d_pretrained)
+    yield "emb.random", (vocab_size, shape.d_random)
+    input_dim = shape.d_pretrained + shape.d_random
+    for li in range(shape.bilstm_levels):
+        for direction in ("fwd", "bwd"):
+            yield f"lstm.l{li}.{direction}.w", (4 * hidden, input_dim + hidden)
+            yield f"lstm.l{li}.{direction}.b", (4 * hidden,)
+        input_dim = 2 * hidden
+    for orientation in MODE_NETS[shape.mode]:
+        tag = NET_TAGS[orientation]
+        yield f"ptr.{tag}.w", (shape.ptr_hidden, 2 * input_dim)
+        yield f"ptr.{tag}.b", (shape.ptr_hidden,)
+        yield f"ptr.{tag}.v", (shape.ptr_hidden,)
+
+
+def _initial_draw(rng: np.random.Generator, name: str, dims: tuple[int, ...]) -> np.ndarray:
+    """A tensor's initial value, by its kind.  Biases start at zero.  An
+    embedding row or the scorer's lone vector ``v`` is uniform within
+    sqrt(3 / width), both of its fans being its width, and the unknown row
+    of each embedding table is zero.  Weight matrices are Glorot uniform;
+    an LSTM matrix stacks four gate blocks, so its fan-out is a quarter of
+    its rows."""
+    if name.endswith(".b"):
+        return np.zeros(dims)
+    if name.startswith("emb.") or name.endswith(".v"):
+        limit = np.sqrt(3.0 / dims[-1])
+        data = rng.uniform(-limit, limit, size=dims)
+        if name.startswith("emb."):
+            data[UNKNOWN_ID] = 0.0
+        return data
+    rows, cols = dims
+    fan_out = rows // 4 if name.startswith("lstm.") else rows
+    limit = np.sqrt(6.0 / (cols + fan_out))
+    return rng.uniform(-limit, limit, size=dims)
+
+
 @dataclass
 class ModelParams:
+    """A model's trainable tensors by name, with the encoder and pointer-net
+    views of them that the forward pass reads."""
+
     vocab: Vocabulary
     encoder: EncoderParams
     heads_net: PointerParams | None
     deps_net: PointerParams | None
     shape: ModelShape
+    tensors: dict[str, Tensor]
 
-    def named_params(self) -> list[tuple[str, object]]:
-        """Every trainable tensor in a fixed, documented order.
+    @classmethod
+    def from_tensors(
+        cls,
+        shape: ModelShape,
+        vocab: Vocabulary,
+        index: dict[str, int] | None,
+        tensors: dict[str, Tensor],
+    ) -> ModelParams:
+        """Assemble a model from its tensors, keyed and ordered as
+        :func:`tensor_layout` yields them.  ``index`` maps words to rows of
+        a pretrained table read from a file; it is None when that table is
+        indexed by the vocabulary."""
+
+        def lstm(prefix: str) -> LstmWeights:
+            return LstmWeights(tensors[prefix + ".w"], tensors[prefix + ".b"],
+                               shape.bilstm_hidden)
+
+        encoder = EncoderParams(
+            pretrained=EmbeddingTable(tensors["emb.pretrained"], index),
+            random=EmbeddingTable(tensors["emb.random"]),
+            layers=[(lstm(f"lstm.l{li}.fwd"), lstm(f"lstm.l{li}.bwd"))
+                    for li in range(shape.bilstm_levels)],
+        )
+        nets = {o: PointerParams(*(tensors[f"ptr.{NET_TAGS[o]}.{p}"] for p in "wbv"), o)
+                for o in MODE_NETS[shape.mode]}
+        return cls(vocab, encoder, nets.get(HEADS), nets.get(DEPENDENTS), shape, tensors)
+
+    def named_params(self) -> list[tuple[str, Tensor]]:
+        """Every trainable tensor in :func:`tensor_layout` order.
 
         The order is load-bearing: optimizer slots, serialization records
         and gradient-check reports all index into it.
         """
-        named = [
-            ("emb.pretrained", self.encoder.pretrained.weights),
-            ("emb.random", self.encoder.random.weights),
-        ]
-        for li, (fwd, bwd) in enumerate(self.encoder.layers):
-            named += [
-                (f"lstm.l{li}.fwd.w", fwd.w),
-                (f"lstm.l{li}.fwd.b", fwd.b),
-                (f"lstm.l{li}.bwd.w", bwd.w),
-                (f"lstm.l{li}.bwd.b", bwd.b),
-            ]
-        for tag, net in (("heads", self.heads_net), ("deps", self.deps_net)):
-            if net is not None:
-                named += [(f"ptr.{tag}.w", net.w), (f"ptr.{tag}.b", net.b),
-                          (f"ptr.{tag}.v", net.v)]
-        return named
+        return list(self.tensors.items())
 
     @property
     def mode(self) -> str:
@@ -139,20 +192,21 @@ def init_model(
     **shape,
 ) -> ModelParams:
     """Draw all parameters of a model whose :class:`ModelShape` has the
-    given keyword arguments as fields.  Draw order is fixed (encoder, heads
-    net, deps net) so one seed plus one configuration pins every value."""
+    given keyword arguments as fields.  Tensors are drawn in layout order,
+    so one seed plus one configuration pins every value.  A given
+    pretrained table is used as it is and brings its own width; without
+    one, ``emb.pretrained`` is drawn as a second vocabulary-indexed table."""
     shape = ModelShape(**shape)
-    if pretrained is not None:  # a pretrained table brings its own width
+    given, index = {}, None
+    if pretrained is not None:
         shape = replace(shape, d_pretrained=pretrained.dim)
-    encoder = init_encoder_params(
-        rng, vocab, pretrained, shape.d_pretrained, shape.d_random,
-        shape.bilstm_hidden, shape.bilstm_levels,
-    )
-    nets = {orientation: init_pointer_params(rng, encoder.context_dim, orientation,
-                                             shape.ptr_hidden)
-            for orientation in MODE_NETS[shape.mode]}
-    return ModelParams(vocab, encoder, nets.get(HEADS), nets.get(DEPENDENTS), shape)
-
+        given["emb.pretrained"], index = pretrained.weights, pretrained.index
+    tensors = {
+        name: given[name] if name in given
+        else Tensor(_initial_draw(rng, name, dims), requires_grad=True)
+        for name, dims in tensor_layout(shape, len(vocab), index is not None)
+    }
+    return ModelParams.from_tensors(shape, vocab, index, tensors)
 
 def require_variant(model: ModelParams, variant: str) -> None:
     if variant not in VARIANT_REQUIRES:

@@ -8,7 +8,8 @@ Layout, all integers little-endian, all floats IEEE-754 float64:
              the model's ModelShape in order, then pretrained_indexed
     vocab    u32 count, then per non-reserved form: str form, u64 count
     index    u32 count, then per pretrained word: str word, u32 row
-    tensors  u32 count, then per tensor: str name, u32 ndim, u64 dims, raw data
+    tensors  u32 count, then per tensor: str name, u32 ndim, u64 dims, raw data,
+             in the names, dims and order of ``model.tensor_layout``
     crc      u32      CRC-32 of every preceding byte
 
 where ``str`` is a u32 byte length followed by UTF-8 bytes.  Writing is
@@ -29,10 +30,8 @@ from typing import BinaryIO
 import numpy as np
 
 from .autodiff import Tensor
-from .encoder import EncoderParams, LstmWeights
-from .model import MODE_NETS, ModelParams, ModelShape
-from .pointer import DEPENDENTS, HEADS, PointerParams
-from .vocab import EmbeddingTable, Vocabulary
+from .model import ModelParams, ModelShape, tensor_layout
+from .vocab import Vocabulary
 
 __all__ = ["ModelFormatError", "FORMAT_VERSION", "MAGIC", "save_model", "load_model"]
 
@@ -77,30 +76,6 @@ class _Reader:
             return str(self.take(n), "utf-8")
         except UnicodeDecodeError as e:
             raise ModelFormatError(f"bad UTF-8 at offset {self.pos}: {e}") from None
-
-
-# file tensor-name tag of each pointer-net orientation
-NET_TAGS = {HEADS: "heads", DEPENDENTS: "deps"}
-
-
-def _tensor_layout(shape: ModelShape, vocab_size: int, indexed: bool):
-    """Yield (name, shape) of every tensor a model file with this metadata
-    holds, in file order.  The row count of a pretrained table loaded from
-    a file is None: only its index bounds it."""
-    hidden = shape.bilstm_hidden
-    yield "emb.pretrained", (None if indexed else vocab_size, shape.d_pretrained)
-    yield "emb.random", (vocab_size, shape.d_random)
-    input_dim = shape.d_pretrained + shape.d_random
-    for li in range(shape.bilstm_levels):
-        for direction in ("fwd", "bwd"):
-            yield f"lstm.l{li}.{direction}.w", (4 * hidden, input_dim + hidden)
-            yield f"lstm.l{li}.{direction}.b", (4 * hidden,)
-        input_dim = 2 * hidden
-    for orientation in MODE_NETS[shape.mode]:
-        tag = NET_TAGS[orientation]
-        yield f"ptr.{tag}.w", (shape.ptr_hidden, 2 * input_dim)
-        yield f"ptr.{tag}.b", (shape.ptr_hidden,)
-        yield f"ptr.{tag}.v", (shape.ptr_hidden,)
 
 
 def save_model(model: ModelParams, dest: BinaryIO | str | Path) -> None:
@@ -217,8 +192,8 @@ def load_model(src: BinaryIO | str | Path) -> ModelParams:
     # every shape is checked, and its size bounded by the bytes left, before
     # any data is read, so a crafted header can neither mis-split a weight
     # matrix nor ask for an absurd allocation
-    tensors: dict[str, np.ndarray] = {}
-    for expected_name, expected_shape in _tensor_layout(shape, len(vocab), indexed):
+    tensors: dict[str, Tensor] = {}
+    for expected_name, expected_shape in tensor_layout(shape, len(vocab), indexed):
         name = r.string()
         dims = tuple(r.u64() for _ in range(r.u32()))
         fits = len(dims) == len(expected_shape) and all(
@@ -235,7 +210,8 @@ def load_model(src: BinaryIO | str | Path) -> ModelParams:
             raise ModelFormatError(
                 f"tensor {name!r} needs {nbytes} bytes, {len(body) - r.pos} remain"
             )
-        tensors[name] = np.frombuffer(r.take(nbytes), dtype="<f8").reshape(dims).copy()
+        data = np.frombuffer(r.take(nbytes), dtype="<f8").reshape(dims).copy()
+        tensors[name] = Tensor(data, requires_grad=True)
     if count != len(tensors):
         raise ModelFormatError(
             f"model file declares {count} tensors, its metadata calls for {len(tensors)}"
@@ -245,21 +221,4 @@ def load_model(src: BinaryIO | str | Path) -> ModelParams:
             f"{len(body) - r.pos} unexpected trailing bytes at offset {r.pos}"
         )
 
-    def grab(name: str) -> Tensor:
-        return Tensor(tensors[name], requires_grad=True)
-
-    pretrained = EmbeddingTable(grab("emb.pretrained"), index=index if indexed else None)
-    random_table = EmbeddingTable(grab("emb.random"), index=None)
-    hidden = shape.bilstm_hidden
-    layers = []
-    for li in range(shape.bilstm_levels):
-        fwd = LstmWeights(grab(f"lstm.l{li}.fwd.w"), grab(f"lstm.l{li}.fwd.b"), hidden)
-        bwd = LstmWeights(grab(f"lstm.l{li}.bwd.w"), grab(f"lstm.l{li}.bwd.b"), hidden)
-        layers.append((fwd, bwd))
-    encoder = EncoderParams(pretrained=pretrained, random=random_table, layers=layers)
-    nets = {}
-    for orientation in MODE_NETS[shape.mode]:
-        tag = NET_TAGS[orientation]
-        nets[orientation] = PointerParams(
-            grab(f"ptr.{tag}.w"), grab(f"ptr.{tag}.b"), grab(f"ptr.{tag}.v"), orientation)
-    return ModelParams(vocab, encoder, nets.get(HEADS), nets.get(DEPENDENTS), shape)
+    return ModelParams.from_tensors(shape, vocab, index if indexed else None, tensors)

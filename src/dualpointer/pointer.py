@@ -6,11 +6,11 @@ the head of i" (heads orientation), the other "j is a dependent of i"
 (or optional tanh) output activation is applied downstream, after optional
 merging of the two matrices.
 
-The batched scorer and the single-pair scorer run through one shared
-einsum kernel.  np.einsum evaluates a fixed contraction order regardless
-of operand row count, so a row of the batched matrix is bit-identical to
-the corresponding pairwise call; the BLAS matrix product does not give
-that guarantee.
+All pairs are scored by one einsum kernel.  np.einsum evaluates a fixed
+contraction order regardless of operand row count, so each entry of the
+batched matrix is bit-identical to the same kernel run on that one
+(query, key) pair, which is how the tests' single-pair reference scores
+it; the BLAS matrix product does not give that guarantee.
 """
 from __future__ import annotations
 
@@ -21,17 +21,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .conll import Sentence
-from .encoder import glorot, glorot_vector
 
 __all__ = [
     "HEADS",
     "DEPENDENTS",
     "PointerParams",
     "ScoreMatrix",
-    "attention_score",
     "score_all",
     "target_matrix",
-    "init_pointer_params",
 ]
 
 HEADS = "heads"
@@ -106,26 +103,6 @@ def _attention_kernel(cq: Tensor, ck: Tensor, params: PointerParams) -> Tensor:
     return ad.make_node(out, (cq, ck, params.w, params.b, params.v), backward)
 
 
-def attention_score(query: Tensor, key: Tensor, params: PointerParams) -> Tensor:
-    """Score one (query, key) pair: v . tanh(W [key; query] + b).
-
-    Returns a 1x1 tensor; its single entry equals the corresponding entry
-    of :func:`score_all` bit-for-bit.
-    """
-    if query.data.ndim != 1 or key.data.ndim != 1:
-        raise ValueError("attention_score takes single context vectors")
-    return _attention_kernel(_as_row(query), _as_row(key), params)
-
-
-def _as_row(x: Tensor) -> Tensor:
-    n = x.data.shape[0]
-
-    def backward(g):
-        return (g[0],)
-
-    return ad.make_node(x.data[None, :], (x,), backward)
-
-
 def score_all(contexts: Tensor, params: PointerParams) -> ScoreMatrix:
     """All ordered pairs of the rows of an [n x context] matrix at once,
     diagonal included."""
@@ -158,18 +135,3 @@ def target_matrix(sentence: Sentence, orientation: str) -> np.ndarray:
         else:
             m[h - 1, i] = 1.0
     return m
-
-
-def init_pointer_params(
-    rng: np.random.Generator,
-    context_dim: int,
-    orientation: str,
-    hidden: int,
-) -> PointerParams:
-    return PointerParams(
-        w=Tensor(glorot(rng, 2 * context_dim, hidden, (hidden, 2 * context_dim)),
-                 requires_grad=True),
-        b=Tensor(np.zeros(hidden), requires_grad=True),
-        v=Tensor(glorot_vector(rng, hidden), requires_grad=True),
-        orientation=orientation,
-    )

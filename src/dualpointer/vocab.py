@@ -67,14 +67,11 @@ class EmbeddingTable:
     by Vocabulary ids directly.  Row 0 is always the unknown vector.
     """
 
-    def __init__(self, weights: Tensor, index: dict[str, int] | None = None,
-                 trainable: bool = True):
+    def __init__(self, weights: Tensor, index: dict[str, int] | None = None):
         if weights.data.ndim != 2:
             raise ValueError(f"embedding table must be 2-d, got {weights.data.shape}")
         self.weights = weights
-        self.weights.requires_grad = trainable
         self.index = index
-        self.trainable = trainable
 
     @property
     def dim(self) -> int:

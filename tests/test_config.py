@@ -3,7 +3,7 @@ import dataclasses
 
 import pytest
 
-from dualpointer.config import ConfigError, RunConfig, dump_config, load_config
+from dualpointer.config import ConfigError, RunConfig, TrainConfig, dump_config, load_config
 
 
 def test_default_round_trip():
@@ -134,3 +134,10 @@ def test_empty_default_section_allowed():
 
 def test_mode_alias_in_file():
     assert load_config("[training]\nmode = heads\n").mode == "heads-only"
+
+
+def test_negative_train_seed_rejected():
+    # it constructed, and train() then failed inside numpy's default_rng
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
+    assert TrainConfig(seed=0).seed == 0

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from fd import numeric_grad, rel_err
+from oracles import lstm_cell
 
 from dualpointer import autodiff as ad
 from dualpointer import encoder as enc
@@ -20,9 +21,6 @@ from dualpointer.encoder import (
     bilstm_encode,
     dropout_prob,
     encode_tokens,
-    init_encoder_params,
-    init_lstm,
-    lstm_cell,
     lstm_sequence,
     token_rows,
 )
@@ -34,8 +32,23 @@ def sent(words):
     return Sentence([Token(i + 1, w, None, 0 if i == 0 else 1) for i, w in enumerate(words)])
 
 
+def init_encoder_params(rng, vocab, pretrained, d_pretrained, d_random, hidden, levels):
+    """The encoder of a freshly drawn model of these sizes."""
+    model = init_model(rng, vocab, pretrained, d_pretrained=d_pretrained, d_random=d_random,
+                       bilstm_hidden=hidden, bilstm_levels=levels)
+    return model.encoder
+
+
 def tiny_params(rng, vocab, d_pre=3, d_rand=4, hidden=5, levels=2):
     return init_encoder_params(rng, vocab, None, d_pre, d_rand, hidden, levels)
+
+
+def init_lstm(rng, input_dim, hidden):
+    """Glorot-uniform gate matrix (per-gate fan-out), zero bias."""
+    limit = np.sqrt(6.0 / (input_dim + 2 * hidden))
+    w = rng.uniform(-limit, limit, size=(4 * hidden, input_dim + hidden))
+    return LstmWeights(Tensor(w, requires_grad=True),
+                       Tensor(np.zeros(4 * hidden), requires_grad=True), hidden)
 
 
 def rows_of(matrix):

@@ -1,13 +1,15 @@
 """Model file round trips and damage handling."""
+import hashlib
 import io
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dualpointer.cli import main
-from dualpointer.conll import Sentence, Token, write_conll
+from dualpointer.conll import Sentence, Token, read_conll, write_conll
 from dualpointer.model import DEPS_ONLY, HEADS_ONLY, JOINT, init_model, score_sentence
 from dualpointer.modelio import (
     FORMAT_VERSION,
@@ -252,3 +254,26 @@ def test_pretrained_table_sets_the_recorded_width():
     loaded = load_model(io.BytesIO(save_bytes(m)))
     assert loaded.shape == m.shape
     assert save_bytes(loaded) == save_bytes(m)
+
+
+TOY = Path(__file__).resolve().parent.parent / "data" / "toy.conllu"
+VEC3 = "the 1 0 0\ndog 0 1 0\nbird 0 0 1\n"
+
+
+@pytest.mark.parametrize("kw, digest", [
+    ({}, "dbb9d41e5a93e7e71b437fe3cf4ba601b88bf6043b4a2aae363d15e1d663eb98"),
+    ({"mode": HEADS_ONLY}, "6915e0bde081bd542bc5a518c0ceadd6e50700b95a468078f93e508c58ead4b2"),
+    ({"mode": DEPS_ONLY}, "31568f82ad94ecce8e18922aa2675fc3f81c214065f83047195ade4a9aecf915"),
+    ({"activation": "tanh"}, "ba116ecec76ecbee641558fc1b3e67fe31dcb0620bc3aaa61e8f42e7162cd7e9"),
+    ({"pretrained": VEC3, "bilstm_hidden": 8},
+     "27c6c08187f4c0e7c2f9ca7dea7a35672a7c42b1642776bbf04532e9f665a841"),
+], ids=["joint", "heads-only", "deps-only", "tanh", "pretrained"])
+def test_initial_model_bytes_are_pinned(kw, digest):
+    """The draw order, draw rules and file layout of a fresh model, pinned
+    across changes to the code: seed 7, the bundled toy corpus."""
+    with open(TOY, encoding="utf-8") as f:
+        vocab = build_vocab(read_conll(f))
+    if "pretrained" in kw:
+        kw = dict(kw, pretrained=load_pretrained(io.StringIO(kw["pretrained"])))
+    data = save_bytes(init_model(np.random.default_rng(7), vocab, **kw))
+    assert hashlib.sha256(data).hexdigest() == digest

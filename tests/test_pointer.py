@@ -5,6 +5,7 @@ import pytest
 from fd import numeric_grad, rel_err
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import attention_score
 
 from dualpointer import autodiff as ad
 from dualpointer.autodiff import Tensor
@@ -13,15 +14,18 @@ from dualpointer.pointer import (
     DEPENDENTS,
     HEADS,
     PointerParams,
-    attention_score,
-    init_pointer_params,
     score_all,
     target_matrix,
 )
 
 
 def make_params(rng, ctx=6, hidden=4, orientation=HEADS):
-    return init_pointer_params(rng, ctx, orientation, hidden=hidden)
+    # Glorot-uniform W, zero b, v uniform within sqrt(3 / hidden)
+    w_limit = np.sqrt(6.0 / (2 * ctx + hidden))
+    w = rng.uniform(-w_limit, w_limit, size=(hidden, 2 * ctx))
+    v = rng.uniform(-np.sqrt(3.0 / hidden), np.sqrt(3.0 / hidden), size=hidden)
+    return PointerParams(Tensor(w, requires_grad=True), Tensor(np.zeros(hidden), requires_grad=True),
+                         Tensor(v, requires_grad=True), orientation)
 
 
 def contexts(rng, n, ctx=6):
