@@ -3,7 +3,8 @@
 The tape is built implicitly: every operation that touches a tensor with
 ``requires_grad`` records its inputs and a backward rule on the output.
 Calling :meth:`Tensor.backward` on a scalar walks the graph once in reverse
-topological order and accumulates gradients on the leaves.
+topological order and accumulates gradients on the leaves; a table read
+by row gather gets a :class:`RowGrad` that names only the rows it touched.
 
 Everything is double precision.  Backward closures capture plain numpy
 arrays, never tensor objects, so the graph is a pure DAG with child-to-parent
@@ -16,9 +17,8 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "RowGrad",
     "no_grad",
-    "grad_enabled",
-    "tensor",
     "add",
     "sub",
     "mul",
@@ -53,10 +53,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, overflow-free for any finite input."""
     x = np.asarray(x, dtype=np.float64)
@@ -64,13 +60,19 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class Tensor:
-    """A dense float64 array plus its place in the gradient tape."""
+    """A dense float64 array plus its place in the gradient tape.
+
+    ``grad`` holds the gradient accumulated by :meth:`backward`: an array
+    of ``data``'s shape, or a :class:`RowGrad` for a table read by row
+    gather.  The array may share memory with other gradients, so treat it
+    as read-only.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | RowGrad | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
@@ -143,18 +145,48 @@ class Tensor:
             for parent, g in zip(node._parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
-                if parent.grad is None:
-                    parent.grad = np.array(g, dtype=np.float64, copy=True)
-                else:
-                    parent.grad += g
+                parent.grad = g if parent.grad is None else parent.grad + g
             if free_graph:
                 node._parents = ()
                 node._backward = None
                 node.grad = None
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
+class RowGrad:
+    """Gradient of a table read by row gather: row ``rows[k]`` has gradient
+    ``values[k]`` and every other row zero.
+
+    ``rows`` are distinct and ascending.  ``np.asarray(grad)`` gives the
+    dense array of ``shape``.
+    """
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, shape: tuple[int, ...]):
+        self.rows = rows
+        self.values = values
+        self.shape = shape
+
+    @classmethod
+    def gather(cls, idx: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> RowGrad:
+        """The gradient of ``table[idx]`` given ``g``, the gradient of the
+        gathered rows; repeated rows add in order of appearance."""
+        rows, inverse = np.unique(idx, return_inverse=True)
+        values = np.zeros((rows.size,) + shape[1:])
+        np.add.at(values, inverse, g)
+        return cls(rows, values, shape)
+
+    def __add__(self, other: RowGrad) -> RowGrad:
+        rows = np.union1d(self.rows, other.rows)
+        values = np.zeros((rows.size,) + self.shape[1:])
+        values[np.searchsorted(rows, self.rows)] += self.values
+        values[np.searchsorted(rows, other.rows)] += other.values
+        return RowGrad(rows, values, self.shape)
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.shape, dtype=dtype)
+        dense[self.rows] = self.values
+        return dense
 
 
 def _as_tensor(x) -> Tensor:

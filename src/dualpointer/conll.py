@@ -67,24 +67,6 @@ class Sentence:
     def has_gold_heads(self) -> bool:
         return all(t.head is not None for t in self.tokens)
 
-    def is_gold_tree(self) -> bool:
-        """Single top and acyclic, the well-formedness asked of training data."""
-        if not self.has_gold_heads():
-            return False
-        heads = self.gold_heads()
-        if heads.count(0) != 1:
-            return False
-        n = len(heads)
-        for i in range(1, n + 1):
-            seen = set()
-            j = i
-            while j != 0:
-                if j in seen:
-                    return False
-                seen.add(j)
-                j = heads[j - 1]
-        return True
-
     def with_heads(self, heads: Iterable[int]) -> "Sentence":
         """Copy of this sentence with the head column replaced."""
         heads = list(heads)

@@ -156,16 +156,11 @@ def find_top(scores: MergedHeadScores, agg: str = "max") -> int:
 
 
 def greedy_heads(scores: MergedHeadScores, top: int) -> list[int]:
-    """Per-token argmax head, self excluded; may contain cycles."""
-    n = scores.n
-    masked = scores.masked()
-    heads = []
-    for i in range(1, n + 1):
-        if i == top:
-            heads.append(0)
-        else:
-            heads.append(int(np.argmax(masked[i - 1])) + 1)
-    return heads
+    """Per-token argmax head, self excluded, ties to the smallest index;
+    may contain cycles."""
+    heads = np.argmax(scores.masked(), axis=1) + 1
+    heads[top - 1] = 0
+    return heads.tolist()
 
 
 def _find_cycle(heads: list[int]) -> list[int] | None:

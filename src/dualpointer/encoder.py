@@ -7,9 +7,10 @@ both halves with the corresponding unknown vectors, with probability
 decreasing in the training-set frequency of the word.
 
 Sentences travel as matrices, one row per token: the lookup is one tape
-node gathering from both tables, and each (level, direction) of the BiLSTM
-is one tape node, :func:`lstm_sequence`.  It projects the inputs of every
-position with one matrix product before the recurrence starts (the
+node gathering from both tables, whose gradient names only the rows the
+sentence used, and each (level, direction) of the BiLSTM is one tape
+node, :func:`lstm_sequence`.  It projects the inputs of every position
+with one matrix product before the recurrence starts (the
 hoisting of Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946), so each
 step only adds the recurrent product and applies the gates; its backward
 pass collects the gate gradients of all positions in one matrix and forms
@@ -93,35 +94,19 @@ def token_rows(
     return rows
 
 
-def encode_tokens(
-    sentence: Sentence,
-    params: EncoderParams,
-    vocab: Vocabulary,
-    training: bool = False,
-    alpha: float = 0.25,
-    rng: np.random.Generator | None = None,
-    rows: list[tuple[int, int]] | None = None,
-) -> Tensor:
-    """Token encodings as one [n x (d_pretrained + d_random)] matrix.
-
-    One tape node gathers both tables; its gradient scatters back to the
-    rows used, repeated rows adding.  ``rows`` can carry a precomputed
-    :func:`token_rows` result so callers that also need the touched row
-    indices draw the dropout mask once.
-    """
-    if rows is None:
-        rows = token_rows(sentence, params, vocab, training, alpha, rng)
+def encode_tokens(rows: list[tuple[int, int]], params: EncoderParams) -> Tensor:
+    """Token encodings as one [n x (d_pretrained + d_random)] matrix: one
+    tape node gathering the :func:`token_rows` pairs from both tables.
+    Its backward gives each table a :class:`~dualpointer.autodiff.RowGrad`
+    over the rows used, repeated rows adding."""
     idx = np.asarray(rows, dtype=np.intp).reshape(len(rows), 2)
     pre, rand = params.pretrained.weights, params.random.weights
     pre_shape, rand_shape = pre.data.shape, rand.data.shape
     d = pre_shape[1]
 
     def backward(g):
-        g_pre = np.zeros(pre_shape)
-        np.add.at(g_pre, idx[:, 0], g[:, :d])
-        g_rand = np.zeros(rand_shape)
-        np.add.at(g_rand, idx[:, 1], g[:, d:])
-        return g_pre, g_rand
+        return (ad.RowGrad.gather(idx[:, 0], g[:, :d], pre_shape),
+                ad.RowGrad.gather(idx[:, 1], g[:, d:], rand_shape))
 
     data = np.concatenate([pre.data[idx[:, 0]], rand.data[idx[:, 1]]], axis=1)
     return ad.make_node(data, (pre, rand), backward)

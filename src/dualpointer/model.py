@@ -222,7 +222,6 @@ def require_variant(model: ModelParams, variant: str) -> None:
 class SentenceScores:
     heads: ScoreMatrix | None
     deps: ScoreMatrix | None
-    used_rows: list[tuple[int, int]]
 
 
 def score_sentence(
@@ -234,8 +233,8 @@ def score_sentence(
 ) -> SentenceScores:
     """Encode and run whichever pointer nets the model owns."""
     rows = token_rows(sentence, model.encoder, model.vocab, training, alpha, rng)
-    encodings = encode_tokens(sentence, model.encoder, model.vocab, rows=rows)
+    encodings = encode_tokens(rows, model.encoder)
     contexts = bilstm_encode(encodings, model.encoder)
     heads = score_all(contexts, model.heads_net) if model.heads_net else None
     deps = score_all(contexts, model.deps_net) if model.deps_net else None
-    return SentenceScores(heads=heads, deps=deps, used_rows=rows)
+    return SentenceScores(heads=heads, deps=deps)

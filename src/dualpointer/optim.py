@@ -1,14 +1,16 @@
-"""Adam optimizer over tape tensors.
+"""Adam optimizer over tape tensors (Kingma & Ba 2015, arXiv:1412.6980).
 
 One optimizer instance owns first/second moment buffers for every parameter
-it manages and a single shared step counter.  Embedding tables are updated
-row-wise: only rows that actually received gradient in the current step have
-their moments decayed and their values moved, which keeps per-sentence
+it manages and a single shared step counter.  A parameter whose gradient is
+a :class:`~dualpointer.autodiff.RowGrad` (an embedding table read by row
+gather) is updated on the rows that gradient names only: the other rows
+keep their values and their moments frozen, which keeps per-sentence
 updates cheap for large vocabularies.
 
-Dense updates run in place, block by block through two small scratch
-buffers, so they allocate nothing and each block of parameter, gradient
-and moments stays in cache while the whole formula runs over it.
+Updates run in place, block by block through two small scratch buffers,
+so they allocate nothing beyond a row update's gathered rows and each
+block of parameter, gradient and moments stays in cache while the whole
+formula runs over it.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import logging
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import RowGrad, Tensor
 
 __all__ = ["Adam"]
 
@@ -33,10 +35,8 @@ ADAM_CHUNK = 16384
 class Adam:
     """Adam with bias correction (step size alpha, decay rates beta1/beta2).
 
-    ``sparse_rows`` marks parameters (by position) whose updates should
-    touch only rows with nonzero gradient; everything else is updated
-    densely.  ``m``/``v`` hold each parameter's moments, allocated as zeros
-    when it is first updated, and ``t`` counts the steps applied.
+    ``m``/``v`` hold each parameter's moments, allocated as zeros when it
+    is first updated, and ``t`` counts the steps applied.
     """
 
     def __init__(
@@ -46,14 +46,12 @@ class Adam:
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
-        sparse_rows: set[int] | None = None,
     ):
         self.params = params
         self.alpha = alpha
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.sparse_rows = sparse_rows or set()
         self.m: list[np.ndarray | None] = [None] * len(params)
         self.v: list[np.ndarray | None] = [None] * len(params)
         self.t = 0
@@ -63,48 +61,38 @@ class Adam:
         for p in self.params:
             p.grad = None
 
-    def step(self, row_sets: dict[int, set[int]] | None = None) -> bool:
+    def step(self) -> bool:
         """Apply one update from the gradients currently on the parameters.
 
-        ``row_sets`` maps sparse parameter positions to the row indices
-        touched this step; rows outside the set keep their moments frozen.
         Returns False (and applies nothing) if any gradient is non-finite.
         """
-        grads: list[np.ndarray | None] = []
         for p in self.params:
             if p.grad is None:
-                grads.append(None)
                 continue
+            g = p.grad.values if isinstance(p.grad, RowGrad) else p.grad
             # a finite sum proves every entry finite; only a sum that is not
             # (non-finite entries, or finite ones overflowing) needs the scan
-            if not np.isfinite(p.grad.sum()) and not np.all(np.isfinite(p.grad)):
+            if not np.isfinite(g.sum()) and not np.all(np.isfinite(g)):
                 log.warning("skipping optimizer step: non-finite gradient")
                 return False
-            grads.append(p.grad)
 
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for i, (p, g) in enumerate(zip(self.params, grads)):
+        hyper = (self.alpha, self.beta1, self.beta2, self.eps,
+                 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t, self._scratch)
+        for i, p in enumerate(self.params):
+            g = p.grad
             if g is None:
                 continue
             if self.m[i] is None:
                 self.m[i] = np.zeros(p.data.shape)
                 self.v[i] = np.zeros(p.data.shape)
-            if i in self.sparse_rows and row_sets is not None:
-                rows = sorted(row_sets.get(i, ()))
-                if not rows:
-                    continue
-                adam_step_rows(
-                    p.data, g, self.m[i], self.v[i], rows,
-                    self.alpha, self.beta1, self.beta2, self.eps, bc1, bc2,
-                )
+            if isinstance(g, RowGrad):
+                rows, m, v = g.rows, self.m[i], self.v[i]
+                p_rows, m_rows, v_rows = p.data[rows], m[rows], v[rows]
+                adam_step(p_rows, g.values, m_rows, v_rows, *hyper)
+                p.data[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
             else:
-                adam_step(
-                    p.data, g, self.m[i], self.v[i],
-                    self.alpha, self.beta1, self.beta2, self.eps, bc1, bc2,
-                    self._scratch,
-                )
+                adam_step(p.data, g, self.m[i], self.v[i], *hyper)
         return True
 
 
@@ -145,14 +133,3 @@ def adam_step(param, grad, m, v, alpha, beta1, beta2, eps, bc1, bc2, scratch) ->
         s2 *= alpha
         s2 /= s1
         p -= s2
-
-
-def adam_step_rows(param, grad, m, v, rows, alpha, beta1, beta2, eps, bc1, bc2) -> None:
-    """Adam update restricted to the given rows of a 2-d parameter."""
-    idx = np.asarray(rows, dtype=np.intp)
-    g = grad[idx]
-    m[idx] = beta1 * m[idx] + (1.0 - beta1) * g
-    v[idx] = beta2 * v[idx] + (1.0 - beta2) * (g * g)
-    mhat = m[idx] / bc1
-    vhat = v[idx] / bc2
-    param[idx] -= alpha * mhat / (np.sqrt(vhat) + eps)

@@ -4,8 +4,8 @@ shuffling, dev-set model selection, and checkpointing.
 One sentence is one optimizer step.  The loss is the mean binary
 cross-entropy of each owned score matrix against its 0/1 target matrix,
 the two tasks summed unweighted; gradients flow through the pointer nets
-and the BiLSTM down to both embedding tables, of which only the rows used
-by the sentence are updated.
+and the BiLSTM down to both embedding tables.  A table's gradient names
+only the rows the sentence used, and Adam moves only those rows.
 """
 from __future__ import annotations
 
@@ -37,10 +37,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-# positions of the embedding tables in ModelParams.named_params()
-EMB_PRETRAINED_SLOT = 0
-EMB_RANDOM_SLOT = 1
 
 
 def default_variant(mode: str) -> str:
@@ -75,8 +71,8 @@ def sentence_loss(
     config: TrainConfig,
     training: bool = True,
     rng: np.random.Generator | None = None,
-):
-    """Forward pass returning (loss tensor, embedding rows used)."""
+) -> ad.Tensor:
+    """Forward pass returning the loss tensor."""
     scored = score_sentence(
         model, sentence, training=training,
         alpha=config.alpha_word_dropout, rng=rng,
@@ -90,8 +86,7 @@ def sentence_loss(
             parts.append(ad.mse_loss(ad.tanh(matrix.scores), target))
         else:
             parts.append(ad.bce_with_logits(matrix.scores, target))
-    loss = parts[0] if len(parts) == 1 else ad.add(parts[0], parts[1])
-    return loss, scored.used_rows
+    return parts[0] if len(parts) == 1 else ad.add(parts[0], parts[1])
 
 
 def make_optimizer(model: ModelParams, config: TrainConfig) -> Adam:
@@ -102,7 +97,6 @@ def make_optimizer(model: ModelParams, config: TrainConfig) -> Adam:
         beta1=config.adam_beta1,
         beta2=config.adam_beta2,
         eps=config.adam_eps,
-        sparse_rows={EMB_PRETRAINED_SLOT, EMB_RANDOM_SLOT},
     )
 
 
@@ -117,18 +111,14 @@ def train_sentence(
     """One forward/backward/update step.  Returns the loss value, or None
     when the step was skipped because the loss or a gradient was not
     finite."""
-    loss, rows = sentence_loss(model, sentence, config, training=True, rng=rng)
+    loss = sentence_loss(model, sentence, config, training=True, rng=rng)
     value = loss.item()
     if not np.isfinite(value):
         log.warning("sentence %s: non-finite loss, step skipped", sentence_id)
         optimizer.zero_grad()
         return None
     loss.backward()
-    row_sets = {
-        EMB_PRETRAINED_SLOT: {r[0] for r in rows},
-        EMB_RANDOM_SLOT: {r[1] for r in rows},
-    }
-    applied = optimizer.step(row_sets=row_sets)
+    applied = optimizer.step()
     optimizer.zero_grad()
     if not applied:
         log.warning("sentence %s: non-finite gradient, step skipped", sentence_id)

@@ -224,3 +224,33 @@ class TestGraphLifecycle:
         g1 = x.grad.copy()
         y.backward()
         np.testing.assert_allclose(x.grad, g1)
+
+    def test_accumulation_leaves_shared_gradients_intact(self):
+        # add hands one gradient array to both inputs; x's second
+        # contribution must not write through into z's gradient
+        x = Tensor(np.ones(3), requires_grad=True)
+        z = Tensor(np.ones(3), requires_grad=True)
+        w, w2 = np.array([1.0, 2.0, 3.0]), np.array([10.0, 20.0, 30.0])
+        loss = ad.add(ad.sum_all(ad.mul(ad.add(x, z), w)), ad.sum_all(ad.mul(x, w2)))
+        loss.backward()
+        np.testing.assert_array_equal(z.grad, w)
+        np.testing.assert_array_equal(x.grad, w + w2)
+
+
+class TestRowGrad:
+    def test_gather_matches_dense_add_at(self, rng):
+        idx = np.array([4, 1, 4, 4, 0, 1])
+        g = rng.normal(size=(6, 3))
+        grad = ad.RowGrad.gather(idx, g, (7, 3))
+        dense = np.zeros((7, 3))
+        np.add.at(dense, idx, g)
+        assert grad.rows.tolist() == [0, 1, 4]
+        assert np.array_equal(np.asarray(grad), dense)
+
+    def test_sum_matches_dense_sum(self, rng):
+        a = ad.RowGrad.gather(np.array([5, 2, 5]), rng.normal(size=(3, 2)), (8, 2))
+        b = ad.RowGrad.gather(np.array([7, 5, 0]), rng.normal(size=(3, 2)), (8, 2))
+        total = a + b
+        assert isinstance(total, ad.RowGrad)
+        assert total.rows.tolist() == [0, 2, 5, 7]
+        assert np.array_equal(np.asarray(total), np.asarray(a) + np.asarray(b))

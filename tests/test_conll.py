@@ -4,6 +4,7 @@ import io
 import pytest
 
 from dualpointer.conll import ConllError, Sentence, Token, read_conll, write_conll
+from dualpointer.decoding import DepTree
 
 TWO_TOKENS = (
     "1\tdogs\t_\tNOUN\t_\t_\t2\t_\t_\t_\n"
@@ -140,16 +141,5 @@ class TestRoundTrip:
 class TestGoldTreeCheck:
     def test_valid_tree(self):
         sents = read_conll(io.StringIO(FIXTURE))
-        assert all(s.is_gold_tree() for s in sents)
-
-    def test_two_tops_rejected(self):
-        s = Sentence([Token(1, "a", None, 0), Token(2, "b", None, 0)])
-        assert not s.is_gold_tree()
-
-    def test_cycle_rejected(self):
-        s = Sentence([
-            Token(1, "a", None, 2),
-            Token(2, "b", None, 1),
-            Token(3, "c", None, 0),
-        ])
-        assert not s.is_gold_tree()
+        for s in sents:
+            DepTree(s.gold_heads())  # raises on a malformed tree

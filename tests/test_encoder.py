@@ -51,6 +51,11 @@ def init_lstm(rng, input_dim, hidden):
                        Tensor(np.zeros(4 * hidden), requires_grad=True), hidden)
 
 
+def embed(sentence, params, vocab):
+    """Inference-mode token encodings of a sentence."""
+    return encode_tokens(token_rows(sentence, params, vocab), params)
+
+
 def rows_of(matrix):
     """The rows of an encoder output matrix as separate (tape-free) vectors."""
     return [Tensor(row) for row in matrix.data]
@@ -83,8 +88,8 @@ class TestEncodeTokens:
         vocab = build_vocab([sent(["a", "b", "c"])])
         params = tiny_params(rng, vocab)
         s = sent(["a", "c"])
-        out1 = rows_of(encode_tokens(s, params, vocab))
-        out2 = rows_of(encode_tokens(s, params, vocab))
+        out1 = rows_of(embed(s, params, vocab))
+        out2 = rows_of(embed(s, params, vocab))
         assert all(v.data.shape == (7,) for v in out1)
         for v1, v2 in zip(out1, out2):
             np.testing.assert_array_equal(v1.data, v2.data)
@@ -92,7 +97,7 @@ class TestEncodeTokens:
     def test_oov_takes_both_unknown_vectors(self, rng):
         vocab = build_vocab([sent(["a", "b"])])
         params = tiny_params(rng, vocab)
-        (v,) = rows_of(encode_tokens(sent(["zzz"]), params, vocab))
+        (v,) = rows_of(embed(sent(["zzz"]), params, vocab))
         expected = np.concatenate([
             params.pretrained.weights.data[UNKNOWN_ID],
             params.random.weights.data[UNKNOWN_ID],
@@ -151,16 +156,45 @@ class TestEncodeTokens:
     def test_embedding_gradient_reaches_rows(self, rng):
         vocab = build_vocab([sent(["a", "b"])])
         params = tiny_params(rng, vocab, levels=1)
-        out = encode_tokens(sent(["a", "a"]), params, vocab)
+        out = embed(sent(["a", "a"]), params, vocab)
         loss = ad.sum_all(ad.mul(out, out))
         loss.backward()
-        g = params.random.weights.grad
+        g = np.asarray(params.random.weights.grad)
         row_a = vocab.lookup("a")
         assert g is not None
         assert np.any(g[row_a] != 0.0)
         # repeated token accumulates twice the single-occurrence gradient
         untouched = [i for i in range(len(vocab)) if i != row_a]
         np.testing.assert_array_equal(g[untouched], 0.0)
+
+    @pytest.mark.parametrize("sentences", [
+        [["b", "a", "b", "b"]],             # repeated rows in one gather
+        [["a", "b", "a"], ["c", "a"]],      # two gathers of one table
+    ], ids=["repeated-rows", "two-gathers"])
+    def test_row_gradient_matches_dense_reference(self, rng, sentences):
+        vocab = build_vocab([sent(["a", "b", "c", "d"])])
+        params = tiny_params(rng, vocab, levels=1)
+        tables = (params.pretrained.weights, params.random.weights)
+        gathers, parts = [], []
+        for words in sentences:
+            rows = token_rows(sent(words), params, vocab)
+            g = rng.normal(size=(len(words), 7))
+            gathers.append((np.array(rows), g))
+            parts.append(ad.sum_all(ad.mul(encode_tokens(rows, params), Tensor(g))))
+        loss = parts[0] if len(parts) == 1 else ad.add(parts[0], parts[1])
+        loss.backward()
+        # reference: each gather's dense np.add.at gradient, summed in order
+        d = params.pretrained.dim
+        for k, cols in enumerate((slice(None, d), slice(d, None))):
+            table, dense = tables[k], None
+            for idx, g in gathers:
+                part = np.zeros(table.data.shape)
+                np.add.at(part, idx[:, k], g[:, cols])
+                dense = part if dense is None else dense + part
+            assert isinstance(table.grad, ad.RowGrad)
+            used = sorted({int(r) for idx, _ in gathers for r in idx[:, k]})
+            assert table.grad.rows.tolist() == used
+            assert np.array_equal(np.asarray(table.grad), dense)
 
 
 class TestLstmCell:
@@ -229,7 +263,7 @@ class TestBilstm:
     def test_single_token(self, rng):
         vocab = build_vocab([sent(["a"])])
         params = tiny_params(rng, vocab)
-        out = rows_of(bilstm_encode(encode_tokens(sent(["a"]), params, vocab), params))
+        out = rows_of(bilstm_encode(embed(sent(["a"]), params, vocab), params))
         assert len(out) == 1
         assert out[0].data.shape == (10,)  # 2 * hidden
 
@@ -242,7 +276,7 @@ class TestBilstm:
     def test_two_levels_stack(self, rng):
         vocab = build_vocab([sent(["a", "b", "c"])])
         params = tiny_params(rng, vocab, levels=2)
-        out = rows_of(bilstm_encode(encode_tokens(sent(["a", "b", "c"]), params, vocab), params))
+        out = rows_of(bilstm_encode(embed(sent(["a", "b", "c"]), params, vocab), params))
         assert len(out) == 3
         assert all(v.data.shape == (10,) for v in out)
 
@@ -256,7 +290,7 @@ class TestBilstm:
             layers=[(bwd, fwd) for fwd, bwd in params.layers],
         )
         s = sent(["a", "b", "c", "d"])
-        xs = encode_tokens(s, params, vocab)
+        xs = embed(s, params, vocab)
         out = rows_of(bilstm_encode(xs, params))
         out_sw = rows_of(bilstm_encode(Tensor(xs.data[::-1]), swapped))
         h = 5
@@ -286,7 +320,7 @@ class TestBilstm:
             layers=[(l1b, l1f), (swap_input_halves(l2b), swap_input_halves(l2f))],
         )
         s = sent(["a", "b", "c", "d"])
-        xs = encode_tokens(s, params, vocab)
+        xs = embed(s, params, vocab)
         out = rows_of(bilstm_encode(xs, params))
         out_sw = rows_of(bilstm_encode(Tensor(xs.data[::-1]), swapped))
         for i, v in enumerate(out):
@@ -299,12 +333,12 @@ class TestBilstm:
         vocab = build_vocab([sent(["a", "b", "c", "d", "e", "f"])])
         params = tiny_params(rng, vocab)
         base_words = ["a", "b", "c", "d", "e"]
-        encoded = bilstm_encode(encode_tokens(sent(base_words), params, vocab), params)
+        encoded = bilstm_encode(embed(sent(base_words), params, vocab), params)
         base = [v.data for v in rows_of(encoded)]
         for j in range(len(base_words)):
             changed = list(base_words)
             changed[j] = "f"
-            out = rows_of(bilstm_encode(encode_tokens(sent(changed), params, vocab), params))
+            out = rows_of(bilstm_encode(embed(sent(changed), params, vocab), params))
             for i in range(len(base_words)):
                 assert not np.array_equal(out[i].data, base[i])
 
@@ -317,7 +351,7 @@ class TestBilstm:
         proj = rng.normal(size=6)
 
         def loss_with(params_):
-            out = bilstm_encode(encode_tokens(s, params_, vocab), params_)
+            out = bilstm_encode(embed(s, params_, vocab), params_)
             return ad.sum_all(ad.mul(out, Tensor(np.tile(proj, (4, 1)))))
 
         named = [

@@ -277,3 +277,22 @@ def test_initial_model_bytes_are_pinned(kw, digest):
         kw = dict(kw, pretrained=load_pretrained(io.StringIO(kw["pretrained"])))
     data = save_bytes(init_model(np.random.default_rng(7), vocab, **kw))
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("pretrained, digest", [
+    (False, "0d52d18f0ca23ad70a934f5e6d5a5d043887c0be7f82c1bf9ad7fe883bf79853"),
+    (True, "6201256bbe2dd96ebded323cbc4a806908662bef100a661c3256d7b7718c907e"),
+], ids=["joint", "pretrained"])
+def test_trained_model_bytes_are_pinned(tmp_path, capsys, pretrained, digest):
+    """What training computes, pinned across changes to the code: two
+    epochs on the bundled toy corpus, seed 3, BiLSTM hidden 16."""
+    dest = tmp_path / "m.bin"
+    argv = ["train", "--train", str(TOY), "--dev", str(TOY), "--model", str(dest),
+            "--epochs", "2", "--bilstm-hidden", "16", "--seeds", "3"]
+    if pretrained:
+        vectors = tmp_path / "vec.txt"
+        vectors.write_text(VEC3, encoding="utf-8")
+        argv += ["--pretrained", str(vectors)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest

@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from dualpointer.autodiff import Tensor
+from dualpointer.autodiff import RowGrad, Tensor
 from dualpointer.optim import ADAM_CHUNK, Adam
 
 
@@ -104,10 +104,10 @@ def test_sparse_rows_match_dense_on_touched_rows(rng):
         grads.append(g)
 
     sparse = Tensor(table0.copy(), requires_grad=True)
-    opt = Adam([sparse], sparse_rows={0})
+    opt = Adam([sparse])
     for g in grads:
-        sparse.grad = g.copy()
-        opt.step(row_sets={0: set(touched)})
+        sparse.grad = RowGrad(np.array(touched), g[touched], g.shape)
+        opt.step()
         opt.zero_grad()
 
     expected = table0.copy()
@@ -123,16 +123,14 @@ def test_sparse_rows_vary_per_step(rng):
     # moments of a row must not decay on steps where the row sat out
     table0 = rng.normal(size=(4, 2))
     p = Tensor(table0.copy(), requires_grad=True)
-    opt = Adam([p], sparse_rows={0})
+    opt = Adam([p])
 
-    g1 = np.zeros((4, 2)); g1[1] = 1.0
-    p.grad = g1
-    opt.step(row_sets={0: {1}})
+    p.grad = RowGrad(np.array([1]), np.ones((1, 2)), (4, 2))
+    opt.step()
     opt.zero_grad()
 
-    g2 = np.zeros((4, 2)); g2[3] = 1.0
-    p.grad = g2
-    opt.step(row_sets={0: {3}})
+    p.grad = RowGrad(np.array([3]), np.ones((1, 2)), (4, 2))
+    opt.step()
     opt.zero_grad()
 
     # row 1 kept its first-step moments verbatim
@@ -162,7 +160,7 @@ def test_blocked_update_bit_identical_to_formula(rng):
     ]
     sparse_slot, touched = 3, [1, 8, 8, 30]
     params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
-    opt = Adam(params, sparse_rows={sparse_slot})
+    opt = Adam(params)
     ref_p = [p.data.copy() for p in params]
     ref_m = [np.zeros(s) for s in shapes]
     ref_v = [np.zeros(s) for s in shapes]
@@ -173,7 +171,9 @@ def test_blocked_update_bit_identical_to_formula(rng):
         grads[sparse_slot][touched] = rng.normal(size=(len(touched), 6))
         for p, g in zip(params, grads):
             p.grad = g.copy()
-        assert opt.step(row_sets={sparse_slot: set(touched)})
+        params[sparse_slot].grad = RowGrad(
+            np.array(rows), grads[sparse_slot][rows], shapes[sparse_slot])
+        assert opt.step()
         opt.zero_grad()
         for i, g in enumerate(grads):
             if i == sparse_slot:
@@ -219,3 +219,12 @@ def test_finite_grad_with_overflowing_sum_is_applied():
     assert opt.t == 1
     assert np.array_equal(opt.m[0], ref_m)
     assert np.array_equal(p.data, ref_p)
+
+
+def test_nonfinite_row_gradient_skips_step():
+    p = Tensor(np.ones((5, 2)), requires_grad=True)
+    opt = Adam([p])
+    p.grad = RowGrad(np.array([1, 3]), np.array([[0.5, 0.5], [np.inf, 0.0]]), (5, 2))
+    assert not opt.step()
+    np.testing.assert_array_equal(p.data, np.ones((5, 2)))
+    assert opt.t == 0

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from dualpointer.autodiff import Tensor
 from dualpointer.conll import Sentence, Token
 from dualpointer.model import HEADS_ONLY, JOINT, init_model
 from dualpointer.toygrammar import toy_treebank
@@ -19,7 +20,7 @@ from dualpointer.training import (
     train,
     train_sentence,
 )
-from dualpointer.vocab import build_vocab
+from dualpointer.vocab import EmbeddingTable, build_vocab
 
 
 def sent(words, heads=None):
@@ -65,8 +66,10 @@ def test_single_token_sentence_loss_is_bce_against_zero():
     config = small_config()
     corpus = [sent(["a"])]
     model = small_model(config, corpus)
-    loss, rows = sentence_loss(model, sent(["a"]), config, training=False)
+    loss = sentence_loss(model, sent(["a"]), config, training=False)
+    from dualpointer.encoder import token_rows
     from dualpointer.model import score_sentence
+    rows = token_rows(sent(["a"]), model.encoder, model.vocab)
     scored = score_sentence(model, sent(["a"]))
     h = scored.heads.data[0, 0]
     d = scored.deps.data[0, 0]
@@ -80,7 +83,7 @@ def test_heads_only_loss_has_single_term():
     config = small_config(mode=HEADS_ONLY)
     corpus = [sent(["a", "b"])]
     model = small_model(config, corpus)
-    loss, _ = sentence_loss(model, sent(["a", "b"]), config, training=False)
+    loss = sentence_loss(model, sent(["a", "b"]), config, training=False)
     assert np.isfinite(loss.item())
     names = [n for n, _ in model.named_params()]
     assert not any("deps" in n for n in names)
@@ -102,6 +105,42 @@ def test_train_sentence_updates_only_used_embedding_rows():
     # dropout may have redirected a lookup to the unknown row, but some
     # used row must have moved
     assert any(not np.array_equal(after[r], before[r]) for r in used | {0})
+
+
+def test_large_pretrained_table_moves_only_used_rows():
+    """A 100k-row pretrained table: a step's gradient names only the rows
+    the sentence used, and every other row keeps its value and moments."""
+    rng = np.random.default_rng(3)
+    size = 100_000
+    table = EmbeddingTable(Tensor(rng.normal(size=(size, 3)), requires_grad=True),
+                           index={f"w{i}": i for i in range(1, size)})
+    config = small_config(alpha_word_dropout=0.0)
+    first, second = sent(["w5", "w99999", "w7"]), sent(["w42", "w5", "w42"], [0, 1, 1])
+    model = init_model(rng, build_vocab([first, second]), pretrained=table,
+                       d_random=5, bilstm_hidden=6, bilstm_levels=1, ptr_hidden=7)
+    opt = make_optimizer(model, config)
+    assert train_sentence(model, first, config, opt, rng) is not None
+    weights = model.encoder.pretrained.weights
+    slot = opt.params.index(weights)
+    before = [x.copy() for x in (weights.data, opt.m[slot], opt.v[slot])]
+
+    # rows 7 and 99999 now carry moments that a dense update would decay
+    seen = []
+    step = opt.step
+
+    def spy():
+        seen.append(weights.grad)
+        return step()
+
+    opt.step = spy
+    assert train_sentence(model, second, config, opt, rng) is not None
+    (grad,) = seen
+    used = [table.row_of("w5"), table.row_of("w42")]
+    assert grad.rows.tolist() == sorted(used)
+    others = np.setdiff1d(np.arange(size), used)
+    for old, new in zip(before, (weights.data, opt.m[slot], opt.v[slot])):
+        assert np.array_equal(new[others], old[others])
+        assert not np.array_equal(new[used], old[used])
 
 
 def test_nonfinite_loss_skips_step(caplog):
