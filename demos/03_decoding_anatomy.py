@@ -4,13 +4,12 @@ import numpy as np
 
 import dualpointer.autodiff as ad
 from dualpointer.decoding import decode, find_top, fix_cycles, greedy_heads, merge
-from dualpointer.pointer import ScoreMatrix
 
 
 def matrices(h):
-    # use the same raw scores for both tasks; merge averages them
-    return (ScoreMatrix(ad.Tensor(h), "heads"),
-            ScoreMatrix(ad.Tensor(h.T.copy()), "dependents"))
+    # use the same raw scores for both tasks; merge averages them (the
+    # dependents net scores in its own orientation, the transpose)
+    return ad.Tensor(h), ad.Tensor(h.T.copy())
 
 
 # Row i holds token i+1's affinity for each candidate head.  Tokens 1 and 2
@@ -22,7 +21,7 @@ raw = np.array([
 ])
 heads_m, deps_m = matrices(raw)
 merged = merge(heads_m, deps_m, "p1")
-print("merged probabilities:\n", np.round(merged.m, 3))
+print("merged probabilities:\n", np.round(merged, 3))
 
 top = find_top(merged)
 print("top =", top, "(its best candidate-head score is the weakest, "

@@ -32,7 +32,7 @@ restored = score_sentence(reloaded, sentence)
 before = merge(original.heads, original.deps, "p1")
 after = merge(restored.heads, restored.deps, "p1")
 print("scores bit-exact after round trip:",
-      bool(np.array_equal(before.m, after.m)))
+      bool(np.array_equal(before, after)))
 
 # flip one byte in the middle of the file: the checksum must catch it
 damaged = bytearray(run1.model_bytes)

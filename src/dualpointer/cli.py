@@ -71,6 +71,9 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
         text = getattr(args, fld.name)
         if text is not None:
             setattr(run, fld.name, parse_value(fld, text, flag))
+    if args.d_pretrained is not None and run.pretrained_path:
+        raise ConfigError("--d-pretrained cannot be set beside a pretrained file, "
+                          "whose width sets it")
     validate(run)
     if args.save_config:
         try:
@@ -100,6 +103,19 @@ def _load_pretrained(run: RunConfig):
             return load_pretrained(f)
     except OSError as exc:
         raise CliError("io", f"cannot read pretrained embeddings: {exc}")
+
+
+def _gold_heads(corpus, what: str, trees: bool = False) -> list:
+    """Every sentence's annotated heads, as a DepTree when ``trees``; a
+    sentence without them is a ConllError naming the corpus and sentence."""
+    out = []
+    for si, sentence in enumerate(corpus, start=1):
+        try:
+            heads = sentence.gold_heads()
+            out.append(DepTree(heads) if trees else heads)
+        except ValueError as exc:
+            raise ConllError(f"{what} corpus sentence {si}: {exc}") from None
+    return out
 
 
 def seed_model_path(path: str, seeds, seed: int) -> str:
@@ -177,11 +193,11 @@ def cmd_parse(run: RunConfig) -> int:
 
 def cmd_eval(run: RunConfig) -> int:
     gold = _read_corpus(run.test_path or run.dev_path, "gold")
+    _gold_heads(gold, "gold")
     policy = PunctuationPolicy(frozenset(run.punct_tags))
     if not run.model_path and run.output_path:
         # file-vs-file: the output path names a previously parsed corpus
-        predicted = _read_corpus(run.output_path, "predicted")
-        trees = [DepTree(s.gold_heads()) for s in predicted]
+        trees = _gold_heads(_read_corpus(run.output_path, "predicted"), "predicted", trees=True)
         score = uas(gold, trees, policy)
         print(f"file {run.output_path}  uas {score:.10f}")
         return 0

@@ -69,7 +69,8 @@ class RunConfig:
     seeds: tuple[int, ...] = param(
         (1,), "run", valid=(lambda v: len(v) > 0 and min(v) >= 0, "one or more integers >= 0"),
         help="comma-separated seed list, e.g. 1,2,3")
-    variant: str = param("", "run", choices=VARIANTS)  # empty = default for the model's mode
+    # empty = the default variant of the model's mode
+    variant: str = param("", "run", choices=tuple(VARIANTS))
     root_agg: str = param("max", "run", choices=("max", "sum"), train=True)
     punct_tags: tuple[str, ...] = param(
         (), "run", train=True,
@@ -83,7 +84,9 @@ class RunConfig:
     adam_beta1: float = param(0.9, "training", valid=UNIT_INTERVAL)
     adam_beta2: float = param(0.999, "training", valid=UNIT_INTERVAL)
     adam_eps: float = param(1e-8, "training", valid=POSITIVE)
-    d_pretrained: int = param(ModelShape.d_pretrained, "training")
+    d_pretrained: int = param(
+        ModelShape.d_pretrained, "training",
+        help="width of the pretrained embeddings; a --pretrained file's width sets it")
     d_random: int = param(ModelShape.d_random, "training")
     bilstm_hidden: int = param(ModelShape.bilstm_hidden, "training")
     bilstm_levels: int = param(ModelShape.bilstm_levels, "training")

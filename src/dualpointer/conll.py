@@ -13,8 +13,9 @@ from typing import Iterable, Iterator, TextIO
 __all__ = ["ConllError", "Token", "Sentence", "read_conll", "write_conll"]
 
 
-class ConllError(Exception):
-    """Malformed treebank input; message carries the 1-based line number."""
+class ConllError(ValueError):
+    """Malformed treebank input; message carries the 1-based line number,
+    or the sentence for a sentence that lacks gold heads."""
 
 
 @dataclass
@@ -60,7 +61,7 @@ class Sentence:
         heads = []
         for t in self.tokens:
             if t.head is None:
-                raise ValueError(f"token {t.index} ({t.form!r}) has no gold head")
+                raise ConllError(f"token {t.index} ({t.form!r}) has no gold head")
             heads.append(t.head)
         return heads
 

@@ -1,7 +1,8 @@
 """Inference and evaluation: merge score matrices, find the top token,
 assign heads greedily, repair cycles, score with UAS.
 
-``decode`` turns one merged matrix into a tree (top, greedy heads, cycle
+``merge`` turns the pointer nets' score tensors into one activated array,
+and ``decode`` turns that array into a tree (top, greedy heads, cycle
 repair) and says whether the greedy heads were already a tree.
 ``decode_corpus`` is the one inference path: it scores each sentence once
 and decodes every requested variant from those two matrices; ``parse`` and
@@ -20,12 +21,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .conll import Sentence
-from .model import ModelParams, VARIANT_REQUIRES, require_variant, score_sentence
-from .pointer import DEPENDENTS, HEADS, ScoreMatrix
+from .autodiff import Tensor
+from .model import VARIANTS, ModelParams, require_variant, score_sentence
 
 __all__ = [
     "AlignmentError",
-    "MergedHeadScores",
     "DepTree",
     "PunctuationPolicy",
     "merge",
@@ -50,22 +50,11 @@ def _activate(x: np.ndarray, activation: str) -> np.ndarray:
     return ad.stable_sigmoid(x)
 
 
-@dataclass
-class MergedHeadScores:
-    """n x n activated matrix; entry (i, j) is the belief that j heads i.
-    The diagonal is never consulted by selection."""
-
-    m: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.m.shape[0]
-
-    def masked(self) -> np.ndarray:
-        """Copy with the self-head diagonal disabled for argmax/argmin use."""
-        out = self.m.copy()
-        np.fill_diagonal(out, -np.inf)
-        return out
+def _masked(scores: np.ndarray) -> np.ndarray:
+    """Copy with the self-head diagonal disabled for argmax/argmin use."""
+    out = scores.copy()
+    np.fill_diagonal(out, -np.inf)
+    return out
 
 
 @dataclass
@@ -92,59 +81,48 @@ class DepTree:
                 return f"token {i} is its own head"
             if not 0 <= h <= n:
                 return f"head {h} of token {i} out of range"
-        for i in range(1, n + 1):
-            seen = set()
-            j = i
-            while j != 0:
-                if j in seen:
-                    return f"cycle through token {j}"
-                seen.add(j)
-                j = self.heads[j - 1]
-        return None
+        cycle = _find_cycle(self.heads)
+        return f"cycle through token {cycle[0]}" if cycle else None
 
     def __len__(self) -> int:
         return len(self.heads)
 
 
 def merge(
-    heads_scores: ScoreMatrix | None,
-    deps_scores: ScoreMatrix | None,
+    heads: Tensor | None,
+    deps: Tensor | None,
     variant: str,
     activation: str = "sigmoid",
-) -> MergedHeadScores:
-    """Combine score matrices into one activated head-selection matrix.
+) -> np.ndarray:
+    """One activated n x n array whose entry (i, j) is the belief that j
+    heads i; its diagonal is never consulted by selection.
 
-    p1 averages the two pre-activation matrices (the dependents matrix
-    transposed into head orientation) before activating; p2/p4 use the
-    heads matrix alone, p3/p5 the dependents matrix alone.
+    The variant reads the nets :data:`~dualpointer.model.VARIANTS` names,
+    the dependents matrix transposed into head orientation.  p1 averages
+    the two pre-activation matrices before activating.
     """
-    if variant not in VARIANT_REQUIRES:
+    if variant not in VARIANTS:
         raise ValueError(f"unknown inference variant {variant!r}")
-    if variant == "p1":
-        if heads_scores is None or deps_scores is None:
-            raise ValueError("p1 needs both score matrices")
-        if heads_scores.orientation != HEADS or deps_scores.orientation != DEPENDENTS:
-            raise ValueError("p1 matrices must be (heads, dependents) oriented")
-        h, d = heads_scores.data, deps_scores.data
-        if h.shape != d.shape:
-            raise ValueError(f"matrix size mismatch: {h.shape} vs {d.shape}")
-        return MergedHeadScores(_activate((h + d.T) / 2.0, activation))
-    if variant in ("p2", "p4"):
-        if heads_scores is None or heads_scores.orientation != HEADS:
-            raise ValueError(f"{variant} needs the heads-oriented matrix")
-        return MergedHeadScores(_activate(heads_scores.data, activation))
-    if deps_scores is None or deps_scores.orientation != DEPENDENTS:
-        raise ValueError(f"{variant} needs the dependents-oriented matrix")
-    return MergedHeadScores(_activate(deps_scores.data.T, activation))
+    given = {"heads": heads, "deps": deps}
+    oriented = []
+    for tag in VARIANTS[variant][1]:
+        if given[tag] is None:
+            raise ValueError(f"{variant} needs the {tag} score matrix")
+        oriented.append(given[tag].data if tag == "heads" else given[tag].data.T)
+    if len(oriented) == 1:
+        return _activate(oriented[0], activation)
+    h, d = oriented
+    if h.shape != d.shape:
+        raise ValueError(f"matrix size mismatch: {h.shape} vs {d.shape}")
+    return _activate((h + d) / 2.0, activation)
 
 
-def find_top(scores: MergedHeadScores, agg: str = "max") -> int:
+def find_top(scores: np.ndarray, agg: str = "max") -> int:
     """The token whose head pointers are weakest: argmin over i of the
     aggregated off-diagonal row i.  Ties break to the smallest index."""
-    n = scores.n
-    if n == 1:
+    if len(scores) == 1:
         return 1
-    masked = scores.masked()
+    masked = _masked(scores)
     if agg == "max":
         row = masked.max(axis=1)
     elif agg == "sum":
@@ -155,10 +133,10 @@ def find_top(scores: MergedHeadScores, agg: str = "max") -> int:
     return int(np.argmin(row)) + 1
 
 
-def greedy_heads(scores: MergedHeadScores, top: int) -> list[int]:
+def greedy_heads(scores: np.ndarray, top: int) -> list[int]:
     """Per-token argmax head, self excluded, ties to the smallest index;
     may contain cycles."""
-    heads = np.argmax(scores.masked(), axis=1) + 1
+    heads = np.argmax(_masked(scores), axis=1) + 1
     heads[top - 1] = 0
     return heads.tolist()
 
@@ -195,7 +173,7 @@ def _reaches(heads: list[int], src: int, dst: int) -> bool:
     return False
 
 
-def fix_cycles(assignment: list[int], scores: MergedHeadScores, top: int) -> DepTree:
+def fix_cycles(assignment: list[int], scores: np.ndarray, top: int) -> DepTree:
     """Repair the head assignment into a tree.
 
     Each round: find a cycle, drop its weakest arc (ties to the smallest
@@ -207,25 +185,24 @@ def fix_cycles(assignment: list[int], scores: MergedHeadScores, top: int) -> Dep
     heads = list(assignment)
     if heads[top - 1] != 0:
         raise ValueError(f"assignment does not mark token {top} as top")
-    m = scores.m
     while True:
         cycle = _find_cycle(heads)
         if cycle is None:
             break
-        dep = min(cycle, key=lambda i: (m[i - 1, heads[i - 1] - 1], i))
+        dep = min(cycle, key=lambda i: (scores[i - 1, heads[i - 1] - 1], i))
         heads[dep - 1] = 0  # detach while probing reachability
         best_j, best_score = 0, -np.inf
         for j in range(1, len(heads) + 1):
             if j == dep or _reaches(heads, j, dep):
                 continue
-            s = m[dep - 1, j - 1]
+            s = scores[dep - 1, j - 1]
             if s > best_score:
                 best_j, best_score = j, s
         heads[dep - 1] = best_j
     return DepTree(heads)
 
 
-def decode(merged: MergedHeadScores, root_agg: str = "max") -> tuple[DepTree, bool]:
+def decode(merged: np.ndarray, root_agg: str = "max") -> tuple[DepTree, bool]:
     """Top, greedy heads and cycle repair; also whether the greedy heads
     were already a tree before any repair."""
     top = find_top(merged, root_agg)

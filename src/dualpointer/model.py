@@ -1,8 +1,9 @@
 """The full parser model: vocabulary, encoder, and one or two pointer nets.
 
-A model carries its training mode.  Joint training produces both scorers
-and serves the merged (p1) and single-matrix (p2, p3) inference variants;
-single-task models serve only their own variant (p4 heads, p5 dependents).
+A model carries its training mode.  :data:`VARIANTS` is the one table of
+inference variants: joint training produces both scorers and serves the
+merged (p1) and single-matrix (p2, p3) variants; single-task models serve
+only their own variant (p4 heads, p5 dependents).
 
 Every trainable tensor is named, sized and ordered by :func:`tensor_layout`
 alone; init, :meth:`ModelParams.named_params` and the model file walk it.
@@ -16,7 +17,7 @@ import numpy as np
 from .conll import Sentence
 from .autodiff import Tensor
 from .encoder import EncoderParams, LstmWeights, bilstm_encode, encode_tokens, token_rows
-from .pointer import DEPENDENTS, HEADS, PointerParams, ScoreMatrix, score_all
+from .pointer import PointerParams, score_all
 from .vocab import UNKNOWN_ID, EmbeddingTable, Vocabulary
 
 __all__ = [
@@ -27,9 +28,7 @@ __all__ = [
     "MODE_NETS",
     "ACTIVATIONS",
     "VARIANTS",
-    "VARIANT_REQUIRES",
     "MODE_VARIANTS",
-    "NET_TAGS",
     "ModeMismatchError",
     "ModelShape",
     "ModelParams",
@@ -42,24 +41,23 @@ __all__ = [
 JOINT = "joint"
 HEADS_ONLY = "heads-only"
 DEPS_ONLY = "deps-only"
-# training mode -> orientations of the pointer nets it owns, heads first
-MODE_NETS = {JOINT: (HEADS, DEPENDENTS), HEADS_ONLY: (HEADS,), DEPS_ONLY: (DEPENDENTS,)}
-MODES = tuple(MODE_NETS)
-# tensor-name tag of each pointer-net orientation
-NET_TAGS = {HEADS: "heads", DEPENDENTS: "deps"}
 ACTIVATIONS = ("sigmoid", "tanh")
 
-# inference variant -> training mode that can serve it
-VARIANT_REQUIRES = {
-    "p1": JOINT,
-    "p2": JOINT,
-    "p3": JOINT,
-    "p4": HEADS_ONLY,
-    "p5": DEPS_ONLY,
+# inference variant -> (training mode that serves it, the pointer nets whose
+# head-oriented scores it averages, by tensor tag)
+VARIANTS = {
+    "p1": (JOINT, ("heads", "deps")),
+    "p2": (JOINT, ("heads",)),
+    "p3": (JOINT, ("deps",)),
+    "p4": (HEADS_ONLY, ("heads",)),
+    "p5": (DEPS_ONLY, ("deps",)),
 }
-VARIANTS = tuple(VARIANT_REQUIRES)
+MODES = tuple(dict.fromkeys(mode for mode, _ in VARIANTS.values()))
 # training mode -> the variants its models serve
-MODE_VARIANTS = {m: tuple(v for v in VARIANTS if VARIANT_REQUIRES[v] == m) for m in MODES}
+MODE_VARIANTS = {m: tuple(v for v, (mode, _) in VARIANTS.items() if mode == m) for m in MODES}
+# training mode -> tags of the pointer nets it owns, heads first
+MODE_NETS = {m: tuple(dict.fromkeys(t for v in MODE_VARIANTS[m] for t in VARIANTS[v][1]))
+             for m in MODES}
 
 
 class ModeMismatchError(Exception):
@@ -105,8 +103,7 @@ def tensor_layout(shape: ModelShape, vocab_size: int, indexed: bool = False):
             yield f"lstm.l{li}.{direction}.w", (4 * hidden, input_dim + hidden)
             yield f"lstm.l{li}.{direction}.b", (4 * hidden,)
         input_dim = 2 * hidden
-    for orientation in MODE_NETS[shape.mode]:
-        tag = NET_TAGS[orientation]
+    for tag in MODE_NETS[shape.mode]:
         yield f"ptr.{tag}.w", (shape.ptr_hidden, 2 * input_dim)
         yield f"ptr.{tag}.b", (shape.ptr_hidden,)
         yield f"ptr.{tag}.v", (shape.ptr_hidden,)
@@ -168,9 +165,9 @@ class ModelParams:
             layers=[(lstm(f"lstm.l{li}.fwd"), lstm(f"lstm.l{li}.bwd"))
                     for li in range(shape.bilstm_levels)],
         )
-        nets = {o: PointerParams(*(tensors[f"ptr.{NET_TAGS[o]}.{p}"] for p in "wbv"), o)
-                for o in MODE_NETS[shape.mode]}
-        return cls(vocab, encoder, nets.get(HEADS), nets.get(DEPENDENTS), shape, tensors)
+        nets = {tag: PointerParams(*(tensors[f"ptr.{tag}.{p}"] for p in "wbv"))
+                for tag in MODE_NETS[shape.mode]}
+        return cls(vocab, encoder, nets.get("heads"), nets.get("deps"), shape, tensors)
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         """Every trainable tensor in :func:`tensor_layout` order.
@@ -209,9 +206,9 @@ def init_model(
     return ModelParams.from_tensors(shape, vocab, index, tensors)
 
 def require_variant(model: ModelParams, variant: str) -> None:
-    if variant not in VARIANT_REQUIRES:
+    if variant not in VARIANTS:
         raise ModeMismatchError(f"unknown inference variant {variant!r}")
-    needed = VARIANT_REQUIRES[variant]
+    needed = VARIANTS[variant][0]
     if model.mode != needed:
         raise ModeMismatchError(
             f"variant {variant} needs a {needed} model, this model was trained {model.mode}"
@@ -220,8 +217,10 @@ def require_variant(model: ModelParams, variant: str) -> None:
 
 @dataclass
 class SentenceScores:
-    heads: ScoreMatrix | None
-    deps: ScoreMatrix | None
+    """Each owned net's pre-activation score tensor, in its own orientation."""
+
+    heads: Tensor | None
+    deps: Tensor | None
 
 
 def score_sentence(

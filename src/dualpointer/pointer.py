@@ -26,7 +26,6 @@ __all__ = [
     "HEADS",
     "DEPENDENTS",
     "PointerParams",
-    "ScoreMatrix",
     "score_all",
     "target_matrix",
 ]
@@ -42,7 +41,6 @@ class PointerParams:
     w: Tensor  # [hidden x 2*context]
     b: Tensor  # [hidden]
     v: Tensor  # [hidden]
-    orientation: str = HEADS
 
     @property
     def hidden(self) -> int:
@@ -51,23 +49,6 @@ class PointerParams:
     @property
     def context_dim(self) -> int:
         return self.w.data.shape[1] // 2
-
-
-@dataclass
-class ScoreMatrix:
-    """n x n pre-activation scores; entry (i, j) reads per orientation:
-    heads: "j is the head of i"; dependents: "j is a dependent of i"."""
-
-    scores: Tensor
-    orientation: str
-
-    @property
-    def n(self) -> int:
-        return self.scores.data.shape[0]
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.scores.data
 
 
 def _attention_kernel(cq: Tensor, ck: Tensor, params: PointerParams) -> Tensor:
@@ -103,15 +84,17 @@ def _attention_kernel(cq: Tensor, ck: Tensor, params: PointerParams) -> Tensor:
     return ad.make_node(out, (cq, ck, params.w, params.b, params.v), backward)
 
 
-def score_all(contexts: Tensor, params: PointerParams) -> ScoreMatrix:
-    """All ordered pairs of the rows of an [n x context] matrix at once,
-    diagonal included."""
+def score_all(contexts: Tensor, params: PointerParams) -> Tensor:
+    """n x n pre-activation scores of all ordered pairs of the rows of an
+    [n x context] matrix at once, diagonal included.  Entry (i, j) reads in
+    the net's own orientation: "j is the head of i" for the heads net, "j is
+    a dependent of i" for the dependents net."""
     if contexts.data.ndim != 2 or contexts.data.shape[0] == 0:
         raise ValueError(
             f"score_all needs a non-empty matrix of context rows, got shape "
             f"{contexts.data.shape}"
         )
-    return ScoreMatrix(_attention_kernel(contexts, contexts, params), params.orientation)
+    return _attention_kernel(contexts, contexts, params)
 
 
 def target_matrix(sentence: Sentence, orientation: str) -> np.ndarray:

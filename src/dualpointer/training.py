@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import TrainConfig
-from .conll import Sentence
+from .conll import ConllError, Sentence
 from .decoding import PunctuationPolicy, parse, uas
 from .model import MODE_VARIANTS, ModelParams, init_model, score_sentence
 from .modelio import load_model, save_model
@@ -83,9 +83,9 @@ def sentence_loss(
             continue
         target = target_matrix(sentence, orientation)
         if model.shape.activation == "tanh":
-            parts.append(ad.mse_loss(ad.tanh(matrix.scores), target))
+            parts.append(ad.mse_loss(ad.tanh(matrix), target))
         else:
-            parts.append(ad.bce_with_logits(matrix.scores, target))
+            parts.append(ad.bce_with_logits(matrix, target))
     return parts[0] if len(parts) == 1 else ad.add(parts[0], parts[1])
 
 
@@ -139,16 +139,12 @@ def train(
     epoch the dev set is parsed in inference mode and the checkpoint with
     the highest dev UAS (earliest epoch on ties) is kept.
     """
-    if not corpus:
-        raise ValueError("empty training corpus")
-    if not dev:
-        raise ValueError("empty dev corpus")
-    for si, s in enumerate(corpus):
-        if len(s) == 0 or not s.has_gold_heads():
-            raise ValueError(f"training sentence {si + 1} is empty or lacks gold heads")
-    for si, s in enumerate(dev):
-        if len(s) == 0 or not s.has_gold_heads():
-            raise ValueError(f"dev sentence {si + 1} is empty or lacks gold heads")
+    for what, sentences in (("train", corpus), ("dev", dev)):
+        if not sentences:
+            raise ConllError(f"empty {what} corpus")
+        for si, s in enumerate(sentences, start=1):
+            if len(s) == 0 or not s.has_gold_heads():
+                raise ConllError(f"{what} corpus sentence {si} is empty or lacks gold heads")
 
     rng = np.random.default_rng(config.seed)
     vocab = build_vocab(corpus)

@@ -38,6 +38,38 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def sentence_heads(path, sentence):
+    with open(path, encoding="utf-8") as f:
+        return read_conll(f)[sentence - 1].gold_heads()
+
+
+def rewrite_heads(source, dest, sentence, heads):
+    """Copy a CoNLL file, giving the 1-based ``sentence`` the head column
+    ``heads`` (strings, "_" for none)."""
+    with open(source, encoding="utf-8") as f:
+        blocks = f.read().strip("\n").split("\n\n")
+    rows = [line.split("\t") for line in blocks[sentence - 1].split("\n")]
+    assert len(rows) == len(heads)
+    for row, head in zip(rows, heads):
+        row[6] = head
+    blocks[sentence - 1] = "\n".join("\t".join(row) for row in rows)
+    dest.write_text("\n\n".join(blocks) + "\n\n", encoding="utf-8")
+    return str(dest)
+
+
+def blank_head(source, dest, sentence=2):
+    """Copy of a CoNLL file whose ``sentence`` has a "_" first head."""
+    gold = sentence_heads(source, sentence)
+    return rewrite_heads(source, dest, sentence, ["_"] + [str(h) for h in gold[1:]])
+
+
+def assert_one_error(err, category, *words):
+    assert err.startswith(f"error:{category}:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for word in words:
+        assert word in err, (word, err)
+
+
 class TestTrain:
     def test_logs_and_model_file(self, capsys, corpus_path, tmp_path):
         dest = str(tmp_path / "m.bin")
@@ -83,6 +115,74 @@ class TestTrain:
             "--model", str(tmp_path / "m.bin")] + FAST)
         assert code == 1
         assert err.startswith("error:io:")
+
+    @pytest.mark.parametrize("role", ["train", "dev"])
+    @pytest.mark.parametrize("problem", ["unannotated", "empty"])
+    def test_corpus_content_is_corpus_error(self, capsys, corpus_path, tmp_path, role, problem):
+        bad = tmp_path / "bad.conllu"
+        if problem == "empty":
+            bad.write_text("", encoding="utf-8")
+            expected = f"empty {role} corpus"
+        else:
+            blank_head(corpus_path, bad)
+            expected = f"{role} corpus sentence 2"
+        paths = {"train": corpus_path, "dev": corpus_path, role: str(bad)}
+        dest = tmp_path / "m.bin"
+        code, _, err = run(capsys, [
+            "train", "--train", paths["train"], "--dev", paths["dev"],
+            "--model", str(dest)] + FAST)
+        assert code == 1
+        assert_one_error(err, "corpus", expected)
+        assert not dest.exists()
+
+
+class TestPretrainedWidth:
+    VECTORS = "the 1 0 0\ncat 0 1 0\n"
+
+    @pytest.fixture
+    def vectors(self, tmp_path):
+        path = tmp_path / "vec3.txt"
+        path.write_text(self.VECTORS, encoding="utf-8")
+        return str(path)
+
+    def train_argv(self, corpus_path, dest):
+        sizes = FAST[2:]  # FAST without its --d-pretrained
+        assert "--d-pretrained" not in sizes
+        return ["train", "--train", corpus_path, "--dev", corpus_path,
+                "--model", str(dest)] + sizes
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_flag_beside_pretrained_file_rejected(self, capsys, corpus_path, tmp_path, vectors,
+                                                  source):
+        given = ["--pretrained", vectors]
+        if source == "config":
+            ini = tmp_path / "run.ini"
+            ini.write_text(f"[paths]\npretrained = {vectors}\n", encoding="utf-8")
+            given = ["--config", str(ini)]
+        dest = tmp_path / "m.bin"
+        code, out, err = run(capsys, self.train_argv(corpus_path, dest) + given + [
+            "--d-pretrained", "100"])
+        assert code == 1 and out == ""
+        assert_one_error(err, "config", "--d-pretrained")
+        assert not dest.exists()
+
+    def test_config_key_beside_pretrained_file_takes_the_file_width(
+            self, capsys, corpus_path, tmp_path, vectors):
+        # --save-config always writes d_pretrained, so a saved config of a
+        # pretrained run must load again
+        ini = tmp_path / "run.ini"
+        ini.write_text("[training]\nd_pretrained = 100\n", encoding="utf-8")
+        dest = tmp_path / "m.bin"
+        code, _, _ = run(capsys, self.train_argv(corpus_path, dest) + [
+            "--config", str(ini), "--pretrained", vectors])
+        assert code == 0
+        assert load_model(str(dest)).encoder.pretrained.dim == 3
+
+    def test_help_names_the_file_width(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--pretrained file's width sets it" in help_text
 
 
 class TestParse:
@@ -164,6 +264,28 @@ class TestEval:
         model_uas = re.search(r"uas (\d+\.\d+)", out_model).group(1)
         file_uas = re.search(r"uas (\d+\.\d+)", out_file).group(1)
         assert model_uas == file_uas
+
+    def test_unannotated_gold_head_is_corpus_error(self, capsys, corpus_path, model_path,
+                                                   tmp_path):
+        bad = blank_head(corpus_path, tmp_path / "gold.conllu")
+        code, out, err = run(capsys, ["eval", "--model", model_path, "--test", bad])
+        assert code == 1 and out == ""
+        assert_one_error(err, "corpus", "gold corpus sentence 2")
+
+    def test_unannotated_predicted_head_is_corpus_error(self, capsys, corpus_path, tmp_path):
+        bad = blank_head(corpus_path, tmp_path / "pred.conllu")
+        code, out, err = run(capsys, ["eval", "--test", corpus_path, "--output", bad])
+        assert code == 1 and out == ""
+        assert_one_error(err, "corpus", "predicted corpus sentence 2")
+
+    def test_predicted_non_tree_is_corpus_error(self, capsys, corpus_path, tmp_path):
+        n = len(sentence_heads(corpus_path, 3))
+        # token 1 the top, tokens 2 and 3 each other's head: a cycle
+        cyclic = ["0", "3", "2"] + ["1"] * (n - 3)
+        bad = rewrite_heads(corpus_path, tmp_path / "pred.conllu", 3, cyclic)
+        code, out, err = run(capsys, ["eval", "--test", corpus_path, "--output", bad])
+        assert code == 1 and out == ""
+        assert_one_error(err, "corpus", "predicted corpus sentence 3", "cycle")
 
     def test_gold_vs_gold_is_100(self, capsys, corpus_path):
         code, out, _ = run(capsys, [

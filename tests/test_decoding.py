@@ -10,7 +10,6 @@ from dualpointer.conll import Sentence, Token
 from dualpointer.decoding import (
     AlignmentError,
     DepTree,
-    MergedHeadScores,
     PunctuationPolicy,
     cycle_stats,
     decode,
@@ -22,14 +21,14 @@ from dualpointer.decoding import (
     parse,
     uas,
 )
-from dualpointer.model import JOINT, ModeMismatchError, init_model, score_sentence
-from dualpointer.pointer import DEPENDENTS, HEADS, ScoreMatrix
+from dualpointer.model import JOINT, VARIANTS, ModeMismatchError, init_model, score_sentence
+from dualpointer import autodiff as ad
 from dualpointer.autodiff import Tensor
 from dualpointer.vocab import build_vocab
 
 
-def mat(data, orientation):
-    return ScoreMatrix(Tensor(np.array(data, dtype=np.float64)), orientation)
+def mat(data):
+    return Tensor(np.array(data, dtype=np.float64))
 
 
 def sent(words, heads=None, pos=None):
@@ -38,79 +37,114 @@ def sent(words, heads=None, pos=None):
     return Sentence([Token(i + 1, w, p, h) for i, (w, h, p) in enumerate(zip(words, heads, pos))])
 
 
+def act(activation):
+    return {"sigmoid": ad.stable_sigmoid, "tanh": np.tanh}[activation]
+
+
+# the formula each variant's merge replaced, on raw (heads, dependents) arrays
+FORMULAS = {
+    "p1": lambda h, d: (h + d.T) / 2.0,
+    "p2": lambda h, d: h,
+    "p3": lambda h, d: d.T,
+    "p4": lambda h, d: h,
+    "p5": lambda h, d: d.T,
+}
+
+
 class TestMerge:
+    @pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
+    @pytest.mark.parametrize("variant", list(FORMULAS))
+    def test_matches_formula_bit_for_bit(self, rng, variant, activation):
+        for n in (1, 2, 7, 30):
+            h, d = rng.normal(size=(n, n)) * 5, rng.normal(size=(n, n)) * 5
+            got = merge(mat(h), mat(d), variant, activation)
+            assert np.array_equal(got, act(activation)(FORMULAS[variant](h, d)))
+
+    @pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
+    @pytest.mark.parametrize("variant", list(FORMULAS))
+    def test_every_variant_stays_in_range(self, rng, variant, activation):
+        h, d = mat(rng.normal(size=(5, 5)) * 500), mat(rng.normal(size=(5, 5)) * 500)
+        m = merge(h, d, variant, activation)
+        assert np.all(np.isfinite(m))
+        assert np.all(m >= (0.0 if activation == "sigmoid" else -1.0)) and np.all(m <= 1.0)
+
+    @pytest.mark.parametrize("variant", list(FORMULAS))
+    def test_missing_net_rejected(self, variant):
+        for tag in VARIANTS[variant][1]:
+            given = {"heads": mat(np.zeros((2, 2))), "deps": mat(np.zeros((2, 2))), tag: None}
+            with pytest.raises(ValueError, match=f"needs the {tag}"):
+                merge(given["heads"], given["deps"], variant)
+
+    def test_unknown_variant_rejected(self):
+        h = mat(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="unknown"):
+            merge(h, h, "p9")
+
     def test_zero_scores_give_half(self):
-        h = mat(np.zeros((3, 3)), HEADS)
-        d = mat(np.zeros((3, 3)), DEPENDENTS)
-        np.testing.assert_array_equal(merge(h, d, "p1").m, np.full((3, 3), 0.5))
+        h = mat(np.zeros((3, 3)))
+        d = mat(np.zeros((3, 3)))
+        np.testing.assert_array_equal(merge(h, d, "p1"), np.full((3, 3), 0.5))
 
     def test_p1_averages_before_activation(self):
         # H(1,2)=2, D(2,1)=0: merged entry is the logistic of (2+0)/2
-        h = mat([[0.0, 2.0], [0.0, 0.0]], HEADS)
-        d = mat(np.zeros((2, 2)), DEPENDENTS)
+        h = mat([[0.0, 2.0], [0.0, 0.0]])
+        d = mat(np.zeros((2, 2)))
         m = merge(h, d, "p1")
-        np.testing.assert_allclose(m.m[0, 1], 0.7310585786300049, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(m[0, 1], 0.7310585786300049, rtol=0, atol=1e-15)
 
     def test_p1_transposes_dependents(self, rng):
-        h = mat(rng.normal(size=(4, 4)), HEADS)
-        d = mat(rng.normal(size=(4, 4)), DEPENDENTS)
+        h = mat(rng.normal(size=(4, 4)))
+        d = mat(rng.normal(size=(4, 4)))
         m = merge(h, d, "p1")
         expected = 1.0 / (1.0 + np.exp(-(h.data + d.data.T) / 2.0))
-        np.testing.assert_allclose(m.m, expected, rtol=1e-12)
+        np.testing.assert_allclose(m, expected, rtol=1e-12)
 
     def test_p2_ignores_dependents(self, rng):
-        h = mat(rng.normal(size=(3, 3)), HEADS)
-        d1 = mat(rng.normal(size=(3, 3)), DEPENDENTS)
-        d2 = mat(rng.normal(size=(3, 3)), DEPENDENTS)
-        np.testing.assert_array_equal(merge(h, d1, "p2").m, merge(h, d2, "p2").m)
-        np.testing.assert_array_equal(merge(h, None, "p2").m, merge(h, d1, "p2").m)
+        h = mat(rng.normal(size=(3, 3)))
+        d1 = mat(rng.normal(size=(3, 3)))
+        d2 = mat(rng.normal(size=(3, 3)))
+        np.testing.assert_array_equal(merge(h, d1, "p2"), merge(h, d2, "p2"))
+        np.testing.assert_array_equal(merge(h, None, "p2"), merge(h, d1, "p2"))
 
     def test_p3_uses_transposed_dependents_only(self, rng):
-        d = mat(rng.normal(size=(3, 3)), DEPENDENTS)
+        d = mat(rng.normal(size=(3, 3)))
         m = merge(None, d, "p3")
-        np.testing.assert_allclose(m.m, 1.0 / (1.0 + np.exp(-d.data.T)), rtol=1e-12)
+        np.testing.assert_allclose(m, 1.0 / (1.0 + np.exp(-d.data.T)), rtol=1e-12)
 
     def test_entries_open_unit_interval(self, rng):
-        h = mat(rng.normal(size=(5, 5)) * 10, HEADS)
-        d = mat(rng.normal(size=(5, 5)) * 10, DEPENDENTS)
-        m = merge(h, d, "p1").m
+        h = mat(rng.normal(size=(5, 5)) * 10)
+        d = mat(rng.normal(size=(5, 5)) * 10)
+        m = merge(h, d, "p1")
         assert np.all(m > 0.0) and np.all(m < 1.0)
 
     def test_saturated_scores_stay_bounded(self, rng):
         # beyond float64 resolution the logistic clamps to the closed interval
-        h = mat(rng.normal(size=(5, 5)) * 500, HEADS)
-        d = mat(rng.normal(size=(5, 5)) * 500, DEPENDENTS)
-        m = merge(h, d, "p1").m
+        h = mat(rng.normal(size=(5, 5)) * 500)
+        d = mat(rng.normal(size=(5, 5)) * 500)
+        m = merge(h, d, "p1")
         assert np.all(np.isfinite(m))
         assert np.all(m >= 0.0) and np.all(m <= 1.0)
 
     def test_size_mismatch_rejected(self):
-        h = mat(np.zeros((3, 3)), HEADS)
-        d = mat(np.zeros((2, 2)), DEPENDENTS)
+        h = mat(np.zeros((3, 3)))
+        d = mat(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             merge(h, d, "p1")
 
-    def test_wrong_orientation_rejected(self):
-        h = mat(np.zeros((2, 2)), HEADS)
-        with pytest.raises(ValueError):
-            merge(h, h, "p1")
-        with pytest.raises(ValueError):
-            merge(None, h, "p3")
-
     def test_missing_matrix_rejected(self):
-        h = mat(np.zeros((2, 2)), HEADS)
+        h = mat(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             merge(h, None, "p1")
 
     def test_tanh_activation_variant(self, rng):
-        h = mat(rng.normal(size=(3, 3)), HEADS)
+        h = mat(rng.normal(size=(3, 3)))
         m = merge(h, None, "p2", activation="tanh")
-        np.testing.assert_allclose(m.m, np.tanh(h.data), rtol=1e-15)
+        np.testing.assert_allclose(m, np.tanh(h.data), rtol=1e-15)
 
 
 class TestFindTop:
     def test_single_token(self):
-        assert find_top(MergedHeadScores(np.array([[0.7]]))) == 1
+        assert find_top(np.array([[0.7]])) == 1
 
     def test_row_maxima_oracle(self):
         # off-diagonal row maxima 0.9 / 0.08 / 0.7: weakest row is token 2
@@ -119,7 +153,7 @@ class TestFindTop:
             [0.05, 1.0, 0.08],
             [0.7, 0.2, 1.0],
         ])
-        assert find_top(MergedHeadScores(m)) == 2
+        assert find_top(m) == 2
 
     def test_diagonal_never_consulted(self):
         m = np.array([
@@ -129,11 +163,11 @@ class TestFindTop:
         ])
         m2 = m.copy()
         np.fill_diagonal(m2, 0.99)
-        assert find_top(MergedHeadScores(m)) == find_top(MergedHeadScores(m2))
+        assert find_top(m) == find_top(m2)
 
     def test_tie_breaks_to_smallest_index(self):
         m = np.full((4, 4), 0.5)
-        assert find_top(MergedHeadScores(m)) == 1
+        assert find_top(m) == 1
 
     def test_sum_aggregation(self):
         # row sums: 1.4 / 0.13 / 0.9 -> token 2 again, but rows built so
@@ -143,7 +177,7 @@ class TestFindTop:
             [0.05, 1.0, 0.08],
             [0.7, 0.2, 1.0],
         ])
-        assert find_top(MergedHeadScores(m), agg="sum") == 2
+        assert find_top(m, agg="sum") == 2
 
     def test_max_and_sum_can_disagree(self):
         # row maxima: 0.8, 0.5, 0.9, 0.9 -> token 2; row sums: 0.8, 0.95, 2.7, 2.7 -> token 1
@@ -153,37 +187,37 @@ class TestFindTop:
             [0.9, 0.9, 0.0, 0.9],
             [0.9, 0.9, 0.9, 0.0],
         ])
-        assert find_top(MergedHeadScores(m), agg="max") == 2
-        assert find_top(MergedHeadScores(m), agg="sum") == 1
+        assert find_top(m, agg="max") == 2
+        assert find_top(m, agg="sum") == 1
 
     def test_unknown_aggregation_rejected(self):
         with pytest.raises(ValueError):
-            find_top(MergedHeadScores(np.zeros((2, 2))), agg="median")
+            find_top(np.zeros((2, 2)), agg="median")
 
     @given(st.integers(0, 2**31 - 1), st.integers(2, 10))
     def test_monotone_transform_invariance(self, seed, n):
         m = np.random.default_rng(seed).random((n, n))
-        t = find_top(MergedHeadScores(m))
+        t = find_top(m)
         warped = m ** 3 + m
-        assert find_top(MergedHeadScores(warped)) == t
+        assert find_top(warped) == t
 
 
 class TestGreedyHeads:
     def test_two_tokens_attach_to_top(self):
-        m = MergedHeadScores(np.array([[0.9, 0.1], [0.4, 0.2]]))
+        m = np.array([[0.9, 0.1], [0.4, 0.2]])
         assert greedy_heads(m, 1) == [0, 1]
         assert greedy_heads(m, 2) == [2, 0]
 
     def test_unique_maxima_exact(self):
-        m = MergedHeadScores(np.array([
+        m = np.array([
             [0.0, 0.9, 0.1],
             [0.2, 0.0, 0.8],
             [0.6, 0.3, 0.0],
-        ]))
+        ])
         assert greedy_heads(m, 3) == [2, 3, 0]
 
     def test_tie_breaks_to_smallest_j(self):
-        m = MergedHeadScores(np.full((3, 3), 0.5))
+        m = np.full((3, 3), 0.5)
         assert greedy_heads(m, 3) == [2, 1, 0]
 
     def brute_force(self, m, top):
@@ -205,15 +239,15 @@ class TestGreedyHeads:
             n = int(rng.integers(1, 9))
             m = rng.uniform(-3, 3, size=(n, n))
             top = int(rng.integers(1, n + 1))
-            assert greedy_heads(MergedHeadScores(m), top) == self.brute_force(m, top)
+            assert greedy_heads(m, top) == self.brute_force(m, top)
 
     @given(st.integers(0, 2**31 - 1), st.integers(2, 8))
     def test_monotone_transform_invariance(self, seed, n):
         g = np.random.default_rng(seed)
         m = g.random((n, n))
         top = int(g.integers(1, n + 1))
-        base = greedy_heads(MergedHeadScores(m), top)
-        assert greedy_heads(MergedHeadScores(m ** 3 + m), top) == base
+        base = greedy_heads(m, top)
+        assert greedy_heads(m ** 3 + m, top) == base
 
 
 def original_cycle_nodes(heads):
@@ -232,7 +266,7 @@ def original_cycle_nodes(heads):
 
 class TestFixCycles:
     def test_tree_returned_unchanged(self):
-        m = MergedHeadScores(np.random.default_rng(0).random((4, 4)))
+        m = np.random.default_rng(0).random((4, 4))
         heads = [2, 0, 2, 3]
         assert fix_cycles(heads, m, 2).heads == heads
 
@@ -244,7 +278,7 @@ class TestFixCycles:
             [0.6, 0.0, 0.3],
             [0.1, 0.1, 0.0],
         ])
-        tree = fix_cycles([2, 1, 0], MergedHeadScores(m), 3)
+        tree = fix_cycles([2, 1, 0], m, 3)
         assert tree.heads == [2, 3, 0]
         assert tree.top == 3
 
@@ -252,7 +286,7 @@ class TestFixCycles:
         # both cycle arcs at 0.5: token 1's arc goes
         m = np.full((3, 3), 0.5)
         m[0, 2] = 0.9  # 1 -> 3 is the attractive repair
-        tree = fix_cycles([2, 1, 0], MergedHeadScores(m), 3)
+        tree = fix_cycles([2, 1, 0], m, 3)
         assert tree.heads == [3, 1, 0]
 
     def test_never_touches_top_or_noncycle_arcs(self, rng):
@@ -268,7 +302,7 @@ class TestFixCycles:
                     while j == i:
                         j = int(rng.integers(1, n + 1))
                     heads.append(j)
-            m = MergedHeadScores(rng.random((n, n)))
+            m = rng.random((n, n))
             tree = fix_cycles(list(heads), m, top)
             assert tree.top == top
             cyclic = original_cycle_nodes(heads)
@@ -277,7 +311,7 @@ class TestFixCycles:
                     assert i in cyclic, (heads, tree.heads, i)
 
     def test_wrong_top_precondition_rejected(self):
-        m = MergedHeadScores(np.zeros((2, 2)))
+        m = np.zeros((2, 2))
         with pytest.raises(ValueError):
             fix_cycles([2, 1], m, 1)
 
@@ -294,7 +328,7 @@ class TestFixCycles:
                 while j == i:
                     j = int(g.integers(1, n + 1))
                 heads.append(j)
-        tree = fix_cycles(heads, MergedHeadScores(g.random((n, n))), top)
+        tree = fix_cycles(heads, g.random((n, n)), top)
         assert tree.invariant_violation() is None
 
 
@@ -318,6 +352,83 @@ class TestDepTree:
     def test_rejects_cycle(self):
         with pytest.raises(ValueError, match="cycle"):
             DepTree([2, 3, 1, 0])
+
+
+def random_tree(g, n):
+    order = g.permutation(n)
+    heads = [0] * n
+    for pos in range(1, n):
+        heads[order[pos]] = int(order[g.integers(0, pos)]) + 1
+    return heads
+
+
+def mutate(g, heads):
+    """Repoint one token: at another token, at 0 (an extra top), at itself,
+    out of range, or at a token below it (a cycle)."""
+    n = len(heads)
+    kind = int(g.integers(5))
+    i = int(g.integers(n))
+    if kind == 4:
+        # the lowest token k of a path up the tree; its ancestor i heads k
+        k, path = i + 1, []
+        while k != 0 and k not in path and 1 <= k <= n:
+            path.append(k)
+            k = heads[k - 1]
+        if len(path) < 2:
+            return
+        heads[path[int(g.integers(1, len(path)))] - 1] = path[0]
+        return
+    heads[i] = [int(g.integers(1, n + 1)), 0, i + 1, int(g.choice([-1, n + 1, n + 7]))][kind]
+
+
+def reference_tree_problem(heads):
+    """Which rule a head list breaks, checked apart from DepTree: one top,
+    heads in range, no self-head, every token reaching 0 within n steps."""
+    n = len(heads)
+    if heads.count(0) != 1:
+        return "top"
+    if any(not 0 <= h <= n or h == i for i, h in enumerate(heads, start=1)):
+        return "head"
+    for i in range(1, n + 1):
+        j = i
+        for _ in range(n):
+            j = heads[j - 1]
+            if j == 0:
+                break
+        if j != 0:
+            return "cycle"
+    return None
+
+
+class TestTreeCheckProperties:
+    """DepTree against a reference on head lists up to 150 tokens, and the
+    decoder's output on random scores of the same sizes."""
+
+    def test_accepts_exactly_the_reference_trees(self, rng):
+        seen = dict.fromkeys(["top", "head", "cycle", None], 0)
+        for _ in range(1000):
+            n = int(rng.integers(1, 151))
+            heads = random_tree(rng, n)
+            for _ in range(int(rng.integers(0, 4))):
+                mutate(rng, heads)
+            expected = reference_tree_problem(heads)
+            seen[expected] += 1
+            if expected is None:
+                assert DepTree(heads).invariant_violation() is None
+                continue
+            with pytest.raises(ValueError, match="cycle" if expected == "cycle" else None):
+                DepTree(heads)
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("variant", ["p1", "p2", "p3"])
+    def test_decode_returns_a_tree_topped_by_find_top(self, rng, variant):
+        for n in [1, 2, 3, 150] + [int(x) for x in rng.integers(4, 151, size=8)]:
+            h = Tensor(rng.uniform(-3.0, 3.0, (n, n)))
+            d = Tensor(rng.uniform(-3.0, 3.0, (n, n)))
+            merged = merge(h, d, variant)
+            tree, _ = decode(merged)
+            assert tree.invariant_violation() is None
+            assert len(tree) == n and tree.top == find_top(merged)
 
 
 class TestParse:
@@ -489,7 +600,7 @@ class TestDecodeCorpus:
     def test_flag_is_greedy_tree(self, rng):
         for _ in range(300):
             n = int(rng.integers(1, 9))
-            merged = MergedHeadScores(rng.uniform(size=(n, n)))
+            merged = rng.uniform(size=(n, n))
             greedy = greedy_heads(merged, find_top(merged))
             tree, was_tree = decode(merged)
             try:

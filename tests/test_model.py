@@ -7,6 +7,10 @@ from dualpointer.model import (
     DEPS_ONLY,
     HEADS_ONLY,
     JOINT,
+    MODE_NETS,
+    MODE_VARIANTS,
+    MODES,
+    VARIANTS,
     ModeMismatchError,
     init_model,
     require_variant,
@@ -30,6 +34,21 @@ def small_model(rng, vocab, mode=JOINT):
         rng, vocab, mode=mode, d_pretrained=3, d_random=4,
         bilstm_hidden=5, bilstm_levels=2, ptr_hidden=6,
     )
+
+
+def test_variant_table_and_its_derived_tables():
+    assert VARIANTS == {
+        "p1": (JOINT, ("heads", "deps")),
+        "p2": (JOINT, ("heads",)),
+        "p3": (JOINT, ("deps",)),
+        "p4": (HEADS_ONLY, ("heads",)),
+        "p5": (DEPS_ONLY, ("deps",)),
+    }
+    assert MODES == (JOINT, HEADS_ONLY, DEPS_ONLY)
+    assert MODE_VARIANTS == {JOINT: ("p1", "p2", "p3"), HEADS_ONLY: ("p4",),
+                             DEPS_ONLY: ("p5",)}
+    assert MODE_NETS == {JOINT: ("heads", "deps"), HEADS_ONLY: ("heads",),
+                         DEPS_ONLY: ("deps",)}
 
 
 def test_joint_owns_both_nets(rng, vocab):
@@ -114,7 +133,5 @@ def test_score_sentence_shapes_and_modes(rng, vocab):
     joint = score_sentence(small_model(rng, vocab), s)
     assert joint.heads.data.shape == (3, 3)
     assert joint.deps.data.shape == (3, 3)
-    assert joint.heads.orientation == "heads"
-    assert joint.deps.orientation == "dependents"
     ho = score_sentence(small_model(rng, vocab, HEADS_ONLY), s)
     assert ho.deps is None and ho.heads is not None

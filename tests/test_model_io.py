@@ -71,8 +71,8 @@ def test_scores_identical_after_roundtrip():
     after = score_sentence(loaded, s)
     np.testing.assert_array_equal(before.heads.data, after.heads.data)
     np.testing.assert_array_equal(before.deps.data, after.deps.data)
-    merged_before = merge(before.heads, before.deps, "p1").m
-    merged_after = merge(after.heads, after.deps, "p1").m
+    merged_before = merge(before.heads, before.deps, "p1")
+    merged_after = merge(after.heads, after.deps, "p1")
     np.testing.assert_array_equal(merged_before, merged_after)
     assert parse(s, m).heads == parse(s, loaded).heads
 

@@ -29,6 +29,13 @@ def tracing(monkeypatch):
         sys.modules.pop(name, None)
 
 
+@pytest.fixture
+def check(tracing):
+    import check
+    yield check
+    sys.modules.pop("check", None)
+
+
 def test_tracer_installs_times_and_uninstalls(tracing, tmp_path, capsys):
     dp = dualpointer
     owners = []
@@ -101,3 +108,24 @@ def test_setup_pass_and_output_check_calls(tmp_path):
         scored = dp.model.score_sentence(loaded, sentence, training=False)
     n = len(sentence)
     assert scored.heads.data.shape == scored.deps.data.shape == (n, n)
+
+
+def test_output_checks_pass_on_tiny_model(check, tmp_path, capsys):
+    """The benchmark's own checks of ``parse`` and ``eval`` output, among
+    them the greedy heads it recomputes from ``score_sentence``'s matrices
+    read in their nets' own orientations."""
+    model, parsed, test = tmp_path / "model.bin", tmp_path / "parsed.conllu", Path(TOY)
+    main = dualpointer.cli.main
+    assert main(["train", "--train", TOY, "--dev", TOY, "--model", str(model),
+                 "--epochs", "1", "--seeds", "1"] + SIZES) == 0
+    assert main(["parse", "--model", str(model), "--test", TOY, "--output", str(parsed)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--test", TOY]) == 0
+    printed = check.eval_report(capsys.readouterr().out)
+    assert set(printed) == {"p1", "p2", "p3"}
+
+    problems, heads, invalid = check.parsed_output(test, parsed)
+    assert problems == [] and invalid == 0
+    problems, _ = check.uas_report(test, heads, printed)
+    assert problems == []
+    assert check.greedy_report(dualpointer, model, test, heads, printed) == []

@@ -19,13 +19,13 @@ from dualpointer.pointer import (
 )
 
 
-def make_params(rng, ctx=6, hidden=4, orientation=HEADS):
+def make_params(rng, ctx=6, hidden=4):
     # Glorot-uniform W, zero b, v uniform within sqrt(3 / hidden)
     w_limit = np.sqrt(6.0 / (2 * ctx + hidden))
     w = rng.uniform(-w_limit, w_limit, size=(hidden, 2 * ctx))
     v = rng.uniform(-np.sqrt(3.0 / hidden), np.sqrt(3.0 / hidden), size=hidden)
     return PointerParams(Tensor(w, requires_grad=True), Tensor(np.zeros(hidden), requires_grad=True),
-                         Tensor(v, requires_grad=True), orientation)
+                         Tensor(v, requires_grad=True))
 
 
 def contexts(rng, n, ctx=6):
@@ -101,16 +101,9 @@ class TestScoreAll:
                 single = attention_score(ctx[i], ctx[j], p).item()
                 assert m.data[i, j] == single, (i, j)
 
-    def test_orientation_tag_carried(self, rng):
-        ph = make_params(rng, orientation=HEADS)
-        pd = make_params(rng, orientation=DEPENDENTS)
-        ctx = contexts(rng, 3)
-        assert score_all(ad.stack(ctx), ph).orientation == HEADS
-        assert score_all(ad.stack(ctx), pd).orientation == DEPENDENTS
-
     def test_two_instances_share_nothing(self, rng):
-        ph = make_params(rng, orientation=HEADS)
-        pd = make_params(rng, orientation=DEPENDENTS)
+        ph = make_params(rng)
+        pd = make_params(rng)
         ctx = contexts(rng, 4)
         before = score_all(ad.stack(ctx), ph).data.copy()
         pd.w.data[:] = 99.0
@@ -141,7 +134,7 @@ class TestScoreAll:
         def loss_value():
             ctx = [Tensor(c0[i]) for i in range(5)]
             m = score_all(ad.stack(ctx), p)
-            return ad.sum_all(ad.mul(m.scores, Tensor(weights)))
+            return ad.sum_all(ad.mul(m, Tensor(weights)))
 
         loss_value().backward(free_graph=False)
         for name, tensor in [("w", p.w), ("b", p.b), ("v", p.v)]:
