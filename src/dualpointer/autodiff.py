@@ -109,12 +109,12 @@ class Tensor:
     def __neg__(self):
         return scale(self, -1.0)
 
-    def backward(self, free_graph: bool = True) -> None:
+    def backward(self) -> None:
         """Backpropagate from a scalar output.
 
-        With ``free_graph`` (the default) every intermediate node has its
-        parent links, backward rule and gradient buffer dropped as soon as
-        it has been processed, so the tape holds no storage afterwards.
+        Every intermediate node has its parent links, backward rule and
+        gradient buffer dropped as soon as it has been processed, so the
+        tape holds no storage afterwards; leaves keep their gradients.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -146,10 +146,9 @@ class Tensor:
                 if g is None or not parent.requires_grad:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
-            if free_graph:
-                node._parents = ()
-                node._backward = None
-                node.grad = None
+            node._parents = ()
+            node._backward = None
+            node.grad = None
 
 
 class RowGrad:

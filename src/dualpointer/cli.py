@@ -6,6 +6,7 @@ the effective configuration for exact reruns.  Errors exit nonzero with a
 single line of the form "error:<category>: message".
 """
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -21,12 +22,7 @@ from .gradcheck import format_report, run_gradcheck
 from .model import MODE_VARIANTS, ModeMismatchError
 from .modelio import ModelFormatError, load_model
 from .training import default_variant, train
-
-
-class CliError(Exception):
-    def __init__(self, category: str, message: str):
-        super().__init__(message)
-        self.category = category
+from .vocab import load_pretrained
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -59,11 +55,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def effective_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as f:
-                run = load_config(f.read())
-        except OSError as exc:
-            raise CliError("io", f"cannot read config: {exc}")
+        with _opened(args.config, "config") as f:
+            try:
+                text = f.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"config is not UTF-8 text: {exc.reason}") from None
+        run = load_config(text)
     else:
         run = RunConfig()
     run.command = args.command
@@ -76,33 +73,34 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
                           "whose width sets it")
     validate(run)
     if args.save_config:
-        try:
-            with open(args.save_config, "w", encoding="utf-8") as f:
-                f.write(dump_config(run))
-        except OSError as exc:
-            raise CliError("io", f"cannot write config: {exc}")
+        with _opened(args.save_config, "config", "w") as f:
+            f.write(dump_config(run))
     return run
 
 
-def _read_corpus(path: str, what: str):
+def _required(path: str, what: str) -> str:
     if not path:
-        raise CliError("config", f"missing {what} corpus path")
+        raise ConfigError(f"missing {what} path")
+    return path
+
+
+@contextlib.contextmanager
+def _opened(path: str, what: str, mode: str = "r"):
+    """``path``, the file of the run's ``what`` (e.g. "dev corpus"), open in
+    ``mode``, text as UTF-8; an OSError names ``what``."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(_required(path, what), mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+    except OSError as exc:
+        raise OSError(f"cannot {'write' if 'w' in mode else 'read'} {what}: {exc}") from None
+
+
+def _read_corpus(path: str, what: str):
+    with _opened(path, f"{what} corpus") as f:
+        try:
             return read_conll(f)
-    except OSError as exc:
-        raise CliError("io", f"cannot read {what} corpus: {exc}")
-
-
-def _load_pretrained(run: RunConfig):
-    if not run.pretrained_path:
-        return None
-    from .vocab import load_pretrained
-    try:
-        with open(run.pretrained_path, encoding="utf-8") as f:
-            return load_pretrained(f)
-    except OSError as exc:
-        raise CliError("io", f"cannot read pretrained embeddings: {exc}")
+        except ConllError as exc:
+            raise ConllError(f"{what} corpus: {exc}") from None
 
 
 def _gold_heads(corpus, what: str, trees: bool = False) -> list:
@@ -128,9 +126,11 @@ def seed_model_path(path: str, seeds, seed: int) -> str:
 def cmd_train(run: RunConfig) -> int:
     train_set = _read_corpus(run.train_path, "train")
     dev_set = _read_corpus(run.dev_path, "dev")
-    if not run.model_path:
-        raise CliError("config", "missing --model output path")
-    pretrained = _load_pretrained(run)
+    _required(run.model_path, "model")
+    pretrained = None
+    if run.pretrained_path:
+        with _opened(run.pretrained_path, "pretrained vectors") as f:
+            pretrained = load_pretrained(f)
     log_lines = []
     for seed in run.seeds:
         config = run.train_config(seed)
@@ -145,48 +145,30 @@ def cmd_train(run: RunConfig) -> int:
         best, _ = train(train_set, dev_set, config,
                         pretrained=pretrained, on_epoch=show)
         dest = seed_model_path(run.model_path, run.seeds, seed)
-        try:
-            with open(dest, "wb") as f:
-                f.write(best.model_bytes)
-        except OSError as exc:
-            raise CliError("io", f"cannot write model: {exc}")
+        with _opened(dest, "model", "wb") as f:
+            f.write(best.model_bytes)
         line = (f"seed {seed} best epoch {best.epoch}  "
                 f"dev-uas {best.dev_uas:.2f}  -> {dest}")
         print(line)
         log_lines.append(line)
     if run.output_path:
-        try:
-            with open(run.output_path, "w", encoding="utf-8") as f:
-                f.write("\n".join(log_lines) + "\n")
-        except OSError as exc:
-            raise CliError("io", f"cannot write training log: {exc}")
+        with _opened(run.output_path, "training log", "w") as f:
+            f.write("\n".join(log_lines) + "\n")
     return 0
 
 
-def _load_model(path: str):
-    if not path:
-        raise CliError("config", "missing --model path")
-    try:
-        return load_model(path)
-    except OSError as exc:
-        raise CliError("io", f"cannot read model: {exc}")
-
-
 def cmd_parse(run: RunConfig) -> int:
-    model = _load_model(run.model_path)
+    with _opened(run.model_path, "model", "rb") as f:
+        model = load_model(f)
     corpus = _read_corpus(run.test_path or run.dev_path, "input")
-    if not run.output_path:
-        raise CliError("config", "missing --output path")
+    _required(run.output_path, "output")
     variant = run.variant or default_variant(model.mode)
     annotated = []
     for sentence in corpus:
         tree = parse(sentence, model, variant=variant, root_agg=run.root_agg)
         annotated.append(sentence.with_heads(tree.heads))
-    try:
-        with open(run.output_path, "w", encoding="utf-8") as f:
-            write_conll(annotated, f)
-    except OSError as exc:
-        raise CliError("io", f"cannot write output: {exc}")
+    with _opened(run.output_path, "output", "w") as f:
+        write_conll(annotated, f)
     print(f"parsed {len(annotated)} sentences with {variant} -> {run.output_path}")
     return 0
 
@@ -201,10 +183,11 @@ def cmd_eval(run: RunConfig) -> int:
         score = uas(gold, trees, policy)
         print(f"file {run.output_path}  uas {score:.10f}")
         return 0
+    _required(run.model_path, "model")
     per_variant: dict = {}
     for seed in run.seeds:
-        path = seed_model_path(run.model_path, run.seeds, seed)
-        model = _load_model(path)
+        with _opened(seed_model_path(run.model_path, run.seeds, seed), "model", "rb") as f:
+            model = load_model(f)
         variants = (run.variant,) if run.variant else MODE_VARIANTS[model.mode]
         decoded = decode_corpus(gold, model, variants, run.root_agg)
         for variant, (trees, clean) in decoded.items():
@@ -234,16 +217,16 @@ COMMANDS = {
     "gradcheck": cmd_gradcheck,
 }
 
-ERROR_CATEGORIES = [
-    (CliError, None),
-    (ConfigError, "config"),
-    (ConllError, "corpus"),
-    (ModelFormatError, "model"),
-    (ModeMismatchError, "mode"),
-    (AlignmentError, "align"),
-    (ValueError, "invalid"),
-    (OSError, "io"),
-]
+# first match wins, so ConfigError and ConllError come before their base ValueError
+ERROR_CATEGORIES = {
+    ConfigError: "config",
+    ConllError: "corpus",
+    ModelFormatError: "model",
+    ModeMismatchError: "mode",
+    AlignmentError: "align",
+    ValueError: "invalid",
+    OSError: "io",
+}
 
 
 def main(argv=None) -> int:
@@ -253,10 +236,11 @@ def main(argv=None) -> int:
         run = effective_config(args)
         return COMMANDS[run.command](run)
     except Exception as exc:
-        for kind, category in ERROR_CATEGORIES:
+        for kind, category in ERROR_CATEGORIES.items():
             if isinstance(exc, kind):
-                category = category or exc.category
-                print(f"error:{category}: {exc}", file=sys.stderr)
+                # one line, even for a message that spans several
+                message = " ".join(str(exc).splitlines())
+                print(f"error:{category}: {message}", file=sys.stderr)
                 return 1
         raise
 

@@ -107,18 +107,26 @@ def _finish(tokens: list[Token], comments: list[str], lineno: int) -> Sentence:
     return Sentence(tokens, comments)
 
 
+def _numbered_lines(stream: TextIO) -> Iterator[tuple[int, str]]:
+    try:
+        yield from enumerate(stream, start=1)
+    except UnicodeDecodeError as exc:
+        raise ConllError(f"not UTF-8 text: {exc.reason}") from None
+
+
 def read_conll(stream: TextIO) -> list[Sentence]:
     """Parse a CoNLL-X/CoNLL-U stream into sentences.
 
     Multiword-token ranges (``1-2``) and empty nodes (``5.1``) are skipped.
     Malformed lines, non-integer heads (other than ``_``) and out-of-range
-    heads raise :class:`ConllError` naming the offending line.
+    heads raise :class:`ConllError` naming the offending line, as does a
+    stream whose bytes are not UTF-8.
     """
     sentences: list[Sentence] = []
     tokens: list[Token] = []
     comments: list[str] = []
     last_token_line = 0
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in _numbered_lines(stream):
         line = raw.rstrip("\n")
         if not line.strip():
             if tokens:

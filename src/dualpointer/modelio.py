@@ -15,7 +15,7 @@ Layout, all integers little-endian, all floats IEEE-754 float64:
 where ``str`` is a u32 byte length followed by UTF-8 bytes.  Writing is
 deterministic: identical parameters produce identical bytes.  Loading
 verifies magic, version and checksum before reconstructing anything, so a
-damaged file never yields a partial model.
+damaged file never yields a partial model, and every loaded value is finite.
 """
 from __future__ import annotations
 
@@ -211,6 +211,8 @@ def load_model(src: BinaryIO | str | Path) -> ModelParams:
                 f"tensor {name!r} needs {nbytes} bytes, {len(body) - r.pos} remain"
             )
         data = np.frombuffer(r.take(nbytes), dtype="<f8").reshape(dims).copy()
+        if not np.isfinite(data).all():
+            raise ModelFormatError(f"tensor {name!r} holds a non-finite value")
         tensors[name] = Tensor(data, requires_grad=True)
     if count != len(tensors):
         raise ModelFormatError(

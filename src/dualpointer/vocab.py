@@ -95,8 +95,9 @@ def load_pretrained(stream: TextIO) -> EmbeddingTable:
     """Load a text-format embedding file: one ``word v1 ... vd`` per line.
 
     A leading ``count dim`` header is tolerated.  All rows must share one
-    dimension; on a duplicate word the last occurrence wins with a warning.
-    Row 0 of the resulting table is a zero unknown vector.
+    dimension and hold finite numbers; on a duplicate word the last
+    occurrence wins with a warning.  Row 0 of the resulting table is a zero
+    unknown vector.
     """
     index: dict[str, int] = {}
     rows: list[np.ndarray] = []
@@ -119,6 +120,8 @@ def load_pretrained(stream: TextIO) -> EmbeddingTable:
             vec = np.array([float(v) for v in values], dtype=np.float64)
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric vector component") from None
+        if not np.isfinite(vec).all():
+            raise ValueError(f"line {lineno}: non-finite vector component")
         if dim is None:
             dim = vec.size
         elif vec.size != dim:

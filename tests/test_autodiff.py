@@ -85,7 +85,7 @@ class TestBackwardAgainstFiniteDifferences:
     def check(self, build, x0, tol=1e-7):
         x = Tensor(np.array(x0, dtype=np.float64), requires_grad=True)
         out = build(x)
-        out.backward(free_graph=False)
+        out.backward()
         analytic = x.grad
 
         def f(arr):
@@ -118,7 +118,7 @@ class TestBackwardAgainstFiniteDifferences:
         w = Tensor(w0.copy(), requires_grad=True)
         x = Tensor(x0.copy(), requires_grad=True)
         b = Tensor(b0.copy(), requires_grad=True)
-        ad.sum_all(ad.tanh(ad.affine(w, x, b))).backward(free_graph=False)
+        ad.sum_all(ad.tanh(ad.affine(w, x, b))).backward()
 
         def fw(arr):
             with ad.no_grad():
@@ -164,7 +164,7 @@ class TestBackwardAgainstFiniteDifferences:
         # y = sum(x*x) + sum(x): grad must be 2x + 1, not one branch only
         x0 = rng.normal(size=4)
         x = Tensor(x0.copy(), requires_grad=True)
-        ad.add(ad.sum_all(ad.mul(x, x)), ad.sum_all(x)).backward(free_graph=False)
+        ad.add(ad.sum_all(ad.mul(x, x)), ad.sum_all(x)).backward()
         np.testing.assert_allclose(x.grad, 2.0 * x0 + 1.0, rtol=1e-12)
 
     def test_deep_chain_no_recursion_limit(self):

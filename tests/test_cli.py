@@ -105,7 +105,10 @@ class TestTrain:
         assert code == 0
         paths = [seed_model_path(dest, (1, 2), s) for s in (1, 2)]
         assert paths[0].endswith("m.seed1.bin")
-        blobs = [open(p, "rb").read() for p in paths]
+        blobs = []
+        for p in paths:
+            with open(p, "rb") as f:
+                blobs.append(f.read())
         assert blobs[0] != blobs[1]
 
     def test_missing_corpus_is_io_error(self, capsys, tmp_path):
@@ -134,6 +137,37 @@ class TestTrain:
         assert code == 1
         assert_one_error(err, "corpus", expected)
         assert not dest.exists()
+
+    @pytest.mark.parametrize("role", ["train", "dev"])
+    @pytest.mark.parametrize("data, expected", [
+        (b"1\tthe\t_\tDET\n", "line 1: expected at least 7"),
+        (b"1\tthe\t_\tDET\t_\t_\t0\t_\t_\t_\n\xff\n", "not UTF-8"),
+    ], ids=["short-line", "not-utf8"])
+    def test_unreadable_corpus_names_its_role(self, capsys, corpus_path, tmp_path, role,
+                                              data, expected):
+        bad = tmp_path / "bad.conllu"
+        bad.write_bytes(data)
+        paths = {"train": corpus_path, "dev": corpus_path, role: str(bad)}
+        dest = tmp_path / "m.bin"
+        code, out, err = run(capsys, [
+            "train", "--train", paths["train"], "--dev", paths["dev"],
+            "--model", str(dest)] + FAST)
+        assert code == 1 and out == ""
+        assert_one_error(err, "corpus", f"{role} corpus: {expected}")
+        assert not dest.exists()
+
+    def test_missing_model_path_fails_before_training(self, capsys, corpus_path):
+        code, out, err = run(capsys, [
+            "train", "--train", corpus_path, "--dev", corpus_path] + FAST)
+        assert code == 1 and out == ""
+        assert_one_error(err, "config", "missing model path")
+
+    def test_unwritable_model_names_its_role(self, capsys, corpus_path, tmp_path):
+        code, _, err = run(capsys, [
+            "train", "--train", corpus_path, "--dev", corpus_path,
+            "--model", str(tmp_path / "no-such-dir" / "m.bin")] + FAST)
+        assert code == 1
+        assert_one_error(err, "io", "cannot write model")
 
 
 class TestPretrainedWidth:
@@ -178,6 +212,18 @@ class TestPretrainedWidth:
         assert code == 0
         assert load_model(str(dest)).encoder.pretrained.dim == 3
 
+    @pytest.mark.parametrize("component", ["nan", "inf", "-Infinity"])
+    def test_non_finite_component_fails_before_training(self, capsys, corpus_path, tmp_path,
+                                                       component):
+        vectors = tmp_path / "vec.txt"
+        vectors.write_text(f"the 1 0 0\ncat 0 {component} 0\n", encoding="utf-8")
+        dest = tmp_path / "m.bin"
+        code, out, err = run(capsys, self.train_argv(corpus_path, dest) + [
+            "--pretrained", str(vectors)])
+        assert code == 1 and out == ""
+        assert_one_error(err, "invalid", "line 2", "non-finite")
+        assert not dest.exists()
+
     def test_help_names_the_file_width(self, capsys):
         with pytest.raises(SystemExit):
             main(["train", "--help"])
@@ -192,7 +238,8 @@ class TestParse:
             "parse", "--model", model_path, "--test", corpus_path,
             "--output", out_path])
         assert code == 0
-        parsed = read_conll(open(out_path, encoding="utf-8"))
+        with open(out_path, encoding="utf-8") as f:
+            parsed = read_conll(f)
         assert len(parsed) == 12
         for s in parsed:
             DepTree(s.gold_heads())  # raises ValueError unless a valid tree
@@ -206,6 +253,21 @@ class TestParse:
             "--output", str(out_path)])
         assert code == 0
         assert out_path.read_text() == ""
+
+    def test_not_utf8_input_is_corpus_error(self, capsys, model_path, tmp_path):
+        src = tmp_path / "latin1.conllu"
+        src.write_bytes("1\tcaf\u00e9\t_\tNOUN\t_\t_\t_\t_\t_\t_\n".encode("latin-1"))
+        out_path = tmp_path / "out.conllu"
+        code, out, err = run(capsys, [
+            "parse", "--model", model_path, "--test", str(src), "--output", str(out_path)])
+        assert code == 1 and out == ""
+        assert_one_error(err, "corpus", "input corpus: not UTF-8")
+        assert not out_path.exists()
+
+    def test_missing_output_path_fails_before_parsing(self, capsys, corpus_path, model_path):
+        code, out, err = run(capsys, ["parse", "--model", model_path, "--test", corpus_path])
+        assert code == 1 and out == ""
+        assert_one_error(err, "config", "missing output path")
 
     def test_variant_incompatible_with_mode(self, capsys, corpus_path, tmp_path):
         dest = str(tmp_path / "h.bin")
@@ -287,6 +349,18 @@ class TestEval:
         assert code == 1 and out == ""
         assert_one_error(err, "corpus", "predicted corpus sentence 3", "cycle")
 
+    def test_not_utf8_gold_is_corpus_error(self, capsys, model_path, tmp_path):
+        bad = tmp_path / "gold.conllu"
+        bad.write_bytes(b"\xff\xfe1\n")
+        code, out, err = run(capsys, ["eval", "--model", model_path, "--test", str(bad)])
+        assert code == 1 and out == ""
+        assert_one_error(err, "corpus", "gold corpus: not UTF-8")
+
+    def test_multi_seed_without_model_is_config_error(self, capsys, corpus_path):
+        code, out, err = run(capsys, ["eval", "--test", corpus_path, "--seeds", "1,2"])
+        assert code == 1 and out == ""
+        assert_one_error(err, "config", "missing model path")
+
     def test_gold_vs_gold_is_100(self, capsys, corpus_path):
         code, out, _ = run(capsys, [
             "eval", "--test", corpus_path, "--output", corpus_path])
@@ -334,7 +408,8 @@ class TestConfigFlow:
         code, _, _ = run(capsys, [
             "train", "--config", saved, "--model", dest2])
         assert code == 0
-        assert open(dest1, "rb").read() == open(dest2, "rb").read()
+        with open(dest1, "rb") as f1, open(dest2, "rb") as f2:
+            assert f1.read() == f2.read()
 
     def test_flags_override_config_file(self, capsys, tmp_path):
         base = tmp_path / "base.ini"
@@ -345,7 +420,8 @@ class TestConfigFlow:
             "--save-config", saved, "--d-pretrained", "4", "--d-random", "4",
             "--bilstm-hidden", "3", "--ptr-hidden", "4"])
         assert code == 0
-        assert "epochs = 7" in open(saved).read()
+        with open(saved) as f:
+            assert "epochs = 7" in f.read()
 
     def test_bad_config_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -353,6 +429,19 @@ class TestConfigFlow:
         code, _, err = run(capsys, ["eval", "--config", str(bad)])
         assert code == 1
         assert err.startswith("error:config:")
+
+    def test_not_utf8_config_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(b"[training]\nepochs = 1\n# caf\xe9\n")
+        code, out, err = run(capsys, ["eval", "--config", str(bad)])
+        assert code == 1 and out == ""
+        assert_one_error(err, "config", "config is not UTF-8")
+
+    def test_unwritable_saved_config(self, capsys, tmp_path):
+        code, out, err = run(capsys, [
+            "gradcheck", "--save-config", str(tmp_path / "no-such-dir" / "run.ini")])
+        assert code == 1 and out == ""
+        assert_one_error(err, "io", "cannot write config")
 
     def test_hostile_hyperparameter_is_config_error(self, capsys, corpus_path, tmp_path):
         dest = tmp_path / "m.bin"
@@ -369,3 +458,11 @@ class TestConfigFlow:
         code, _, err = run(capsys, ["eval", "--config", str(tmp_path / "no.ini")])
         assert code == 1
         assert err.startswith("error:io:")
+
+    def test_config_parse_error_is_one_line(self, capsys, tmp_path):
+        # configparser's own messages span several lines
+        bad = tmp_path / "bad.ini"
+        bad.write_text("epochs = 3\n", encoding="utf-8")
+        code, _, err = run(capsys, ["eval", "--config", str(bad)])
+        assert code == 1
+        assert_one_error(err, "config", "no section headers")

@@ -102,6 +102,12 @@ class TestErrors:
         with pytest.raises(ConllError, match="sequence"):
             read_conll(io.StringIO(bad))
 
+    def test_bytes_not_utf8(self):
+        stream = io.TextIOWrapper(io.BytesIO(TWO_TOKENS.encode("utf-8") + b"\xff\n"),
+                                  encoding="utf-8")
+        with pytest.raises(ConllError, match="not UTF-8"):
+            read_conll(stream)
+
     def test_write_rejects_missing_head(self):
         s = Sentence([Token(1, "a", "X", None)])
         with pytest.raises(ValueError, match="no head"):

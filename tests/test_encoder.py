@@ -240,7 +240,7 @@ class TestLstmCell:
         x = Tensor(x0.copy(), requires_grad=True)
         hw = LstmWeights(w, b, hidden=hidden)
         hh, cc = lstm_cell(x, Tensor(h0), Tensor(c0), hw)
-        ad.sum_all(ad.mul(ad.add(hh, cc), Tensor(proj))).backward(free_graph=False)
+        ad.sum_all(ad.mul(ad.add(hh, cc), Tensor(proj))).backward()
 
         def fw(arr):
             with ad.no_grad():
@@ -364,7 +364,7 @@ class TestBilstm:
                 (f"l{li}.bwd.w", bwd.w), (f"l{li}.bwd.b", bwd.b),
             ]
 
-        loss_with(params).backward(free_graph=False)
+        loss_with(params).backward()
         for name, p in named:
             orig = p.data.copy()
 

@@ -188,6 +188,25 @@ class TestDamage:
         assert code == 1
         assert err.startswith("error:model:"), err
 
+    def test_non_finite_tensor_is_a_model_error_on_the_command_line(self, tmp_path, capsys):
+        m = make_model()
+        m.deps_net.v.data[1] = 1234.5
+        body = bytearray(save_bytes(m)[:-4])
+        at = body.index(struct.pack("<d", 1234.5))
+        struct.pack_into("<d", body, at, np.nan)
+        data = bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        with pytest.raises(ModelFormatError, match="'ptr.deps.v' holds a non-finite"):
+            load_model(io.BytesIO(data))
+        model_path = tmp_path / "nan.bin"
+        model_path.write_bytes(data)
+        test_path = tmp_path / "test.conllu"
+        with open(test_path, "w", encoding="utf-8") as f:
+            write_conll([sent(["a", "b"])], f)
+        code = main(["eval", "--model", str(model_path), "--test", str(test_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:model:") and "ptr.deps.v" in captured.err
+
 
 def with_metadata(data, changes):
     """A saved model with metadata entries replaced (or, for a None value,

@@ -65,7 +65,7 @@ class TestAttentionScore:
         q0, k0 = rng.normal(size=4), rng.normal(size=4)
         q = Tensor(q0.copy(), requires_grad=True)
         k = Tensor(k0.copy(), requires_grad=True)
-        ad.sum_all(attention_score(q, k, p)).backward(free_graph=False)
+        ad.sum_all(attention_score(q, k, p)).backward()
 
         for name, tensor in [("w", p.w), ("b", p.b), ("v", p.v), ("q", q), ("k", k)]:
             orig = tensor.data.copy()
@@ -136,7 +136,7 @@ class TestScoreAll:
             m = score_all(ad.stack(ctx), p)
             return ad.sum_all(ad.mul(m, Tensor(weights)))
 
-        loss_value().backward(free_graph=False)
+        loss_value().backward()
         for name, tensor in [("w", p.w), ("b", p.b), ("v", p.v)]:
             orig = tensor.data.copy()
 
