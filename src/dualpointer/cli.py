@@ -22,7 +22,7 @@ from .gradcheck import format_report, run_gradcheck
 from .model import MODE_VARIANTS, ModeMismatchError
 from .modelio import ModelFormatError, load_model
 from .training import default_variant, train
-from .vocab import load_pretrained
+from .vocab import PretrainedError, load_pretrained
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -87,20 +87,20 @@ def _required(path: str, what: str) -> str:
 @contextlib.contextmanager
 def _opened(path: str, what: str, mode: str = "r"):
     """``path``, the file of the run's ``what`` (e.g. "dev corpus"), open in
-    ``mode``, text as UTF-8; an OSError names ``what``."""
+    ``mode``, text as UTF-8.  An OSError, or a corpus or vectors error that
+    reading the file raised, names ``what``."""
     try:
         with open(_required(path, what), mode, encoding=None if "b" in mode else "utf-8") as f:
             yield f
     except OSError as exc:
         raise OSError(f"cannot {'write' if 'w' in mode else 'read'} {what}: {exc}") from None
+    except (ConllError, PretrainedError) as exc:
+        raise type(exc)(f"{what}: {exc}") from None
 
 
 def _read_corpus(path: str, what: str):
     with _opened(path, f"{what} corpus") as f:
-        try:
-            return read_conll(f)
-        except ConllError as exc:
-            raise ConllError(f"{what} corpus: {exc}") from None
+        return read_conll(f)
 
 
 def _gold_heads(corpus, what: str, trees: bool = False) -> list:
@@ -217,11 +217,12 @@ COMMANDS = {
     "gradcheck": cmd_gradcheck,
 }
 
-# first match wins, so ConfigError and ConllError come before their base ValueError
+# first match wins, so each ValueError subclass comes before ValueError
 ERROR_CATEGORIES = {
     ConfigError: "config",
     ConllError: "corpus",
     ModelFormatError: "model",
+    PretrainedError: "vectors",
     ModeMismatchError: "mode",
     AlignmentError: "align",
     ValueError: "invalid",

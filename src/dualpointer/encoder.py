@@ -15,47 +15,26 @@ hoisting of Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946), so each
 step only adds the recurrent product and applies the gates; its backward
 pass collects the gate gradients of all positions in one matrix and forms
 the weight gradients from it with one product per weight block.
+
+The functions take the tensors they read, which ``model.score_sentence``
+looks up by their layout names; every width comes from a tensor's shape.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .conll import Sentence
-from .vocab import UNKNOWN_ID, EmbeddingTable, Vocabulary
+from .vocab import UNKNOWN_ID, Vocabulary, pretrained_row
 
 __all__ = [
-    "LstmWeights",
-    "EncoderParams",
     "dropout_prob",
     "token_rows",
     "encode_tokens",
     "lstm_sequence",
     "bilstm_encode",
 ]
-
-
-@dataclass
-class LstmWeights:
-    """One direction of one LSTM layer: stacked gate affine.
-
-    ``w`` is [4h x (input + h)] with gate blocks in order input, forget,
-    output, candidate; ``b`` is [4h].
-    """
-
-    w: Tensor
-    b: Tensor
-    hidden: int
-
-
-@dataclass
-class EncoderParams:
-    pretrained: EmbeddingTable
-    random: EmbeddingTable
-    layers: list[tuple[LstmWeights, LstmWeights]]  # (forward, backward) per level
 
 
 def dropout_prob(frequency: int, alpha: float) -> float:
@@ -69,23 +48,22 @@ def dropout_prob(frequency: int, alpha: float) -> float:
 
 def token_rows(
     sentence: Sentence,
-    params: EncoderParams,
     vocab: Vocabulary,
+    index: dict[str, int] | None = None,
     training: bool = False,
     alpha: float = 0.25,
     rng: np.random.Generator | None = None,
 ) -> list[tuple[int, int]]:
     """Resolve each token to (pretrained row, random row), applying word
-    dropout when training.  A dropout hit replaces both lookups at once."""
+    dropout when training.  ``index`` maps words to rows of a pretrained
+    table read from a file; without it the pretrained table is indexed by
+    the vocabulary.  A dropout hit replaces both lookups at once."""
     if training and rng is None:
         raise ValueError("training-mode encoding needs an rng")
     rows = []
     for tok in sentence:
         tok_id = vocab.lookup(tok.form)
-        if params.pretrained.index is not None:
-            pre_row = params.pretrained.row_of(tok.form)
-        else:
-            pre_row = tok_id
+        pre_row = tok_id if index is None else pretrained_row(index, tok.form)
         if training and tok_id != UNKNOWN_ID:
             p = dropout_prob(vocab.frequency(tok_id), alpha)
             if rng.random() < p:
@@ -94,13 +72,13 @@ def token_rows(
     return rows
 
 
-def encode_tokens(rows: list[tuple[int, int]], params: EncoderParams) -> Tensor:
+def encode_tokens(rows: list[tuple[int, int]], pre: Tensor, rand: Tensor) -> Tensor:
     """Token encodings as one [n x (d_pretrained + d_random)] matrix: one
-    tape node gathering the :func:`token_rows` pairs from both tables.
-    Its backward gives each table a :class:`~dualpointer.autodiff.RowGrad`
-    over the rows used, repeated rows adding."""
+    tape node gathering the :func:`token_rows` pairs from the pretrained
+    and random tables.  Its backward gives each table a
+    :class:`~dualpointer.autodiff.RowGrad` over the rows used, repeated
+    rows adding."""
     idx = np.asarray(rows, dtype=np.intp).reshape(len(rows), 2)
-    pre, rand = params.pretrained.weights, params.random.weights
     pre_shape, rand_shape = pre.data.shape, rand.data.shape
     d = pre_shape[1]
 
@@ -122,26 +100,27 @@ def _state_before(states: np.ndarray, reverse: bool) -> np.ndarray:
     return before
 
 
-def lstm_sequence(x: Tensor, weights: LstmWeights, reverse: bool = False) -> Tensor:
+def lstm_sequence(x: Tensor, w: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
     """One LSTM direction over a whole sentence, as a single tape node.
 
-    ``x`` is [T x d_in]; row t of the [T x h] result is the hidden state
-    after reading position t, reading from the last position backwards
-    when ``reverse``.  Computes what a chain of single LSTM steps from
-    zero state computes, up to floating-point evaluation order; the tests
-    hold it to such a chain composed from tape primitives.
+    ``x`` is [T x d_in]; ``w`` is [4h x (d_in + h)] with gate blocks in
+    order input, forget, output, candidate, and ``b`` is [4h].  Row t of
+    the [T x h] result is the hidden state after reading position t,
+    reading from the last position backwards when ``reverse``.  Computes
+    what a chain of single LSTM steps from zero state computes, up to
+    floating-point evaluation order; the tests hold it to such a chain
+    composed from tape primitives.
     """
-    xd, wd = x.data, weights.w.data
-    h = weights.hidden
+    xd, wd = x.data, w.data
+    h = wd.shape[0] // 4
     if (xd.ndim != 2 or wd.shape != (4 * h, xd.shape[1] + h)
-            or weights.b.data.shape != (4 * h,)):
+            or b.data.shape != (4 * h,)):
         raise ValueError(
-            f"lstm_sequence shapes: x {xd.shape}, W {wd.shape}, "
-            f"b {weights.b.data.shape}, hidden {h}"
+            f"lstm_sequence shapes: x {xd.shape}, W {wd.shape}, b {b.data.shape}"
         )
     T, d_in = xd.shape
     wx, wh = wd[:, :d_in], wd[:, d_in:]
-    zx = xd @ wx.T + weights.b.data
+    zx = xd @ wx.T + b.data
     gates = np.empty((T, 4 * h))  # activated i, f, o, g
     cells = np.empty((T, h))
     tanh_cells = np.empty((T, h))
@@ -190,15 +169,17 @@ def lstm_sequence(x: Tensor, weights: LstmWeights, reverse: bool = False) -> Ten
         inputs = np.concatenate([xd, _state_before(states, reverse)], axis=1)
         return dz @ wx, dz.T @ inputs, dz.sum(axis=0)
 
-    return ad.make_node(states, (x, weights.w, weights.b), backward)
+    return ad.make_node(states, (x, w, b), backward)
 
 
-def bilstm_encode(encodings: Tensor, params: EncoderParams) -> Tensor:
+def bilstm_encode(encodings: Tensor,
+                  levels: list[tuple[Tensor, Tensor, Tensor, Tensor]]) -> Tensor:
     """Stacked bidirectional pass: [n x d] encodings to [n x 2h] context
-    vectors, each row the forward state beside the backward state."""
+    vectors, each row the forward state beside the backward state.  Each
+    level is its (forward w, forward b, backward w, backward b)."""
     if encodings.data.shape[0] == 0:
         raise ValueError("cannot encode an empty sentence")
     xs = encodings
-    for fwd, bwd in params.layers:
-        xs = ad.concat([lstm_sequence(xs, fwd), lstm_sequence(xs, bwd, reverse=True)])
+    for fw, fb, bw, bb in levels:
+        xs = ad.concat([lstm_sequence(xs, fw, fb), lstm_sequence(xs, bw, bb, reverse=True)])
     return xs

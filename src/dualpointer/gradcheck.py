@@ -95,13 +95,13 @@ def run_gradcheck(
     loss = sentence_loss(model, sentence, config, training=False)
     loss.backward()
     analytic = {}
-    for name, param in model.named_params():
+    for name, param in model.tensors.items():
         if param.grad is None:
             raise RuntimeError(f"no gradient reached {name}")
         analytic[name] = np.array(param.grad)
 
     report = GradCheckReport(tolerance=tolerance)
-    for name, param in model.named_params():
+    for name, param in model.tensors.items():
         grad = analytic[name].reshape(-1)
         data = param.data.reshape(-1)
         worst, worst_at = 0.0, "-"

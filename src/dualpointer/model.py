@@ -6,7 +6,9 @@ merged (p1) and single-matrix (p2, p3) variants; single-task models serve
 only their own variant (p4 heads, p5 dependents).
 
 Every trainable tensor is named, sized and ordered by :func:`tensor_layout`
-alone; init, :meth:`ModelParams.named_params` and the model file walk it.
+alone, and :attr:`ModelParams.tensors`, keyed by those names, is the one
+description of a model's weights: init, the optimizer, the model file and
+the forward pass, which looks each tensor up by its name, all read it.
 """
 from __future__ import annotations
 
@@ -16,8 +18,8 @@ import numpy as np
 
 from .conll import Sentence
 from .autodiff import Tensor
-from .encoder import EncoderParams, LstmWeights, bilstm_encode, encode_tokens, token_rows
-from .pointer import PointerParams, score_all
+from .encoder import bilstm_encode, encode_tokens, token_rows
+from .pointer import score_all
 from .vocab import UNKNOWN_ID, EmbeddingTable, Vocabulary
 
 __all__ = [
@@ -132,50 +134,17 @@ def _initial_draw(rng: np.random.Generator, name: str, dims: tuple[int, ...]) ->
 
 @dataclass
 class ModelParams:
-    """A model's trainable tensors by name, with the encoder and pointer-net
-    views of them that the forward pass reads."""
+    """A model: its shape, its vocabulary and its trainable tensors, keyed
+    and ordered as :func:`tensor_layout` yields them.  The order is
+    load-bearing: optimizer slots, model file records and gradient-check
+    reports all follow it.  ``index`` maps words to rows of a pretrained
+    table read from a file; it is None when that table is indexed by the
+    vocabulary."""
 
-    vocab: Vocabulary
-    encoder: EncoderParams
-    heads_net: PointerParams | None
-    deps_net: PointerParams | None
     shape: ModelShape
+    vocab: Vocabulary
     tensors: dict[str, Tensor]
-
-    @classmethod
-    def from_tensors(
-        cls,
-        shape: ModelShape,
-        vocab: Vocabulary,
-        index: dict[str, int] | None,
-        tensors: dict[str, Tensor],
-    ) -> ModelParams:
-        """Assemble a model from its tensors, keyed and ordered as
-        :func:`tensor_layout` yields them.  ``index`` maps words to rows of
-        a pretrained table read from a file; it is None when that table is
-        indexed by the vocabulary."""
-
-        def lstm(prefix: str) -> LstmWeights:
-            return LstmWeights(tensors[prefix + ".w"], tensors[prefix + ".b"],
-                               shape.bilstm_hidden)
-
-        encoder = EncoderParams(
-            pretrained=EmbeddingTable(tensors["emb.pretrained"], index),
-            random=EmbeddingTable(tensors["emb.random"]),
-            layers=[(lstm(f"lstm.l{li}.fwd"), lstm(f"lstm.l{li}.bwd"))
-                    for li in range(shape.bilstm_levels)],
-        )
-        nets = {tag: PointerParams(*(tensors[f"ptr.{tag}.{p}"] for p in "wbv"))
-                for tag in MODE_NETS[shape.mode]}
-        return cls(vocab, encoder, nets.get("heads"), nets.get("deps"), shape, tensors)
-
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        """Every trainable tensor in :func:`tensor_layout` order.
-
-        The order is load-bearing: optimizer slots, serialization records
-        and gradient-check reports all index into it.
-        """
-        return list(self.tensors.items())
+    index: dict[str, int] | None = None
 
     @property
     def mode(self) -> str:
@@ -191,19 +160,22 @@ def init_model(
     """Draw all parameters of a model whose :class:`ModelShape` has the
     given keyword arguments as fields.  Tensors are drawn in layout order,
     so one seed plus one configuration pins every value.  A given
-    pretrained table is used as it is and brings its own width; without
-    one, ``emb.pretrained`` is drawn as a second vocabulary-indexed table."""
+    pretrained table brings its own width and word index, and the model
+    starts from a copy of its values, so training leaves the table as it
+    was read; without one, ``emb.pretrained`` is drawn as a second
+    vocabulary-indexed table."""
     shape = ModelShape(**shape)
     given, index = {}, None
     if pretrained is not None:
         shape = replace(shape, d_pretrained=pretrained.dim)
-        given["emb.pretrained"], index = pretrained.weights, pretrained.index
+        given["emb.pretrained"], index = pretrained.weights.data.copy(), pretrained.index
     tensors = {
-        name: given[name] if name in given
-        else Tensor(_initial_draw(rng, name, dims), requires_grad=True)
+        name: Tensor(given[name] if name in given else _initial_draw(rng, name, dims),
+                     requires_grad=True)
         for name, dims in tensor_layout(shape, len(vocab), index is not None)
     }
-    return ModelParams.from_tensors(shape, vocab, index, tensors)
+    return ModelParams(shape, vocab, tensors, index)
+
 
 def require_variant(model: ModelParams, variant: str) -> None:
     if variant not in VARIANTS:
@@ -217,10 +189,11 @@ def require_variant(model: ModelParams, variant: str) -> None:
 
 @dataclass
 class SentenceScores:
-    """Each owned net's pre-activation score tensor, in its own orientation."""
+    """Each owned net's pre-activation score tensor, in its own orientation,
+    by the net's tag."""
 
-    heads: Tensor | None
-    deps: Tensor | None
+    heads: Tensor | None = None
+    deps: Tensor | None = None
 
 
 def score_sentence(
@@ -230,10 +203,14 @@ def score_sentence(
     alpha: float = 0.25,
     rng: np.random.Generator | None = None,
 ) -> SentenceScores:
-    """Encode and run whichever pointer nets the model owns."""
-    rows = token_rows(sentence, model.encoder, model.vocab, training, alpha, rng)
-    encodings = encode_tokens(rows, model.encoder)
-    contexts = bilstm_encode(encodings, model.encoder)
-    heads = score_all(contexts, model.heads_net) if model.heads_net else None
-    deps = score_all(contexts, model.deps_net) if model.deps_net else None
-    return SentenceScores(heads=heads, deps=deps)
+    """Encode and run whichever pointer nets the model owns, each tensor
+    looked up by its :func:`tensor_layout` name."""
+    t = model.tensors
+    rows = token_rows(sentence, model.vocab, model.index, training, alpha, rng)
+    encodings = encode_tokens(rows, t["emb.pretrained"], t["emb.random"])
+    levels = [tuple(t[f"lstm.l{li}.{d}.{p}"] for d in ("fwd", "bwd") for p in "wb")
+              for li in range(model.shape.bilstm_levels)]
+    contexts = bilstm_encode(encodings, levels)
+    return SentenceScores(**{
+        tag: score_all(contexts, *(t[f"ptr.{tag}.{p}"] for p in "wbv"))
+        for tag in MODE_NETS[model.mode]})

@@ -15,7 +15,8 @@ Layout, all integers little-endian, all floats IEEE-754 float64:
 where ``str`` is a u32 byte length followed by UTF-8 bytes.  Writing is
 deterministic: identical parameters produce identical bytes.  Loading
 verifies magic, version and checksum before reconstructing anything, so a
-damaged file never yields a partial model, and every loaded value is finite.
+damaged file never yields a partial model, and every loaded value is finite
+and within ``vocab.WEIGHT_BOUND``.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .model import ModelParams, ModelShape, tensor_layout
-from .vocab import Vocabulary
+from .vocab import WEIGHT_BOUND, Vocabulary, within_bound
 
 __all__ = ["ModelFormatError", "FORMAT_VERSION", "MAGIC", "save_model", "load_model"]
 
@@ -79,16 +80,14 @@ class _Reader:
 
 
 def save_model(model: ModelParams, dest: BinaryIO | str | Path) -> None:
-    """Serialize a model; every parameter must be finite."""
-    for name, t in model.named_params():
-        if not np.all(np.isfinite(t.data)):
-            raise ValueError(f"refusing to save non-finite parameter {name}")
+    """Serialize a model; every parameter must be finite and within
+    ``WEIGHT_BOUND``, so that the file loads again."""
     out = BytesIO()
     out.write(MAGIC)
     out.write(struct.pack("<I", FORMAT_VERSION))
 
     meta = [(f.name, str(getattr(model.shape, f.name))) for f in fields(model.shape)]
-    meta.append(("pretrained_indexed", "0" if model.encoder.pretrained.index is None else "1"))
+    meta.append(("pretrained_indexed", "0" if model.index is None else "1"))
     out.write(struct.pack("<I", len(meta)))
     for k, v in meta:
         _pack_str(out, k)
@@ -101,15 +100,17 @@ def save_model(model: ModelParams, dest: BinaryIO | str | Path) -> None:
         _pack_str(out, f)
         out.write(struct.pack("<Q", c))
 
-    index = model.encoder.pretrained.index or {}
+    index = model.index or {}
     out.write(struct.pack("<I", len(index)))
     for word, row in index.items():
         _pack_str(out, word)
         out.write(struct.pack("<I", row))
 
-    named = model.named_params()
-    out.write(struct.pack("<I", len(named)))
-    for name, t in named:
+    out.write(struct.pack("<I", len(model.tensors)))
+    for name, t in model.tensors.items():
+        if not within_bound(t.data):
+            raise ValueError(f"refusing to save parameter {name}: "
+                             f"a value is non-finite or beyond {WEIGHT_BOUND:g}")
         _pack_str(out, name)
         arr = np.ascontiguousarray(t.data, dtype="<f8")
         out.write(struct.pack("<I", arr.ndim))
@@ -211,8 +212,9 @@ def load_model(src: BinaryIO | str | Path) -> ModelParams:
                 f"tensor {name!r} needs {nbytes} bytes, {len(body) - r.pos} remain"
             )
         data = np.frombuffer(r.take(nbytes), dtype="<f8").reshape(dims).copy()
-        if not np.isfinite(data).all():
-            raise ModelFormatError(f"tensor {name!r} holds a non-finite value")
+        if not within_bound(data):
+            raise ModelFormatError(
+                f"tensor {name!r} holds a non-finite value or one beyond {WEIGHT_BOUND:g}")
         tensors[name] = Tensor(data, requires_grad=True)
     if count != len(tensors):
         raise ModelFormatError(
@@ -223,4 +225,4 @@ def load_model(src: BinaryIO | str | Path) -> ModelParams:
             f"{len(body) - r.pos} unexpected trailing bytes at offset {r.pos}"
         )
 
-    return ModelParams.from_tensors(shape, vocab, index if indexed else None, tensors)
+    return ModelParams(shape, vocab, tensors, index if indexed else None)

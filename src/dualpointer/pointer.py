@@ -1,10 +1,11 @@
 """Pointer-style additive attention with independent per-position outputs.
 
-Two instances of the same scorer are trained side by side: one scores "j is
-the head of i" (heads orientation), the other "j is a dependent of i"
-(dependents orientation).  Scores are pre-activation values; the logistic
-(or optional tanh) output activation is applied downstream, after optional
-merging of the two matrices.
+Two instances of the same scorer are trained side by side, tagged as in
+``model.VARIANTS``: "heads" scores "j is the head of i", "deps" scores "j
+is a dependent of i".  Each net is its three tensors ``ptr.<tag>.w``,
+``.b`` and ``.v``, which the functions here take as arguments.  Scores are
+pre-activation values; the logistic (or optional tanh) output activation
+is applied downstream, after optional merging of the two matrices.
 
 All pairs are scored by one einsum kernel.  np.einsum evaluates a fixed
 contraction order regardless of operand row count, so each entry of the
@@ -14,56 +15,30 @@ it; the BLAS matrix product does not give that guarantee.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .conll import Sentence
 
-__all__ = [
-    "HEADS",
-    "DEPENDENTS",
-    "PointerParams",
-    "score_all",
-    "target_matrix",
-]
-
-HEADS = "heads"
-DEPENDENTS = "dependents"
+__all__ = ["score_all", "target_matrix"]
 
 
-@dataclass
-class PointerParams:
-    """One attention scorer: v . tanh(W [key; query] + b)."""
-
-    w: Tensor  # [hidden x 2*context]
-    b: Tensor  # [hidden]
-    v: Tensor  # [hidden]
-
-    @property
-    def hidden(self) -> int:
-        return self.w.data.shape[0]
-
-    @property
-    def context_dim(self) -> int:
-        return self.w.data.shape[1] // 2
-
-
-def _attention_kernel(cq: Tensor, ck: Tensor, params: PointerParams) -> Tensor:
-    """Scores for every (query row of cq, key row of ck) pair.
+def _attention_kernel(cq: Tensor, ck: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
+    """Scores v . tanh(W [key; query] + b) for every (query row of cq, key
+    row of ck) pair; ``w`` is [hidden x 2 context], ``b`` and ``v`` are
+    [hidden].
 
     Forward einsums keep each output entry's arithmetic independent of the
     batch size; the backward pass is free to use BLAS.
     """
-    d = params.context_dim
+    wd, bd, vd = w.data, b.data, v.data
+    d = wd.shape[1] // 2
     if cq.data.shape[1] != d or ck.data.shape[1] != d:
         raise ValueError(
             f"context dimension mismatch: scorer expects {d}, "
             f"got query {cq.data.shape[1]}, key {ck.data.shape[1]}"
         )
-    wd, bd, vd = params.w.data, params.b.data, params.v.data
     wk, wq = wd[:, :d], wd[:, d:]
     kproj = np.einsum("mc,hc->mh", ck.data, wk)
     qproj = np.einsum("nc,hc->nh", cq.data, wq)
@@ -81,39 +56,41 @@ def _attention_kernel(cq: Tensor, ck: Tensor, params: PointerParams) -> Tensor:
         dw = np.concatenate([dk.T @ ckd, dq.T @ cqd], axis=1)
         return dq @ wq, dk @ wk, dw, db, dv
 
-    return ad.make_node(out, (cq, ck, params.w, params.b, params.v), backward)
+    return ad.make_node(out, (cq, ck, w, b, v), backward)
 
 
-def score_all(contexts: Tensor, params: PointerParams) -> Tensor:
+def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
     """n x n pre-activation scores of all ordered pairs of the rows of an
-    [n x context] matrix at once, diagonal included.  Entry (i, j) reads in
-    the net's own orientation: "j is the head of i" for the heads net, "j is
-    a dependent of i" for the dependents net."""
+    [n x context] matrix at once, diagonal included, by the net whose
+    tensors are ``w``, ``b`` and ``v``.  Entry (i, j) reads in the net's own
+    orientation: "j is the head of i" for the heads net, "j is a dependent
+    of i" for the dependents net."""
     if contexts.data.ndim != 2 or contexts.data.shape[0] == 0:
         raise ValueError(
             f"score_all needs a non-empty matrix of context rows, got shape "
             f"{contexts.data.shape}"
         )
-    return _attention_kernel(contexts, contexts, params)
+    return _attention_kernel(contexts, contexts, w, b, v)
 
 
-def target_matrix(sentence: Sentence, orientation: str) -> np.ndarray:
-    """Gold 0/1 training targets for one orientation.
+def target_matrix(sentence: Sentence, tag: str) -> np.ndarray:
+    """Gold 0/1 training targets for the net of one tag of
+    ``model.VARIANTS``.
 
-    Heads: row i is one-hot at the gold head of token i+1, all-zero when
-    that token is the top.  Dependents: row i marks every token governed
-    by token i+1, all-zero for leaves.  The two are transposes of each
-    other; the diagonal is always zero.
+    "heads": row i is one-hot at the gold head of token i+1, all-zero when
+    that token is the top.  "deps": row i marks every token governed by
+    token i+1, all-zero for leaves.  The two are transposes of each other;
+    the diagonal is always zero.
     """
-    if orientation not in (HEADS, DEPENDENTS):
-        raise ValueError(f"unknown orientation {orientation!r}")
+    if tag not in ("heads", "deps"):
+        raise ValueError(f"unknown pointer net {tag!r}")
     heads = sentence.gold_heads()
     n = len(heads)
     m = np.zeros((n, n))
     for i, h in enumerate(heads):
         if h == 0:
             continue
-        if orientation == HEADS:
+        if tag == "heads":
             m[i, h - 1] = 1.0
         else:
             m[h - 1, i] = 1.0

@@ -6,6 +6,10 @@ cross-entropy of each owned score matrix against its 0/1 target matrix,
 the two tasks summed unweighted; gradients flow through the pointer nets
 and the BiLSTM down to both embedding tables.  A table's gradient names
 only the rows the sentence used, and Adam moves only those rows.
+
+Checkpointing keeps the best epoch's values in one set of arrays, refilled
+in place by each improving epoch; after the last epoch the model takes
+them back and is serialized once, as the run's :class:`Checkpoint`.
 """
 from __future__ import annotations
 
@@ -19,10 +23,10 @@ from . import autodiff as ad
 from .config import TrainConfig
 from .conll import ConllError, Sentence
 from .decoding import PunctuationPolicy, parse, uas
-from .model import MODE_VARIANTS, ModelParams, init_model, score_sentence
+from .model import MODE_NETS, MODE_VARIANTS, ModelParams, init_model, score_sentence
 from .modelio import load_model, save_model
 from .optim import Adam
-from .pointer import DEPENDENTS, HEADS, target_matrix
+from .pointer import target_matrix
 from .vocab import EmbeddingTable, build_vocab
 
 __all__ = [
@@ -55,7 +59,7 @@ class EpochRow:
 
 @dataclass
 class Checkpoint:
-    """A frozen model snapshot tagged with the epoch that produced it."""
+    """The model file of the best epoch, tagged with that epoch."""
 
     epoch: int
     dev_uas: float
@@ -78,10 +82,8 @@ def sentence_loss(
         alpha=config.alpha_word_dropout, rng=rng,
     )
     parts = []
-    for matrix, orientation in ((scored.heads, HEADS), (scored.deps, DEPENDENTS)):
-        if matrix is None:
-            continue
-        target = target_matrix(sentence, orientation)
+    for tag in MODE_NETS[model.mode]:
+        matrix, target = getattr(scored, tag), target_matrix(sentence, tag)
         if model.shape.activation == "tanh":
             parts.append(ad.mse_loss(ad.tanh(matrix), target))
         else:
@@ -90,9 +92,8 @@ def sentence_loss(
 
 
 def make_optimizer(model: ModelParams, config: TrainConfig) -> Adam:
-    params = [t for _, t in model.named_params()]
     return Adam(
-        params,
+        list(model.tensors.values()),
         alpha=config.adam_alpha,
         beta1=config.adam_beta1,
         beta2=config.adam_beta2,
@@ -136,8 +137,8 @@ def train(
     """Full training run; returns the best-dev checkpoint and the log.
 
     Sentences are shuffled each epoch with the run seed.  After every
-    epoch the dev set is parsed in inference mode and the checkpoint with
-    the highest dev UAS (earliest epoch on ties) is kept.
+    epoch the dev set is parsed in inference mode, and the values of the
+    epoch with the highest dev UAS (earliest epoch on ties) are kept.
     """
     for what, sentences in (("train", corpus), ("dev", dev)):
         if not sentences:
@@ -153,7 +154,9 @@ def train(
     variant = default_variant(config.mode)
     punct = PunctuationPolicy(frozenset(config.punct_tags))
 
-    best: Checkpoint | None = None
+    tensors = list(model.tensors.values())
+    best_values = [np.empty_like(t.data) for t in tensors]
+    best: EpochRow | None = None
     rows: list[EpochRow] = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(corpus))
@@ -181,7 +184,11 @@ def train(
         if on_epoch is not None:
             on_epoch(row)
         if best is None or dev_uas > best.dev_uas:
-            buf = io.BytesIO()
-            save_model(model, buf)
-            best = Checkpoint(epoch=epoch, dev_uas=dev_uas, model_bytes=buf.getvalue())
-    return best, rows
+            best = row
+            for kept, t in zip(best_values, tensors):
+                np.copyto(kept, t.data)
+    for kept, t in zip(best_values, tensors):
+        t.data = kept  # the last epoch's arrays are freed before the save
+    buf = io.BytesIO()
+    save_model(model, buf)
+    return Checkpoint(epoch=best.epoch, dev_uas=best.dev_uas, model_bytes=buf.getvalue()), rows

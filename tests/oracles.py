@@ -5,8 +5,7 @@ import numpy as np
 
 from dualpointer import autodiff as ad
 from dualpointer.autodiff import Tensor
-from dualpointer.encoder import LstmWeights
-from dualpointer.pointer import PointerParams, _attention_kernel
+from dualpointer.pointer import _attention_kernel
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -34,16 +33,16 @@ def segment(x: Tensor, start: int, stop: int) -> Tensor:
     return ad.make_node(x.data[start:stop], (x,), backward)
 
 
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, weights: LstmWeights):
+def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: Tensor, b: Tensor):
     """One LSTM step composed from tape primitives: returns (h, c).  The
-    reference for ``encoder.lstm_sequence``."""
-    h = weights.hidden
+    reference for ``encoder.lstm_sequence``, with the same ``w`` and ``b``."""
+    h = b.data.shape[0] // 4
     if x.data.ndim != 1 or h_prev.data.shape != (h,) or c_prev.data.shape != (h,):
         raise ValueError(
             f"lstm_cell shapes: x {x.data.shape}, h {h_prev.data.shape}, "
             f"c {c_prev.data.shape}, hidden {h}"
         )
-    z = ad.affine(weights.w, ad.concat([x, h_prev]), weights.b)
+    z = ad.affine(w, ad.concat([x, h_prev]), b)
     i = sigmoid(segment(z, 0, h))
     f = sigmoid(segment(z, h, 2 * h))
     o = sigmoid(segment(z, 2 * h, 3 * h))
@@ -52,7 +51,7 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, weights: LstmWeights):
     return ad.mul(o, ad.tanh(c)), c
 
 
-def attention_score(query: Tensor, key: Tensor, params: PointerParams) -> Tensor:
+def attention_score(query: Tensor, key: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
     """Score one (query, key) pair: v . tanh(W [key; query] + b).
 
     Returns a 1x1 tensor; its single entry equals the corresponding entry
@@ -60,7 +59,7 @@ def attention_score(query: Tensor, key: Tensor, params: PointerParams) -> Tensor
     """
     if query.data.ndim != 1 or key.data.ndim != 1:
         raise ValueError("attention_score takes single context vectors")
-    return _attention_kernel(_as_row(query), _as_row(key), params)
+    return _attention_kernel(_as_row(query), _as_row(key), w, b, v)
 
 
 def _as_row(x: Tensor) -> Tensor:

@@ -122,7 +122,7 @@ def test_criterion_4_oracle_equivalence():
         n = int(rng.integers(1, 10))
         sentence = random_gold_sentence(rng, n)
         a = target_matrix(sentence, "heads")
-        b = target_matrix(sentence, "dependents")
+        b = target_matrix(sentence, "deps")
         if not np.array_equal(a, b.T):
             transpose_breaks += 1
     report(

@@ -210,9 +210,9 @@ class TestPretrainedWidth:
         code, _, _ = run(capsys, self.train_argv(corpus_path, dest) + [
             "--config", str(ini), "--pretrained", vectors])
         assert code == 0
-        assert load_model(str(dest)).encoder.pretrained.dim == 3
+        assert load_model(str(dest)).tensors["emb.pretrained"].data.shape[1] == 3
 
-    @pytest.mark.parametrize("component", ["nan", "inf", "-Infinity"])
+    @pytest.mark.parametrize("component", ["nan", "inf", "-Infinity", "1.5e308", "-1e101"])
     def test_non_finite_component_fails_before_training(self, capsys, corpus_path, tmp_path,
                                                        component):
         vectors = tmp_path / "vec.txt"
@@ -221,7 +221,24 @@ class TestPretrainedWidth:
         code, out, err = run(capsys, self.train_argv(corpus_path, dest) + [
             "--pretrained", str(vectors)])
         assert code == 1 and out == ""
-        assert_one_error(err, "invalid", "line 2", "non-finite")
+        assert_one_error(err, "vectors", "pretrained vectors: line 2", "non-finite", "1e+100")
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("data, words", [
+        (b"the 1 0 0\n\xff 0 1 0\n", ("pretrained vectors: not UTF-8 text: invalid start byte",)),
+        (b"the 1 0 0\ncat 0 1\n", ("pretrained vectors: line 2: dimension 2",)),
+        (b"the 1 x 0\n", ("pretrained vectors: line 1: non-numeric",)),
+        (b"", ("pretrained vectors: empty",)),
+    ], ids=["not-utf8", "width", "non-numeric", "empty"])
+    def test_bad_vectors_file_is_a_vectors_error(self, capsys, corpus_path, tmp_path,
+                                                 data, words):
+        vectors = tmp_path / "vec.txt"
+        vectors.write_bytes(data)
+        dest = tmp_path / "m.bin"
+        code, out, err = run(capsys, self.train_argv(corpus_path, dest) + [
+            "--pretrained", str(vectors)])
+        assert code == 1 and out == ""
+        assert_one_error(err, "vectors", *words)
         assert not dest.exists()
 
     def test_help_names_the_file_width(self, capsys):

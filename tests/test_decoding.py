@@ -456,17 +456,18 @@ class TestParse:
         with pytest.raises(Exception):
             parse(sent(["a"]), model, "p4")
 
-    def test_p2_independent_of_deps_net(self, model, rng):
+    def test_p2_independent_of_deps_tensors(self, model, rng):
         s = sent(["a", "b", "c", "d"])
         before = parse(s, model, "p2").heads
-        model.deps_net.w.data += rng.normal(size=model.deps_net.w.data.shape)
-        model.deps_net.v.data += 1.0
+        w = model.tensors["ptr.deps.w"]
+        w.data += rng.normal(size=w.data.shape)
+        model.tensors["ptr.deps.v"].data += 1.0
         assert parse(s, model, "p2").heads == before
 
-    def test_p3_independent_of_heads_net(self, model, rng):
+    def test_p3_independent_of_heads_tensors(self, model, rng):
         s = sent(["a", "b", "c", "d"])
         before = parse(s, model, "p3").heads
-        model.heads_net.v.data += 1.0
+        model.tensors["ptr.heads.v"].data += 1.0
         assert parse(s, model, "p3").heads == before
 
     def test_output_ignores_gold_head_column(self, model):

@@ -16,8 +16,6 @@ from dualpointer import model as model_module
 from dualpointer.conll import Sentence, Token, read_conll
 from dualpointer.decoding import parse
 from dualpointer.encoder import (
-    EncoderParams,
-    LstmWeights,
     bilstm_encode,
     dropout_prob,
     encode_tokens,
@@ -25,35 +23,46 @@ from dualpointer.encoder import (
     token_rows,
 )
 from dualpointer.model import init_model
-from dualpointer.vocab import UNKNOWN_ID, build_vocab, load_pretrained
+from dualpointer.vocab import UNKNOWN_ID, build_vocab, load_pretrained, pretrained_row
 
 
 def sent(words):
     return Sentence([Token(i + 1, w, None, 0 if i == 0 else 1) for i, w in enumerate(words)])
 
 
-def init_encoder_params(rng, vocab, pretrained, d_pretrained, d_random, hidden, levels):
-    """The encoder of a freshly drawn model of these sizes."""
-    model = init_model(rng, vocab, pretrained, d_pretrained=d_pretrained, d_random=d_random,
-                       bilstm_hidden=hidden, bilstm_levels=levels)
-    return model.encoder
+def small_model(rng, vocab, pretrained, d_pretrained, d_random, hidden, levels):
+    """A freshly drawn model of these sizes."""
+    return init_model(rng, vocab, pretrained, d_pretrained=d_pretrained, d_random=d_random,
+                      bilstm_hidden=hidden, bilstm_levels=levels)
 
 
-def tiny_params(rng, vocab, d_pre=3, d_rand=4, hidden=5, levels=2):
-    return init_encoder_params(rng, vocab, None, d_pre, d_rand, hidden, levels)
+def tiny_model(rng, vocab, d_pre=3, d_rand=4, hidden=5, levels=2):
+    return small_model(rng, vocab, None, d_pre, d_rand, hidden, levels)
+
+
+def tables(model):
+    """The pretrained and random embedding tables, by layout name."""
+    return model.tensors["emb.pretrained"], model.tensors["emb.random"]
+
+
+def lstm_levels(model):
+    """Each level's (forward w, forward b, backward w, backward b), by
+    layout name, as ``bilstm_encode`` takes them."""
+    t = model.tensors
+    return [tuple(t[f"lstm.l{li}.{d}.{p}"] for d in ("fwd", "bwd") for p in "wb")
+            for li in range(model.shape.bilstm_levels)]
 
 
 def init_lstm(rng, input_dim, hidden):
-    """Glorot-uniform gate matrix (per-gate fan-out), zero bias."""
+    """Glorot-uniform gate matrix (per-gate fan-out) and zero bias: (w, b)."""
     limit = np.sqrt(6.0 / (input_dim + 2 * hidden))
     w = rng.uniform(-limit, limit, size=(4 * hidden, input_dim + hidden))
-    return LstmWeights(Tensor(w, requires_grad=True),
-                       Tensor(np.zeros(4 * hidden), requires_grad=True), hidden)
+    return (Tensor(w, requires_grad=True), Tensor(np.zeros(4 * hidden), requires_grad=True))
 
 
-def embed(sentence, params, vocab):
+def embed(sentence, model):
     """Inference-mode token encodings of a sentence."""
-    return encode_tokens(token_rows(sentence, params, vocab), params)
+    return encode_tokens(token_rows(sentence, model.vocab, model.index), *tables(model))
 
 
 def rows_of(matrix):
@@ -86,80 +95,72 @@ class TestDropoutProb:
 class TestEncodeTokens:
     def test_dimension_and_determinism(self, rng):
         vocab = build_vocab([sent(["a", "b", "c"])])
-        params = tiny_params(rng, vocab)
+        model = tiny_model(rng, vocab)
         s = sent(["a", "c"])
-        out1 = rows_of(embed(s, params, vocab))
-        out2 = rows_of(embed(s, params, vocab))
+        out1 = rows_of(embed(s, model))
+        out2 = rows_of(embed(s, model))
         assert all(v.data.shape == (7,) for v in out1)
         for v1, v2 in zip(out1, out2):
             np.testing.assert_array_equal(v1.data, v2.data)
 
     def test_oov_takes_both_unknown_vectors(self, rng):
         vocab = build_vocab([sent(["a", "b"])])
-        params = tiny_params(rng, vocab)
-        (v,) = rows_of(embed(sent(["zzz"]), params, vocab))
-        expected = np.concatenate([
-            params.pretrained.weights.data[UNKNOWN_ID],
-            params.random.weights.data[UNKNOWN_ID],
-        ])
+        model = tiny_model(rng, vocab)
+        (v,) = rows_of(embed(sent(["zzz"]), model))
+        expected = np.concatenate([t.data[UNKNOWN_ID] for t in tables(model)])
         np.testing.assert_array_equal(v.data, expected)
 
     def test_pretrained_file_lookup_separate_from_vocab(self, rng):
         vocab = build_vocab([sent(["cat", "dog"])])
         table = load_pretrained(io.StringIO("cat 1 0 0\nbird 0 1 0\n"))
-        params = init_encoder_params(rng, vocab, table, d_pretrained=3, d_random=4,
-                                     hidden=5, levels=1)
-        rows = token_rows(sent(["cat", "dog", "bird"]), params, vocab)
+        model = small_model(rng, vocab, table, d_pretrained=3, d_random=4, hidden=5, levels=1)
+        rows = token_rows(sent(["cat", "dog", "bird"]), vocab, model.index)
         # cat: both maps know it; dog: only vocab; bird: only pretrained
-        assert rows[0] == (table.row_of("cat"), vocab.lookup("cat"))
+        assert rows[0] == (pretrained_row(table.index, "cat"), vocab.lookup("cat"))
         assert rows[1] == (UNKNOWN_ID, vocab.lookup("dog"))
-        assert rows[2] == (table.row_of("bird"), UNKNOWN_ID)
+        assert rows[2] == (pretrained_row(table.index, "bird"), UNKNOWN_ID)
 
     def test_no_dropout_at_inference(self, rng):
         vocab = build_vocab([sent(["rare"])])
-        params = tiny_params(rng, vocab)
         for _ in range(200):
-            rows = token_rows(sent(["rare"]), params, vocab, training=False)
+            rows = token_rows(sent(["rare"]), vocab, training=False)
             assert rows[0][1] == vocab.lookup("rare")
 
     def test_dropout_rate_matches_law(self, rng):
         # frequency-1 word, alpha 0.25: substitution rate near 0.2
         vocab = build_vocab([sent(["rare", "x", "y"])])
-        params = tiny_params(rng, vocab)
         s = sent(["rare"])
         hits = 0
         n = 10000
         for _ in range(n):
-            rows = token_rows(s, params, vocab, training=True, alpha=0.25, rng=rng)
+            rows = token_rows(s, vocab, training=True, alpha=0.25, rng=rng)
             hits += rows[0][1] == UNKNOWN_ID
         assert abs(hits / n - 0.2) < 0.01
 
     def test_dropout_hits_both_maps_together(self, rng):
         vocab = build_vocab([sent(["cat", "a", "b"])])
         table = load_pretrained(io.StringIO("cat 1 0 0\n"))
-        params = init_encoder_params(rng, vocab, table, d_pretrained=3, d_random=4,
-                                     hidden=5, levels=1)
+        model = small_model(rng, vocab, table, d_pretrained=3, d_random=4, hidden=5, levels=1)
         s = sent(["cat"])
         saw_hit = False
         for _ in range(500):
-            (pre, rnd) = token_rows(s, params, vocab, training=True, alpha=5.0, rng=rng)[0]
+            (pre, rnd) = token_rows(s, vocab, model.index, training=True, alpha=5.0, rng=rng)[0]
             assert (pre == UNKNOWN_ID) == (rnd == UNKNOWN_ID)
             saw_hit = saw_hit or pre == UNKNOWN_ID
         assert saw_hit
 
     def test_training_without_rng_rejected(self, rng):
         vocab = build_vocab([sent(["a"])])
-        params = tiny_params(rng, vocab)
         with pytest.raises(ValueError):
-            token_rows(sent(["a"]), params, vocab, training=True)
+            token_rows(sent(["a"]), vocab, training=True)
 
     def test_embedding_gradient_reaches_rows(self, rng):
         vocab = build_vocab([sent(["a", "b"])])
-        params = tiny_params(rng, vocab, levels=1)
-        out = embed(sent(["a", "a"]), params, vocab)
+        model = tiny_model(rng, vocab, levels=1)
+        out = embed(sent(["a", "a"]), model)
         loss = ad.sum_all(ad.mul(out, out))
         loss.backward()
-        g = np.asarray(params.random.weights.grad)
+        g = np.asarray(model.tensors["emb.random"].grad)
         row_a = vocab.lookup("a")
         assert g is not None
         assert np.any(g[row_a] != 0.0)
@@ -173,20 +174,19 @@ class TestEncodeTokens:
     ], ids=["repeated-rows", "two-gathers"])
     def test_row_gradient_matches_dense_reference(self, rng, sentences):
         vocab = build_vocab([sent(["a", "b", "c", "d"])])
-        params = tiny_params(rng, vocab, levels=1)
-        tables = (params.pretrained.weights, params.random.weights)
+        model = tiny_model(rng, vocab, levels=1)
         gathers, parts = [], []
         for words in sentences:
-            rows = token_rows(sent(words), params, vocab)
+            rows = token_rows(sent(words), vocab)
             g = rng.normal(size=(len(words), 7))
             gathers.append((np.array(rows), g))
-            parts.append(ad.sum_all(ad.mul(encode_tokens(rows, params), Tensor(g))))
+            parts.append(ad.sum_all(ad.mul(encode_tokens(rows, *tables(model)), Tensor(g))))
         loss = parts[0] if len(parts) == 1 else ad.add(parts[0], parts[1])
         loss.backward()
         # reference: each gather's dense np.add.at gradient, summed in order
-        d = params.pretrained.dim
+        d = model.shape.d_pretrained
         for k, cols in enumerate((slice(None, d), slice(d, None))):
-            table, dense = tables[k], None
+            table, dense = tables(model)[k], None
             for idx, g in gathers:
                 part = np.zeros(table.data.shape)
                 np.add.at(part, idx[:, k], g[:, cols])
@@ -199,27 +199,25 @@ class TestEncodeTokens:
 
 class TestLstmCell:
     def test_zero_weights_zero_state(self):
-        w = LstmWeights(Tensor(np.zeros((20, 8))), Tensor(np.zeros(20)), hidden=5)
-        h, c = lstm_cell(Tensor(np.ones(3)), Tensor(np.zeros(5)), Tensor(np.zeros(5)), w)
+        w, b = Tensor(np.zeros((20, 8))), Tensor(np.zeros(20))
+        h, c = lstm_cell(Tensor(np.ones(3)), Tensor(np.zeros(5)), Tensor(np.zeros(5)), w, b)
         np.testing.assert_array_equal(h.data, np.zeros(5))
         np.testing.assert_array_equal(c.data, np.zeros(5))
 
     def test_saturated_gates_preserve_cell(self, rng):
         # forget bias -> +inf, input bias -> -inf: c == c_prev
         hidden = 4
-        w = LstmWeights(
-            Tensor(rng.normal(size=(16, 7)) * 0.1),
-            Tensor(np.concatenate([np.full(4, -50.0), np.full(4, 50.0), np.zeros(8)])),
-            hidden=hidden,
-        )
+        w = Tensor(rng.normal(size=(16, 7)) * 0.1)
+        b = Tensor(np.concatenate([np.full(4, -50.0), np.full(4, 50.0), np.zeros(8)]))
         c_prev = rng.normal(size=hidden)
-        _, c = lstm_cell(Tensor(rng.normal(size=3)), Tensor(rng.normal(size=hidden)), Tensor(c_prev), w)
+        x, h_prev = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=hidden))
+        _, c = lstm_cell(x, h_prev, Tensor(c_prev), w, b)
         np.testing.assert_allclose(c.data, c_prev, rtol=0, atol=1e-15)
 
     def test_shape_mismatch_rejected(self):
-        w = LstmWeights(Tensor(np.zeros((20, 8))), Tensor(np.zeros(20)), hidden=5)
+        w, b = Tensor(np.zeros((20, 8))), Tensor(np.zeros(20))
         with pytest.raises(ValueError):
-            lstm_cell(Tensor(np.ones(3)), Tensor(np.zeros(4)), Tensor(np.zeros(5)), w)
+            lstm_cell(Tensor(np.ones(3)), Tensor(np.zeros(4)), Tensor(np.zeros(5)), w, b)
 
     def test_cell_gradient_vs_finite_differences(self, rng):
         hidden, xin = 4, 3
@@ -231,15 +229,14 @@ class TestLstmCell:
         proj = rng.normal(size=hidden)
 
         def run(w_arr, b_arr, x_arr, h_arr, c_arr):
-            w = LstmWeights(Tensor(w_arr), Tensor(b_arr), hidden=hidden)
-            h, c = lstm_cell(Tensor(x_arr), Tensor(h_arr), Tensor(c_arr), w)
+            h, c = lstm_cell(Tensor(x_arr), Tensor(h_arr), Tensor(c_arr),
+                             Tensor(w_arr), Tensor(b_arr))
             return ad.sum_all(ad.mul(ad.add(h, c), Tensor(proj)))
 
         w = Tensor(w0.copy(), requires_grad=True)
         b = Tensor(b0.copy(), requires_grad=True)
         x = Tensor(x0.copy(), requires_grad=True)
-        hw = LstmWeights(w, b, hidden=hidden)
-        hh, cc = lstm_cell(x, Tensor(h0), Tensor(c0), hw)
+        hh, cc = lstm_cell(x, Tensor(h0), Tensor(c0), w, b)
         ad.sum_all(ad.mul(ad.add(hh, cc), Tensor(proj))).backward()
 
         def fw(arr):
@@ -262,36 +259,32 @@ class TestLstmCell:
 class TestBilstm:
     def test_single_token(self, rng):
         vocab = build_vocab([sent(["a"])])
-        params = tiny_params(rng, vocab)
-        out = rows_of(bilstm_encode(embed(sent(["a"]), params, vocab), params))
+        model = tiny_model(rng, vocab)
+        out = rows_of(bilstm_encode(embed(sent(["a"]), model), lstm_levels(model)))
         assert len(out) == 1
         assert out[0].data.shape == (10,)  # 2 * hidden
 
     def test_empty_rejected(self, rng):
         vocab = build_vocab([sent(["a"])])
-        params = tiny_params(rng, vocab)
+        model = tiny_model(rng, vocab)
         with pytest.raises(ValueError):
-            bilstm_encode(Tensor(np.zeros((0, 7))), params)
+            bilstm_encode(Tensor(np.zeros((0, 7))), lstm_levels(model))
 
     def test_two_levels_stack(self, rng):
         vocab = build_vocab([sent(["a", "b", "c"])])
-        params = tiny_params(rng, vocab, levels=2)
-        out = rows_of(bilstm_encode(embed(sent(["a", "b", "c"]), params, vocab), params))
+        model = tiny_model(rng, vocab, levels=2)
+        out = rows_of(bilstm_encode(embed(sent(["a", "b", "c"]), model), lstm_levels(model)))
         assert len(out) == 3
         assert all(v.data.shape == (10,) for v in out)
 
     def test_direction_symmetry_single_level(self, rng):
         # reverse input + swap direction weights = reversed, half-swapped output
         vocab = build_vocab([sent(["a", "b", "c", "d"])])
-        params = tiny_params(rng, vocab, hidden=5, levels=1)
-        swapped = EncoderParams(
-            pretrained=params.pretrained,
-            random=params.random,
-            layers=[(bwd, fwd) for fwd, bwd in params.layers],
-        )
+        model = tiny_model(rng, vocab, hidden=5, levels=1)
+        swapped = [(bw, bb, fw, fb) for fw, fb, bw, bb in lstm_levels(model)]
         s = sent(["a", "b", "c", "d"])
-        xs = embed(s, params, vocab)
-        out = rows_of(bilstm_encode(xs, params))
+        xs = embed(s, model)
+        out = rows_of(bilstm_encode(xs, lstm_levels(model)))
         out_sw = rows_of(bilstm_encode(Tensor(xs.data[::-1]), swapped))
         h = 5
         for i, v in enumerate(out):
@@ -304,24 +297,19 @@ class TestBilstm:
         input columns permuted, since level 2 reads concat(fwd, bwd)."""
         h = 5
         vocab = build_vocab([sent(["a", "b", "c", "d"])])
-        params = tiny_params(rng, vocab, hidden=h, levels=2)
+        model = tiny_model(rng, vocab, hidden=h, levels=2)
 
         def swap_input_halves(weights):
-            w = weights.w.data
+            w = weights.data
             inp, rec = w[:, : 2 * h], w[:, 2 * h :]
-            permuted = np.concatenate([inp[:, h:], inp[:, :h], rec], axis=1)
-            return LstmWeights(Tensor(permuted), weights.b, hidden=h)
+            return Tensor(np.concatenate([inp[:, h:], inp[:, :h], rec], axis=1))
 
-        l1f, l1b = params.layers[0]
-        l2f, l2b = params.layers[1]
-        swapped = EncoderParams(
-            pretrained=params.pretrained,
-            random=params.random,
-            layers=[(l1b, l1f), (swap_input_halves(l2b), swap_input_halves(l2f))],
-        )
+        (l1fw, l1fb, l1bw, l1bb), (l2fw, l2fb, l2bw, l2bb) = lstm_levels(model)
+        swapped = [(l1bw, l1bb, l1fw, l1fb),
+                   (swap_input_halves(l2bw), l2bb, swap_input_halves(l2fw), l2fb)]
         s = sent(["a", "b", "c", "d"])
-        xs = embed(s, params, vocab)
-        out = rows_of(bilstm_encode(xs, params))
+        xs = embed(s, model)
+        out = rows_of(bilstm_encode(xs, lstm_levels(model)))
         out_sw = rows_of(bilstm_encode(Tensor(xs.data[::-1]), swapped))
         for i, v in enumerate(out):
             mirror = out_sw[len(out) - 1 - i].data
@@ -331,14 +319,14 @@ class TestBilstm:
     def test_context_sensitivity(self, rng):
         # changing any one token moves every position's vector
         vocab = build_vocab([sent(["a", "b", "c", "d", "e", "f"])])
-        params = tiny_params(rng, vocab)
+        model = tiny_model(rng, vocab)
         base_words = ["a", "b", "c", "d", "e"]
-        encoded = bilstm_encode(embed(sent(base_words), params, vocab), params)
+        encoded = bilstm_encode(embed(sent(base_words), model), lstm_levels(model))
         base = [v.data for v in rows_of(encoded)]
         for j in range(len(base_words)):
             changed = list(base_words)
             changed[j] = "f"
-            out = rows_of(bilstm_encode(embed(sent(changed), params, vocab), params))
+            out = rows_of(bilstm_encode(embed(sent(changed), model), lstm_levels(model)))
             for i in range(len(base_words)):
                 assert not np.array_equal(out[i].data, base[i])
 
@@ -346,32 +334,25 @@ class TestBilstm:
         """Gradient of a scalar of the context vectors w.r.t. every encoder
         parameter tensor, against central differences."""
         vocab = build_vocab([sent(["a", "b", "c", "d"])])
-        params = tiny_params(rng, vocab, d_pre=2, d_rand=3, hidden=3, levels=2)
+        model = tiny_model(rng, vocab, d_pre=2, d_rand=3, hidden=3, levels=2)
         s = sent(["a", "b", "c", "d"])
         proj = rng.normal(size=6)
 
-        def loss_with(params_):
-            out = bilstm_encode(embed(s, params_, vocab), params_)
+        def loss_with(model_):
+            out = bilstm_encode(embed(s, model_), lstm_levels(model_))
             return ad.sum_all(ad.mul(out, Tensor(np.tile(proj, (4, 1)))))
 
-        named = [
-            ("pretrained", params.pretrained.weights),
-            ("random", params.random.weights),
-        ]
-        for li, (fwd, bwd) in enumerate(params.layers):
-            named += [
-                (f"l{li}.fwd.w", fwd.w), (f"l{li}.fwd.b", fwd.b),
-                (f"l{li}.bwd.w", bwd.w), (f"l{li}.bwd.b", bwd.b),
-            ]
+        named = [(name, t) for name, t in model.tensors.items() if not name.startswith("ptr.")]
+        assert len(named) == 2 + 4 * 2
 
-        loss_with(params).backward()
+        loss_with(model).backward()
         for name, p in named:
             orig = p.data.copy()
 
             def f(arr, p=p):
                 p.data = arr
                 with ad.no_grad():
-                    val = loss_with(params).item()
+                    val = loss_with(model).item()
                 return val
 
             num = numeric_grad(f, orig.copy())
@@ -381,18 +362,18 @@ class TestBilstm:
             assert err < 1e-4, f"{name}: rel err {err}"
 
 
-def composed_bilstm(rows, params):
+def composed_bilstm(rows, levels):
     """Reference BiLSTM: chains of the per-step :func:`lstm_cell` over a
     list of per-token vectors, levels stacked by vector concatenation."""
     xs = rows
-    for fwd, bwd in params.layers:
+    for fw, fb, bw, bb in levels:
         states = []
-        for weights, order in ((fwd, xs), (bwd, xs[::-1])):
-            h = Tensor(np.zeros(weights.hidden))
-            c = Tensor(np.zeros(weights.hidden))
+        for (w, b), order in (((fw, fb), xs), ((bw, bb), xs[::-1])):
+            h = Tensor(np.zeros(b.data.shape[0] // 4))
+            c = Tensor(np.zeros(b.data.shape[0] // 4))
             out = []
             for x in order:
-                h, c = lstm_cell(x, h, c, weights)
+                h, c = lstm_cell(x, h, c, w, b)
                 out.append(h)
             states.append(out)
         xs = [ad.concat([f, b]) for f, b in zip(states[0], states[1][::-1])]
@@ -400,14 +381,15 @@ def composed_bilstm(rows, params):
 
 
 def random_levels(rng, d_in, hidden, levels=2):
-    layers = []
+    out = []
     for _ in range(levels):
-        pair = (init_lstm(rng, d_in, hidden), init_lstm(rng, d_in, hidden))
-        for weights in pair:
-            weights.b.data[:] = rng.normal(size=4 * hidden) * 0.5
-        layers.append(pair)
+        fw, fb = init_lstm(rng, d_in, hidden)
+        bw, bb = init_lstm(rng, d_in, hidden)
+        for b in (fb, bb):
+            b.data[:] = rng.normal(size=4 * hidden) * 0.5
+        out.append((fw, fb, bw, bb))
         d_in = 2 * hidden
-    return layers
+    return out
 
 
 class TestLstmSequence:
@@ -420,14 +402,13 @@ class TestLstmSequence:
         proj = rng.normal(size=(T, hidden))
 
         def run(w_arr, b_arr, x_arr):
-            weights = LstmWeights(Tensor(w_arr), Tensor(b_arr), hidden=hidden)
-            out = lstm_sequence(Tensor(x_arr), weights, reverse=reverse)
+            out = lstm_sequence(Tensor(x_arr), Tensor(w_arr), Tensor(b_arr), reverse=reverse)
             return ad.sum_all(ad.mul(out, Tensor(proj)))
 
         w = Tensor(w0.copy(), requires_grad=True)
         b = Tensor(b0.copy(), requires_grad=True)
         x = Tensor(x0.copy(), requires_grad=True)
-        out = lstm_sequence(x, LstmWeights(w, b, hidden=hidden), reverse=reverse)
+        out = lstm_sequence(x, w, b, reverse=reverse)
         ad.sum_all(ad.mul(out, Tensor(proj))).backward()
 
         def numeric(which):
@@ -444,9 +425,9 @@ class TestLstmSequence:
         assert rel_err(x.grad, numeric(2)) < 1e-6
 
     def test_shape_mismatch_rejected(self):
-        w = LstmWeights(Tensor(np.zeros((20, 8))), Tensor(np.zeros(20)), hidden=5)
+        w, b = Tensor(np.zeros((20, 8))), Tensor(np.zeros(20))
         with pytest.raises(ValueError):
-            lstm_sequence(Tensor(np.ones((4, 2))), w)
+            lstm_sequence(Tensor(np.ones((4, 2))), w, b)
 
     @pytest.mark.parametrize("T", [1, 2, 7, 120])
     @pytest.mark.parametrize("hidden", [3, 64, 200])
@@ -455,21 +436,20 @@ class TestLstmSequence:
         gradient within 1e-12 relative of the per-step reference."""
         rng = np.random.default_rng(T * 1000 + hidden)
         d_in = 7
-        layers = random_levels(rng, d_in, hidden)
-        params = EncoderParams(pretrained=None, random=None, layers=layers)
-        weights = [t for pair in layers for lw in pair for t in (lw.w, lw.b)]
+        levels = random_levels(rng, d_in, hidden)
+        weights = [t for level in levels for t in level]
         x0 = rng.normal(size=(T, d_in))
         proj = Tensor(rng.normal(size=(T, 2 * hidden)))
 
         x = Tensor(x0.copy(), requires_grad=True)
-        out = bilstm_encode(x, params)
+        out = bilstm_encode(x, levels)
         ad.sum_all(ad.mul(out, proj)).backward()
         fused = [out.data, x.grad] + [t.grad for t in weights]
         for t in weights:
             t.grad = None
 
         rows = [Tensor(r.copy(), requires_grad=True) for r in x0]
-        ref_out = composed_bilstm(rows, params)
+        ref_out = composed_bilstm(rows, levels)
         ad.sum_all(ad.mul(ref_out, proj)).backward()
         reference = [ref_out.data, np.stack([r.grad for r in rows])]
         reference += [t.grad for t in weights]
@@ -488,7 +468,7 @@ class TestLstmSequence:
         fused = [parse(s, model).heads for s in sentences]
         monkeypatch.setattr(
             model_module, "bilstm_encode",
-            lambda x, params: composed_bilstm([Tensor(r) for r in x.data], params),
+            lambda x, levels: composed_bilstm([Tensor(r) for r in x.data], levels),
         )
         composed = [parse(s, model).heads for s in sentences]
         assert len(fused) == 200

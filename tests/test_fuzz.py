@@ -4,6 +4,7 @@ category."""
 import contextlib
 import io
 import struct
+import warnings
 import zlib
 from pathlib import Path
 
@@ -17,7 +18,8 @@ from dualpointer.config import ConfigError, RunConfig, dump_config, load_config
 from dualpointer.conll import ConllError, Sentence, Token, read_conll, write_conll
 from dualpointer.model import init_model
 from dualpointer.modelio import ModelFormatError, load_model, save_model
-from dualpointer.vocab import build_vocab
+from dualpointer.vocab import (WEIGHT_BOUND, PretrainedError, build_vocab, load_pretrained,
+                               within_bound)
 
 TOY = (Path(__file__).resolve().parents[1] / "data" / "toy.conllu").read_text(encoding="utf-8")
 FUZZ = settings(max_examples=300)
@@ -38,7 +40,7 @@ def tiny_model():
     save_model(model, buf)
     data = buf.getvalue()
     tensors = []
-    for name, t in model.named_params():
+    for name, t in model.tensors.items():
         raw = name.encode("utf-8")
         at = data.index(struct.pack("<I", len(raw)) + raw) + 4 + len(raw)
         ndim = struct.unpack_from("<I", data, at)[0]
@@ -162,16 +164,74 @@ class TestLoadModel:
             model = load_model(io.BytesIO(flipped(flips)))
         except ModelFormatError:
             return
-        assert all(np.isfinite(t.data).all() for _, t in model.named_params())
+        assert all(np.isfinite(t.data).all() for t in model.tensors.values())
+        assert all(within_bound(t.data) for t in model.tensors.values())
 
     @given(st.sampled_from(TENSORS), st.integers(0, 10**6),
-           st.sampled_from([np.nan, np.inf, -np.inf]))
-    def test_non_finite_value(self, tensor, element, value):
+           st.sampled_from([np.nan, np.inf, -np.inf, 1.5e308, -1.5e308, 1.01 * WEIGHT_BOUND]))
+    def test_non_finite_value(self, workdir, tensor, element, value):
         name, offset, size = tensor
         body = bytearray(MODEL[:-4])
         struct.pack_into("<d", body, offset + 8 * (element % size), value)
         with pytest.raises(ModelFormatError, match=f"tensor '{name}' holds a non-finite"):
             load_model(io.BytesIO(with_crc(body)))
+        model, gold = workdir / "huge.bin", workdir / "gold.conllu"
+        model.write_bytes(with_crc(body))
+        gold.write_text(TOY, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_error(["eval", "--model", str(model), "--test", str(gold)]) == "model"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_weights_at_the_bound_decode_without_overflow(self, workdir):
+        """Every weight and embedding value at +-WEIGHT_BOUND: the model
+        loads and evaluates with no floating-point warning."""
+        model = load_model(io.BytesIO(MODEL))
+        signs = np.random.default_rng(0)
+        for t in model.tensors.values():
+            t.data[...] = WEIGHT_BOUND * signs.choice([-1.0, 1.0], size=t.data.shape)
+        path, gold = workdir / "bound.bin", workdir / "gold.conllu"
+        save_model(model, str(path))
+        gold.write_text(TOY, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                assert cli_error(["eval", "--model", str(path), "--test", str(gold)]) is None
+
+
+VECTORS = "the 0.5 -1 2\ndog 1e3 0 -0.25\nbird 0 0 1\n"
+VECTOR_CHARS = " \n\t.-+_e0123456789naifxé"
+
+
+def pretrained_or_error(stream):
+    """The table ``load_pretrained`` reads from ``stream``, held to its
+    promises, or None when it raised its own error."""
+    try:
+        table = load_pretrained(stream)
+    except PretrainedError:
+        return None
+    assert within_bound(table.weights.data)
+    assert not table.weights.data[0].any()
+    assert sorted(table.index.values()) == list(range(1, len(table.weights.data)))
+    return table
+
+
+class TestLoadPretrained:
+    @FUZZ
+    @given(st.text())
+    def test_any_text(self, text):
+        pretrained_or_error(io.StringIO(text))
+
+    @FUZZ
+    @given(EDITS)
+    def test_mutated_vectors(self, edits):
+        pretrained_or_error(io.StringIO(mutated(VECTORS, edits, VECTOR_CHARS)))
+
+    @FUZZ
+    @given(st.binary(), st.binary(max_size=8))
+    def test_any_bytes(self, head, tail):
+        raw = VECTORS.encode("utf-8") + head + tail
+        pretrained_or_error(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +296,22 @@ class TestCommandLine:
         path = workdir / "hostile.conllu"
         path.write_bytes(data)
         assert cli_error(["eval", "--test", str(path), "--output", str(path)]) == "corpus"
+
+    @settings(max_examples=60)
+    @given(EDITS, st.binary(max_size=4))
+    def test_train_with_hostile_vectors(self, workdir, edits, tail):
+        vectors, corpus = workdir / "vec.txt", workdir / "train.conllu"
+        model = workdir / "vec.bin"
+        vectors.write_bytes(mutated(VECTORS, edits, VECTOR_CHARS).encode("utf-8") + tail)
+        with open(corpus, "w", encoding="utf-8") as f:
+            write_conll([sentence(["the", "dog", "a"]), sentence(["bird"])], f)
+        category = cli_error(["train", "--train", str(corpus), "--dev", str(corpus),
+                              "--model", str(model), "--pretrained", str(vectors),
+                              "--epochs", "1", "--d-random", "2", "--bilstm-hidden", "2",
+                              "--bilstm-levels", "1", "--ptr-hidden", "2"])
+        assert category in (None, "vectors", "io")
+        if category is None:
+            load_model(str(model))
 
     @pytest.mark.parametrize("damage", ["truncated", "nan", "flipped"])
     def test_hostile_model(self, workdir, damage):

@@ -50,6 +50,14 @@ def test_single_task_reports_only_owned_net():
     assert report.passed
 
 
+def test_long_sentence_passes():
+    """120 tokens: gradients through 120 LSTM steps each way and a 120 x 120
+    score matrix still match finite differences."""
+    small = ModelShape(d_pretrained=3, d_random=3, bilstm_hidden=3, ptr_hidden=3)
+    report = run_gradcheck(seed=4, n_tokens=120, shape=small, **SAMPLING)
+    assert report.passed, format_report(report)
+
+
 def test_tanh_output_variant_passes():
     report = run_gradcheck(seed=3, shape=replace(SHAPE, activation="tanh"), **SAMPLING)
     assert report.passed

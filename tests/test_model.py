@@ -51,21 +51,25 @@ def test_variant_table_and_its_derived_tables():
                          DEPS_ONLY: ("deps",)}
 
 
+def nets(model):
+    """Tags of the pointer nets whose tensors the model holds."""
+    return {name.split(".")[1] for name in model.tensors if name.startswith("ptr.")}
+
+
 def test_joint_owns_both_nets(rng, vocab):
-    m = small_model(rng, vocab)
-    assert m.heads_net is not None and m.deps_net is not None
+    assert nets(small_model(rng, vocab)) == {"heads", "deps"}
 
 
 def test_single_task_models_own_one_net(rng, vocab):
     mh = small_model(rng, vocab, HEADS_ONLY)
     md = small_model(np.random.default_rng(0), vocab, DEPS_ONLY)
-    assert mh.heads_net is not None and mh.deps_net is None
-    assert md.heads_net is None and md.deps_net is not None
+    assert nets(mh) == {"heads"}
+    assert nets(md) == {"deps"}
 
 
 def test_named_params_fixed_order(rng, vocab):
     m = small_model(rng, vocab)
-    names = [n for n, _ in m.named_params()]
+    names = list(m.tensors)
     assert names == [
         "emb.pretrained", "emb.random",
         "lstm.l0.fwd.w", "lstm.l0.fwd.b", "lstm.l0.bwd.w", "lstm.l0.bwd.b",
@@ -73,25 +77,26 @@ def test_named_params_fixed_order(rng, vocab):
         "ptr.heads.w", "ptr.heads.b", "ptr.heads.v",
         "ptr.deps.w", "ptr.deps.b", "ptr.deps.v",
     ]
-    assert all(t.requires_grad for _, t in m.named_params())
+    assert all(t.requires_grad for t in m.tensors.values())
 
 
 def test_same_seed_same_params(vocab):
     a = small_model(np.random.default_rng(7), vocab)
     b = small_model(np.random.default_rng(7), vocab)
-    for (na, ta), (nb, tb) in zip(a.named_params(), b.named_params()):
+    for (na, ta), (nb, tb) in zip(a.tensors.items(), b.tensors.items()):
         assert na == nb
         np.testing.assert_array_equal(ta.data, tb.data)
 
 
 def test_default_dims_match_table(vocab):
     m = init_model(np.random.default_rng(0), vocab)
-    assert m.encoder.pretrained.dim == 100
-    assert m.encoder.random.dim == 150
-    assert len(m.encoder.layers) == 2
-    assert m.encoder.layers[0][0].hidden == 200
-    assert m.heads_net.hidden == 100
-    assert m.heads_net.w.data.shape == (100, 2 * 400)
+    t = m.tensors
+    assert t["emb.pretrained"].data.shape[1] == 100
+    assert t["emb.random"].data.shape[1] == 150
+    assert {n.split(".")[1] for n in t if n.startswith("lstm.")} == {"l0", "l1"}
+    assert t["lstm.l0.fwd.w"].data.shape[0] == 4 * 200
+    assert t["ptr.heads.v"].data.shape == (100,)
+    assert t["ptr.heads.w"].data.shape == (100, 2 * 400)
 
 
 def test_unknown_mode_rejected(rng, vocab):

@@ -18,7 +18,7 @@ from dualpointer.modelio import (
     load_model,
     save_model,
 )
-from dualpointer.vocab import EmbeddingTable, build_vocab, load_pretrained
+from dualpointer.vocab import build_vocab, load_pretrained, pretrained_row
 from dualpointer.decoding import merge, parse
 
 
@@ -45,8 +45,8 @@ def save_bytes(model):
 def test_roundtrip_bit_identical_params():
     m = make_model()
     loaded = load_model(io.BytesIO(save_bytes(m)))
-    orig = dict(m.named_params())
-    back = dict(loaded.named_params())
+    orig = m.tensors
+    back = loaded.tensors
     assert orig.keys() == back.keys()
     for name in orig:
         np.testing.assert_array_equal(orig[name].data, back[name].data)
@@ -82,16 +82,15 @@ def test_single_task_modes_roundtrip():
         m = make_model(mode=mode)
         loaded = load_model(io.BytesIO(save_bytes(m)))
         assert loaded.mode == mode
-        assert (loaded.heads_net is None) == (m.heads_net is None)
-        assert (loaded.deps_net is None) == (m.deps_net is None)
+        assert list(loaded.tensors) == list(m.tensors)
 
 
 def test_pretrained_index_preserved():
     table = load_pretrained(io.StringIO("dog 1 0 0\nThe 0 1 0\n"))
     m = make_model(pretrained=table)
     loaded = load_model(io.BytesIO(save_bytes(m)))
-    assert loaded.encoder.pretrained.index == table.index
-    assert loaded.encoder.pretrained.row_of("dog") == table.row_of("dog")
+    assert loaded.index == table.index
+    assert pretrained_row(loaded.index, "dog") == pretrained_row(table.index, "dog") == 1
 
 
 def test_file_path_roundtrip(tmp_path):
@@ -100,7 +99,7 @@ def test_file_path_roundtrip(tmp_path):
     save_model(m, path)
     loaded = load_model(path)
     np.testing.assert_array_equal(
-        loaded.encoder.random.weights.data, m.encoder.random.weights.data
+        loaded.tensors["emb.random"].data, m.tensors["emb.random"].data
     )
 
 
@@ -111,7 +110,7 @@ def test_deterministic_bytes_same_seed_config():
 
 def test_nonfinite_params_refused():
     m = make_model()
-    m.heads_net.v.data[0] = np.nan
+    m.tensors["ptr.heads.v"].data[0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         save_model(m, io.BytesIO())
 
@@ -190,7 +189,7 @@ class TestDamage:
 
     def test_non_finite_tensor_is_a_model_error_on_the_command_line(self, tmp_path, capsys):
         m = make_model()
-        m.deps_net.v.data[1] = 1234.5
+        m.tensors["ptr.deps.v"].data[1] = 1234.5
         body = bytearray(save_bytes(m)[:-4])
         at = body.index(struct.pack("<d", 1234.5))
         struct.pack_into("<d", body, at, np.nan)

@@ -10,22 +10,17 @@ from oracles import attention_score
 from dualpointer import autodiff as ad
 from dualpointer.autodiff import Tensor
 from dualpointer.conll import Sentence, Token
-from dualpointer.pointer import (
-    DEPENDENTS,
-    HEADS,
-    PointerParams,
-    score_all,
-    target_matrix,
-)
+from dualpointer.pointer import score_all, target_matrix
 
 
 def make_params(rng, ctx=6, hidden=4):
-    # Glorot-uniform W, zero b, v uniform within sqrt(3 / hidden)
+    """One net's (w, b, v): Glorot-uniform W, zero b, v uniform within
+    sqrt(3 / hidden)."""
     w_limit = np.sqrt(6.0 / (2 * ctx + hidden))
     w = rng.uniform(-w_limit, w_limit, size=(hidden, 2 * ctx))
     v = rng.uniform(-np.sqrt(3.0 / hidden), np.sqrt(3.0 / hidden), size=hidden)
-    return PointerParams(Tensor(w, requires_grad=True), Tensor(np.zeros(hidden), requires_grad=True),
-                         Tensor(v, requires_grad=True))
+    return (Tensor(w, requires_grad=True), Tensor(np.zeros(hidden), requires_grad=True),
+            Tensor(v, requires_grad=True))
 
 
 def contexts(rng, n, ctx=6):
@@ -35,39 +30,41 @@ def contexts(rng, n, ctx=6):
 class TestAttentionScore:
     def test_zero_v_scores_zero(self, rng):
         p = make_params(rng)
-        p.v.data[:] = 0.0
-        s = attention_score(Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6)), p)
+        p[2].data[:] = 0.0  # v
+        s = attention_score(Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6)), *p)
         assert s.item() == 0.0
 
     def test_zero_affine_scores_zero(self, rng):
         p = make_params(rng)
-        p.w.data[:] = 0.0
-        p.b.data[:] = 0.0
-        s = attention_score(Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6)), p)
+        for t in p[:2]:  # w and b
+            t.data[:] = 0.0
+        s = attention_score(Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6)), *p)
         assert s.item() == 0.0
 
     def test_matches_manual_formula(self, rng):
         p = make_params(rng)
+        w, b, v = p
         q, k = rng.normal(size=6), rng.normal(size=6)
-        manual = p.v.data @ np.tanh(p.w.data @ np.concatenate([k, q]) + p.b.data)
-        s = attention_score(Tensor(q), Tensor(k), p)
+        manual = v.data @ np.tanh(w.data @ np.concatenate([k, q]) + b.data)
+        s = attention_score(Tensor(q), Tensor(k), *p)
         np.testing.assert_allclose(s.item(), manual, rtol=1e-12)
 
     def test_dimension_mismatch_rejected(self, rng):
         p = make_params(rng, ctx=6)
         with pytest.raises(ValueError):
-            attention_score(Tensor(np.zeros(5)), Tensor(np.zeros(6)), p)
+            attention_score(Tensor(np.zeros(5)), Tensor(np.zeros(6)), *p)
 
     def test_gradient_all_params(self, rng):
         p = make_params(rng, ctx=4, hidden=3)
-        for t in (p.w, p.b, p.v):
+        w, b, v = p
+        for t in p:
             t.requires_grad = True
         q0, k0 = rng.normal(size=4), rng.normal(size=4)
         q = Tensor(q0.copy(), requires_grad=True)
         k = Tensor(k0.copy(), requires_grad=True)
-        ad.sum_all(attention_score(q, k, p)).backward()
+        ad.sum_all(attention_score(q, k, *p)).backward()
 
-        for name, tensor in [("w", p.w), ("b", p.b), ("v", p.v), ("q", q), ("k", k)]:
+        for name, tensor in [("w", w), ("b", b), ("v", v), ("q", q), ("k", k)]:
             orig = tensor.data.copy()
 
             def f(arr, tensor=tensor):
@@ -75,7 +72,7 @@ class TestAttentionScore:
                 with ad.no_grad():
                     val = attention_score(Tensor(q0) if tensor is not q else q,
                                           Tensor(k0) if tensor is not k else k,
-                                          p).item()
+                                          *p).item()
                 tensor.data = orig
                 return val
 
@@ -87,7 +84,7 @@ class TestAttentionScore:
 class TestScoreAll:
     def test_single_context(self, rng):
         p = make_params(rng)
-        m = score_all(ad.stack(contexts(rng, 1)), p)
+        m = score_all(ad.stack(contexts(rng, 1)), *p)
         assert m.data.shape == (1, 1)
 
     def test_entries_match_pairwise_calls_exactly(self, rng):
@@ -95,49 +92,50 @@ class TestScoreAll:
         bit-for-bit, diagonal included."""
         p = make_params(rng, ctx=8, hidden=5)
         ctx = contexts(rng, 7, ctx=8)
-        m = score_all(ad.stack(ctx), p)
+        m = score_all(ad.stack(ctx), *p)
         for i in range(7):
             for j in range(7):
-                single = attention_score(ctx[i], ctx[j], p).item()
+                single = attention_score(ctx[i], ctx[j], *p).item()
                 assert m.data[i, j] == single, (i, j)
 
     def test_two_instances_share_nothing(self, rng):
         ph = make_params(rng)
         pd = make_params(rng)
         ctx = contexts(rng, 4)
-        before = score_all(ad.stack(ctx), ph).data.copy()
-        pd.w.data[:] = 99.0
-        np.testing.assert_array_equal(score_all(ad.stack(ctx), ph).data, before)
+        before = score_all(ad.stack(ctx), *ph).data.copy()
+        pd[0].data[:] = 99.0  # its w
+        np.testing.assert_array_equal(score_all(ad.stack(ctx), *ph).data, before)
 
     def test_pure_under_reevaluation(self, rng):
         p = make_params(rng)
         ctx = contexts(rng, 5)
-        np.testing.assert_array_equal(score_all(ad.stack(ctx), p).data,
-                                      score_all(ad.stack(ctx), p).data)
+        np.testing.assert_array_equal(score_all(ad.stack(ctx), *p).data,
+                                      score_all(ad.stack(ctx), *p).data)
 
     def test_all_entries_finite(self, rng):
         p = make_params(rng)
         ctx = [Tensor(rng.normal(size=6) * 100.0) for _ in range(6)]
-        assert np.all(np.isfinite(score_all(ad.stack(ctx), p).data))
+        assert np.all(np.isfinite(score_all(ad.stack(ctx), *p).data))
 
     def test_empty_rejected(self, rng):
         with pytest.raises(ValueError):
-            score_all(Tensor(np.zeros((0, 6))), make_params(rng))
+            score_all(Tensor(np.zeros((0, 6))), *make_params(rng))
 
     def test_gradient_through_batched_scorer(self, rng):
         p = make_params(rng, ctx=4, hidden=3)
-        for t in (p.w, p.b, p.v):
+        w, b, v = p
+        for t in p:
             t.requires_grad = True
         c0 = rng.normal(size=(5, 4))
         weights = rng.normal(size=(5, 5))
 
         def loss_value():
             ctx = [Tensor(c0[i]) for i in range(5)]
-            m = score_all(ad.stack(ctx), p)
+            m = score_all(ad.stack(ctx), *p)
             return ad.sum_all(ad.mul(m, Tensor(weights)))
 
         loss_value().backward()
-        for name, tensor in [("w", p.w), ("b", p.b), ("v", p.v)]:
+        for name, tensor in [("w", w), ("b", b), ("v", v)]:
             orig = tensor.data.copy()
 
             def f(arr, tensor=tensor):
@@ -169,25 +167,25 @@ def random_tree_heads(rng, n):
 
 class TestTargetMatrix:
     def test_two_token_heads(self):
-        m = target_matrix(tree_sentence([2, 0]), HEADS)
+        m = target_matrix(tree_sentence([2, 0]), "heads")
         np.testing.assert_array_equal(m, [[0, 1], [0, 0]])
 
     def test_two_token_dependents(self):
-        m = target_matrix(tree_sentence([2, 0]), DEPENDENTS)
+        m = target_matrix(tree_sentence([2, 0]), "deps")
         np.testing.assert_array_equal(m, [[0, 0], [1, 0]])
 
     def test_top_row_zero_heads(self):
-        m = target_matrix(tree_sentence([3, 3, 0]), HEADS)
+        m = target_matrix(tree_sentence([3, 3, 0]), "heads")
         np.testing.assert_array_equal(m[2], [0, 0, 0])
 
     def test_leaf_rows_zero_dependents(self):
-        m = target_matrix(tree_sentence([3, 3, 0]), DEPENDENTS)
+        m = target_matrix(tree_sentence([3, 3, 0]), "deps")
         np.testing.assert_array_equal(m[0], [0, 0, 0])
         np.testing.assert_array_equal(m[1], [0, 0, 0])
         np.testing.assert_array_equal(m[2], [1, 1, 0])
 
     def test_heads_rows_one_hot(self):
-        m = target_matrix(tree_sentence([2, 0, 2, 3]), HEADS)
+        m = target_matrix(tree_sentence([2, 0, 2, 3]), "heads")
         sums = m.sum(axis=1)
         assert sorted(sums) == [0.0, 1.0, 1.0, 1.0]
         assert np.count_nonzero(sums == 0) == 1
@@ -196,15 +194,15 @@ class TestTargetMatrix:
         for _ in range(100):
             n = int(rng.integers(1, 15))
             s = tree_sentence(random_tree_heads(rng, n))
-            h = target_matrix(s, HEADS)
-            d = target_matrix(s, DEPENDENTS)
+            h = target_matrix(s, "heads")
+            d = target_matrix(s, "deps")
             np.testing.assert_array_equal(d, h.T)
             assert np.all(np.diag(h) == 0)
 
     def test_missing_gold_head_rejected(self):
         s = Sentence([Token(1, "a", None, None)])
         with pytest.raises(ValueError):
-            target_matrix(s, HEADS)
+            target_matrix(s, "heads")
 
     def test_unknown_orientation_rejected(self):
         with pytest.raises(ValueError):
@@ -215,5 +213,5 @@ class TestTargetMatrix:
         heads = random_tree_heads(np.random.default_rng(seed), n)
         s = tree_sentence(heads)
         np.testing.assert_array_equal(
-            target_matrix(s, DEPENDENTS), target_matrix(s, HEADS).T
+            target_matrix(s, "deps"), target_matrix(s, "heads").T
         )

@@ -9,6 +9,7 @@ import pytest
 
 from dualpointer.autodiff import Tensor
 from dualpointer.conll import Sentence, Token
+from dualpointer.gradcheck import random_sentence
 from dualpointer.model import HEADS_ONLY, JOINT, init_model
 from dualpointer.toygrammar import toy_treebank
 from dualpointer.training import (
@@ -20,7 +21,7 @@ from dualpointer.training import (
     train,
     train_sentence,
 )
-from dualpointer.vocab import EmbeddingTable, build_vocab
+from dualpointer.vocab import EmbeddingTable, build_vocab, load_pretrained, pretrained_row
 
 
 def sent(words, heads=None):
@@ -69,7 +70,7 @@ def test_single_token_sentence_loss_is_bce_against_zero():
     loss = sentence_loss(model, sent(["a"]), config, training=False)
     from dualpointer.encoder import token_rows
     from dualpointer.model import score_sentence
-    rows = token_rows(sent(["a"]), model.encoder, model.vocab)
+    rows = token_rows(sent(["a"]), model.vocab, model.index)
     scored = score_sentence(model, sent(["a"]))
     h = scored.heads.data[0, 0]
     d = scored.deps.data[0, 0]
@@ -85,7 +86,7 @@ def test_heads_only_loss_has_single_term():
     model = small_model(config, corpus)
     loss = sentence_loss(model, sent(["a", "b"]), config, training=False)
     assert np.isfinite(loss.item())
-    names = [n for n, _ in model.named_params()]
+    names = list(model.tensors)
     assert not any("deps" in n for n in names)
 
 
@@ -94,11 +95,11 @@ def test_train_sentence_updates_only_used_embedding_rows():
     corpus = [sent(["a", "b", "c"])]
     model = small_model(config, corpus)
     opt = make_optimizer(model, config)
-    before = model.encoder.random.weights.data.copy()
+    before = model.tensors["emb.random"].data.copy()
     rng = np.random.default_rng(0)
     value = train_sentence(model, sent(["a", "b"], [2, 0]), config, opt, rng)
     assert value is not None and np.isfinite(value)
-    after = model.encoder.random.weights.data
+    after = model.tensors["emb.random"].data
     unused_row = model.vocab.lookup("c")
     np.testing.assert_array_equal(after[unused_row], before[unused_row])
     used = {model.vocab.lookup("a"), model.vocab.lookup("b")}
@@ -120,7 +121,7 @@ def test_large_pretrained_table_moves_only_used_rows():
                        d_random=5, bilstm_hidden=6, bilstm_levels=1, ptr_hidden=7)
     opt = make_optimizer(model, config)
     assert train_sentence(model, first, config, opt, rng) is not None
-    weights = model.encoder.pretrained.weights
+    weights = model.tensors["emb.pretrained"]
     slot = opt.params.index(weights)
     before = [x.copy() for x in (weights.data, opt.m[slot], opt.v[slot])]
 
@@ -135,7 +136,7 @@ def test_large_pretrained_table_moves_only_used_rows():
     opt.step = spy
     assert train_sentence(model, second, config, opt, rng) is not None
     (grad,) = seen
-    used = [table.row_of("w5"), table.row_of("w42")]
+    used = [pretrained_row(table.index, "w5"), pretrained_row(table.index, "w42")]
     assert grad.rows.tolist() == sorted(used)
     others = np.setdiff1d(np.arange(size), used)
     for old, new in zip(before, (weights.data, opt.m[slot], opt.v[slot])):
@@ -147,16 +148,31 @@ def test_nonfinite_loss_skips_step(caplog):
     config = small_config()
     corpus = [sent(["a", "b"])]
     model = small_model(config, corpus)
-    model.heads_net.v.data[0] = np.nan
+    model.tensors["ptr.heads.v"].data[0] = np.nan
     opt = make_optimizer(model, config)
-    snapshot = model.encoder.random.weights.data.copy()
+    snapshot = model.tensors["emb.random"].data.copy()
     with caplog.at_level(logging.WARNING):
         value = train_sentence(model, sent(["a", "b"], [2, 0]), config, opt,
                                np.random.default_rng(0), sentence_id="7")
     assert value is None
     assert "7" in caplog.text and "skipped" in caplog.text
-    np.testing.assert_array_equal(model.encoder.random.weights.data, snapshot)
+    np.testing.assert_array_equal(model.tensors["emb.random"].data, snapshot)
     assert opt.t == 0
+
+
+def test_train_step_on_a_long_sentence():
+    """One step on a 120-token sentence: a finite loss, and every tensor
+    moves and stays finite."""
+    rng = np.random.default_rng(2)
+    s = random_sentence(rng, 120)
+    config = small_config(alpha_word_dropout=0.0)
+    model = small_model(config, [s])
+    before = {name: t.data.copy() for name, t in model.tensors.items()}
+    value = train_sentence(model, s, config, make_optimizer(model, config), rng)
+    assert value is not None and np.isfinite(value)
+    for name, t in model.tensors.items():
+        assert np.isfinite(t.data).all(), name
+        assert not np.array_equal(t.data, before[name]), name
 
 
 def test_loss_trend_decreases_on_repeated_sentence():
@@ -195,6 +211,25 @@ class TestTrain:
         # earliest epoch wins ties
         first_best = next(r.epoch for r in log if r.dev_uas == best.dev_uas)
         assert best.epoch == first_best
+
+    def test_best_epoch_before_the_last_is_the_run_stopped_there(self):
+        """Seed 9 peaks at epoch 3 of 4.  Its checkpoint is byte for byte the
+        model of the same run stopped after epoch 3, whose best is also
+        epoch 3 (the earliest epoch wins ties)."""
+        best, log = train(self.corpus(), self.corpus(), small_config(epochs=4, seed=9))
+        assert best.epoch == 3 < len(log)
+        stopped, _ = train(self.corpus(), self.corpus(), small_config(epochs=3, seed=9))
+        assert stopped.epoch == 3
+        assert stopped.model_bytes == best.model_bytes
+
+    def test_pretrained_table_is_left_as_read(self):
+        """Each run starts from the file's vectors: training on a table
+        leaves it unchanged, so a second seed of one command starts where a
+        lone run of that seed would."""
+        table = load_pretrained(io.StringIO("a 1 0 0\nthe 0 1 0\n"))
+        read = table.weights.data.copy()
+        train(self.corpus(), self.corpus(), small_config(epochs=1), pretrained=table)
+        assert np.array_equal(table.weights.data, read)
 
     def test_same_seed_reproduces_run(self):
         config = small_config(epochs=2)
@@ -242,4 +277,4 @@ class TestTrain:
         best, _ = train(self.corpus(), self.corpus(), config)
         model = best.load()
         assert model.mode == HEADS_ONLY
-        assert model.deps_net is None
+        assert not any(name.startswith("ptr.deps.") for name in model.tensors)

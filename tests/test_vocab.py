@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dualpointer.conll import Sentence, Token
-from dualpointer.vocab import UNKNOWN_ID, build_vocab, load_pretrained
+from dualpointer.vocab import UNKNOWN_ID, build_vocab, load_pretrained, pretrained_row
 
 
 def sent(words, heads=None):
@@ -67,12 +67,13 @@ class TestPretrained:
     def test_basic_load(self):
         t = load_pretrained(io.StringIO(EMB))
         assert t.dim == 3
-        assert t.size == 3  # two words + unknown row
-        np.testing.assert_allclose(t.weights.data[t.row_of("hello")], [0.1, 0.2, 0.3])
+        assert len(t.weights.data) == 3  # two words + unknown row
+        row = pretrained_row(t.index, "hello")
+        np.testing.assert_allclose(t.weights.data[row], [0.1, 0.2, 0.3])
 
     def test_header_tolerated(self):
         t = load_pretrained(io.StringIO("2 3\n" + EMB))
-        assert t.dim == 3 and t.size == 3
+        assert t.dim == 3 and len(t.weights.data) == 3
 
     def test_unknown_row_zero_and_trainable(self):
         t = load_pretrained(io.StringIO(EMB))
@@ -81,17 +82,17 @@ class TestPretrained:
 
     def test_raw_then_lowercase_lookup(self):
         t = load_pretrained(io.StringIO("Paris 1 1\nparis 2 2\nLondon 3 3\n"))
-        assert t.row_of("Paris") != t.row_of("paris")
+        assert pretrained_row(t.index, "Paris") != pretrained_row(t.index, "paris")
         # raw miss, lowercase miss: "london" itself is not in the table
-        assert t.row_of("LONDON") == UNKNOWN_ID
+        assert pretrained_row(t.index, "LONDON") == UNKNOWN_ID
 
     def test_case_fallback(self):
         t = load_pretrained(io.StringIO("london 3 3\n"))
-        assert t.row_of("London") == t.row_of("london")
+        assert pretrained_row(t.index, "London") == pretrained_row(t.index, "london")
 
     def test_oov_gets_unknown_row(self):
         t = load_pretrained(io.StringIO(EMB))
-        assert t.row_of("missing") == UNKNOWN_ID
+        assert pretrained_row(t.index, "missing") == UNKNOWN_ID
 
     def test_dimension_mismatch_names_line(self):
         bad = "a 1 2 3\nb 1 2 3\nc 1 2\n"
@@ -102,8 +103,8 @@ class TestPretrained:
         with caplog.at_level(logging.WARNING):
             t = load_pretrained(io.StringIO("a 1 1\na 2 2\n"))
         assert "duplicate" in caplog.text
-        np.testing.assert_allclose(t.weights.data[t.row_of("a")], [2.0, 2.0])
-        assert t.size == 2
+        np.testing.assert_allclose(t.weights.data[pretrained_row(t.index, "a")], [2.0, 2.0])
+        assert len(t.weights.data) == 2
 
     def test_empty_file_rejected(self):
         with pytest.raises(ValueError):
