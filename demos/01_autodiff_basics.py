@@ -1,53 +1,73 @@
-"""A tour of the tape: build an expression, differentiate it, check it
-numerically, then let Adam walk a tiny quadratic downhill."""
+"""A tour of the tape the parser trains on: one sentence through the
+BiLSTM, the heads pointer net and the logistic loss, its backward pass
+checked by finite differences, then a few training steps on it."""
+from dataclasses import asdict
+
 import numpy as np
 
 import dualpointer.autodiff as ad
-from dualpointer.optim import Adam
+from dualpointer.conll import Sentence, Token
+from dualpointer.encoder import encode_tokens, lstm_sequence, token_rows
+from dualpointer.model import ModelShape, init_model
+from dualpointer.pointer import score_all, target_matrix
+from dualpointer.training import TrainConfig, make_optimizer, sentence_loss, train_sentence
+from dualpointer.vocab import build_vocab
+
+# "the dog barked": the dog heads the, barked heads dog and is the top
+sentence = Sentence([Token(1, "the", "DET", 2), Token(2, "dog", "NOUN", 3),
+                     Token(3, "barked", "VERB", 0)])
+shape = ModelShape(mode="heads-only", d_pretrained=4, d_random=4,
+                   bilstm_hidden=6, bilstm_levels=1, ptr_hidden=5)
+rng = np.random.default_rng(0)
+model = init_model(rng, build_vocab([sentence]), **asdict(shape))
+t = model.tensors
 
 # ---------------------------------------------------------------- forward
-# Tensors wrap float64 arrays.  Operations record closures on a tape so
-# backward() can replay them in reverse.
-w = ad.Tensor(np.array([[0.5, -0.3], [0.1, 0.8]]), requires_grad=True)
-x = ad.Tensor(np.array([1.0, 2.0]))
-b = ad.Tensor(np.array([0.1, -0.1]), requires_grad=True)
-
-h = ad.tanh(ad.affine(w, x, b))
-loss = ad.sum_all(ad.mul(h, h))
+# Each call below records one node on the tape: the embedding gather, one
+# LSTM direction each way over the whole sentence, their concatenation,
+# all n x n head scores at once, and the mean logistic loss against the
+# gold head matrix.
+x = encode_tokens(token_rows(sentence, model.vocab), t["emb.pretrained"], t["emb.random"])
+contexts = ad.concat([lstm_sequence(x, t["lstm.l0.fwd.w"], t["lstm.l0.fwd.b"]),
+                      lstm_sequence(x, t["lstm.l0.bwd.w"], t["lstm.l0.bwd.b"], reverse=True)])
+scores = score_all(contexts, t["ptr.heads.w"], t["ptr.heads.b"], t["ptr.heads.v"])
+loss = ad.bce_with_logits(scores, target_matrix(sentence, "heads"))
+print("contexts", contexts.data.shape, " scores", scores.data.shape)
 print("loss =", loss.item())
+
+config = TrainConfig(alpha_word_dropout=0.0, adam_alpha=0.01, **asdict(shape))
+same = sentence_loss(model, sentence, config, training=False).item()
+print("training's sentence_loss gives the same value:", same == loss.item())
 
 # --------------------------------------------------------------- backward
 loss.backward()
-print("dloss/dw =\n", w.grad)
+w = t["lstm.l0.fwd.w"]
+print("dloss/d lstm.l0.fwd.w[0, :3] =", w.grad[0, :3])
 
 # ------------------------------------------------ finite-difference check
 # Nudge one weight both ways and compare the slope with the tape's answer.
 eps = 1e-6
-analytic = w.grad[1, 0]
 
 
-def loss_at(w10):
-    wd = w.data.copy()
-    wd[1, 0] = w10
-    wt = ad.Tensor(wd)
-    ht = ad.tanh(ad.affine(wt, x, b))
-    return ad.sum_all(ad.mul(ht, ht)).item()
+def loss_at(value):
+    saved = w.data[0, 0]
+    w.data[0, 0] = value
+    with ad.no_grad():
+        out = sentence_loss(model, sentence, config, training=False).item()
+    w.data[0, 0] = saved
+    return out
 
 
-numeric = (loss_at(0.1 + eps) - loss_at(0.1 - eps)) / (2 * eps)
-print(f"analytic {analytic:.10f}  numeric {numeric:.10f}")
+w00 = w.data[0, 0]
+numeric = (loss_at(w00 + eps) - loss_at(w00 - eps)) / (2 * eps)
+print(f"analytic {w.grad[0, 0]:.10f}  numeric {numeric:.10f}")
 
-# -------------------------------------------------------------- optimizer
-# Adam drives a 2-vector toward the minimum of |p - target|^2.
-p = ad.Tensor(np.array([4.0, -2.0]), requires_grad=True)
-target = np.array([1.0, 1.0])
-opt = Adam([p], alpha=0.05)
-for step in range(200):
-    opt.zero_grad()
-    diff = ad.sub(p, ad.Tensor(target))
-    value = ad.sum_all(ad.mul(diff, diff))
-    value.backward()
-    opt.step()
-    if step % 50 == 0:
-        print(f"step {step:3d}  loss {value.item():.6f}  p = {p.data}")
-print("final p =", p.data)
+# ---------------------------------------------------------------- training
+# train_sentence runs the same chain, backpropagates and takes an Adam step.
+optimizer = make_optimizer(model, config)
+optimizer.zero_grad()  # drop the gradients of the backward pass above
+for step in range(60):
+    value = train_sentence(model, sentence, config, optimizer, rng)
+    if step % 15 == 0:
+        print(f"step {step:2d}  loss {value:.6f}")
+print(f"after 60 steps  loss {sentence_loss(model, sentence, config, training=False).item():.6f}")

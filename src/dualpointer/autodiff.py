@@ -6,6 +6,11 @@ Calling :meth:`Tensor.backward` on a scalar walks the graph once in reverse
 topological order and accumulates gradients on the leaves; a table read
 by row gather gets a :class:`RowGrad` that names only the rows it touched.
 
+The module holds only what the parser's training graph uses: ``add`` of
+two scalar losses, ``tanh``, ``concat`` of the BiLSTM directions and the
+two losses.  The fused kernels in ``encoder`` and ``pointer`` record their
+own nodes through :func:`make_node`.
+
 Everything is double precision.  Backward closures capture plain numpy
 arrays, never tensor objects, so the graph is a pure DAG with child-to-parent
 references only and is freed by reference counting as soon as the loss goes
@@ -19,17 +24,10 @@ __all__ = [
     "Tensor",
     "RowGrad",
     "no_grad",
+    "make_node",
     "add",
-    "sub",
-    "mul",
-    "scale",
-    "matmul",
-    "affine",
     "tanh",
     "concat",
-    "stack",
-    "sum_all",
-    "bce_loss",
     "bce_with_logits",
     "mse_loss",
     "stable_sigmoid",
@@ -68,7 +66,7 @@ class Tensor:
     as read-only.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -77,37 +75,8 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return self.data.item()
-
-    def __float__(self) -> float:
-        return self.data.item()
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def backward(self) -> None:
         """Backpropagate from a scalar output.
@@ -188,10 +157,6 @@ class RowGrad:
         return dense
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def make_node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     """Create an op output, recording the tape edge only when gradients flow."""
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
@@ -202,94 +167,22 @@ def make_node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor
     return Tensor(data)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    ash, bsh = a.data.shape, b.data.shape
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape."""
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
 
     def backward(g):
-        return _unbroadcast(g, ash), _unbroadcast(g, bsh)
+        return g, g
 
     return make_node(a.data + b.data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    ash, bsh = a.data.shape, b.data.shape
-
-    def backward(g):
-        return _unbroadcast(g, ash), _unbroadcast(-g, bsh)
-
-    return make_node(a.data - b.data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    ad, bd = a.data, b.data
-
-    def backward(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
-
-    return make_node(ad * bd, (a, b), backward)
-
-
-def scale(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-    c = float(c)
-
-    def backward(g):
-        return (g * c,)
-
-    return make_node(a.data * c, (a,), backward)
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product of a 2-d tensor with a 1-d or 2-d tensor."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim not in (1, 2) or ad.shape[1] != bd.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
-
-    def backward(g):
-        if bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        return g @ bd.T, ad.T @ g
-
-    return make_node(ad @ bd, (a, b), backward)
-
-
-def affine(w, x, b) -> Tensor:
-    """``W @ x + b`` with gradients for all three inputs."""
-    w, x, b = _as_tensor(w), _as_tensor(x), _as_tensor(b)
-    if w.data.ndim != 2 or w.data.shape[1] != x.data.shape[0]:
-        raise ValueError(
-            f"affine shape mismatch: W {w.data.shape} against x {x.data.shape}"
-        )
-    if b.data.shape != (w.data.shape[0],):
-        raise ValueError(
-            f"affine bias shape {b.data.shape} does not match output rows {w.data.shape[0]}"
-        )
-    return add(matmul(w, x), b)
-
-
-def tanh(x) -> Tensor:
-    x = _as_tensor(x)
+def tanh(x: Tensor) -> Tensor:
     out_data = np.tanh(x.data)
-    od = out_data
 
     def backward(g):
-        return (_tanh_backward(od, g),)
+        return (_tanh_backward(out_data, g),)
 
     return make_node(out_data, (x,), backward)
 
@@ -305,7 +198,6 @@ def _sigmoid_backward(out_data: np.ndarray, g: np.ndarray) -> np.ndarray:
 def concat(xs) -> Tensor:
     """Concatenate vectors into one vector, or matrices with equal row
     counts side by side (along the last axis)."""
-    xs = [_as_tensor(x) for x in xs]
     if not xs:
         raise ValueError("concat of an empty list")
     lead = xs[0].data.shape[:-1]
@@ -324,65 +216,13 @@ def concat(xs) -> Tensor:
     return make_node(np.concatenate([x.data for x in xs], axis=-1), tuple(xs), backward)
 
 
-def stack(xs) -> Tensor:
-    """Stack equal-length vectors into a matrix, one row per input."""
-    xs = [_as_tensor(x) for x in xs]
-    if not xs:
-        raise ValueError("stack of an empty list")
-    for x in xs:
-        if x.data.ndim != 1:
-            raise ValueError(f"stack expects vectors, got shape {x.data.shape}")
-
-    def backward(g):
-        return tuple(g[i] for i in range(len(xs)))
-
-    return make_node(np.stack([x.data for x in xs]), tuple(xs), backward)
-
-
-def sum_all(x) -> Tensor:
-    x = _as_tensor(x)
-    shape = x.data.shape
-
-    def backward(g):
-        return (np.broadcast_to(g, shape).astype(np.float64, copy=False),)
-
-    return make_node(np.asarray(x.data.sum()), (x,), backward)
-
-
-_BCE_CLAMP = 1e-12
-
-
-def bce_loss(predicted, target) -> Tensor:
-    """Mean binary cross-entropy of probabilities against 0/1 targets.
-
-    Predictions are clamped to [1e-12, 1 - 1e-12]; gradients vanish in the
-    clamped region.
-    """
-    predicted = _as_tensor(predicted)
-    t = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=np.float64)
-    p = predicted.data
-    if p.shape != t.shape:
-        raise ValueError(f"bce_loss shape mismatch: predicted {p.shape}, target {t.shape}")
-    pc = np.clip(p, _BCE_CLAMP, 1.0 - _BCE_CLAMP)
-    n = max(p.size, 1)
-    loss = -(t * np.log(pc) + (1.0 - t) * np.log1p(-pc)).sum() / n
-    inside = (p > _BCE_CLAMP) & (p < 1.0 - _BCE_CLAMP)
-
-    def backward(g):
-        gp = np.where(inside, (pc - t) / (pc * (1.0 - pc)), 0.0)
-        return (g * gp / n,)
-
-    return make_node(np.asarray(loss), (predicted,), backward)
-
-
-def bce_with_logits(scores, target) -> Tensor:
+def bce_with_logits(scores: Tensor, target: np.ndarray) -> Tensor:
     """Mean binary cross-entropy of ``sigmoid(scores)`` against 0/1 targets.
 
     Fused form: stable for any score magnitude, with the exact backward
     ``(sigmoid(s) - t) / n``.
     """
-    scores = _as_tensor(scores)
-    t = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
     s = scores.data
     if s.shape != t.shape:
         raise ValueError(f"bce_with_logits shape mismatch: scores {s.shape}, target {t.shape}")
@@ -395,10 +235,9 @@ def bce_with_logits(scores, target) -> Tensor:
     return make_node(np.asarray(loss), (scores,), backward)
 
 
-def mse_loss(predicted, target) -> Tensor:
+def mse_loss(predicted: Tensor, target: np.ndarray) -> Tensor:
     """Mean squared error; used by the tanh output-activation variant."""
-    predicted = _as_tensor(predicted)
-    t = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
     p = predicted.data
     if p.shape != t.shape:
         raise ValueError(f"mse_loss shape mismatch: predicted {p.shape}, target {t.shape}")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fd import numeric_grad, rel_err
-from oracles import segment, sigmoid
+from oracles import affine, bce_loss, matmul, mul, segment, sigmoid, stack, sum_all
 
 from dualpointer import autodiff as ad
 from dualpointer.autodiff import Tensor
@@ -14,7 +14,7 @@ from dualpointer.autodiff import Tensor
 
 class TestForwardValues:
     def test_matmul_small(self):
-        out = ad.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
+        out = matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
         np.testing.assert_array_equal(out.data, [[3.0], [7.0]])
 
     def test_sigmoid_known_point(self):
@@ -40,18 +40,18 @@ class TestForwardValues:
         # -ln(1/2) regardless of target
         p = Tensor(np.array([0.5, 0.5]))
         t = np.array([1.0, 0.0])
-        loss = ad.bce_loss(p, t)
+        loss = bce_loss(p, t)
         np.testing.assert_allclose(loss.item(), 0.6931471805599453, rtol=0, atol=1e-15)
 
     def test_bce_quarter_target_zero(self):
-        loss = ad.bce_loss(Tensor(np.array([0.25])), np.array([0.0]))
+        loss = bce_loss(Tensor(np.array([0.25])), np.array([0.0]))
         np.testing.assert_allclose(loss.item(), 0.2876820724517809, rtol=0, atol=1e-15)
 
     def test_bce_with_logits_matches_composition(self, rng):
         s = rng.normal(size=(4, 5)) * 3.0
         t = (rng.random((4, 5)) < 0.5).astype(np.float64)
         fused = ad.bce_with_logits(Tensor(s), t)
-        composed = ad.bce_loss(sigmoid(Tensor(s)), t)
+        composed = bce_loss(sigmoid(Tensor(s)), t)
         np.testing.assert_allclose(fused.item(), composed.item(), rtol=1e-12)
 
     def test_bce_with_logits_extreme_scores(self):
@@ -69,14 +69,23 @@ class TestForwardValues:
 
     def test_affine_matches_manual(self, rng):
         w, x, b = rng.normal(size=(3, 4)), rng.normal(size=4), rng.normal(size=3)
-        out = ad.affine(Tensor(w), Tensor(x), Tensor(b))
+        out = affine(Tensor(w), Tensor(x), Tensor(b))
         np.testing.assert_allclose(out.data, w @ x + b, rtol=1e-15)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
         with pytest.raises(ValueError):
-            ad.bce_loss(Tensor(np.zeros(3)), np.zeros(4))
+            bce_loss(Tensor(np.zeros(3)), np.zeros(4))
+
+    @pytest.mark.parametrize("shapes", [((3,), (1,)), ((2, 3), (3,)), ((), (2,))])
+    def test_add_rejects_unequal_shapes(self, shapes):
+        # no broadcasting: the program adds only equal-shaped losses
+        a, b = (Tensor(np.ones(s), requires_grad=True) for s in shapes)
+        with pytest.raises(ValueError, match="add shape mismatch"):
+            ad.add(a, b)
+        with pytest.raises(ValueError, match="add shape mismatch"):
+            ad.add(b, a)
 
 
 class TestBackwardAgainstFiniteDifferences:
@@ -97,19 +106,15 @@ class TestBackwardAgainstFiniteDifferences:
 
     def test_add_mul_chain(self, rng):
         c = rng.normal(size=(3, 3))
-        self.check(lambda x: ad.sum_all(ad.mul(ad.add(x, Tensor(c)), x)), rng.normal(size=(3, 3)))
-
-    def test_sub_scale(self, rng):
-        c = rng.normal(size=5)
-        self.check(lambda x: ad.sum_all(ad.scale(ad.sub(x, Tensor(c)), 2.5)), rng.normal(size=5))
+        self.check(lambda x: sum_all(mul(ad.add(x, Tensor(c)), x)), rng.normal(size=(3, 3)))
 
     def test_matmul_left(self, rng):
         b = rng.normal(size=(4, 2))
-        self.check(lambda x: ad.sum_all(ad.tanh(ad.matmul(x, Tensor(b)))), rng.normal(size=(3, 4)))
+        self.check(lambda x: sum_all(ad.tanh(matmul(x, Tensor(b)))), rng.normal(size=(3, 4)))
 
     def test_matmul_right_vector(self, rng):
         a = rng.normal(size=(3, 4))
-        self.check(lambda x: ad.sum_all(sigmoid(ad.matmul(Tensor(a), x))), rng.normal(size=4))
+        self.check(lambda x: sum_all(sigmoid(matmul(Tensor(a), x))), rng.normal(size=4))
 
     def test_affine_all_inputs(self, rng):
         w0 = rng.normal(size=(3, 4))
@@ -118,19 +123,19 @@ class TestBackwardAgainstFiniteDifferences:
         w = Tensor(w0.copy(), requires_grad=True)
         x = Tensor(x0.copy(), requires_grad=True)
         b = Tensor(b0.copy(), requires_grad=True)
-        ad.sum_all(ad.tanh(ad.affine(w, x, b))).backward()
+        sum_all(ad.tanh(affine(w, x, b))).backward()
 
         def fw(arr):
             with ad.no_grad():
-                return ad.sum_all(ad.tanh(ad.affine(Tensor(arr), Tensor(x0), Tensor(b0)))).item()
+                return sum_all(ad.tanh(affine(Tensor(arr), Tensor(x0), Tensor(b0)))).item()
 
         def fx(arr):
             with ad.no_grad():
-                return ad.sum_all(ad.tanh(ad.affine(Tensor(w0), Tensor(arr), Tensor(b0)))).item()
+                return sum_all(ad.tanh(affine(Tensor(w0), Tensor(arr), Tensor(b0)))).item()
 
         def fb(arr):
             with ad.no_grad():
-                return ad.sum_all(ad.tanh(ad.affine(Tensor(w0), Tensor(x0), Tensor(arr)))).item()
+                return sum_all(ad.tanh(affine(Tensor(w0), Tensor(x0), Tensor(arr)))).item()
 
         assert rel_err(w.grad, numeric_grad(fw, w0)) < 1e-7
         assert rel_err(x.grad, numeric_grad(fx, x0)) < 1e-7
@@ -140,15 +145,15 @@ class TestBackwardAgainstFiniteDifferences:
         def build(x):
             a = segment(x, 0, 3)
             b = segment(x, 3, 6)
-            m = ad.stack([a, b, ad.concat([segment(x, 6, 8), segment(x, 0, 1)])])
-            return ad.sum_all(ad.mul(m, m))
+            m = stack([a, b, ad.concat([segment(x, 6, 8), segment(x, 0, 1)])])
+            return sum_all(mul(m, m))
 
         self.check(build, rng.normal(size=8))
 
     def test_bce_loss_grad(self, rng):
         t = (rng.random(6) < 0.5).astype(np.float64)
         self.check(
-            lambda x: ad.bce_loss(sigmoid(x), t),
+            lambda x: bce_loss(sigmoid(x), t),
             rng.normal(size=6),
         )
 
@@ -164,7 +169,7 @@ class TestBackwardAgainstFiniteDifferences:
         # y = sum(x*x) + sum(x): grad must be 2x + 1, not one branch only
         x0 = rng.normal(size=4)
         x = Tensor(x0.copy(), requires_grad=True)
-        ad.add(ad.sum_all(ad.mul(x, x)), ad.sum_all(x)).backward()
+        ad.add(sum_all(mul(x, x)), sum_all(x)).backward()
         np.testing.assert_allclose(x.grad, 2.0 * x0 + 1.0, rtol=1e-12)
 
     def test_deep_chain_no_recursion_limit(self):
@@ -173,7 +178,7 @@ class TestBackwardAgainstFiniteDifferences:
         y = x
         for _ in range(5000):
             y = ad.add(y, x)
-        ad.sum_all(y).backward()
+        sum_all(y).backward()
         np.testing.assert_allclose(x.grad, [5001.0])
 
 
@@ -196,14 +201,14 @@ class TestGraphLifecycle:
 
     def test_backward_frees_graph(self):
         x = Tensor(np.ones(4), requires_grad=True)
-        y = ad.sum_all(ad.tanh(x))
+        y = sum_all(ad.tanh(x))
         y.backward()
         assert y._parents == () and y._backward is None
         assert x.grad is not None
 
     def test_graph_collected_after_backward(self):
         x = Tensor(np.ones(8), requires_grad=True)
-        loss = ad.sum_all(ad.mul(ad.tanh(x), sigmoid(x)))
+        loss = sum_all(mul(ad.tanh(x), sigmoid(x)))
         loss.backward()
         del loss
         gc.collect()
@@ -212,14 +217,14 @@ class TestGraphLifecycle:
 
     def test_grad_accumulates_across_backwards(self):
         x = Tensor(np.ones(2), requires_grad=True)
-        ad.sum_all(x).backward()
-        ad.sum_all(ad.scale(x, 3.0)).backward()
+        sum_all(x).backward()
+        sum_all(mul(x, Tensor([3.0, 3.0]))).backward()
         np.testing.assert_allclose(x.grad, [4.0, 4.0])
 
     def test_second_backward_without_retain_is_inert(self):
         # freed graph means a second pass finds no rules to run
         x = Tensor(np.ones(2), requires_grad=True)
-        y = ad.sum_all(ad.tanh(x))
+        y = sum_all(ad.tanh(x))
         y.backward()
         g1 = x.grad.copy()
         y.backward()
@@ -231,7 +236,7 @@ class TestGraphLifecycle:
         x = Tensor(np.ones(3), requires_grad=True)
         z = Tensor(np.ones(3), requires_grad=True)
         w, w2 = np.array([1.0, 2.0, 3.0]), np.array([10.0, 20.0, 30.0])
-        loss = ad.add(ad.sum_all(ad.mul(ad.add(x, z), w)), ad.sum_all(ad.mul(x, w2)))
+        loss = ad.add(sum_all(mul(ad.add(x, z), Tensor(w))), sum_all(mul(x, Tensor(w2))))
         loss.backward()
         np.testing.assert_array_equal(z.grad, w)
         np.testing.assert_array_equal(x.grad, w + w2)

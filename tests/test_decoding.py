@@ -1,9 +1,12 @@
 """Decoding pipeline: merge math, top detection, greedy selection, cycle
 repair, UAS, and the structural guarantees on every output."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import max_spanning_tree, tree_score
 
 import dualpointer.decoding as decoding
 from dualpointer.conll import Sentence, Token
@@ -429,6 +432,45 @@ class TestTreeCheckProperties:
             tree, _ = decode(merged)
             assert tree.invariant_violation() is None
             assert len(tree) == n and tree.top == find_top(merged)
+
+
+class TestExactDecoderOracle:
+    """Greedy plus repair against the best tree with the same top
+    (Chu-Liu/Edmonds, in ``tests/oracles.py``)."""
+
+    def test_oracle_is_the_best_tree(self, rng):
+        # every head function with the given top, for n up to 6
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            scores, top = rng.normal(size=(n, n)), int(rng.integers(1, n + 1))
+            others = [i for i in range(1, n + 1) if i != top]
+            best = -np.inf
+            for choice in itertools.product(range(1, n + 1), repeat=n - 1):
+                heads = [0] * n
+                for i, h in zip(others, choice):
+                    heads[i - 1] = h
+                if reference_tree_problem(heads) is None:
+                    best = max(best, tree_score(scores, heads))
+            found = max_spanning_tree(scores, top)
+            assert DepTree(found).top == top
+            assert tree_score(scores, found) == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 60), st.booleans(),
+           st.sampled_from(["max", "sum"]))
+    def test_decode_never_beats_the_oracle(self, seed, n, planted, root_agg):
+        g = np.random.default_rng(seed)
+        scores = g.random((n, n))
+        if planted:
+            # a boosted random tree makes an already-tree greedy decode likely
+            for i, h in enumerate(random_tree(g, n)):
+                if h:
+                    scores[i, h - 1] += 1.0
+        tree, greedy_was_tree = decode(scores, root_agg)
+        best = max_spanning_tree(scores, find_top(scores, root_agg))
+        got, want = tree_score(scores, tree.heads), tree_score(scores, best)
+        assert got <= want + 1e-12 * n
+        if greedy_was_tree:
+            assert got == want
 
 
 class TestParse:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from fd import numeric_grad, rel_err
-from oracles import lstm_cell
+from oracles import lstm_cell, mul, stack, sum_all
 
 from dualpointer import autodiff as ad
 from dualpointer import encoder as enc
@@ -158,7 +158,7 @@ class TestEncodeTokens:
         vocab = build_vocab([sent(["a", "b"])])
         model = tiny_model(rng, vocab, levels=1)
         out = embed(sent(["a", "a"]), model)
-        loss = ad.sum_all(ad.mul(out, out))
+        loss = sum_all(mul(out, out))
         loss.backward()
         g = np.asarray(model.tensors["emb.random"].grad)
         row_a = vocab.lookup("a")
@@ -180,7 +180,7 @@ class TestEncodeTokens:
             rows = token_rows(sent(words), vocab)
             g = rng.normal(size=(len(words), 7))
             gathers.append((np.array(rows), g))
-            parts.append(ad.sum_all(ad.mul(encode_tokens(rows, *tables(model)), Tensor(g))))
+            parts.append(sum_all(mul(encode_tokens(rows, *tables(model)), Tensor(g))))
         loss = parts[0] if len(parts) == 1 else ad.add(parts[0], parts[1])
         loss.backward()
         # reference: each gather's dense np.add.at gradient, summed in order
@@ -231,13 +231,13 @@ class TestLstmCell:
         def run(w_arr, b_arr, x_arr, h_arr, c_arr):
             h, c = lstm_cell(Tensor(x_arr), Tensor(h_arr), Tensor(c_arr),
                              Tensor(w_arr), Tensor(b_arr))
-            return ad.sum_all(ad.mul(ad.add(h, c), Tensor(proj)))
+            return sum_all(mul(ad.add(h, c), Tensor(proj)))
 
         w = Tensor(w0.copy(), requires_grad=True)
         b = Tensor(b0.copy(), requires_grad=True)
         x = Tensor(x0.copy(), requires_grad=True)
         hh, cc = lstm_cell(x, Tensor(h0), Tensor(c0), w, b)
-        ad.sum_all(ad.mul(ad.add(hh, cc), Tensor(proj))).backward()
+        sum_all(mul(ad.add(hh, cc), Tensor(proj))).backward()
 
         def fw(arr):
             with ad.no_grad():
@@ -340,7 +340,7 @@ class TestBilstm:
 
         def loss_with(model_):
             out = bilstm_encode(embed(s, model_), lstm_levels(model_))
-            return ad.sum_all(ad.mul(out, Tensor(np.tile(proj, (4, 1)))))
+            return sum_all(mul(out, Tensor(np.tile(proj, (4, 1)))))
 
         named = [(name, t) for name, t in model.tensors.items() if not name.startswith("ptr.")]
         assert len(named) == 2 + 4 * 2
@@ -377,7 +377,7 @@ def composed_bilstm(rows, levels):
                 out.append(h)
             states.append(out)
         xs = [ad.concat([f, b]) for f, b in zip(states[0], states[1][::-1])]
-    return ad.stack(xs)
+    return stack(xs)
 
 
 def random_levels(rng, d_in, hidden, levels=2):
@@ -403,13 +403,13 @@ class TestLstmSequence:
 
         def run(w_arr, b_arr, x_arr):
             out = lstm_sequence(Tensor(x_arr), Tensor(w_arr), Tensor(b_arr), reverse=reverse)
-            return ad.sum_all(ad.mul(out, Tensor(proj)))
+            return sum_all(mul(out, Tensor(proj)))
 
         w = Tensor(w0.copy(), requires_grad=True)
         b = Tensor(b0.copy(), requires_grad=True)
         x = Tensor(x0.copy(), requires_grad=True)
         out = lstm_sequence(x, w, b, reverse=reverse)
-        ad.sum_all(ad.mul(out, Tensor(proj))).backward()
+        sum_all(mul(out, Tensor(proj))).backward()
 
         def numeric(which):
             args = [w0, b0, x0]
@@ -443,14 +443,14 @@ class TestLstmSequence:
 
         x = Tensor(x0.copy(), requires_grad=True)
         out = bilstm_encode(x, levels)
-        ad.sum_all(ad.mul(out, proj)).backward()
+        sum_all(mul(out, proj)).backward()
         fused = [out.data, x.grad] + [t.grad for t in weights]
         for t in weights:
             t.grad = None
 
         rows = [Tensor(r.copy(), requires_grad=True) for r in x0]
         ref_out = composed_bilstm(rows, levels)
-        ad.sum_all(ad.mul(ref_out, proj)).backward()
+        sum_all(mul(ref_out, proj)).backward()
         reference = [ref_out.data, np.stack([r.grad for r in rows])]
         reference += [t.grad for t in weights]
 

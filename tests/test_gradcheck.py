@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dualpointer.autodiff as ad
+from dualpointer.cli import main
 from dualpointer.decoding import DepTree
 from dualpointer.gradcheck import (
     GradCheckReport,
@@ -88,6 +89,52 @@ def test_corrupted_sigmoid_backward_fails(monkeypatch):
     monkeypatch.setattr(ad, "_sigmoid_backward", wrong)
     report = run_gradcheck(seed=3, **SMALL)
     assert not report.passed
+
+
+def poison_score_gradient(monkeypatch):
+    """Make the logistic loss's backward write NaN into one entry of the
+    score gradient, so NaN reaches every parameter gradient while every
+    loss value stays finite."""
+    fused = ad.bce_with_logits
+
+    def poisoned(scores, target):
+        loss = fused(scores, target)
+        rule = loss._backward
+        if rule is not None:
+            def backward(g):
+                (gs,) = rule(g)
+                gs = gs.copy()
+                gs.flat[0] = np.nan
+                return (gs,)
+
+            loss._backward = backward
+        return loss
+
+    monkeypatch.setattr(ad, "bce_with_logits", poisoned)
+
+
+def test_nan_gradient_fails(monkeypatch):
+    # negative control: NaN compares False against any error, so it must
+    # not read as a zero error
+    poison_score_gradient(monkeypatch)
+    report = run_gradcheck(seed=3, **SMALL)
+    assert not report.passed
+    assert [c.worst for c in report.checks] == [np.inf] * len(report.checks)
+    assert "FAIL" in format_report(report)
+
+
+def test_nan_gradient_fails_the_command(monkeypatch, capsys):
+    poison_score_gradient(monkeypatch)
+    code = main(["gradcheck", "--seeds", "2", "--d-pretrained", "5", "--d-random", "5",
+                 "--bilstm-hidden", "4", "--ptr-hidden", "5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:gradcheck:") and err.count("\n") == 1, err
+
+
+def test_compare_is_inf_when_not_finite():
+    for analytic, numeric in ((np.nan, 0.0), (0.0, np.nan), (np.inf, 1.0), (1.0, -np.inf)):
+        assert compare(analytic, numeric) == np.inf
 
 
 def test_compare_is_absolute_near_zero():

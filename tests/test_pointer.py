@@ -5,7 +5,7 @@ import pytest
 from fd import numeric_grad, rel_err
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import attention_score
+from oracles import attention_score, mul, stack, sum_all
 
 from dualpointer import autodiff as ad
 from dualpointer.autodiff import Tensor
@@ -62,7 +62,7 @@ class TestAttentionScore:
         q0, k0 = rng.normal(size=4), rng.normal(size=4)
         q = Tensor(q0.copy(), requires_grad=True)
         k = Tensor(k0.copy(), requires_grad=True)
-        ad.sum_all(attention_score(q, k, *p)).backward()
+        sum_all(attention_score(q, k, *p)).backward()
 
         for name, tensor in [("w", w), ("b", b), ("v", v), ("q", q), ("k", k)]:
             orig = tensor.data.copy()
@@ -84,7 +84,7 @@ class TestAttentionScore:
 class TestScoreAll:
     def test_single_context(self, rng):
         p = make_params(rng)
-        m = score_all(ad.stack(contexts(rng, 1)), *p)
+        m = score_all(stack(contexts(rng, 1)), *p)
         assert m.data.shape == (1, 1)
 
     def test_entries_match_pairwise_calls_exactly(self, rng):
@@ -92,7 +92,7 @@ class TestScoreAll:
         bit-for-bit, diagonal included."""
         p = make_params(rng, ctx=8, hidden=5)
         ctx = contexts(rng, 7, ctx=8)
-        m = score_all(ad.stack(ctx), *p)
+        m = score_all(stack(ctx), *p)
         for i in range(7):
             for j in range(7):
                 single = attention_score(ctx[i], ctx[j], *p).item()
@@ -102,20 +102,20 @@ class TestScoreAll:
         ph = make_params(rng)
         pd = make_params(rng)
         ctx = contexts(rng, 4)
-        before = score_all(ad.stack(ctx), *ph).data.copy()
+        before = score_all(stack(ctx), *ph).data.copy()
         pd[0].data[:] = 99.0  # its w
-        np.testing.assert_array_equal(score_all(ad.stack(ctx), *ph).data, before)
+        np.testing.assert_array_equal(score_all(stack(ctx), *ph).data, before)
 
     def test_pure_under_reevaluation(self, rng):
         p = make_params(rng)
         ctx = contexts(rng, 5)
-        np.testing.assert_array_equal(score_all(ad.stack(ctx), *p).data,
-                                      score_all(ad.stack(ctx), *p).data)
+        np.testing.assert_array_equal(score_all(stack(ctx), *p).data,
+                                      score_all(stack(ctx), *p).data)
 
     def test_all_entries_finite(self, rng):
         p = make_params(rng)
         ctx = [Tensor(rng.normal(size=6) * 100.0) for _ in range(6)]
-        assert np.all(np.isfinite(score_all(ad.stack(ctx), *p).data))
+        assert np.all(np.isfinite(score_all(stack(ctx), *p).data))
 
     def test_empty_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -131,8 +131,8 @@ class TestScoreAll:
 
         def loss_value():
             ctx = [Tensor(c0[i]) for i in range(5)]
-            m = score_all(ad.stack(ctx), *p)
-            return ad.sum_all(ad.mul(m, Tensor(weights)))
+            m = score_all(stack(ctx), *p)
+            return sum_all(mul(m, Tensor(weights)))
 
         loss_value().backward()
         for name, tensor in [("w", w), ("b", b), ("v", v)]:
