@@ -7,9 +7,9 @@ import numpy as np
 
 import dualpointer.autodiff as ad
 from dualpointer.conll import Sentence, Token
-from dualpointer.encoder import encode_tokens, lstm_sequence, token_rows
+from dualpointer.encoder import bilstm_level, encode_tokens, token_rows
 from dualpointer.model import ModelShape, init_model
-from dualpointer.pointer import score_all, target_matrix
+from dualpointer.pointer import output_loss, score_all, target_matrix
 from dualpointer.training import TrainConfig, make_optimizer, sentence_loss, train_sentence
 from dualpointer.vocab import build_vocab
 
@@ -23,17 +23,23 @@ model = init_model(rng, build_vocab([sentence]), **asdict(shape))
 t = model.tensors
 
 # ---------------------------------------------------------------- forward
-# Each call below records one node on the tape: the embedding gather, one
-# LSTM direction each way over the whole sentence, their concatenation,
-# all n x n head scores at once, and the mean logistic loss against the
-# gold head matrix.
+# Each call below records one node on the tape, one per layer: the
+# embedding gather, the BiLSTM level (both directions over the whole
+# sentence, side by side), all n x n head scores at once, and the mean
+# logistic loss against the gold head matrix.
 x = encode_tokens(token_rows(sentence, model.vocab), t["emb.pretrained"], t["emb.random"])
-contexts = ad.concat([lstm_sequence(x, t["lstm.l0.fwd.w"], t["lstm.l0.fwd.b"]),
-                      lstm_sequence(x, t["lstm.l0.bwd.w"], t["lstm.l0.bwd.b"], reverse=True)])
+contexts = bilstm_level(x, *(t[f"lstm.l0.{d}.{p}"] for d in ("fwd", "bwd") for p in "wb"))
 scores = score_all(contexts, t["ptr.heads.w"], t["ptr.heads.b"], t["ptr.heads.v"])
-loss = ad.bce_with_logits(scores, target_matrix(sentence, "heads"))
+loss = output_loss([scores], [target_matrix(sentence, "heads")], shape.activation)
 print("contexts", contexts.data.shape, " scores", scores.data.shape)
 print("loss =", loss.item())
+
+# The tape is the chain of these four nodes, each holding its inputs.
+node, chain = loss, []
+while node._parents:
+    chain.append(node.data.shape)
+    node = node._parents[0]
+print("tape, from the loss down:", " <- ".join(str(s) for s in chain))
 
 config = TrainConfig(alpha_word_dropout=0.0, adam_alpha=0.01, **asdict(shape))
 same = sentence_loss(model, sentence, config, training=False).item()

@@ -6,10 +6,9 @@ Calling :meth:`Tensor.backward` on a scalar walks the graph once in reverse
 topological order and accumulates gradients on the leaves; a table read
 by row gather gets a :class:`RowGrad` that names only the rows it touched.
 
-The module holds only what the parser's training graph uses: ``add`` of
-two scalar losses, ``tanh``, ``concat`` of the BiLSTM directions and the
-two losses.  The fused kernels in ``encoder`` and ``pointer`` record their
-own nodes through :func:`make_node`.
+The module holds the tape's mechanics only.  Every node of the parser's
+training graph is a fused kernel of ``encoder`` or ``pointer``, one per
+layer, recording itself through :func:`make_node`.
 
 Everything is double precision.  Backward closures capture plain numpy
 arrays, never tensor objects, so the graph is a pure DAG with child-to-parent
@@ -25,11 +24,6 @@ __all__ = [
     "RowGrad",
     "no_grad",
     "make_node",
-    "add",
-    "tanh",
-    "concat",
-    "bce_with_logits",
-    "mse_loss",
     "stable_sigmoid",
 ]
 
@@ -167,84 +161,11 @@ def make_node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor
     return Tensor(data)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two tensors of one shape."""
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
-
-    def backward(g):
-        return g, g
-
-    return make_node(a.data + b.data, (a, b), backward)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out_data = np.tanh(x.data)
-
-    def backward(g):
-        return (_tanh_backward(out_data, g),)
-
-    return make_node(out_data, (x,), backward)
-
-
+# Backward rules of the two activations, from their outputs.  The kernels
+# look them up through this module at backward time.
 def _tanh_backward(out_data: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g * (1.0 - out_data * out_data)
 
 
 def _sigmoid_backward(out_data: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g * out_data * (1.0 - out_data)
-
-
-def concat(xs) -> Tensor:
-    """Concatenate vectors into one vector, or matrices with equal row
-    counts side by side (along the last axis)."""
-    if not xs:
-        raise ValueError("concat of an empty list")
-    lead = xs[0].data.shape[:-1]
-    for x in xs:
-        if x.data.ndim not in (1, 2) or x.data.shape[:-1] != lead:
-            raise ValueError(
-                f"concat expects vectors or matrices with equal row counts, "
-                f"got shapes {[x.data.shape for x in xs]}"
-            )
-    lengths = [x.data.shape[-1] for x in xs]
-    offsets = np.cumsum([0] + lengths)
-
-    def backward(g):
-        return tuple(g[..., offsets[i]:offsets[i + 1]] for i in range(len(lengths)))
-
-    return make_node(np.concatenate([x.data for x in xs], axis=-1), tuple(xs), backward)
-
-
-def bce_with_logits(scores: Tensor, target: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy of ``sigmoid(scores)`` against 0/1 targets.
-
-    Fused form: stable for any score magnitude, with the exact backward
-    ``(sigmoid(s) - t) / n``.
-    """
-    t = np.asarray(target, dtype=np.float64)
-    s = scores.data
-    if s.shape != t.shape:
-        raise ValueError(f"bce_with_logits shape mismatch: scores {s.shape}, target {t.shape}")
-    n = max(s.size, 1)
-    loss = (np.maximum(s, 0.0) - s * t + np.log1p(np.exp(-np.abs(s)))).sum() / n
-
-    def backward(g):
-        return (g * (stable_sigmoid(s) - t) / n,)
-
-    return make_node(np.asarray(loss), (scores,), backward)
-
-
-def mse_loss(predicted: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error; used by the tanh output-activation variant."""
-    t = np.asarray(target, dtype=np.float64)
-    p = predicted.data
-    if p.shape != t.shape:
-        raise ValueError(f"mse_loss shape mismatch: predicted {p.shape}, target {t.shape}")
-    n = max(p.size, 1)
-    diff = p - t
-
-    def backward(g):
-        return (g * 2.0 * diff / n,)
-
-    return make_node(np.asarray((diff * diff).sum() / n), (predicted,), backward)

@@ -8,13 +8,14 @@ decreasing in the training-set frequency of the word.
 
 Sentences travel as matrices, one row per token: the lookup is one tape
 node gathering from both tables, whose gradient names only the rows the
-sentence used, and each (level, direction) of the BiLSTM is one tape
-node, :func:`lstm_sequence`.  It projects the inputs of every position
-with one matrix product before the recurrence starts (the
-hoisting of Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946), so each
-step only adds the recurrent product and applies the gates; its backward
-pass collects the gate gradients of all positions in one matrix and forms
-the weight gradients from it with one product per weight block.
+sentence used, and each level of the BiLSTM is one tape node,
+:func:`bilstm_level`, running both directions.  Each direction projects
+the inputs of every position with one matrix product before the
+recurrence starts (the hoisting of Appleyard, Kocisky & Blunsom 2016,
+arXiv:1604.01946), so each step only adds the recurrent product and
+applies the gates; its backward pass collects the gate gradients of all
+positions in one matrix and forms the weight gradients from it with one
+product per weight block.
 
 The functions take the tensors they read, which ``model.score_sentence``
 looks up by their layout names; every width comes from a tensor's shape.
@@ -32,7 +33,7 @@ __all__ = [
     "dropout_prob",
     "token_rows",
     "encode_tokens",
-    "lstm_sequence",
+    "bilstm_level",
     "bilstm_encode",
 ]
 
@@ -100,27 +101,19 @@ def _state_before(states: np.ndarray, reverse: bool) -> np.ndarray:
     return before
 
 
-def lstm_sequence(x: Tensor, w: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
-    """One LSTM direction over a whole sentence, as a single tape node.
+def _lstm_direction(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray, reverse: bool):
+    """One LSTM direction over a whole sentence, from zero state.
 
-    ``x`` is [T x d_in]; ``w`` is [4h x (d_in + h)] with gate blocks in
-    order input, forget, output, candidate, and ``b`` is [4h].  Row t of
-    the [T x h] result is the hidden state after reading position t,
-    reading from the last position backwards when ``reverse``.  Computes
-    what a chain of single LSTM steps from zero state computes, up to
-    floating-point evaluation order; the tests hold it to such a chain
-    composed from tape primitives.
+    ``xd`` is [T x d_in]; ``wd`` is [4h x (d_in + h)] with gate blocks in
+    order input, forget, output, candidate, and ``bd`` is [4h].  Returns
+    the [T x h] states, row t the hidden state after reading position t
+    (reading from the last position backwards when ``reverse``), and the
+    backward rule mapping their gradient to (dx, dw, db).
     """
-    xd, wd = x.data, w.data
-    h = wd.shape[0] // 4
-    if (xd.ndim != 2 or wd.shape != (4 * h, xd.shape[1] + h)
-            or b.data.shape != (4 * h,)):
-        raise ValueError(
-            f"lstm_sequence shapes: x {xd.shape}, W {wd.shape}, b {b.data.shape}"
-        )
     T, d_in = xd.shape
+    h = wd.shape[0] // 4
     wx, wh = wd[:, :d_in], wd[:, d_in:]
-    zx = xd @ wx.T + b.data
+    zx = xd @ wx.T + bd
     gates = np.empty((T, 4 * h))  # activated i, f, o, g
     cells = np.empty((T, h))
     tanh_cells = np.empty((T, h))
@@ -169,17 +162,46 @@ def lstm_sequence(x: Tensor, w: Tensor, b: Tensor, reverse: bool = False) -> Ten
         inputs = np.concatenate([xd, _state_before(states, reverse)], axis=1)
         return dz @ wx, dz.T @ inputs, dz.sum(axis=0)
 
-    return ad.make_node(states, (x, w, b), backward)
+    return states, backward
+
+
+def bilstm_level(x: Tensor, fw: Tensor, fb: Tensor, bw: Tensor, bb: Tensor) -> Tensor:
+    """One BiLSTM level as a single tape node: [T x d_in] inputs to the
+    [T x 2h] matrix whose row t is the forward state beside the backward
+    state at position t.
+
+    ``fw``/``bw`` are each direction's [4h x (d_in + h)] gate matrix and
+    ``fb``/``bb`` its [4h] bias.  Computes what chains of single LSTM steps
+    from zero state compute, up to floating-point evaluation order; the
+    tests hold it to such chains composed from tape primitives.
+    """
+    xd = x.data
+    h = fw.data.shape[0] // 4
+    for w, b in ((fw, fb), (bw, bb)):
+        if (xd.ndim != 2 or w.data.shape != (4 * h, xd.shape[1] + h)
+                or b.data.shape != (4 * h,)):
+            raise ValueError(
+                f"bilstm_level shapes: x {xd.shape}, W {w.data.shape}, b {b.data.shape}"
+            )
+    fwd, fwd_backward = _lstm_direction(xd, fw.data, fb.data, reverse=False)
+    bwd, bwd_backward = _lstm_direction(xd, bw.data, bb.data, reverse=True)
+
+    def backward(g):
+        dx_fwd, dfw, dfb = fwd_backward(g[:, :h])
+        dx_bwd, dbw, dbb = bwd_backward(g[:, h:])
+        return dx_fwd + dx_bwd, dfw, dfb, dbw, dbb
+
+    return ad.make_node(np.concatenate([fwd, bwd], axis=1), (x, fw, fb, bw, bb), backward)
 
 
 def bilstm_encode(encodings: Tensor,
                   levels: list[tuple[Tensor, Tensor, Tensor, Tensor]]) -> Tensor:
     """Stacked bidirectional pass: [n x d] encodings to [n x 2h] context
-    vectors, each row the forward state beside the backward state.  Each
-    level is its (forward w, forward b, backward w, backward b)."""
+    vectors, one :func:`bilstm_level` node per level.  Each level is its
+    (forward w, forward b, backward w, backward b)."""
     if encodings.data.shape[0] == 0:
         raise ValueError("cannot encode an empty sentence")
     xs = encodings
-    for fw, fb, bw, bb in levels:
-        xs = ad.concat([lstm_sequence(xs, fw, fb), lstm_sequence(xs, bw, bb, reverse=True)])
+    for level in levels:
+        xs = bilstm_level(xs, *level)
     return xs

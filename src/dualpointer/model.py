@@ -168,7 +168,7 @@ def init_model(
     given, index = {}, None
     if pretrained is not None:
         shape = replace(shape, d_pretrained=pretrained.dim)
-        given["emb.pretrained"], index = pretrained.weights.data.copy(), pretrained.index
+        given["emb.pretrained"], index = pretrained.weights.copy(), pretrained.index
     tensors = {
         name: Tensor(given[name] if name in given else _initial_draw(rng, name, dims),
                      requires_grad=True)

@@ -14,15 +14,11 @@ formula runs over it.
 """
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .autodiff import RowGrad, Tensor
 
 __all__ = ["Adam"]
-
-log = logging.getLogger(__name__)
 
 # elements per block of a dense update: the six blocks one pass touches
 # (parameter, gradient, both moments, two scratch) take 768 KB and stay in
@@ -73,7 +69,6 @@ class Adam:
             # a finite sum proves every entry finite; only a sum that is not
             # (non-finite entries, or finite ones overflowing) needs the scan
             if not np.isfinite(g.sum()) and not np.all(np.isfinite(g)):
-                log.warning("skipping optimizer step: non-finite gradient")
                 return False
 
         self.t += 1

@@ -4,8 +4,10 @@ Two instances of the same scorer are trained side by side, tagged as in
 ``model.VARIANTS``: "heads" scores "j is the head of i", "deps" scores "j
 is a dependent of i".  Each net is its three tensors ``ptr.<tag>.w``,
 ``.b`` and ``.v``, which the functions here take as arguments.  Scores are
-pre-activation values; the logistic (or optional tanh) output activation
-is applied downstream, after optional merging of the two matrices.
+pre-activation values.  In training, :func:`output_loss` applies the
+logistic (or optional tanh) output activation and the loss in one node; in
+inference the activation is applied downstream, after optional merging of
+the two matrices.
 
 All pairs are scored by one einsum kernel.  np.einsum evaluates a fixed
 contraction order regardless of operand row count, so each entry of the
@@ -21,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .conll import Sentence
 
-__all__ = ["score_all", "target_matrix"]
+__all__ = ["score_all", "target_matrix", "output_loss"]
 
 
 def _attention_kernel(cq: Tensor, ck: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
@@ -95,3 +97,36 @@ def target_matrix(sentence: Sentence, tag: str) -> np.ndarray:
         else:
             m[h - 1, i] = 1.0
     return m
+
+
+def output_loss(scores: list[Tensor], targets: list[np.ndarray], activation: str) -> Tensor:
+    """The training loss of one sentence as a single tape node: each net's
+    mean loss of its score matrix against its :func:`target_matrix`, summed
+    in the order given.
+
+    "sigmoid": binary cross-entropy of the logistic output, in the fused
+    form that is stable for any score magnitude, with the exact backward
+    ``(sigmoid(s) - t) / n``.  "tanh": squared error of ``tanh(s)``.
+    """
+    if activation not in ("sigmoid", "tanh"):
+        raise ValueError(f"unknown output activation {activation!r}")
+    losses, rules = zip(*(_net_loss(score.data, np.asarray(target, dtype=np.float64), activation)
+                          for score, target in zip(scores, targets, strict=True)))
+
+    def backward(g):
+        return tuple(rule(g) for rule in rules)
+
+    return ad.make_node(np.asarray(sum(losses)), tuple(scores), backward)
+
+
+def _net_loss(s: np.ndarray, t: np.ndarray, activation: str):
+    """One net's mean loss and the rule giving its score gradient."""
+    if s.shape != t.shape:
+        raise ValueError(f"output_loss shape mismatch: scores {s.shape}, target {t.shape}")
+    n = max(s.size, 1)
+    if activation == "tanh":
+        p = np.tanh(s)
+        diff = p - t
+        return (diff * diff).sum() / n, lambda g: ad._tanh_backward(p, g * 2.0 * diff / n)
+    loss = (np.maximum(s, 0.0) - s * t + np.log1p(np.exp(-np.abs(s)))).sum() / n
+    return loss, lambda g: g * (ad.stable_sigmoid(s) - t) / n

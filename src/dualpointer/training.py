@@ -26,7 +26,7 @@ from .decoding import PunctuationPolicy, parse, uas
 from .model import MODE_NETS, MODE_VARIANTS, ModelParams, init_model, score_sentence
 from .modelio import load_model, save_model
 from .optim import Adam
-from .pointer import target_matrix
+from .pointer import output_loss, target_matrix
 from .vocab import EmbeddingTable, build_vocab
 
 __all__ = [
@@ -81,14 +81,9 @@ def sentence_loss(
         model, sentence, training=training,
         alpha=config.alpha_word_dropout, rng=rng,
     )
-    parts = []
-    for tag in MODE_NETS[model.mode]:
-        matrix, target = getattr(scored, tag), target_matrix(sentence, tag)
-        if model.shape.activation == "tanh":
-            parts.append(ad.mse_loss(ad.tanh(matrix), target))
-        else:
-            parts.append(ad.bce_with_logits(matrix, target))
-    return parts[0] if len(parts) == 1 else ad.add(parts[0], parts[1])
+    nets = MODE_NETS[model.mode]
+    return output_loss([getattr(scored, tag) for tag in nets],
+                       [target_matrix(sentence, tag) for tag in nets], model.shape.activation)
 
 
 def make_optimizer(model: ModelParams, config: TrainConfig) -> Adam:

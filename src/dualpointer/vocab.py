@@ -12,7 +12,6 @@ from typing import TextIO
 
 import numpy as np
 
-from .autodiff import Tensor
 from .conll import Sentence
 
 __all__ = ["UNKNOWN_ID", "WEIGHT_BOUND", "within_bound", "Vocabulary", "EmbeddingTable",
@@ -92,12 +91,12 @@ class EmbeddingTable:
     weights, row 0 the unknown vector, and the word index that maps
     surface forms to rows (see :func:`pretrained_row`)."""
 
-    weights: Tensor
+    weights: np.ndarray
     index: dict[str, int]
 
     @property
     def dim(self) -> int:
-        return self.weights.data.shape[1]
+        return self.weights.shape[1]
 
 
 def load_pretrained(stream: TextIO) -> EmbeddingTable:
@@ -151,4 +150,4 @@ def load_pretrained(stream: TextIO) -> EmbeddingTable:
     if dim is None:
         raise PretrainedError("empty embedding file")
     weights = np.vstack([np.zeros((1, dim))] + [r[None, :] for r in rows])
-    return EmbeddingTable(Tensor(weights, requires_grad=True), index=index)
+    return EmbeddingTable(weights, index=index)

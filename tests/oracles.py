@@ -1,12 +1,32 @@
 """Composed references that the library is checked against: a per-step
 LSTM cell and the vector ops it is built from, a single-pair attention
-score, the unfused cross-entropy, and an exact maximum spanning tree
+score, the unfused output losses, and an exact maximum spanning tree
 decoder.  Only tests use them."""
 import numpy as np
 
 from dualpointer import autodiff as ad
 from dualpointer.autodiff import Tensor
 from dualpointer.pointer import _attention_kernel
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape."""
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
+
+    def backward(g):
+        return g, g
+
+    return ad.make_node(a.data + b.data, (a, b), backward)
+
+
+def tanh(x: Tensor) -> Tensor:
+    out = np.tanh(x.data)
+
+    def backward(g):
+        return (ad._tanh_backward(out, g),)
+
+    return ad.make_node(out, (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -37,6 +57,21 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.broadcast_to(g, shape).astype(np.float64, copy=False),)
 
     return ad.make_node(np.asarray(x.data.sum()), (x,), backward)
+
+
+def concat(xs) -> Tensor:
+    """Concatenate vectors into one vector."""
+    if not xs:
+        raise ValueError("concat of an empty list")
+    for x in xs:
+        if x.data.ndim != 1:
+            raise ValueError(f"concat expects vectors, got shapes {[x.data.shape for x in xs]}")
+    offsets = np.cumsum([0] + [x.data.shape[0] for x in xs])
+
+    def backward(g):
+        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(xs)))
+
+    return ad.make_node(np.concatenate([x.data for x in xs]), tuple(xs), backward)
 
 
 def stack(xs) -> Tensor:
@@ -77,7 +112,7 @@ def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"affine bias shape {b.data.shape} does not match output rows {w.data.shape[0]}"
         )
-    return ad.add(matmul(w, x), b)
+    return add(matmul(w, x), b)
 
 
 _BCE_CLAMP = 1e-12
@@ -85,8 +120,8 @@ _BCE_CLAMP = 1e-12
 
 def bce_loss(predicted: Tensor, target: np.ndarray) -> Tensor:
     """Mean binary cross-entropy of probabilities against 0/1 targets; with
-    :func:`sigmoid` in front, the composed reference of
-    ``autodiff.bce_with_logits``.
+    :func:`sigmoid` in front, the composed reference of the logistic
+    ``pointer.output_loss``.
 
     Predictions are clamped to [1e-12, 1 - 1e-12]; gradients vanish in the
     clamped region.
@@ -107,6 +142,22 @@ def bce_loss(predicted: Tensor, target: np.ndarray) -> Tensor:
     return ad.make_node(np.asarray(loss), (predicted,), backward)
 
 
+def mse_loss(predicted: Tensor, target: np.ndarray) -> Tensor:
+    """Mean squared error; with :func:`tanh` in front, the composed
+    reference of the tanh ``pointer.output_loss``."""
+    t = np.asarray(target, dtype=np.float64)
+    p = predicted.data
+    if p.shape != t.shape:
+        raise ValueError(f"mse_loss shape mismatch: predicted {p.shape}, target {t.shape}")
+    n = max(p.size, 1)
+    diff = p - t
+
+    def backward(g):
+        return (g * 2.0 * diff / n,)
+
+    return ad.make_node(np.asarray((diff * diff).sum() / n), (predicted,), backward)
+
+
 def segment(x: Tensor, start: int, stop: int) -> Tensor:
     """Contiguous slice of a vector."""
     if x.data.ndim != 1:
@@ -125,20 +176,21 @@ def segment(x: Tensor, start: int, stop: int) -> Tensor:
 
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: Tensor, b: Tensor):
     """One LSTM step composed from tape primitives: returns (h, c).  The
-    reference for ``encoder.lstm_sequence``, with the same ``w`` and ``b``."""
+    reference for each direction of ``encoder.bilstm_level``, with the same
+    ``w`` and ``b``."""
     h = b.data.shape[0] // 4
     if x.data.ndim != 1 or h_prev.data.shape != (h,) or c_prev.data.shape != (h,):
         raise ValueError(
             f"lstm_cell shapes: x {x.data.shape}, h {h_prev.data.shape}, "
             f"c {c_prev.data.shape}, hidden {h}"
         )
-    z = affine(w, ad.concat([x, h_prev]), b)
+    z = affine(w, concat([x, h_prev]), b)
     i = sigmoid(segment(z, 0, h))
     f = sigmoid(segment(z, h, 2 * h))
     o = sigmoid(segment(z, 2 * h, 3 * h))
-    g = ad.tanh(segment(z, 3 * h, 4 * h))
-    c = ad.add(mul(f, c_prev), mul(i, g))
-    return mul(o, ad.tanh(c)), c
+    g = tanh(segment(z, 3 * h, 4 * h))
+    c = add(mul(f, c_prev), mul(i, g))
+    return mul(o, tanh(c)), c
 
 
 def attention_score(query: Tensor, key: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:

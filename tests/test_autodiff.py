@@ -1,15 +1,40 @@
 """Tape correctness: forward values against closed forms, backward against
-central finite differences, and the graph-lifecycle guarantees."""
+central finite differences, and the graph-lifecycle guarantees; the
+output-loss node against the composed losses it replaces."""
 import gc
 
 import numpy as np
 import pytest
 
 from fd import numeric_grad, rel_err
-from oracles import affine, bce_loss, matmul, mul, segment, sigmoid, stack, sum_all
+from oracles import (
+    add,
+    affine,
+    bce_loss,
+    concat,
+    matmul,
+    mse_loss,
+    mul,
+    segment,
+    sigmoid,
+    stack,
+    sum_all,
+    tanh,
+)
 
 from dualpointer import autodiff as ad
 from dualpointer.autodiff import Tensor
+from dualpointer.pointer import output_loss
+
+COMPOSED = {"sigmoid": (sigmoid, bce_loss), "tanh": (tanh, mse_loss)}
+
+
+def score_pairs(rng, nets):
+    """Score matrices and 0/1 targets of ``nets`` nets on a 4-token
+    sentence."""
+    scores = [rng.normal(size=(4, 4)) * 3.0 for _ in range(nets)]
+    targets = [(rng.random((4, 4)) < 0.5).astype(np.float64) for _ in range(nets)]
+    return scores, targets
 
 
 class TestForwardValues:
@@ -33,7 +58,7 @@ class TestForwardValues:
         np.testing.assert_allclose(out, [0.0, 0.0, 1.0, 1.0], atol=1e-300)
 
     def test_tanh_known_point(self):
-        out = ad.tanh(Tensor(np.array([0.5])))
+        out = tanh(Tensor(np.array([0.5])))
         np.testing.assert_allclose(out.data, [0.46211715726000974], rtol=0, atol=1e-15)
 
     def test_bce_at_half(self):
@@ -48,22 +73,48 @@ class TestForwardValues:
         np.testing.assert_allclose(loss.item(), 0.2876820724517809, rtol=0, atol=1e-15)
 
     def test_bce_with_logits_matches_composition(self, rng):
-        s = rng.normal(size=(4, 5)) * 3.0
-        t = (rng.random((4, 5)) < 0.5).astype(np.float64)
-        fused = ad.bce_with_logits(Tensor(s), t)
-        composed = bce_loss(sigmoid(Tensor(s)), t)
-        np.testing.assert_allclose(fused.item(), composed.item(), rtol=1e-12)
+        self.check_composition(rng, "sigmoid")
+
+    def test_tanh_mse_matches_composition(self, rng):
+        self.check_composition(rng, "tanh")
+
+    def check_composition(self, rng, activation):
+        """The loss node against the sum of each net's composed activation
+        and loss, heads first, with one net and with two: value and every
+        score gradient within 1e-12 relative."""
+        act, loss_of = COMPOSED[activation]
+        for nets in (1, 2):
+            s0, targets = score_pairs(rng, nets)
+            fused_in = [Tensor(s.copy(), requires_grad=True) for s in s0]
+            fused = output_loss(fused_in, targets, activation)
+            fused.backward()
+            composed_in = [Tensor(s.copy(), requires_grad=True) for s in s0]
+            parts = [loss_of(act(x), t) for x, t in zip(composed_in, targets)]
+            composed = parts[0] if nets == 1 else add(parts[0], parts[1])
+            composed.backward()
+            assert rel_err(fused.item(), composed.item()) <= 1e-12
+            for a, b in zip(fused_in, composed_in):
+                assert rel_err(a.grad, b.grad) <= 1e-12
 
     def test_bce_with_logits_extreme_scores(self):
         s = Tensor(np.array([1000.0, -1000.0]), requires_grad=True)
-        loss = ad.bce_with_logits(s, np.array([1.0, 0.0]))
+        loss = output_loss([s], [np.array([1.0, 0.0])], "sigmoid")
         assert np.isfinite(loss.item())
         loss.backward()
         assert np.all(np.isfinite(s.grad))
 
+    def test_output_loss_rejects_bad_input(self):
+        s = Tensor(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            output_loss([s], [np.zeros((2, 3))], "sigmoid")
+        with pytest.raises(ValueError, match="unknown output activation"):
+            output_loss([s], [np.zeros((2, 2))], "softmax")
+        with pytest.raises(ValueError):
+            output_loss([s, s], [np.zeros((2, 2))], "tanh")
+
     def test_concat_segment_roundtrip(self, rng):
         a, b = rng.normal(size=3), rng.normal(size=4)
-        cat = ad.concat([Tensor(a), Tensor(b)])
+        cat = concat([Tensor(a), Tensor(b)])
         np.testing.assert_array_equal(segment(cat, 0, 3).data, a)
         np.testing.assert_array_equal(segment(cat, 3, 7).data, b)
 
@@ -83,9 +134,9 @@ class TestForwardValues:
         # no broadcasting: the program adds only equal-shaped losses
         a, b = (Tensor(np.ones(s), requires_grad=True) for s in shapes)
         with pytest.raises(ValueError, match="add shape mismatch"):
-            ad.add(a, b)
+            add(a, b)
         with pytest.raises(ValueError, match="add shape mismatch"):
-            ad.add(b, a)
+            add(b, a)
 
 
 class TestBackwardAgainstFiniteDifferences:
@@ -106,11 +157,11 @@ class TestBackwardAgainstFiniteDifferences:
 
     def test_add_mul_chain(self, rng):
         c = rng.normal(size=(3, 3))
-        self.check(lambda x: sum_all(mul(ad.add(x, Tensor(c)), x)), rng.normal(size=(3, 3)))
+        self.check(lambda x: sum_all(mul(add(x, Tensor(c)), x)), rng.normal(size=(3, 3)))
 
     def test_matmul_left(self, rng):
         b = rng.normal(size=(4, 2))
-        self.check(lambda x: sum_all(ad.tanh(matmul(x, Tensor(b)))), rng.normal(size=(3, 4)))
+        self.check(lambda x: sum_all(tanh(matmul(x, Tensor(b)))), rng.normal(size=(3, 4)))
 
     def test_matmul_right_vector(self, rng):
         a = rng.normal(size=(3, 4))
@@ -123,19 +174,19 @@ class TestBackwardAgainstFiniteDifferences:
         w = Tensor(w0.copy(), requires_grad=True)
         x = Tensor(x0.copy(), requires_grad=True)
         b = Tensor(b0.copy(), requires_grad=True)
-        sum_all(ad.tanh(affine(w, x, b))).backward()
+        sum_all(tanh(affine(w, x, b))).backward()
 
         def fw(arr):
             with ad.no_grad():
-                return sum_all(ad.tanh(affine(Tensor(arr), Tensor(x0), Tensor(b0)))).item()
+                return sum_all(tanh(affine(Tensor(arr), Tensor(x0), Tensor(b0)))).item()
 
         def fx(arr):
             with ad.no_grad():
-                return sum_all(ad.tanh(affine(Tensor(w0), Tensor(arr), Tensor(b0)))).item()
+                return sum_all(tanh(affine(Tensor(w0), Tensor(arr), Tensor(b0)))).item()
 
         def fb(arr):
             with ad.no_grad():
-                return sum_all(ad.tanh(affine(Tensor(w0), Tensor(x0), Tensor(arr)))).item()
+                return sum_all(tanh(affine(Tensor(w0), Tensor(x0), Tensor(arr)))).item()
 
         assert rel_err(w.grad, numeric_grad(fw, w0)) < 1e-7
         assert rel_err(x.grad, numeric_grad(fx, x0)) < 1e-7
@@ -145,7 +196,7 @@ class TestBackwardAgainstFiniteDifferences:
         def build(x):
             a = segment(x, 0, 3)
             b = segment(x, 3, 6)
-            m = stack([a, b, ad.concat([segment(x, 6, 8), segment(x, 0, 1)])])
+            m = stack([a, b, concat([segment(x, 6, 8), segment(x, 0, 1)])])
             return sum_all(mul(m, m))
 
         self.check(build, rng.normal(size=8))
@@ -158,18 +209,32 @@ class TestBackwardAgainstFiniteDifferences:
         )
 
     def test_bce_with_logits_grad(self, rng):
-        t = (rng.random((3, 4)) < 0.5).astype(np.float64)
-        self.check(lambda x: ad.bce_with_logits(x, t), rng.normal(size=(3, 4)) * 2.0)
+        self.check_output_loss(rng, "sigmoid")
 
     def test_mse_grad(self, rng):
+        self.check_output_loss(rng, "tanh")
+
+    def check_output_loss(self, rng, activation):
+        """The loss node's gradient for each net's scores, with one net and
+        with two."""
+        for nets in (1, 2):
+            s0, targets = score_pairs(rng, nets)
+            for k in range(nets):
+                def build(x, k=k):
+                    scores = [x if i == k else Tensor(s) for i, s in enumerate(s0)]
+                    return output_loss(scores, targets, activation)
+
+                self.check(build, s0[k])
+
+    def test_composed_mse_grad(self, rng):
         t = rng.normal(size=(2, 3))
-        self.check(lambda x: ad.mse_loss(ad.tanh(x), t), rng.normal(size=(2, 3)))
+        self.check(lambda x: mse_loss(tanh(x), t), rng.normal(size=(2, 3)))
 
     def test_shared_subexpression_accumulates(self, rng):
         # y = sum(x*x) + sum(x): grad must be 2x + 1, not one branch only
         x0 = rng.normal(size=4)
         x = Tensor(x0.copy(), requires_grad=True)
-        ad.add(sum_all(mul(x, x)), sum_all(x)).backward()
+        add(sum_all(mul(x, x)), sum_all(x)).backward()
         np.testing.assert_allclose(x.grad, 2.0 * x0 + 1.0, rtol=1e-12)
 
     def test_deep_chain_no_recursion_limit(self):
@@ -177,7 +242,7 @@ class TestBackwardAgainstFiniteDifferences:
         x = Tensor(np.array([0.1]), requires_grad=True)
         y = x
         for _ in range(5000):
-            y = ad.add(y, x)
+            y = add(y, x)
         sum_all(y).backward()
         np.testing.assert_allclose(x.grad, [5001.0])
 
@@ -186,29 +251,29 @@ class TestGraphLifecycle:
     def test_backward_requires_scalar(self):
         x = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(ValueError):
-            ad.add(x, x).backward()
+            add(x, x).backward()
 
     def test_no_grad_builds_no_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with ad.no_grad():
-            y = ad.tanh(x)
+            y = tanh(x)
         assert y._backward is None and y._parents == ()
         assert not y.requires_grad
 
     def test_constant_inputs_build_no_graph(self):
-        y = ad.tanh(Tensor(np.ones(3)))
+        y = tanh(Tensor(np.ones(3)))
         assert y._backward is None and y._parents == ()
 
     def test_backward_frees_graph(self):
         x = Tensor(np.ones(4), requires_grad=True)
-        y = sum_all(ad.tanh(x))
+        y = sum_all(tanh(x))
         y.backward()
         assert y._parents == () and y._backward is None
         assert x.grad is not None
 
     def test_graph_collected_after_backward(self):
         x = Tensor(np.ones(8), requires_grad=True)
-        loss = sum_all(mul(ad.tanh(x), sigmoid(x)))
+        loss = sum_all(mul(tanh(x), sigmoid(x)))
         loss.backward()
         del loss
         gc.collect()
@@ -224,7 +289,7 @@ class TestGraphLifecycle:
     def test_second_backward_without_retain_is_inert(self):
         # freed graph means a second pass finds no rules to run
         x = Tensor(np.ones(2), requires_grad=True)
-        y = sum_all(ad.tanh(x))
+        y = sum_all(tanh(x))
         y.backward()
         g1 = x.grad.copy()
         y.backward()
@@ -236,7 +301,7 @@ class TestGraphLifecycle:
         x = Tensor(np.ones(3), requires_grad=True)
         z = Tensor(np.ones(3), requires_grad=True)
         w, w2 = np.array([1.0, 2.0, 3.0]), np.array([10.0, 20.0, 30.0])
-        loss = ad.add(sum_all(mul(ad.add(x, z), Tensor(w))), sum_all(mul(x, Tensor(w2))))
+        loss = add(sum_all(mul(add(x, z), Tensor(w))), sum_all(mul(x, Tensor(w2))))
         loss.backward()
         np.testing.assert_array_equal(z.grad, w)
         np.testing.assert_array_equal(x.grad, w + w2)

@@ -1,13 +1,13 @@
 """Encoder behaviour: dropout law, embedding lookup paths, LSTM math,
 bidirectional stacking, gradients against finite differences, and the
-sequence LSTM node against the composed per-step cell it replaces."""
+BiLSTM level node against the composed per-step cells it replaces."""
 import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 from fd import numeric_grad, rel_err
-from oracles import lstm_cell, mul, stack, sum_all
+from oracles import add, concat, lstm_cell, mul, stack, sum_all
 
 from dualpointer import autodiff as ad
 from dualpointer import encoder as enc
@@ -17,9 +17,9 @@ from dualpointer.conll import Sentence, Token, read_conll
 from dualpointer.decoding import parse
 from dualpointer.encoder import (
     bilstm_encode,
+    bilstm_level,
     dropout_prob,
     encode_tokens,
-    lstm_sequence,
     token_rows,
 )
 from dualpointer.model import init_model
@@ -181,7 +181,7 @@ class TestEncodeTokens:
             g = rng.normal(size=(len(words), 7))
             gathers.append((np.array(rows), g))
             parts.append(sum_all(mul(encode_tokens(rows, *tables(model)), Tensor(g))))
-        loss = parts[0] if len(parts) == 1 else ad.add(parts[0], parts[1])
+        loss = parts[0] if len(parts) == 1 else add(parts[0], parts[1])
         loss.backward()
         # reference: each gather's dense np.add.at gradient, summed in order
         d = model.shape.d_pretrained
@@ -231,13 +231,13 @@ class TestLstmCell:
         def run(w_arr, b_arr, x_arr, h_arr, c_arr):
             h, c = lstm_cell(Tensor(x_arr), Tensor(h_arr), Tensor(c_arr),
                              Tensor(w_arr), Tensor(b_arr))
-            return sum_all(mul(ad.add(h, c), Tensor(proj)))
+            return sum_all(mul(add(h, c), Tensor(proj)))
 
         w = Tensor(w0.copy(), requires_grad=True)
         b = Tensor(b0.copy(), requires_grad=True)
         x = Tensor(x0.copy(), requires_grad=True)
         hh, cc = lstm_cell(x, Tensor(h0), Tensor(c0), w, b)
-        sum_all(mul(ad.add(hh, cc), Tensor(proj))).backward()
+        sum_all(mul(add(hh, cc), Tensor(proj))).backward()
 
         def fw(arr):
             with ad.no_grad():
@@ -376,7 +376,7 @@ def composed_bilstm(rows, levels):
                 h, c = lstm_cell(x, h, c, w, b)
                 out.append(h)
             states.append(out)
-        xs = [ad.concat([f, b]) for f, b in zip(states[0], states[1][::-1])]
+        xs = [concat([f, b]) for f, b in zip(states[0], states[1][::-1])]
     return stack(xs)
 
 
@@ -393,56 +393,62 @@ def random_levels(rng, d_in, hidden, levels=2):
 
 
 class TestLstmSequence:
+    """One BiLSTM level, the node that runs both LSTM directions."""
+
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gradient_vs_finite_differences(self, rng, reverse):
+        """Only one direction's half of the output reaches the loss: that
+        direction's weights and the input get its BPTT gradient, the other
+        direction's weights exactly zero."""
         hidden, d_in, T = 3, 2, 4
-        w0 = rng.normal(size=(4 * hidden, d_in + hidden)) * 0.5
-        b0 = rng.normal(size=4 * hidden) * 0.5
-        x0 = rng.normal(size=(T, d_in))
-        proj = rng.normal(size=(T, hidden))
+        arrays = [rng.normal(size=(4 * hidden, d_in + hidden)) * 0.5,
+                  rng.normal(size=4 * hidden) * 0.5] * 2 + [rng.normal(size=(T, d_in))]
+        proj = np.zeros((T, 2 * hidden))
+        half = slice(hidden, None) if reverse else slice(None, hidden)
+        proj[:, half] = rng.normal(size=(T, hidden))
 
-        def run(w_arr, b_arr, x_arr):
-            out = lstm_sequence(Tensor(x_arr), Tensor(w_arr), Tensor(b_arr), reverse=reverse)
+        def run(fw, fb, bw, bb, x):
+            out = bilstm_level(Tensor(x), Tensor(fw), Tensor(fb), Tensor(bw), Tensor(bb))
             return sum_all(mul(out, Tensor(proj)))
 
-        w = Tensor(w0.copy(), requires_grad=True)
-        b = Tensor(b0.copy(), requires_grad=True)
-        x = Tensor(x0.copy(), requires_grad=True)
-        out = lstm_sequence(x, w, b, reverse=reverse)
-        sum_all(mul(out, Tensor(proj))).backward()
+        fw, fb, bw, bb, x = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        sum_all(mul(bilstm_level(x, fw, fb, bw, bb), Tensor(proj))).backward()
+        got = dict(fw=fw.grad, fb=fb.grad, bw=bw.grad, bb=bb.grad, x=x.grad)
+        idle = ("fw", "fb") if reverse else ("bw", "bb")
 
-        def numeric(which):
-            args = [w0, b0, x0]
-
-            def f(arr):
+        for which, name in enumerate(got):
+            def f(arr, which=which):
                 with ad.no_grad():
-                    return run(*(arr if i == which else a for i, a in enumerate(args))).item()
+                    return run(*(arr if i == which else a for i, a in enumerate(arrays))).item()
 
-            return numeric_grad(f, args[which].copy())
-
-        assert rel_err(w.grad, numeric(0)) < 1e-6
-        assert rel_err(b.grad, numeric(1)) < 1e-6
-        assert rel_err(x.grad, numeric(2)) < 1e-6
+            if name in idle:
+                assert not got[name].any(), name
+            else:
+                assert rel_err(got[name], numeric_grad(f, arrays[which].copy())) < 1e-6, name
 
     def test_shape_mismatch_rejected(self):
         w, b = Tensor(np.zeros((20, 8))), Tensor(np.zeros(20))
         with pytest.raises(ValueError):
-            lstm_sequence(Tensor(np.ones((4, 2))), w, b)
+            bilstm_level(Tensor(np.ones((4, 2))), w, b, w, b)
+        with pytest.raises(ValueError):
+            bilstm_level(Tensor(np.ones((4, 3))), w, b, Tensor(np.zeros((20, 9))), b)
+        with pytest.raises(ValueError):
+            bilstm_level(Tensor(np.ones((4, 3))), w, b, w, Tensor(np.zeros(16)))
 
     @pytest.mark.parametrize("T", [1, 2, 7, 120])
     @pytest.mark.parametrize("hidden", [3, 64, 200])
     def test_matches_composed_cells(self, T, hidden):
-        """Two-level BiLSTM, both directions: forward values and every
-        gradient within 1e-12 relative of the per-step reference."""
+        """Forward values and every gradient within 1e-12 relative of chains
+        of the per-step cell, the two directions joined by concatenation."""
         rng = np.random.default_rng(T * 1000 + hidden)
         d_in = 7
-        levels = random_levels(rng, d_in, hidden)
-        weights = [t for level in levels for t in level]
+        levels = random_levels(rng, d_in, hidden, levels=1)
+        weights = list(levels[0])
         x0 = rng.normal(size=(T, d_in))
         proj = Tensor(rng.normal(size=(T, 2 * hidden)))
 
         x = Tensor(x0.copy(), requires_grad=True)
-        out = bilstm_encode(x, levels)
+        out = bilstm_level(x, *weights)
         sum_all(mul(out, proj)).backward()
         fused = [out.data, x.grad] + [t.grad for t in weights]
         for t in weights:

@@ -210,9 +210,9 @@ def pretrained_or_error(stream):
         table = load_pretrained(stream)
     except PretrainedError:
         return None
-    assert within_bound(table.weights.data)
-    assert not table.weights.data[0].any()
-    assert sorted(table.index.values()) == list(range(1, len(table.weights.data)))
+    assert within_bound(table.weights)
+    assert not table.weights[0].any()
+    assert sorted(table.index.values()) == list(range(1, len(table.weights)))
     return table
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dualpointer.autodiff as ad
+from dualpointer import training
 from dualpointer.cli import main
 from dualpointer.decoding import DepTree
 from dualpointer.gradcheck import (
@@ -92,25 +93,25 @@ def test_corrupted_sigmoid_backward_fails(monkeypatch):
 
 
 def poison_score_gradient(monkeypatch):
-    """Make the logistic loss's backward write NaN into one entry of the
-    score gradient, so NaN reaches every parameter gradient while every
-    loss value stays finite."""
-    fused = ad.bce_with_logits
+    """Make the output loss's backward write NaN into one entry of each
+    net's score gradient, so NaN reaches every parameter gradient while
+    every loss value stays finite."""
+    fused = training.output_loss
 
-    def poisoned(scores, target):
-        loss = fused(scores, target)
+    def poisoned(scores, targets, activation):
+        loss = fused(scores, targets, activation)
         rule = loss._backward
         if rule is not None:
             def backward(g):
-                (gs,) = rule(g)
-                gs = gs.copy()
-                gs.flat[0] = np.nan
-                return (gs,)
+                grads = tuple(gs.copy() for gs in rule(g))
+                for gs in grads:
+                    gs.flat[0] = np.nan
+                return grads
 
             loss._backward = backward
         return loss
 
-    monkeypatch.setattr(ad, "bce_with_logits", poisoned)
+    monkeypatch.setattr(training, "output_loss", poisoned)
 
 
 def test_nan_gradient_fails(monkeypatch):

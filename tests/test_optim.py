@@ -1,6 +1,4 @@
 """Adam update math against hand-computed values and a reference loop."""
-import logging
-
 import numpy as np
 import pytest
 
@@ -78,15 +76,13 @@ def test_missing_grad_leaves_param_untouched():
     assert not np.array_equal(a.data, [1.0])
 
 
-def test_nonfinite_grad_skips_whole_step(caplog):
+def test_nonfinite_grad_skips_whole_step():
     a = Tensor(np.array([1.0]), requires_grad=True)
     b = Tensor(np.array([1.0]), requires_grad=True)
     opt = Adam([a, b])
     a.grad = np.array([0.5])
     b.grad = np.array([np.nan])
-    with caplog.at_level(logging.WARNING):
-        assert not opt.step()
-    assert "non-finite" in caplog.text
+    assert not opt.step()
     np.testing.assert_array_equal(a.data, [1.0])
     np.testing.assert_array_equal(b.data, [1.0])
     assert opt.t == 0

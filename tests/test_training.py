@@ -3,14 +3,15 @@ overfitting trend, determinism, and checkpoint selection."""
 import io
 import logging
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from dualpointer.autodiff import Tensor
+from dualpointer import autodiff as ad
 from dualpointer.conll import Sentence, Token
 from dualpointer.gradcheck import random_sentence
-from dualpointer.model import HEADS_ONLY, JOINT, init_model
+from dualpointer.model import DEPS_ONLY, HEADS_ONLY, JOINT, MODE_NETS, init_model
 from dualpointer.toygrammar import toy_treebank
 from dualpointer.training import (
     Checkpoint,
@@ -42,9 +43,7 @@ def small_model(config, corpus, seed=None):
     vocab = build_vocab(corpus)
     return init_model(
         np.random.default_rng(seed if seed is not None else config.seed), vocab,
-        mode=config.mode, d_pretrained=config.d_pretrained,
-        d_random=config.d_random, bilstm_hidden=config.bilstm_hidden,
-        bilstm_levels=config.bilstm_levels, ptr_hidden=config.ptr_hidden,
+        **asdict(config.shape),
     )
 
 
@@ -113,7 +112,7 @@ def test_large_pretrained_table_moves_only_used_rows():
     the sentence used, and every other row keeps its value and moments."""
     rng = np.random.default_rng(3)
     size = 100_000
-    table = EmbeddingTable(Tensor(rng.normal(size=(size, 3)), requires_grad=True),
+    table = EmbeddingTable(rng.normal(size=(size, 3)),
                            index={f"w{i}": i for i in range(1, size)})
     config = small_config(alpha_word_dropout=0.0)
     first, second = sent(["w5", "w99999", "w7"]), sent(["w42", "w5", "w42"], [0, 1, 1])
@@ -158,6 +157,50 @@ def test_nonfinite_loss_skips_step(caplog):
     assert "7" in caplog.text and "skipped" in caplog.text
     np.testing.assert_array_equal(model.tensors["emb.random"].data, snapshot)
     assert opt.t == 0
+
+
+def test_nonfinite_gradient_logs_one_warning(caplog, monkeypatch):
+    """A backward rule that yields NaN: the loss is finite, the step is
+    skipped, and one warning names the sentence."""
+    config = small_config()
+    corpus = [sent(["a", "b"])]
+    model = small_model(config, corpus)
+    opt = make_optimizer(model, config)
+    snapshot = model.tensors["emb.random"].data.copy()
+    monkeypatch.setattr(ad, "_sigmoid_backward", lambda out, g: np.full(np.shape(out), np.nan))
+    with caplog.at_level(logging.WARNING):
+        value = train_sentence(model, sent(["a", "b"], [2, 0]), config, opt,
+                               np.random.default_rng(0), sentence_id="7")
+    assert value is None
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1, caplog.text
+    assert "sentence 7" in warnings[0].getMessage()
+    assert "non-finite gradient" in warnings[0].getMessage()
+    np.testing.assert_array_equal(model.tensors["emb.random"].data, snapshot)
+    assert opt.t == 0
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
+@pytest.mark.parametrize("mode", [JOINT, HEADS_ONLY, DEPS_ONLY])
+def test_one_tape_node_per_layer(monkeypatch, mode, activation, levels):
+    """A training step records one node per layer: the embedding gather,
+    each BiLSTM level, each pointer net and the output loss."""
+    config = small_config(mode=mode, activation=activation, bilstm_levels=levels)
+    s = sent(["a", "b", "c"], [2, 0, 2])
+    model = small_model(config, [s])
+    made = []
+    make_node = ad.make_node
+
+    def counted(*args):
+        made.append(args)
+        return make_node(*args)
+
+    monkeypatch.setattr(ad, "make_node", counted)
+    value = train_sentence(model, s, config, make_optimizer(model, config),
+                           np.random.default_rng(0))
+    assert value is not None
+    assert len(made) == 1 + levels + len(MODE_NETS[mode]) + 1
 
 
 def test_train_step_on_a_long_sentence():
@@ -227,9 +270,9 @@ class TestTrain:
         leaves it unchanged, so a second seed of one command starts where a
         lone run of that seed would."""
         table = load_pretrained(io.StringIO("a 1 0 0\nthe 0 1 0\n"))
-        read = table.weights.data.copy()
+        read = table.weights.copy()
         train(self.corpus(), self.corpus(), small_config(epochs=1), pretrained=table)
-        assert np.array_equal(table.weights.data, read)
+        assert np.array_equal(table.weights, read)
 
     def test_same_seed_reproduces_run(self):
         config = small_config(epochs=2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dualpointer.conll import Sentence, Token
+from dualpointer.model import init_model
 from dualpointer.vocab import UNKNOWN_ID, build_vocab, load_pretrained, pretrained_row
 
 
@@ -67,18 +68,23 @@ class TestPretrained:
     def test_basic_load(self):
         t = load_pretrained(io.StringIO(EMB))
         assert t.dim == 3
-        assert len(t.weights.data) == 3  # two words + unknown row
+        assert len(t.weights) == 3  # two words + unknown row
         row = pretrained_row(t.index, "hello")
-        np.testing.assert_allclose(t.weights.data[row], [0.1, 0.2, 0.3])
+        np.testing.assert_allclose(t.weights[row], [0.1, 0.2, 0.3])
 
     def test_header_tolerated(self):
         t = load_pretrained(io.StringIO("2 3\n" + EMB))
-        assert t.dim == 3 and len(t.weights.data) == 3
+        assert t.dim == 3 and len(t.weights) == 3
 
     def test_unknown_row_zero_and_trainable(self):
         t = load_pretrained(io.StringIO(EMB))
-        np.testing.assert_array_equal(t.weights.data[UNKNOWN_ID], np.zeros(3))
-        assert t.weights.requires_grad
+        np.testing.assert_array_equal(t.weights[UNKNOWN_ID], np.zeros(3))
+        # a model trains its own copy of the table
+        model = init_model(np.random.default_rng(0), build_vocab([sent(["hello"])]), t,
+                           d_random=2, bilstm_hidden=2, bilstm_levels=1, ptr_hidden=2)
+        trained = model.tensors["emb.pretrained"]
+        assert trained.requires_grad and trained.data is not t.weights
+        np.testing.assert_array_equal(trained.data, t.weights)
 
     def test_raw_then_lowercase_lookup(self):
         t = load_pretrained(io.StringIO("Paris 1 1\nparis 2 2\nLondon 3 3\n"))
@@ -103,8 +109,8 @@ class TestPretrained:
         with caplog.at_level(logging.WARNING):
             t = load_pretrained(io.StringIO("a 1 1\na 2 2\n"))
         assert "duplicate" in caplog.text
-        np.testing.assert_allclose(t.weights.data[pretrained_row(t.index, "a")], [2.0, 2.0])
-        assert len(t.weights.data) == 2
+        np.testing.assert_allclose(t.weights[pretrained_row(t.index, "a")], [2.0, 2.0])
+        assert len(t.weights) == 2
 
     def test_empty_file_rejected(self):
         with pytest.raises(ValueError):
