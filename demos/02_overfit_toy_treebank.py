@@ -20,11 +20,11 @@ best, log = train(corpus, corpus, config,
 print(f"kept epoch {best.epoch} at UAS {best.dev_uas:.2f}")
 
 model = best.load()
-trees = [parse(s, model) for s in corpus]
+trees = parse(corpus, model)
 print("whole-corpus UAS:", uas(corpus, trees, PunctuationPolicy()))
 
 sample = corpus[3]
-tree = parse(sample, model)
+tree = parse([sample], model)[0]
 print("\n forms:", " ".join(s.form for s in sample.tokens))
 print("  gold:", sample.gold_heads())
 print("parsed:", tree.heads, " top =", tree.top)

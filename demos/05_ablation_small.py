@@ -24,7 +24,7 @@ for mode, variants in (
     best, _ = train(train_set, dev_set, config)
     model = best.load()
     for variant in variants:
-        trees = [parse(s, model, variant=variant) for s in dev_set]
+        trees = parse(dev_set, model, variant=variant)
         table[variant] = uas(dev_set, trees, policy)
     print(f"{mode}: trained (best epoch {best.epoch})")
 

@@ -163,10 +163,8 @@ def cmd_parse(run: RunConfig) -> int:
     corpus = _read_corpus(run.test_path or run.dev_path, "input")
     _required(run.output_path, "output")
     variant = run.variant or default_variant(model.mode)
-    annotated = []
-    for sentence in corpus:
-        tree = parse(sentence, model, variant=variant, root_agg=run.root_agg)
-        annotated.append(sentence.with_heads(tree.heads))
+    trees = parse(corpus, model, variant=variant, root_agg=run.root_agg)
+    annotated = [sentence.with_heads(tree.heads) for sentence, tree in zip(corpus, trees)]
     with _opened(run.output_path, "output", "w") as f:
         write_conll(annotated, f)
     print(f"parsed {len(annotated)} sentences with {variant} -> {run.output_path}")

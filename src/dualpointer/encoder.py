@@ -17,7 +17,14 @@ applies the gates; its backward pass collects the gate gradients of all
 positions in one matrix and forms the weight gradients from it with one
 product per weight block.
 
-The functions take the tensors they read, which ``model.score_sentence``
+The same recurrence runs a batch of sentences stored one after another.
+Their rows are read packed, a step at a time with no padding, so each step
+is one [k x h] by [h x 4h] product over the k sentences still running
+(operation batching as in Neubig, Goldberg & Dyer 2017, arXiv:1705.07860).
+Inference encodes whole batches under ``no_grad``; training is the batch
+of one sentence, which the tape records.
+
+The functions take the tensors they read, which ``model.sentence_contexts``
 looks up by their layout names; every width comes from a tensor's shape.
 """
 from __future__ import annotations
@@ -91,89 +98,124 @@ def encode_tokens(rows: list[tuple[int, int]], pre: Tensor, rand: Tensor) -> Ten
     return ad.make_node(data, (pre, rand), backward)
 
 
-def _state_before(states: np.ndarray, reverse: bool) -> np.ndarray:
-    """Row t: the state the recurrence held before reading position t."""
-    before = np.zeros_like(states)
-    if reverse:
-        before[:-1] = states[1:]
-    else:
-        before[1:] = states[:-1]
+def _packing(lengths) -> tuple[np.ndarray | slice, np.ndarray | slice, list[int]]:
+    """How an LSTM reads a batch of sentences stored one after another, a
+    step at a time: the row order of the forward direction, that of the
+    backward direction, each an index array (a slice for one sentence),
+    and how many sentences each step reads.  A step reads the sentences
+    still running, longest first (ties in batch order), so the k of step s
+    are the first k of step s - 1, and no step reads padding."""
+    if len(lengths) == 1:  # a view, not a copy, of a training sentence's rows
+        return slice(None), slice(None, None, -1), [1] * lengths[0]
+    lengths = np.asarray(lengths, dtype=np.intp)
+    by_length = np.argsort(-lengths, kind="stable")
+    running = lengths[by_length] > np.arange(lengths.max())[:, None]  # [steps x batch]
+    step, rank = np.nonzero(running)
+    sentence = by_length[rank]
+    first = (np.cumsum(lengths) - lengths)[sentence]
+    last = first + lengths[sentence] - 1
+    return first + step, last - step, running.sum(axis=1).tolist()
+
+
+def _in_order(rows: np.ndarray, order: np.ndarray | slice) -> np.ndarray:
+    """Rows read in ``order`` put back into the batch's row order."""
+    out = np.empty_like(rows)
+    out[order] = rows
+    return out
+
+
+def _shifted(rows: np.ndarray) -> np.ndarray:
+    """Row s: row s - 1, zero for s = 0; in one sentence's step order, the
+    state the recurrence held before step s."""
+    before = np.zeros_like(rows)
+    before[1:] = rows[:-1]
     return before
 
 
-def _lstm_direction(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray, reverse: bool):
-    """One LSTM direction over a whole sentence, from zero state.
+def _lstm_direction(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
+                    order: np.ndarray | slice, sizes: list[int]):
+    """One LSTM direction over a batch of sentences, each from zero state.
 
-    ``xd`` is [T x d_in]; ``wd`` is [4h x (d_in + h)] with gate blocks in
-    order input, forget, output, candidate, and ``bd`` is [4h].  Returns
-    the [T x h] states, row t the hidden state after reading position t
-    (reading from the last position backwards when ``reverse``), and the
-    backward rule mapping their gradient to (dx, dw, db).
+    ``xd`` is [N x d_in], the rows of every sentence of the batch; ``wd``
+    is [4h x (d_in + h)] with gate blocks in order input, forget, output,
+    candidate, and ``bd`` is [4h].  The direction reads the rows in
+    ``order``, ``sizes[s]`` of them at step s (:func:`_packing`), with one
+    [k x h] by [h x 4h] product per step.  Returns the [N x h] states in
+    ``xd``'s row order, each the hidden state after reading its row, and
+    the backward rule of a one-sentence batch, mapping their gradient to
+    (dx, dw, db).
     """
-    T, d_in = xd.shape
+    N, d_in = xd.shape
     h = wd.shape[0] // 4
     wx, wh = wd[:, :d_in], wd[:, d_in:]
-    zx = xd @ wx.T + bd
-    gates = np.empty((T, 4 * h))  # activated i, f, o, g
-    cells = np.empty((T, h))
-    tanh_cells = np.empty((T, h))
-    states = np.empty((T, h))
-    h_t, c_t = np.zeros(h), np.zeros(h)
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    for t in steps:
-        z = zx[t] + wh @ h_t
-        a = gates[t]
-        a[:3 * h] = ad.stable_sigmoid(z[:3 * h])
-        a[3 * h:] = np.tanh(z[3 * h:])
-        c_t = a[h:2 * h] * c_t + a[:h] * a[3 * h:]
-        cells[t] = c_t
-        tanh_cells[t] = np.tanh(c_t)
-        h_t = a[2 * h:3 * h] * tanh_cells[t]
-        states[t] = h_t
+    wh_t = wh.T
+    zx = (xd @ wx.T + bd)[order]
+    # step order from here on: row s is the s-th row read
+    gates = np.empty((N, 4 * h))  # activated i, f, o, g
+    cells = np.empty((N, h))
+    tanh_cells = np.empty((N, h))
+    states = np.empty((N, h))
+    h_t = c_t = np.zeros((sizes[0], h))
+    end = 0
+    for k in sizes:
+        start, end = end, end + k
+        z = zx[start:end] + h_t[:k] @ wh_t
+        a = gates[start:end]
+        a[:, :3 * h] = ad.stable_sigmoid(z[:, :3 * h])
+        np.tanh(z[:, 3 * h:], out=a[:, 3 * h:])
+        # the carried cell and hidden state are this step's rows of cells
+        # and states, written in place
+        c_t = np.multiply(a[:, h:2 * h], c_t[:k], out=cells[start:end])
+        c_t += a[:, :h] * a[:, 3 * h:]
+        tanh_c = np.tanh(c_t, out=tanh_cells[start:end])
+        h_t = np.multiply(a[:, 2 * h:3 * h], tanh_c, out=states[start:end])
 
     def backward(g):
         # BPTT with everything that does not depend on the carried gradients
-        # computed for all positions up front.  Position t's pre-activation
-        # gradient dz[t] is dc * via_cell[t] on the i, f and g rows and
-        # dh * via_state[t] on the o row, with dh = g[t] + dz[t+1] Wh and
-        # dc = dh * dc_by_dh[t] + dc[t+1] * f[t+1] (t+1: the next position
-        # read).  Activation derivatives are the tape's own backward rules
-        # applied to a unit gradient.
+        # computed for all steps up front.  Step s's pre-activation gradient
+        # dz[s] is dc * via_cell[s] on the i, f and g rows and dh *
+        # via_state[s] on the o row, with dh = g[s] + dz[s+1] Wh and dc =
+        # dh * dc_by_dh[s] + dc[s+1] * f[s+1].  Activation derivatives are
+        # the tape's own backward rules applied to a unit gradient.
+        g = g[order]
         i, f, o, cand = (gates[:, k * h:(k + 1) * h] for k in range(4))
         d_sig = ad._sigmoid_backward(gates[:, :3 * h], 1.0)
-        via_cell = np.zeros((T, 4, h))
+        via_cell = np.zeros((N, 4, h))
         via_cell[:, 0] = cand * d_sig[:, :h]
-        via_cell[:, 1] = _state_before(cells, reverse) * d_sig[:, h:2 * h]
+        via_cell[:, 1] = _shifted(cells) * d_sig[:, h:2 * h]
         via_cell[:, 3] = i * ad._tanh_backward(cand, 1.0)
         via_state = tanh_cells * d_sig[:, 2 * h:]
         dc_by_dh = o * ad._tanh_backward(tanh_cells, 1.0)
-        dz = np.empty((T, 4, h))
+        dz = np.empty((N, 4, h))
         dh_next, dc_next = np.zeros(h), np.zeros(h)
-        for t in reversed(steps):
-            dh = g[t] + dh_next
-            dc = dh * dc_by_dh[t] + dc_next
-            np.multiply(via_cell[t], dc, out=dz[t])
-            np.multiply(dh, via_state[t], out=dz[t, 2])
-            dc_next = dc * f[t]
-            dh_next = dz[t].reshape(-1) @ wh
-        dz = dz.reshape(T, 4 * h)
+        for s in range(N - 1, -1, -1):
+            dh = g[s] + dh_next
+            dc = dh * dc_by_dh[s] + dc_next
+            np.multiply(via_cell[s], dc, out=dz[s])
+            np.multiply(dh, via_state[s], out=dz[s, 2])
+            dc_next = dc * f[s]
+            dh_next = dz[s].reshape(-1) @ wh
+        dz = _in_order(dz.reshape(N, 4 * h), order)
         # dW = dz^T [X, H_before] as one product: concatenating the outputs
         # of two products, a [4h x (d_in + h)] copy, costs more than both
-        inputs = np.concatenate([xd, _state_before(states, reverse)], axis=1)
+        inputs = np.concatenate([xd, _in_order(_shifted(states), order)], axis=1)
         return dz @ wx, dz.T @ inputs, dz.sum(axis=0)
 
-    return states, backward
+    return _in_order(states, order), backward
 
 
-def bilstm_level(x: Tensor, fw: Tensor, fb: Tensor, bw: Tensor, bb: Tensor) -> Tensor:
-    """One BiLSTM level as a single tape node: [T x d_in] inputs to the
-    [T x 2h] matrix whose row t is the forward state beside the backward
-    state at position t.
+def bilstm_level(x: Tensor, fw: Tensor, fb: Tensor, bw: Tensor, bb: Tensor,
+                 lengths: list[int] | None = None) -> Tensor:
+    """One BiLSTM level as a single tape node: [N x d_in] inputs to the
+    [N x 2h] matrix whose row is the forward state beside the backward
+    state at that token.  The rows are those of sentences of ``lengths``
+    tokens stored one after another, one sentence by default.
 
     ``fw``/``bw`` are each direction's [4h x (d_in + h)] gate matrix and
     ``fb``/``bb`` its [4h] bias.  Computes what chains of single LSTM steps
     from zero state compute, up to floating-point evaluation order; the
-    tests hold it to such chains composed from tape primitives.
+    tests hold it to such chains composed from tape primitives.  The tape
+    takes one sentence at a time: a batch is encoded under ``no_grad``.
     """
     xd = x.data
     h = fw.data.shape[0] // 4
@@ -183,25 +225,36 @@ def bilstm_level(x: Tensor, fw: Tensor, fb: Tensor, bw: Tensor, bb: Tensor) -> T
             raise ValueError(
                 f"bilstm_level shapes: x {xd.shape}, W {w.data.shape}, b {b.data.shape}"
             )
-    fwd, fwd_backward = _lstm_direction(xd, fw.data, fb.data, reverse=False)
-    bwd, bwd_backward = _lstm_direction(xd, bw.data, bb.data, reverse=True)
+    lengths = [xd.shape[0]] if lengths is None else list(lengths)
+    if not lengths or min(lengths) < 1 or sum(lengths) != xd.shape[0]:
+        raise ValueError(f"bilstm_level: sentence lengths {lengths} for {xd.shape[0]} rows")
+    parents = (x, fw, fb, bw, bb)
+    if len(lengths) > 1 and ad._GRAD_ENABLED and any(p.requires_grad for p in parents):
+        raise ValueError("bilstm_level records one sentence on the tape; "
+                         "encode a batch under no_grad")
+    fwd_order, bwd_order, sizes = _packing(lengths)
+    fwd, fwd_backward = _lstm_direction(xd, fw.data, fb.data, fwd_order, sizes)
+    bwd, bwd_backward = _lstm_direction(xd, bw.data, bb.data, bwd_order, sizes)
 
     def backward(g):
         dx_fwd, dfw, dfb = fwd_backward(g[:, :h])
         dx_bwd, dbw, dbb = bwd_backward(g[:, h:])
         return dx_fwd + dx_bwd, dfw, dfb, dbw, dbb
 
-    return ad.make_node(np.concatenate([fwd, bwd], axis=1), (x, fw, fb, bw, bb), backward)
+    return ad.make_node(np.concatenate([fwd, bwd], axis=1), parents, backward)
 
 
 def bilstm_encode(encodings: Tensor,
-                  levels: list[tuple[Tensor, Tensor, Tensor, Tensor]]) -> Tensor:
+                  levels: list[tuple[Tensor, Tensor, Tensor, Tensor]],
+                  lengths: list[int] | None = None) -> Tensor:
     """Stacked bidirectional pass: [n x d] encodings to [n x 2h] context
     vectors, one :func:`bilstm_level` node per level.  Each level is its
-    (forward w, forward b, backward w, backward b)."""
+    (forward w, forward b, backward w, backward b).  The rows are those of
+    sentences of ``lengths`` tokens stored one after another, one sentence
+    by default."""
     if encodings.data.shape[0] == 0:
         raise ValueError("cannot encode an empty sentence")
     xs = encodings
     for level in levels:
-        xs = bilstm_level(xs, *level)
+        xs = bilstm_level(xs, *level, lengths=lengths)
     return xs

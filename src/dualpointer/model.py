@@ -37,6 +37,7 @@ __all__ = [
     "tensor_layout",
     "init_model",
     "require_variant",
+    "sentence_contexts",
     "score_sentence",
 ]
 
@@ -196,21 +197,44 @@ class SentenceScores:
     deps: Tensor | None = None
 
 
+def sentence_contexts(
+    model: ModelParams,
+    sentences: list[Sentence],
+    training: bool = False,
+    alpha: float = 0.25,
+    rng: np.random.Generator | None = None,
+) -> list[Tensor]:
+    """Each sentence's [n x 2h] context rows, the sentences embedded by one
+    gather and run through the BiLSTM as one batch, each tensor looked up
+    by its :func:`tensor_layout` name.  Only a lone sentence's rows stay on
+    the tape; a batch of several is encoded under ``no_grad``."""
+    t = model.tensors
+    rows = [token_rows(s, model.vocab, model.index, training, alpha, rng) for s in sentences]
+    encodings = encode_tokens([pair for sentence_rows in rows for pair in sentence_rows],
+                              t["emb.pretrained"], t["emb.random"])
+    levels = [tuple(t[f"lstm.l{li}.{d}.{p}"] for d in ("fwd", "bwd") for p in "wb")
+              for li in range(model.shape.bilstm_levels)]
+    lengths = [len(r) for r in rows]
+    contexts = bilstm_encode(encodings, levels, lengths)
+    if len(sentences) == 1:
+        return [contexts]
+    return [Tensor(c) for c in np.split(contexts.data, np.cumsum(lengths)[:-1])]
+
+
 def score_sentence(
     model: ModelParams,
     sentence: Sentence,
     training: bool = False,
     alpha: float = 0.25,
     rng: np.random.Generator | None = None,
+    contexts: Tensor | None = None,
 ) -> SentenceScores:
-    """Encode and run whichever pointer nets the model owns, each tensor
-    looked up by its :func:`tensor_layout` name."""
+    """Run whichever pointer nets the model owns over the sentence's
+    context rows, encoding the sentence unless its ``contexts`` (from
+    :func:`sentence_contexts`) are given."""
+    if contexts is None:
+        (contexts,) = sentence_contexts(model, [sentence], training, alpha, rng)
     t = model.tensors
-    rows = token_rows(sentence, model.vocab, model.index, training, alpha, rng)
-    encodings = encode_tokens(rows, t["emb.pretrained"], t["emb.random"])
-    levels = [tuple(t[f"lstm.l{li}.{d}.{p}"] for d in ("fwd", "bwd") for p in "wb")
-              for li in range(model.shape.bilstm_levels)]
-    contexts = bilstm_encode(encodings, levels)
     return SentenceScores(**{
         tag: score_all(contexts, *(t[f"ptr.{tag}.{p}"] for p in "wbv"))
         for tag in MODE_NETS[model.mode]})

@@ -44,8 +44,9 @@ def _attention_kernel(cq: Tensor, ck: Tensor, w: Tensor, b: Tensor, v: Tensor) -
     wk, wq = wd[:, :d], wd[:, d:]
     kproj = np.einsum("mc,hc->mh", ck.data, wk)
     qproj = np.einsum("nc,hc->nh", cq.data, wq)
-    pre = qproj[:, None, :] + kproj[None, :, :] + bd
-    t = np.tanh(pre)
+    t = qproj[:, None, :] + kproj[None, :, :]
+    t += bd
+    np.tanh(t, out=t)
     out = np.einsum("nmh,h->nm", t, vd)
     cqd, ckd = cq.data, ck.data
 

@@ -167,7 +167,7 @@ def train(
                 counted += 1
         mean_loss = total / counted if counted else float("nan")
 
-        predicted = [parse(s, model, variant, config.root_agg) for s in dev]
+        predicted = parse(dev, model, variant, config.root_agg)
         dev_uas = uas(dev, predicted, punct)
 
         row = EpochRow(epoch=epoch, mean_loss=mean_loss, dev_uas=dev_uas, skipped=skipped)

@@ -151,7 +151,7 @@ def test_criterion_5_ablation_direction():
             best, _ = train(train_set, dev_set, config)
             model = best.load()
             for variant in variants:
-                trees = [parse(s, model, variant=variant) for s in dev_set]
+                trees = parse(dev_set, model, variant=variant)
                 scores[variant].append(uas(dev_set, trees, policy))
     print()
     for variant, values in scores.items():

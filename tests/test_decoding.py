@@ -1,6 +1,7 @@
 """Decoding pipeline: merge math, top detection, greedy selection, cycle
 repair, UAS, and the structural guarantees on every output."""
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import max_spanning_tree, tree_score
 
 import dualpointer.decoding as decoding
-from dualpointer.conll import Sentence, Token
+from dualpointer.conll import Sentence, Token, read_conll
 from dualpointer.decoding import (
     AlignmentError,
     DepTree,
@@ -24,7 +25,9 @@ from dualpointer.decoding import (
     parse,
     uas,
 )
-from dualpointer.model import JOINT, VARIANTS, ModeMismatchError, init_model, score_sentence
+from dualpointer.model import (JOINT, MODE_VARIANTS, MODES, VARIANTS, ModeMismatchError,
+                               init_model, score_sentence)
+from dualpointer.training import TrainConfig, train
 from dualpointer import autodiff as ad
 from dualpointer.autodiff import Tensor
 from dualpointer.vocab import build_vocab
@@ -482,8 +485,8 @@ class TestParse:
 
     def test_deterministic(self, model):
         s = sent(["a", "c", "b"])
-        t1 = parse(s, model, "p1")
-        t2 = parse(s, model, "p1")
+        t1 = parse([s], model, "p1")[0]
+        t2 = parse([s], model, "p1")[0]
         assert t1.heads == t2.heads
 
     def test_always_valid_on_random_inputs(self, model, rng):
@@ -491,36 +494,36 @@ class TestParse:
         for _ in range(50):
             n = int(rng.integers(1, 7))
             s = sent([words[int(rng.integers(0, 5))] for _ in range(n)])
-            tree = parse(s, model, "p1")
+            tree = parse([s], model, "p1")[0]
             assert tree.invariant_violation() is None
 
     def test_variant_gate(self, model):
         with pytest.raises(Exception):
-            parse(sent(["a"]), model, "p4")
+            parse([sent(["a"])], model, "p4")
 
     def test_p2_independent_of_deps_tensors(self, model, rng):
         s = sent(["a", "b", "c", "d"])
-        before = parse(s, model, "p2").heads
+        before = parse([s], model, "p2")[0].heads
         w = model.tensors["ptr.deps.w"]
         w.data += rng.normal(size=w.data.shape)
         model.tensors["ptr.deps.v"].data += 1.0
-        assert parse(s, model, "p2").heads == before
+        assert parse([s], model, "p2")[0].heads == before
 
     def test_p3_independent_of_heads_tensors(self, model, rng):
         s = sent(["a", "b", "c", "d"])
-        before = parse(s, model, "p3").heads
+        before = parse([s], model, "p3")[0].heads
         model.tensors["ptr.heads.v"].data += 1.0
-        assert parse(s, model, "p3").heads == before
+        assert parse([s], model, "p3")[0].heads == before
 
     def test_output_ignores_gold_head_column(self, model):
         # inference must never peek at the annotation
         words = ["a", "b", "c", "d"]
-        annotated = parse(sent(words, [2, 0, 2, 3]), model, "p1")
-        different = parse(sent(words, [0, 1, 1, 1]), model, "p1")
+        annotated = parse([sent(words, [2, 0, 2, 3])], model, "p1")[0]
+        different = parse([sent(words, [0, 1, 1, 1])], model, "p1")[0]
         blank = sent(words)
         for t in blank.tokens:
             t.head = None
-        unannotated = parse(blank, model, "p1")
+        unannotated = parse([blank], model, "p1")[0]
         assert annotated.heads == different.heads == unannotated.heads
 
 
@@ -614,7 +617,7 @@ class TestDecodeCorpus:
         decoded = decode_corpus(corpus, model, ("p1", "p2", "p3"))
         assert list(decoded) == ["p1", "p2", "p3"]
         for variant, (trees, fraction) in decoded.items():
-            assert [t.heads for t in trees] == [parse(s, model, variant).heads
+            assert [t.heads for t in trees] == [parse([s], model, variant)[0].heads
                                                 for s in corpus]
             clean = sum(self.greedy_is_tree(s, model, variant) for s in corpus)
             assert fraction == clean / len(corpus)
@@ -653,3 +656,75 @@ class TestDecodeCorpus:
                 valid = False
             assert was_tree == valid
             assert (tree.heads == greedy) == valid
+
+
+DEV = Path(__file__).resolve().parent.parent / "data" / "ambiguous-dev.conllu"
+
+
+@pytest.fixture(scope="module")
+def dev_corpus():
+    with open(DEV, encoding="utf-8") as f:
+        return read_conll(f)
+
+
+@pytest.fixture(scope="module")
+def trained(dev_corpus):
+    """One small model per training mode, trained for two epochs."""
+    return {mode: train(dev_corpus[:80], dev_corpus[80:100], TrainConfig(
+        mode=mode, epochs=2, seed=3, d_pretrained=4, d_random=5, bilstm_hidden=6,
+        ptr_hidden=7))[0].load() for mode in MODES}
+
+
+class TestBatchedDecode:
+    """Corpus decoding, which encodes sentences a batch at a time, against
+    decoding one sentence at a time."""
+
+    @pytest.mark.parametrize("root_agg", ["max", "sum"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_sentence_at_a_time(self, trained, dev_corpus, mode, root_agg):
+        model, variants = trained[mode], MODE_VARIANTS[mode]
+        corpus = dev_corpus * 3  # several token budgets' worth
+        assert sum(map(len, corpus)) > 3 * decoding.BATCH_TOKENS
+        decoded = decode_corpus(corpus, model, variants, root_agg)
+        for variant in variants:
+            alone = [decode_corpus([s], model, (variant,), root_agg)[variant]
+                     for s in dev_corpus]
+            heads = [trees[0].heads for trees, _ in alone] * 3
+            trees, clean = decoded[variant]
+            assert [t.heads for t in trees] == heads
+            assert clean == 3 * sum(c for _, c in alone) / len(corpus)
+            assert [t.heads for t in parse(corpus, model, variant, root_agg)] == heads
+
+    @pytest.mark.parametrize("budget", [8, 300])
+    def test_batches_cover_corpus_in_order(self, trained, dev_corpus, monkeypatch, budget):
+        """Each batch is a run of consecutive sentences within the budget,
+        or one sentence longer than it; the trees do not depend on it."""
+        model = trained[JOINT]
+        expected = [t.heads for t in parse(dev_corpus, model)]
+        batches = []
+        real = decoding.sentence_contexts
+
+        def spied(model, sentences):
+            batches.append(sentences)
+            return real(model, sentences)
+
+        monkeypatch.setattr(decoding, "BATCH_TOKENS", budget)
+        monkeypatch.setattr(decoding, "sentence_contexts", spied)
+        assert [t.heads for t in parse(dev_corpus, model)] == expected
+        assert len(batches) >= 3
+        assert [s for batch in batches for s in batch] == dev_corpus
+        for batch in batches:
+            assert len(batch) == 1 or sum(map(len, batch)) <= budget
+
+    def test_input_order_kept(self, trained, dev_corpus, rng):
+        model = trained[JOINT]
+        heads = [t.heads for t in parse(dev_corpus, model, "p2")]
+        order = rng.permutation(len(dev_corpus))
+        shuffled = parse([dev_corpus[i] for i in order], model, "p2")
+        assert [t.heads for t in shuffled] == [heads[i] for i in order]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_empty_corpus(self, trained, mode):
+        model, variants = trained[mode], MODE_VARIANTS[mode]
+        assert parse([], model, variants[0]) == []
+        assert decode_corpus([], model, variants) == {v: ([], 1.0) for v in variants}

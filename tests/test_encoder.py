@@ -471,11 +471,85 @@ class TestLstmSequence:
         with open(path, encoding="utf-8") as f:
             sentences = read_conll(f)
         model = init_model(np.random.default_rng(7), build_vocab(sentences))
-        fused = [parse(s, model).heads for s in sentences]
+        fused = [parse([s], model)[0].heads for s in sentences]
         monkeypatch.setattr(
             model_module, "bilstm_encode",
-            lambda x, levels: composed_bilstm([Tensor(r) for r in x.data], levels),
+            lambda x, levels, lengths: composed_bilstm([Tensor(r) for r in x.data], levels),
         )
-        composed = [parse(s, model).heads for s in sentences]
+        composed = [parse([s], model)[0].heads for s in sentences]
         assert len(fused) == 200
         assert fused == composed
+
+
+def relative_gap(got, want):
+    """max |got - want| over max |want|."""
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestPackedBatch:
+    """Several sentences through one BiLSTM pass, their rows packed a step
+    at a time, against each sentence encoded alone."""
+
+    LENGTHS = {
+        "mixed": [7, 1, 120, 33, 2, 64, 7, 11, 90, 3, 7],
+        "many-equal": [9] * 12 + [4] * 6 + [9] * 5,
+        "one-token": [1] * 25,
+    }
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("hidden", [3, 64, 200])
+    @pytest.mark.parametrize("lengths", sorted(LENGTHS))
+    def test_matches_sentences_alone(self, lengths, hidden, levels):
+        lengths = self.LENGTHS[lengths]
+        rng = np.random.default_rng(hidden * 10 + levels)
+        d_in = 7
+        stack = random_levels(rng, d_in, hidden, levels)
+        xs = [rng.normal(size=(n, d_in)) for n in lengths]
+        with ad.no_grad():
+            batch = bilstm_encode(Tensor(np.concatenate(xs)), stack, lengths).data
+            alone = [bilstm_encode(Tensor(x), stack).data for x in xs]
+        parts = np.split(batch, np.cumsum(lengths)[:-1])
+        for got, want in zip(parts, alone, strict=True):
+            assert got.shape == want.shape == (len(want), 2 * hidden)
+            assert relative_gap(got, want) <= 1e-12
+
+    def test_packed_row_orders(self):
+        """Longest sentence first, ties in batch order; the backward
+        direction reads each sentence from its last token."""
+        # rows: sentence 0 is 0-1, sentence 1 is 2, sentence 2 is 3-5
+        forward, backward, sizes = enc._packing([2, 1, 3])
+        assert forward.tolist() == [3, 0, 2, 4, 1, 5]
+        assert backward.tolist() == [5, 1, 2, 4, 0, 3]
+        assert sizes == [3, 2, 1]
+        forward, backward, sizes = enc._packing([3])
+        rows = np.arange(3)
+        assert rows[forward].tolist() == [0, 1, 2]
+        assert rows[backward].tolist() == [2, 1, 0]
+        assert sizes == [1, 1, 1]
+
+    def test_sentence_contexts_match_score_path(self, rng):
+        """The model's batch encoder splits the rows back per sentence, in
+        input order."""
+        words = ["a", "b", "c", "d"]
+        vocab = build_vocab([sent(words)])
+        model = tiny_model(rng, vocab)
+        sentences = [sent([words[int(rng.integers(0, 4))] for _ in range(n)])
+                     for n in (3, 1, 6, 3, 2)]
+        with ad.no_grad():
+            batch = model_module.sentence_contexts(model, sentences)
+            alone = [bilstm_encode(embed(s, model), lstm_levels(model)).data
+                     for s in sentences]
+        for got, want in zip(batch, alone, strict=True):
+            assert relative_gap(got.data, want) <= 1e-12
+
+    def test_batch_on_tape_rejected(self, rng):
+        fw, fb = init_lstm(rng, 3, 4)
+        bw, bb = init_lstm(rng, 3, 4)
+        with pytest.raises(ValueError, match="no_grad"):
+            bilstm_level(Tensor(np.ones((5, 3))), fw, fb, bw, bb, lengths=[2, 3])
+
+    @pytest.mark.parametrize("lengths", [[2, 2], [5, 0], []])
+    def test_lengths_must_cover_rows(self, rng, lengths):
+        fw, fb = init_lstm(rng, 3, 4)
+        with ad.no_grad(), pytest.raises(ValueError):
+            bilstm_level(Tensor(np.ones((5, 3))), fw, fb, fw, fb, lengths=lengths)

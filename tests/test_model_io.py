@@ -74,7 +74,7 @@ def test_scores_identical_after_roundtrip():
     merged_before = merge(before.heads, before.deps, "p1")
     merged_after = merge(after.heads, after.deps, "p1")
     np.testing.assert_array_equal(merged_before, merged_after)
-    assert parse(s, m).heads == parse(s, loaded).heads
+    assert parse([s], m)[0].heads == parse([s], loaded)[0].heads
 
 
 def test_single_task_modes_roundtrip():

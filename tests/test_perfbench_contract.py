@@ -77,6 +77,14 @@ def test_tracer_installs_times_and_uninstalls(tracing, tmp_path, capsys):
     ]:
         assert (command, name) in seen, (command, name)
     assert tracer.nodes > 0
+    # corpus decoding encodes sentences in batches, yet still scores each
+    # sentence once and times the BiLSTM, which the per-sentence metrics read
+    with open(TOY, encoding="utf-8") as f:
+        sentences = len(dp.conll.read_conll(f))
+    for command in ("parse", "eval"):
+        scored = [span for span in tracer.spans if span[:2] == ("model.score", command)]
+        assert len(scored) == sentences, command
+        assert (command, "encoder.bilstm") in seen, command
 
 
 def test_setup_pass_and_output_check_calls(tmp_path):
