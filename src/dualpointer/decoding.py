@@ -249,6 +249,12 @@ def decode_corpus(
     Returns variant -> (trees in input order, fraction of sentences whose
     greedy decode was already a tree); an empty corpus counts as fully
     cycle-free.
+
+    A sentence's context rows come from a BiLSTM step shared with its batch
+    neighbours, and the rounding of that product depends on how many rows
+    it has (about 1e-15 relative).  So a head chosen on a near-tie can
+    differ between decoding a sentence inside a corpus and decoding it
+    alone.
     """
     for variant in variants:
         require_variant(model, variant)

@@ -98,15 +98,13 @@ def encode_tokens(rows: list[tuple[int, int]], pre: Tensor, rand: Tensor) -> Ten
     return ad.make_node(data, (pre, rand), backward)
 
 
-def _packing(lengths) -> tuple[np.ndarray | slice, np.ndarray | slice, list[int]]:
+def _packing(lengths) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """How an LSTM reads a batch of sentences stored one after another, a
-    step at a time: the row order of the forward direction, that of the
-    backward direction, each an index array (a slice for one sentence),
-    and how many sentences each step reads.  A step reads the sentences
-    still running, longest first (ties in batch order), so the k of step s
-    are the first k of step s - 1, and no step reads padding."""
-    if len(lengths) == 1:  # a view, not a copy, of a training sentence's rows
-        return slice(None), slice(None, None, -1), [1] * lengths[0]
+    step at a time: the row order of the forward direction and that of the
+    backward direction, each an index array, and how many sentences each
+    step reads.  A step reads the sentences still running, longest first
+    (ties in batch order), so the k of step s are the first k of step
+    s - 1, and no step reads padding."""
     lengths = np.asarray(lengths, dtype=np.intp)
     by_length = np.argsort(-lengths, kind="stable")
     running = lengths[by_length] > np.arange(lengths.max())[:, None]  # [steps x batch]
@@ -117,7 +115,7 @@ def _packing(lengths) -> tuple[np.ndarray | slice, np.ndarray | slice, list[int]
     return first + step, last - step, running.sum(axis=1).tolist()
 
 
-def _in_order(rows: np.ndarray, order: np.ndarray | slice) -> np.ndarray:
+def _in_order(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Rows read in ``order`` put back into the batch's row order."""
     out = np.empty_like(rows)
     out[order] = rows
@@ -133,7 +131,7 @@ def _shifted(rows: np.ndarray) -> np.ndarray:
 
 
 def _lstm_direction(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
-                    order: np.ndarray | slice, sizes: list[int]):
+                    order: np.ndarray, sizes: list[int]):
     """One LSTM direction over a batch of sentences, each from zero state.
 
     ``xd`` is [N x d_in], the rows of every sentence of the batch; ``wd``
@@ -228,10 +226,6 @@ def bilstm_level(x: Tensor, fw: Tensor, fb: Tensor, bw: Tensor, bb: Tensor,
     lengths = [xd.shape[0]] if lengths is None else list(lengths)
     if not lengths or min(lengths) < 1 or sum(lengths) != xd.shape[0]:
         raise ValueError(f"bilstm_level: sentence lengths {lengths} for {xd.shape[0]} rows")
-    parents = (x, fw, fb, bw, bb)
-    if len(lengths) > 1 and ad._GRAD_ENABLED and any(p.requires_grad for p in parents):
-        raise ValueError("bilstm_level records one sentence on the tape; "
-                         "encode a batch under no_grad")
     fwd_order, bwd_order, sizes = _packing(lengths)
     fwd, fwd_backward = _lstm_direction(xd, fw.data, fb.data, fwd_order, sizes)
     bwd, bwd_backward = _lstm_direction(xd, bw.data, bb.data, bwd_order, sizes)
@@ -241,7 +235,11 @@ def bilstm_level(x: Tensor, fw: Tensor, fb: Tensor, bw: Tensor, bb: Tensor,
         dx_bwd, dbw, dbb = bwd_backward(g[:, h:])
         return dx_fwd + dx_bwd, dfw, dfb, dbw, dbb
 
-    return ad.make_node(np.concatenate([fwd, bwd], axis=1), parents, backward)
+    out = ad.make_node(np.concatenate([fwd, bwd], axis=1), (x, fw, fb, bw, bb), backward)
+    if len(lengths) > 1 and out.requires_grad:
+        raise ValueError("bilstm_level records one sentence on the tape; "
+                         "encode a batch under no_grad")
+    return out
 
 
 def bilstm_encode(encodings: Tensor,
