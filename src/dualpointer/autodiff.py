@@ -11,9 +11,15 @@ training graph is a fused kernel of ``encoder`` or ``pointer``, one per
 layer, recording itself through :func:`make_node`.
 
 Everything is double precision.  Backward closures capture plain numpy
-arrays, never tensor objects, so the graph is a pure DAG with child-to-parent
-references only and is freed by reference counting as soon as the loss goes
-out of scope (``backward`` additionally severs the graph eagerly).
+arrays and at most their own node's parents, so the graph is a pure DAG
+with child-to-parent references only and is freed by reference counting
+as soon as the loss goes out of scope (``backward`` additionally severs
+the graph eagerly).
+
+A tensor may carry a persistent ``grad_buffer``, which an optimizer gives
+its dense weights: the backward rule of the node that owns the weight
+writes the gradient into it (:func:`grad_out`), so a training step
+allocates no weight-sized array.
 """
 from __future__ import annotations
 
@@ -24,6 +30,7 @@ __all__ = [
     "RowGrad",
     "no_grad",
     "make_node",
+    "grad_out",
     "stable_sigmoid",
 ]
 
@@ -57,14 +64,17 @@ class Tensor:
     ``grad`` holds the gradient accumulated by :meth:`backward`: an array
     of ``data``'s shape, or a :class:`RowGrad` for a table read by row
     gather.  The array may share memory with other gradients, so treat it
-    as read-only.
+    as read-only.  It may also be ``grad_buffer``, the optimizer's
+    persistent array for this tensor, which the next backward after
+    ``grad`` is cleared overwrites: copy it to keep it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "grad_buffer", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | RowGrad | None = None
+        self.grad_buffer: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
@@ -159,6 +169,15 @@ def make_node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor
         out._backward = backward
         return out
     return Tensor(data)
+
+
+def grad_out(t: Tensor) -> np.ndarray:
+    """The array a backward rule writes ``t``'s whole gradient into:
+    ``t.grad_buffer`` while ``t`` holds no gradient, else a new array,
+    which the tape adds to the gradient already held."""
+    if t.grad is None and t.grad_buffer is not None:
+        return t.grad_buffer
+    return np.empty(t.data.shape)
 
 
 # Backward rules of the two activations, from their outputs.  The kernels

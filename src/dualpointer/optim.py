@@ -5,7 +5,10 @@ it manages and a single shared step counter.  A parameter whose gradient is
 a :class:`~dualpointer.autodiff.RowGrad` (an embedding table read by row
 gather) is updated on the rows that gradient names only: the other rows
 keep their values and their moments frozen, which keeps per-sentence
-updates cheap for large vocabularies.
+updates cheap for large vocabularies.  Every other parameter gets a
+persistent gradient buffer with its moments (``Tensor.grad_buffer``), which
+the backward pass writes into, so a step allocates no parameter-sized
+array; :meth:`Adam.release` frees buffers and moments once training ends.
 
 Updates run in place, block by block through two small scratch buffers,
 so they allocate nothing beyond a row update's gathered rows and each
@@ -32,7 +35,8 @@ class Adam:
     """Adam with bias correction (step size alpha, decay rates beta1/beta2).
 
     ``m``/``v`` hold each parameter's moments, allocated as zeros when it
-    is first updated, and ``t`` counts the steps applied.
+    is first updated, and ``t`` counts the steps applied.  A parameter
+    first updated by a dense gradient gets its ``grad_buffer`` then too.
     """
 
     def __init__(
@@ -54,8 +58,18 @@ class Adam:
         self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
 
     def zero_grad(self) -> None:
+        """Clear every gradient; the buffers stay for the next backward."""
         for p in self.params:
             p.grad = None
+
+    def release(self) -> None:
+        """Free the moments and gradient buffers, for when training is over:
+        a later step starts the moments from zero again."""
+        self.zero_grad()
+        for p in self.params:
+            p.grad_buffer = None
+        self.m = [None] * len(self.params)
+        self.v = [None] * len(self.params)
 
     def step(self) -> bool:
         """Apply one update from the gradients currently on the parameters.
@@ -81,6 +95,8 @@ class Adam:
             if self.m[i] is None:
                 self.m[i] = np.zeros(p.data.shape)
                 self.v[i] = np.zeros(p.data.shape)
+                if not isinstance(g, RowGrad):
+                    p.grad_buffer = np.empty(p.data.shape)
             if isinstance(g, RowGrad):
                 rows, m, v = g.rows, self.m[i], self.v[i]
                 p_rows, m_rows, v_rows = p.data[rows], m[rows], v[rows]

@@ -32,7 +32,8 @@ def _attention_kernel(cq: Tensor, ck: Tensor, w: Tensor, b: Tensor, v: Tensor) -
     [hidden].
 
     Forward einsums keep each output entry's arithmetic independent of the
-    batch size; the backward pass is free to use BLAS.
+    batch size; the backward pass is free to use BLAS, and writes the
+    gradients of ``w``, ``b`` and ``v`` through :func:`autodiff.grad_out`.
     """
     wd, bd, vd = w.data, b.data, v.data
     d = wd.shape[1] // 2
@@ -51,12 +52,14 @@ def _attention_kernel(cq: Tensor, ck: Tensor, w: Tensor, b: Tensor, v: Tensor) -
     cqd, ckd = cq.data, ck.data
 
     def backward(g):
-        dv = np.einsum("nm,nmh->h", g, t)
+        dv = np.einsum("nm,nmh->h", g, t, out=ad.grad_out(v))
         dpre = (g[:, :, None] * vd) * (1.0 - t * t)
-        db = dpre.sum(axis=(0, 1))
+        db = dpre.sum(axis=(0, 1), out=ad.grad_out(b))
         dq = dpre.sum(axis=1)
         dk = dpre.sum(axis=0)
-        dw = np.concatenate([dk.T @ ckd, dq.T @ cqd], axis=1)
+        dw = ad.grad_out(w)
+        np.matmul(dk.T, ckd, out=dw[:, :d])
+        np.matmul(dq.T, cqd, out=dw[:, d:])
         return dq @ wq, dk @ wk, dw, db, dv
 
     return ad.make_node(out, (cq, ck, w, b, v), backward)

@@ -9,7 +9,8 @@ only the rows the sentence used, and Adam moves only those rows.
 
 Checkpointing keeps the best epoch's values in one set of arrays, refilled
 in place by each improving epoch; after the last epoch the model takes
-them back and is serialized once, as the run's :class:`Checkpoint`.
+them back and is serialized once, as the run's :class:`Checkpoint`, after
+the optimizer has freed its moments and gradient buffers.
 """
 from __future__ import annotations
 
@@ -182,6 +183,7 @@ def train(
             best = row
             for kept, t in zip(best_values, tensors):
                 np.copyto(kept, t.data)
+    optimizer.release()
     for kept, t in zip(best_values, tensors):
         t.data = kept  # the last epoch's arrays are freed before the save
     buf = io.BytesIO()

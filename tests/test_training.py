@@ -3,6 +3,7 @@ overfitting trend, determinism, and checkpoint selection."""
 import io
 import logging
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -216,6 +217,66 @@ def test_train_step_on_a_long_sentence():
     for name, t in model.tensors.items():
         assert np.isfinite(t.data).all(), name
         assert not np.array_equal(t.data, before[name]), name
+
+
+def test_backward_writes_dense_gradients_into_the_optimizers_buffers():
+    """From the first step on, each dense tensor has a persistent gradient
+    buffer that backward fills; the embedding tables keep row gradients."""
+    config = small_config(alpha_word_dropout=0.0)
+    s = sent(["a", "b", "c"], [2, 0, 2])
+    model = small_model(config, [s])
+    opt = make_optimizer(model, config)
+    assert all(t.grad_buffer is None for t in model.tensors.values())
+    assert train_sentence(model, s, config, opt, np.random.default_rng(0)) is not None
+    sentence_loss(model, s, config, training=False).backward()
+    for name, t in model.tensors.items():
+        if name.startswith("emb."):
+            assert t.grad_buffer is None and isinstance(t.grad, ad.RowGrad), name
+        else:
+            assert t.grad is t.grad_buffer, name
+    opt.release()
+    assert all(t.grad is None and t.grad_buffer is None for t in model.tensors.values())
+    assert opt.m == [None] * len(opt.params)
+
+
+def test_two_backwards_without_zero_grad_add_up():
+    """A second backward adds to the gradient held, never overwriting the
+    buffer that holds the first."""
+    config = small_config(alpha_word_dropout=0.0)
+    first, second = sent(["a", "b", "c"], [2, 0, 2]), sent(["c", "a"], [0, 1])
+    model = small_model(config, [first, second])
+    opt = make_optimizer(model, config)
+    assert train_sentence(model, first, config, opt, np.random.default_rng(0)) is not None
+    alone = []
+    for s in (first, second):
+        sentence_loss(model, s, config, training=False).backward()
+        alone.append({name: np.array(t.grad) for name, t in model.tensors.items()})
+        opt.zero_grad()
+    for s in (first, second):
+        sentence_loss(model, s, config, training=False).backward()
+    for name, t in model.tensors.items():
+        assert np.array_equal(np.asarray(t.grad), alone[0][name] + alone[1][name]), name
+
+
+def test_warm_default_size_step_allocates_less_than_one_weight_matrix():
+    """Once the buffers exist, a hidden-200 step on 3-11-token sentences
+    allocates less than one LSTM weight matrix at its peak (fresh weight
+    gradients took about 15 MB)."""
+    rng = np.random.default_rng(11)
+    corpus = [random_sentence(rng, n) for n in (5, 3, 11, 7)]
+    config = TrainConfig(seed=11)
+    model = small_model(config, corpus)
+    opt = make_optimizer(model, config)
+    matrix = model.tensors["lstm.l0.fwd.w"].data.nbytes
+    assert train_sentence(model, corpus[0], config, opt, rng) is not None
+    for s in corpus[1:]:
+        tracemalloc.start()
+        try:
+            assert train_sentence(model, s, config, opt, rng) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix, (len(s), peak)
 
 
 def test_loss_trend_decreases_on_repeated_sentence():
