@@ -298,8 +298,8 @@ def test_initial_model_bytes_are_pinned(kw, digest):
 
 
 @pytest.mark.parametrize("pretrained, digest", [
-    (False, "0d52d18f0ca23ad70a934f5e6d5a5d043887c0be7f82c1bf9ad7fe883bf79853"),
-    (True, "6201256bbe2dd96ebded323cbc4a806908662bef100a661c3256d7b7718c907e"),
+    (False, "351d50cb6630fc86dea6715227a2fd9e19c6314e353049b76e6df92963ea8094"),
+    (True, "3cf7e6ea847d1c4b322214cfb730f4f7f1de63aaf9abe2570fba0f1ba92ba62c"),
 ], ids=["joint", "pretrained"])
 def test_trained_model_bytes_are_pinned(tmp_path, capsys, pretrained, digest):
     """What training computes, pinned across changes to the code: two

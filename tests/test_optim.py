@@ -135,16 +135,17 @@ def test_sparse_rows_vary_per_step(rng):
 
 
 def formula_step(param, grad, m, v, t, alpha=0.001, b1=0.9, b2=0.999, eps=1e-8):
-    """One dense Adam update as whole-array expressions, in the operation
-    order the blocked in-place update must reproduce bit for bit."""
+    """One dense Adam update as whole-array expressions, on the rescaled
+    second moment ``v`` (the optimizer's ``v``), in the operation order the
+    blocked in-place update must reproduce bit for bit."""
     bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    c = alpha * np.sqrt(bc2) / (bc1 * np.sqrt(1.0 - b2))
+    eps_t = eps * np.sqrt(bc2 / (1.0 - b2))
     m *= b1
-    m += (1.0 - b1) * grad
+    m += grad * (1.0 - b1)
     v *= b2
-    v += (1.0 - b2) * (grad * grad)
-    mhat = m / bc1
-    vhat = v / bc2
-    param -= alpha * mhat / (np.sqrt(vhat) + eps)
+    v += grad * grad
+    param -= (m / (np.sqrt(v) + eps_t)) * c
 
 
 def test_blocked_update_bit_identical_to_formula(rng):
@@ -215,6 +216,37 @@ def test_finite_grad_with_overflowing_sum_is_applied():
     assert opt.t == 1
     assert np.array_equal(opt.m[0], ref_m)
     assert np.array_equal(p.data, ref_p)
+
+
+@np.errstate(over="ignore")
+def test_huge_finite_gradient_leaves_parameter_finite():
+    """Two steps with gradient 1e308: the squared gradient overflows the
+    second moment to inf, which stops the update, and no inf/inf turns the
+    parameter into NaN."""
+    p = Tensor(np.ones(4), requires_grad=True)
+    opt = Adam([p])
+    for _ in range(2):
+        p.grad = np.full(4, 1e308)
+        assert opt.step()
+        opt.zero_grad()
+    assert np.all(np.isfinite(p.data))
+
+
+@pytest.mark.parametrize("b1, b2", [(0.9, 0.999), (0.0, 0.999), (0.9, 0.0), (0.0, 0.0)])
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e2])
+def test_matches_reference_over_200_steps(rng, scale, b1, b2):
+    """The rescaled form against textbook Adam for 200 steps, from gradients
+    far below eps (where eps' sets the step) to far above it, including the
+    decay rates 0 that the configuration allows."""
+    p0 = rng.normal(size=(3, 5))
+    grads = [scale * rng.normal(size=(3, 5)) for _ in range(200)]
+    p = Tensor(p0.copy(), requires_grad=True)
+    opt = Adam([p], beta1=b1, beta2=b2)
+    for g in grads:
+        p.grad = g.copy()
+        assert opt.step()
+        opt.zero_grad()
+    np.testing.assert_allclose(p.data, reference_adam(p0, grads, b1=b1, b2=b2), rtol=1e-12, atol=0)
 
 
 def test_nonfinite_row_gradient_skips_step():
