@@ -174,7 +174,9 @@ def make_node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor
 def grad_out(t: Tensor) -> np.ndarray:
     """The array a backward rule writes ``t``'s whole gradient into:
     ``t.grad_buffer`` while ``t`` holds no gradient, else a new array,
-    which the tape adds to the gradient already held."""
+    which the tape adds to the gradient already held.  The tape stores a
+    rule's gradients only after the rule returns, so one rule must not ask
+    here for two parents that are the same tensor."""
     if t.grad is None and t.grad_buffer is not None:
         return t.grad_buffer
     return np.empty(t.data.shape)

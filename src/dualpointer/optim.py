@@ -39,8 +39,7 @@ __all__ = ["Adam"]
 # (parameter, gradient, both moments, one scratch) take 1.3 MB and stay in
 # a core's 2 MB L2 cache.  On the default-size model's dense tensors
 # (interleaved medians, one core) a step took 14.8 ms at this block size,
-# 16.0 ms at 16,384 and 16.5 ms at 65,536, and the earlier 14-pass form
-# with two scratch blocks of 16,384 took 19.8 ms.
+# 16.0 ms at 16,384 and 16.5 ms at 65,536.
 ADAM_CHUNK = 32768
 
 

@@ -356,6 +356,16 @@ class TestTrain:
         model = best.load()
         assert model.mode == JOINT
 
+    def test_optimizer_buffers_are_freed_before_the_save(self, monkeypatch):
+        saved = []
+
+        def save_model(model, f):
+            saved.append([t.grad_buffer for t in model.tensors.values()])
+
+        monkeypatch.setattr("dualpointer.training.save_model", save_model)
+        train(self.corpus(), self.corpus(), small_config(epochs=1))
+        assert saved == [[None] * len(saved[0])]
+
     def test_epoch_callback_streams_rows(self):
         config = small_config(epochs=3)
         seen = []
