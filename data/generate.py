@@ -1,6 +1,13 @@
-"""Deterministic synthetic treebanks.
+"""Build script of the three bundled treebanks in this directory.
 
-Two generators share one lexicon style but serve different jobs:
+    PYTHONPATH=src python3 data/generate.py data
+
+writes ``toy.conllu``, ``ambiguous-train.conllu`` and
+``ambiguous-dev.conllu`` into the directory given (default: the one this
+script is in).  The output is a deterministic function of this file, so a
+run reproduces the committed files byte for byte; a test checks that.
+
+Two grammars share one lexicon style but serve different jobs:
 
 * :func:`toy_treebank` emits a small, fully deterministic corpus (every
   attachment decided by the template), sized for overfitting checks.
@@ -8,21 +15,21 @@ Two generators share one lexicon style but serve different jobs:
   stays rare.  Extraposed relative clauses make some trees
   non-projective.
 
-* :func:`ambiguous_treebank` emits an arbitrarily large corpus whose PP
-  attachment is stochastic but lexically cued (each preposition has its
-  own verb-vs-noun attachment bias), so held-out accuracy is learnable
-  yet bounded away from trivial.
-
-Both produce ordinary :class:`Sentence` objects with gold heads and POS
-tags, ready for the treebank writer.
+* :func:`ambiguous_treebank` emits a corpus whose PP attachment is
+  stochastic but lexically cued (each preposition has its own
+  verb-vs-noun attachment bias), so held-out accuracy is learnable yet
+  bounded away from trivial.
 """
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
 
-from .conll import Sentence, Token
+from dualpointer.conll import Sentence, Token, write_conll
 
-__all__ = ["toy_treebank", "ambiguous_treebank"]
+TOY_SENTENCES = 60
 
 DETS = ["the", "a"]
 NOUNS = ["dog", "cat", "bird", "fish"]
@@ -40,8 +47,8 @@ def _sentence(items: list[tuple[str, str, int]]) -> Sentence:
     return Sentence(tokens)
 
 
-def toy_treebank(count: int = 60) -> list[Sentence]:
-    """A fixed corpus of ``count`` sentences, lengths 3 to 10.
+def toy_treebank() -> list[Sentence]:
+    """A fixed corpus of TOY_SENTENCES sentences, lengths 3 to 10.
 
     Attachment rules are exceptionless: determiners go to their noun,
     adverbs and prepositional phrases to the verb, and "that <verb>"
@@ -49,8 +56,7 @@ def toy_treebank(count: int = 60) -> list[Sentence]:
     the adverb arc (non-projective).
     """
     sents: list[Sentence] = []
-    i = 0
-    while len(sents) < count:
+    for i in range(TOY_SENTENCES):
         d1, d2, d3 = DETS[i % 2], DETS[(i + 1) % 2], DETS[i % 2]
         n1, n2, n3 = NOUNS[i % 4], NOUNS[(i + 1) % 4], NOUNS[(i + 2) % 4]
         vi = VERBS_IN[i % 3]
@@ -92,7 +98,6 @@ def toy_treebank(count: int = 60) -> list[Sentence]:
              (d3, "DET", 8), (n3, "NOUN", 6), (adv, "ADV", 3), (adv2, "ADV", 3)],
         ]
         sents.append(_sentence(templates[i % len(templates)]))
-        i += 1
     return sents
 
 
@@ -121,10 +126,7 @@ def ambiguous_treebank(count: int, seed: int) -> list[Sentence]:
     """``count`` sentences with stochastic, preposition-cued PP attachment
     and occasional non-projective extraposed relatives."""
     rng = np.random.default_rng(seed)
-    sents = []
-    for _ in range(count):
-        sents.append(_ambiguous_sentence(rng))
-    return sents
+    return [_ambiguous_sentence(rng) for _ in range(count)]
 
 
 def _np_items(rng, head_of_noun, pos_offset):
@@ -180,15 +182,11 @@ def _ambiguous_sentence(rng: np.random.Generator) -> Sentence:
 
 
 def write_bundled(directory: str) -> list[str]:
-    """Write the fixture treebanks used by the test suite and demos."""
-    import os
-
-    from .conll import write_conll
-
+    """Write the three bundled treebanks into ``directory``."""
     os.makedirs(directory, exist_ok=True)
     written = []
     for name, corpus in (
-        ("toy.conllu", toy_treebank(60)),
+        ("toy.conllu", toy_treebank()),
         ("ambiguous-train.conllu", ambiguous_treebank(2000, seed=100)),
         ("ambiguous-dev.conllu", ambiguous_treebank(200, seed=200)),
     ):
@@ -200,7 +198,6 @@ def write_bundled(directory: str) -> list[str]:
 
 
 if __name__ == "__main__":
-    import sys
-
-    for path in write_bundled(sys.argv[1] if len(sys.argv) > 1 else "data"):
+    here = os.path.dirname(os.path.abspath(__file__))
+    for path in write_bundled(sys.argv[1] if len(sys.argv) > 1 else here):
         print(path)

@@ -5,13 +5,14 @@ import io
 
 import numpy as np
 
+from dualpointer.conll import read_conll
 from dualpointer.decoding import merge
 from dualpointer.model import score_sentence
 from dualpointer.modelio import ModelFormatError, load_model, save_model
-from dualpointer.toygrammar import toy_treebank
 from dualpointer.training import TrainConfig, train
 
-corpus = toy_treebank(16)
+with open("data/toy.conllu", encoding="utf-8") as f:
+    corpus = read_conll(f)[:16]
 config = TrainConfig(epochs=2, seed=42, d_pretrained=8, d_random=8,
                      bilstm_hidden=6, ptr_hidden=8)
 

@@ -4,12 +4,14 @@ variants on a corpus with genuine attachment ambiguity.
 The full-size sweep lives in the slow acceptance test; this one trades
 corpus size and epochs for a coffee-break runtime.
 """
+from dualpointer.conll import read_conll
 from dualpointer.decoding import PunctuationPolicy, parse, uas
-from dualpointer.toygrammar import ambiguous_treebank
 from dualpointer.training import TrainConfig, train
 
-train_set = ambiguous_treebank(300, seed=100)
-dev_set = ambiguous_treebank(60, seed=200)
+with open("data/ambiguous-train.conllu", encoding="utf-8") as f:
+    train_set = read_conll(f)[:300]
+with open("data/ambiguous-dev.conllu", encoding="utf-8") as f:
+    dev_set = read_conll(f)[:60]
 policy = PunctuationPolicy()
 print(f"train {len(train_set)} / dev {len(dev_set)} sentences")
 

@@ -61,9 +61,6 @@ class Vocabulary:
     def frequency(self, token_id: int) -> int:
         return self.counts[token_id]
 
-    def __contains__(self, form: str) -> bool:
-        return form.lower() in self.ids
-
 
 def build_vocab(train: list[Sentence]) -> Vocabulary:
     """Count lowercased forms over the training corpus."""

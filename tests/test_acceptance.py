@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from corpora import bundled
 
 from dualpointer.conll import Sentence, Token
 from dualpointer.decoding import (
@@ -26,7 +27,6 @@ from dualpointer.gradcheck import run_gradcheck
 from dualpointer.model import ModelShape, score_sentence
 from dualpointer.modelio import load_model, save_model
 from dualpointer.pointer import target_matrix
-from dualpointer.toygrammar import ambiguous_treebank, toy_treebank
 from dualpointer.training import TrainConfig, train
 
 import dualpointer.autodiff as ad
@@ -56,7 +56,7 @@ def random_matrix_pair(rng, n):
 @pytest.fixture(scope="module")
 def overfit():
     """Criterion 2 training run, shared with criterion 7."""
-    corpus = toy_treebank(60)
+    corpus = bundled("toy")
     config = TrainConfig(mode="joint", epochs=50, seed=1, bilstm_hidden=64)
     started = time.perf_counter()
     best, log = train(corpus, corpus, config)
@@ -135,8 +135,8 @@ def test_criterion_4_oracle_equivalence():
 
 @pytest.mark.slow
 def test_criterion_5_ablation_direction():
-    train_set = ambiguous_treebank(2000, seed=100)
-    dev_set = ambiguous_treebank(200, seed=200)
+    train_set = bundled("ambiguous-train")
+    dev_set = bundled("ambiguous-dev")
     assert len(train_set) >= 2000 and len(dev_set) >= 200
     seeds = (1, 2, 3)
     policy = PunctuationPolicy()
@@ -167,7 +167,7 @@ def test_criterion_5_ablation_direction():
 
 
 def test_criterion_6_determinism_and_serialization():
-    corpus = toy_treebank(16)
+    corpus = bundled("toy", 16)
     config = TrainConfig(epochs=2, seed=9, d_pretrained=8, d_random=8,
                          bilstm_hidden=6, ptr_hidden=8)
     first, _ = train(corpus, corpus, config)

@@ -2,12 +2,12 @@
 import re
 
 import pytest
+from corpora import bundled
 
 from dualpointer.cli import main, seed_model_path
 from dualpointer.conll import read_conll, write_conll
 from dualpointer.decoding import DepTree, cycle_stats, parse, uas
 from dualpointer.modelio import load_model
-from dualpointer.toygrammar import toy_treebank
 
 FAST = [
     "--d-pretrained", "6", "--d-random", "6", "--bilstm-hidden", "5",
@@ -19,7 +19,7 @@ FAST = [
 def corpus_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "toy.conllu"
     with open(path, "w", encoding="utf-8") as f:
-        write_conll(toy_treebank(12), f)
+        write_conll(bundled("toy", 12), f)
     return str(path)
 
 

@@ -1,0 +1,27 @@
+"""The bundled treebanks are what their build script writes, byte for byte."""
+import os
+import subprocess
+import sys
+
+import pytest
+from corpora import DATA
+
+ROOT = DATA.parent
+NAMES = ["toy.conllu", "ambiguous-train.conllu", "ambiguous-dev.conllu"]
+
+
+@pytest.fixture(scope="module")
+def regenerated(tmp_path_factory):
+    out = tmp_path_factory.mktemp("data")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, str(DATA / "generate.py"), str(out)],
+                            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return out
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_regenerates_committed_file(regenerated, name):
+    assert (regenerated / name).read_bytes() == (DATA / name).read_bytes()

@@ -1,16 +1,16 @@
 """Decoding pipeline: merge math, top detection, greedy selection, cycle
 repair, UAS, and the structural guarantees on every output."""
 import itertools
-from pathlib import Path
 
 import numpy as np
 import pytest
+from corpora import bundled
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import max_spanning_tree, tree_score
 
 import dualpointer.decoding as decoding
-from dualpointer.conll import Sentence, Token, read_conll
+from dualpointer.conll import Sentence, Token
 from dualpointer.decoding import (
     AlignmentError,
     DepTree,
@@ -658,13 +658,9 @@ class TestDecodeCorpus:
             assert (tree.heads == greedy) == valid
 
 
-DEV = Path(__file__).resolve().parent.parent / "data" / "ambiguous-dev.conllu"
-
-
 @pytest.fixture(scope="module")
 def dev_corpus():
-    with open(DEV, encoding="utf-8") as f:
-        return read_conll(f)
+    return bundled("ambiguous-dev")
 
 
 @pytest.fixture(scope="module")

@@ -2,10 +2,10 @@
 bidirectional stacking, gradients against finite differences, and the
 BiLSTM level node against the composed per-step cells it replaces."""
 import io
-from pathlib import Path
 
 import numpy as np
 import pytest
+from corpora import bundled
 from fd import numeric_grad, rel_err
 from oracles import add, concat, lstm_cell, mul, stack, sum_all
 
@@ -13,7 +13,7 @@ from dualpointer import autodiff as ad
 from dualpointer import encoder as enc
 from dualpointer.autodiff import Tensor
 from dualpointer import model as model_module
-from dualpointer.conll import Sentence, Token, read_conll
+from dualpointer.conll import Sentence, Token
 from dualpointer.decoding import parse
 from dualpointer.encoder import (
     bilstm_encode,
@@ -467,9 +467,7 @@ class TestLstmSequence:
     def test_decodes_like_composed_cells(self, monkeypatch):
         """Every sentence of the bundled dev corpus gets the same heads from
         one fixed-seed default-size model through either BiLSTM."""
-        path = Path(__file__).resolve().parent.parent / "data" / "ambiguous-dev.conllu"
-        with open(path, encoding="utf-8") as f:
-            sentences = read_conll(f)
+        sentences = bundled("ambiguous-dev")
         model = init_model(np.random.default_rng(7), build_vocab(sentences))
         fused = [parse([s], model)[0].heads for s in sentences]
         monkeypatch.setattr(

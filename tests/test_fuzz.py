@@ -6,10 +6,10 @@ import io
 import struct
 import warnings
 import zlib
-from pathlib import Path
 
 import numpy as np
 import pytest
+from corpora import DATA
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,7 @@ from dualpointer.modelio import ModelFormatError, load_model, save_model
 from dualpointer.vocab import (WEIGHT_BOUND, PretrainedError, build_vocab, load_pretrained,
                                within_bound)
 
-TOY = (Path(__file__).resolve().parents[1] / "data" / "toy.conllu").read_text(encoding="utf-8")
+TOY = (DATA / "toy.conllu").read_text(encoding="utf-8")
 FUZZ = settings(max_examples=300)
 
 

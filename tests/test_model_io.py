@@ -3,13 +3,13 @@ import hashlib
 import io
 import struct
 import zlib
-from pathlib import Path
 
 import numpy as np
 import pytest
+from corpora import DATA, bundled
 
 from dualpointer.cli import main
-from dualpointer.conll import Sentence, Token, read_conll, write_conll
+from dualpointer.conll import Sentence, Token, write_conll
 from dualpointer.model import DEPS_ONLY, HEADS_ONLY, JOINT, init_model, score_sentence
 from dualpointer.modelio import (
     FORMAT_VERSION,
@@ -274,7 +274,7 @@ def test_pretrained_table_sets_the_recorded_width():
     assert save_bytes(loaded) == save_bytes(m)
 
 
-TOY = Path(__file__).resolve().parent.parent / "data" / "toy.conllu"
+TOY = DATA / "toy.conllu"
 VEC3 = "the 1 0 0\ndog 0 1 0\nbird 0 0 1\n"
 
 
@@ -289,8 +289,7 @@ VEC3 = "the 1 0 0\ndog 0 1 0\nbird 0 0 1\n"
 def test_initial_model_bytes_are_pinned(kw, digest):
     """The draw order, draw rules and file layout of a fresh model, pinned
     across changes to the code: seed 7, the bundled toy corpus."""
-    with open(TOY, encoding="utf-8") as f:
-        vocab = build_vocab(read_conll(f))
+    vocab = build_vocab(bundled("toy"))
     if "pretrained" in kw:
         kw = dict(kw, pretrained=load_pretrained(io.StringIO(kw["pretrained"])))
     data = save_bytes(init_model(np.random.default_rng(7), vocab, **kw))

@@ -8,12 +8,12 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from corpora import bundled
 
 from dualpointer import autodiff as ad
 from dualpointer.conll import Sentence, Token
 from dualpointer.gradcheck import random_sentence
 from dualpointer.model import DEPS_ONLY, HEADS_ONLY, JOINT, MODE_NETS, init_model
-from dualpointer.toygrammar import toy_treebank
 from dualpointer.training import (
     Checkpoint,
     TrainConfig,
@@ -298,7 +298,7 @@ def test_loss_trend_decreases_on_repeated_sentence():
 
 class TestTrain:
     def corpus(self):
-        return toy_treebank(12)
+        return bundled("toy", 12)
 
     def test_single_epoch_returns_that_checkpoint(self):
         config = small_config(epochs=1)

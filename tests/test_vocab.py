@@ -24,7 +24,7 @@ def test_counts():
 def test_unseen_maps_to_unknown():
     v = build_vocab([sent(["a", "b", "c"])])
     assert v.lookup("zzz") == UNKNOWN_ID
-    assert "zzz" not in v
+    assert "zzz" not in v.ids
 
 
 def test_lookup_is_lowercased():
