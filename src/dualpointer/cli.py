@@ -225,6 +225,7 @@ ERROR_CATEGORIES = {
     AlignmentError: "align",
     ValueError: "invalid",
     OSError: "io",
+    MemoryError: "memory",
 }
 
 

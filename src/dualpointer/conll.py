@@ -7,10 +7,14 @@ token are kept so that a read/write round trip is byte-stable.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, TextIO
 
 __all__ = ["ConllError", "Token", "Sentence", "read_conll", "write_conll"]
+
+# the IDs of multiword-token ranges (1-2) and empty nodes (5.1)
+_SKIPPED_ID = re.compile(r"[0-9]+[-.][0-9]+")
 
 
 class ConllError(ValueError):
@@ -144,7 +148,7 @@ def read_conll(stream: TextIO) -> list[Sentence]:
                 f"line {lineno}: expected at least 7 tab-separated columns, got {len(cols)}"
             )
         id_field = cols[0]
-        if "-" in id_field or "." in id_field:
+        if _SKIPPED_ID.fullmatch(id_field):
             continue
         try:
             index = int(id_field)

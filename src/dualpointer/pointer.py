@@ -9,11 +9,12 @@ logistic (or optional tanh) output activation and the loss in one node; in
 inference the activation is applied downstream, after optional merging of
 the two matrices.
 
-All pairs are scored by one einsum kernel.  np.einsum evaluates a fixed
-contraction order regardless of operand row count, so each entry of the
-batched matrix is bit-identical to the same kernel run on that one
-(query, key) pair, which is how the tests' single-pair reference scores
-it; the BLAS matrix product does not give that guarantee.
+All pairs are scored by one einsum kernel, :func:`score_all`.  np.einsum
+evaluates a fixed contraction order regardless of operand row count, so
+each entry of the batched matrix is bit-identical to entry (1, 0) of
+``score_all`` run on the two rows [key; query] of that one pair, which is
+how the tests' single-pair reference scores it; the BLAS matrix product
+does not give that guarantee.
 """
 from __future__ import annotations
 
@@ -26,30 +27,32 @@ from .conll import Sentence
 __all__ = ["score_all", "target_matrix", "output_loss"]
 
 
-def _attention_kernel(cq: Tensor, ck: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
-    """Scores v . tanh(W [key; query] + b) for every (query row of cq, key
-    row of ck) pair; ``w`` is [hidden x 2 context], ``b`` and ``v`` are
-    [hidden].
+def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
+    """n x n pre-activation scores v . tanh(W [c_j; c_i] + b) of all ordered
+    pairs (i, j) of the rows of an [n x context] matrix at once, diagonal
+    included, by the net whose tensors are ``w`` [hidden x 2 context],
+    ``b`` and ``v`` [hidden].  Entry (i, j) reads in the net's own
+    orientation: "j is the head of i" for the heads net, "j is a dependent
+    of i" for the dependents net.
 
     Forward einsums keep each output entry's arithmetic independent of the
-    batch size; the backward pass is free to use BLAS, and writes the
+    row count; the backward pass is free to use BLAS, and writes the
     gradients of ``w``, ``b`` and ``v`` through :func:`autodiff.grad_out`.
     """
-    wd, bd, vd = w.data, b.data, v.data
+    cd, wd, bd, vd = contexts.data, w.data, b.data, v.data
     d = wd.shape[1] // 2
-    if cq.data.shape[1] != d or ck.data.shape[1] != d:
+    if cd.ndim != 2 or cd.shape[0] == 0 or cd.shape[1] != d:
         raise ValueError(
-            f"context dimension mismatch: scorer expects {d}, "
-            f"got query {cq.data.shape[1]}, key {ck.data.shape[1]}"
+            f"score_all needs a non-empty matrix of context rows of width {d}, "
+            f"got shape {cd.shape}"
         )
     wk, wq = wd[:, :d], wd[:, d:]
-    kproj = np.einsum("mc,hc->mh", ck.data, wk)
-    qproj = np.einsum("nc,hc->nh", cq.data, wq)
+    kproj = np.einsum("mc,hc->mh", cd, wk)
+    qproj = np.einsum("nc,hc->nh", cd, wq)
     t = qproj[:, None, :] + kproj[None, :, :]
     t += bd
     np.tanh(t, out=t)
     out = np.einsum("nmh,h->nm", t, vd)
-    cqd, ckd = cq.data, ck.data
 
     def backward(g):
         dv = np.einsum("nm,nmh->h", g, t, out=ad.grad_out(v))
@@ -58,25 +61,11 @@ def _attention_kernel(cq: Tensor, ck: Tensor, w: Tensor, b: Tensor, v: Tensor) -
         dq = dpre.sum(axis=1)
         dk = dpre.sum(axis=0)
         dw = ad.grad_out(w)
-        np.matmul(dk.T, ckd, out=dw[:, :d])
-        np.matmul(dq.T, cqd, out=dw[:, d:])
-        return dq @ wq, dk @ wk, dw, db, dv
+        np.matmul(dk.T, cd, out=dw[:, :d])
+        np.matmul(dq.T, cd, out=dw[:, d:])
+        return dq @ wq + dk @ wk, dw, db, dv
 
-    return ad.make_node(out, (cq, ck, w, b, v), backward)
-
-
-def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
-    """n x n pre-activation scores of all ordered pairs of the rows of an
-    [n x context] matrix at once, diagonal included, by the net whose
-    tensors are ``w``, ``b`` and ``v``.  Entry (i, j) reads in the net's own
-    orientation: "j is the head of i" for the heads net, "j is a dependent
-    of i" for the dependents net."""
-    if contexts.data.ndim != 2 or contexts.data.shape[0] == 0:
-        raise ValueError(
-            f"score_all needs a non-empty matrix of context rows, got shape "
-            f"{contexts.data.shape}"
-        )
-    return _attention_kernel(contexts, contexts, w, b, v)
+    return ad.make_node(out, (contexts, w, b, v), backward)
 
 
 def target_matrix(sentence: Sentence, tag: str) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 
 from dualpointer import autodiff as ad
 from dualpointer.autodiff import Tensor
-from dualpointer.pointer import _attention_kernel
+from dualpointer.pointer import score_all
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -194,21 +194,17 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: Tensor, b: Tensor):
 
 
 def attention_score(query: Tensor, key: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
-    """Score one (query, key) pair: v . tanh(W [key; query] + b).
+    """Score one (query, key) pair: v . tanh(W [key; query] + b), as entry
+    (1, 0) of ``pointer.score_all`` on the two rows [key; query].
 
-    Returns a 1x1 tensor; its single entry equals the corresponding entry
-    of ``pointer.score_all`` bit-for-bit.
+    Returns a scalar tensor that equals the corresponding entry of
+    ``score_all`` on any matrix holding both rows bit-for-bit.  The entry
+    is picked with tape ops, so gradients reach both vectors through the
+    kernel.
     """
-    if query.data.ndim != 1 or key.data.ndim != 1:
-        raise ValueError("attention_score takes single context vectors")
-    return _attention_kernel(_as_row(query), _as_row(key), w, b, v)
-
-
-def _as_row(x: Tensor) -> Tensor:
-    def backward(g):
-        return (g[0],)
-
-    return ad.make_node(x.data[None, :], (x,), backward)
+    pick = np.zeros((2, 2))
+    pick[1, 0] = 1.0
+    return sum_all(mul(score_all(stack([key, query]), w, b, v), Tensor(pick)))
 
 
 def tree_score(scores: np.ndarray, heads: list[int]) -> float:

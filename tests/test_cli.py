@@ -169,6 +169,17 @@ class TestTrain:
         assert code == 1
         assert_one_error(err, "io", "cannot write model")
 
+    def test_unallocatable_model_is_memory_error(self, capsys, corpus_path, tmp_path):
+        """A pointer net of 10^11 hidden units at the default sizes asks for
+        582 TiB, beyond any user address space, so it fails at once."""
+        dest = tmp_path / "m.bin"
+        code, _, err = run(capsys, [
+            "train", "--train", corpus_path, "--dev", corpus_path,
+            "--model", str(dest), "--ptr-hidden", "100000000000"])
+        assert code == 1
+        assert_one_error(err, "memory", "Unable to allocate")
+        assert not dest.exists()
+
 
 class TestPretrainedWidth:
     VECTORS = "the 1 0 0\ncat 0 1 0\n"

@@ -102,6 +102,15 @@ class TestErrors:
         with pytest.raises(ConllError, match="sequence"):
             read_conll(io.StringIO(bad))
 
+    @pytest.mark.parametrize("token_id", ["-1", "1-x", "2.x", "-", "1.", ".1"])
+    def test_malformed_id_names_line(self, token_id):
+        """Only digit ranges N-M and empty nodes N.M are skipped; any other
+        ID with a '-' or '.' is an error, not a dropped token."""
+        bad = (f"1\ta\t_\tX\t_\t_\t0\t_\t_\t_\n{token_id}\tb\t_\tX\t_\t_\t1\t_\t_\t_\n"
+               "2\tc\t_\tX\t_\t_\t1\t_\t_\t_\n\n")
+        with pytest.raises(ConllError, match="line 2: .*token id"):
+            read_conll(io.StringIO(bad))
+
     def test_bytes_not_utf8(self):
         stream = io.TextIOWrapper(io.BytesIO(TWO_TOKENS.encode("utf-8") + b"\xff\n"),
                                   encoding="utf-8")

@@ -296,16 +296,20 @@ def test_initial_model_bytes_are_pinned(kw, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-@pytest.mark.parametrize("pretrained, digest", [
-    (False, "351d50cb6630fc86dea6715227a2fd9e19c6314e353049b76e6df92963ea8094"),
-    (True, "3cf7e6ea847d1c4b322214cfb730f4f7f1de63aaf9abe2570fba0f1ba92ba62c"),
-], ids=["joint", "pretrained"])
-def test_trained_model_bytes_are_pinned(tmp_path, capsys, pretrained, digest):
+@pytest.mark.parametrize("pretrained, mode, digest", [
+    (False, None, "1ec6453ba743d800594c179d6a9ed19b2f747dab3be07e635ea789d4ba7b6544"),
+    (True, None, "c9116d26c5f597ac34dcfd3353c7c7f1ee8b6c28fd9554c84f524013e3b7c10d"),
+    (False, "heads", "013d2108ca266dc231d4c5b678f29377ae8f5750239a3fe47ea9a6eeb6290a57"),
+    (False, "deps", "fe04203187ac5f5aa3ff299186e41be1a4b0744c7175e0f77320c7c7c2c6c059"),
+], ids=["joint", "pretrained", "heads-only", "deps-only"])
+def test_trained_model_bytes_are_pinned(tmp_path, capsys, pretrained, mode, digest):
     """What training computes, pinned across changes to the code: two
     epochs on the bundled toy corpus, seed 3, BiLSTM hidden 16."""
     dest = tmp_path / "m.bin"
     argv = ["train", "--train", str(TOY), "--dev", str(TOY), "--model", str(dest),
             "--epochs", "2", "--bilstm-hidden", "16", "--seeds", "3"]
+    if mode:
+        argv += ["--mode", mode]
     if pretrained:
         vectors = tmp_path / "vec.txt"
         vectors.write_text(VEC3, encoding="utf-8")

@@ -1,11 +1,11 @@
 """Attention scorer: closed-form zeros, batched-vs-pairwise exactness,
-target matrices, and gradients."""
+the composed per-pair reference, target matrices, and gradients."""
 import numpy as np
 import pytest
 from fd import numeric_grad, rel_err
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import attention_score, mul, stack, sum_all
+from oracles import add, affine, attention_score, concat, mul, stack, sum_all, tanh
 
 from dualpointer import autodiff as ad
 from dualpointer.autodiff import Tensor
@@ -121,6 +121,11 @@ class TestScoreAll:
         with pytest.raises(ValueError):
             score_all(Tensor(np.zeros((0, 6))), *make_params(rng))
 
+    @pytest.mark.parametrize("shape", [(3, 5), (6,), (2, 3, 6)])
+    def test_wrong_width_or_rank_rejected(self, rng, shape):
+        with pytest.raises(ValueError, match="context rows of width 6"):
+            score_all(Tensor(np.zeros(shape)), *make_params(rng))
+
     def test_gradient_through_batched_scorer(self, rng):
         p = make_params(rng, ctx=4, hidden=3)
         w, b, v = p
@@ -148,6 +153,55 @@ class TestScoreAll:
             num = numeric_grad(f, orig.copy())
             tensor.data = orig
             assert rel_err(tensor.grad, num) < 1e-6, name
+
+
+def composed_pair(ci: Tensor, cj: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
+    """Entry (i, j) of ``score_all`` from tape ops: v . tanh(W [c_j; c_i] + b)."""
+    return sum_all(mul(v, tanh(affine(w, concat([cj, ci]), b))))
+
+
+class TestComposedReference:
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_values_and_gradients(self, n):
+        """Scores and the gradients of contexts, w, b and v within 1e-12
+        relative of the per-pair composition."""
+        rng = np.random.default_rng(n)
+        p0 = [t.data.copy() for t in make_params(rng, ctx=8, hidden=5)]
+        p0[1] = rng.normal(size=5) * 0.5  # a nonzero b
+        c0 = rng.normal(size=(n, 8))
+        weights = rng.normal(size=(n, n))
+
+        params = [Tensor(a.copy(), requires_grad=True) for a in p0]
+        c = Tensor(c0.copy(), requires_grad=True)
+        m = score_all(c, *params)
+        sum_all(mul(m, Tensor(weights))).backward()
+        fused = [m.data, c.grad] + [t.grad for t in params]
+
+        params = [Tensor(a.copy(), requires_grad=True) for a in p0]
+        rows = [Tensor(r.copy(), requires_grad=True) for r in c0]
+        pairs = [[composed_pair(rows[i], rows[j], *params) for j in range(n)]
+                 for i in range(n)]
+        loss = None
+        for i in range(n):
+            for j in range(n):
+                term = mul(pairs[i][j], Tensor(weights[i, j]))
+                loss = term if loss is None else add(loss, term)
+        loss.backward()
+        reference = [np.array([[s.item() for s in row] for row in pairs]),
+                     np.stack([r.grad for r in rows])] + [t.grad for t in params]
+
+        for got, want in zip(fused, reference):
+            assert got.shape == want.shape
+            assert rel_err(got, want) <= 1e-12
+
+    def test_values_of_a_long_sentence(self):
+        rng = np.random.default_rng(120)
+        p = make_params(rng, ctx=8, hidden=5)
+        rows = contexts(rng, 120, ctx=8)
+        got = score_all(stack(rows), *p).data
+        with ad.no_grad():
+            want = np.array([[composed_pair(ci, cj, *p).item() for cj in rows] for ci in rows])
+        assert rel_err(got, want) <= 1e-12
 
 
 def tree_sentence(heads):
