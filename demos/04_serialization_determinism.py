@@ -16,8 +16,8 @@ with open("data/toy.conllu", encoding="utf-8") as f:
 config = TrainConfig(epochs=2, seed=42, d_pretrained=8, d_random=8,
                      bilstm_hidden=6, ptr_hidden=8)
 
-run1, _ = train(corpus, corpus, config)
-run2, _ = train(corpus, corpus, config)
+run1 = train(corpus, corpus, config)
+run2 = train(corpus, corpus, config)
 print("same seed, same bytes:", run1.model_bytes == run2.model_bytes,
       f"({len(run1.model_bytes)} bytes)")
 

@@ -5,14 +5,13 @@ The full-size sweep lives in the slow acceptance test; this one trades
 corpus size and epochs for a coffee-break runtime.
 """
 from dualpointer.conll import read_conll
-from dualpointer.decoding import PunctuationPolicy, parse, uas
+from dualpointer.decoding import parse, uas
 from dualpointer.training import TrainConfig, train
 
 with open("data/ambiguous-train.conllu", encoding="utf-8") as f:
     train_set = read_conll(f)[:300]
 with open("data/ambiguous-dev.conllu", encoding="utf-8") as f:
     dev_set = read_conll(f)[:60]
-policy = PunctuationPolicy()
 print(f"train {len(train_set)} / dev {len(dev_set)} sentences")
 
 table = {}
@@ -23,11 +22,11 @@ for mode, variants in (
 ):
     config = TrainConfig(mode=mode, epochs=2, seed=1,
                          bilstm_hidden=64, d_pretrained=50, d_random=50)
-    best, _ = train(train_set, dev_set, config)
+    best = train(train_set, dev_set, config)
     model = best.load()
     for variant in variants:
         trees = parse(dev_set, model, variant=variant)
-        table[variant] = uas(dev_set, trees, policy)
+        table[variant] = uas(dev_set, trees)
     print(f"{mode}: trained (best epoch {best.epoch})")
 
 print()

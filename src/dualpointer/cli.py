@@ -16,8 +16,7 @@ from .config import (FLAGS, ConfigError, RunConfig, dump_config, load_config,
                      parse_value, validate)
 # cycle_stats is unused here but stays bound as dualpointer.cli.cycle_stats,
 # a name the benchmark's tracer (perfbench/tracing.py) wraps when it installs
-from .decoding import (AlignmentError, DepTree, PunctuationPolicy, cycle_stats,
-                       decode_corpus, parse, uas)
+from .decoding import AlignmentError, DepTree, cycle_stats, decode_corpus, parse, uas
 from .gradcheck import format_report, run_gradcheck
 from .model import MODE_VARIANTS, ModeMismatchError
 from .modelio import ModelFormatError, load_model
@@ -142,8 +141,7 @@ def cmd_train(run: RunConfig) -> int:
             print(line)
             log_lines.append(line)
 
-        best, _ = train(train_set, dev_set, config,
-                        pretrained=pretrained, on_epoch=show)
+        best = train(train_set, dev_set, config, pretrained=pretrained, on_epoch=show)
         dest = seed_model_path(run.model_path, run.seeds, seed)
         with _opened(dest, "model", "wb") as f:
             f.write(best.model_bytes)
@@ -174,11 +172,10 @@ def cmd_parse(run: RunConfig) -> int:
 def cmd_eval(run: RunConfig) -> int:
     gold = _read_corpus(run.test_path or run.dev_path, "gold")
     _gold_heads(gold, "gold")
-    policy = PunctuationPolicy(frozenset(run.punct_tags))
     if not run.model_path and run.output_path:
         # file-vs-file: the output path names a previously parsed corpus
         trees = _gold_heads(_read_corpus(run.output_path, "predicted"), "predicted", trees=True)
-        score = uas(gold, trees, policy)
+        score = uas(gold, trees, run.punct_tags)
         print(f"file {run.output_path}  uas {score:.10f}")
         return 0
     _required(run.model_path, "model")
@@ -189,7 +186,7 @@ def cmd_eval(run: RunConfig) -> int:
         variants = (run.variant,) if run.variant else MODE_VARIANTS[model.mode]
         decoded = decode_corpus(gold, model, variants, run.root_agg)
         for variant, (trees, clean) in decoded.items():
-            score = float(f"{uas(gold, trees, policy):.10f}")
+            score = float(f"{uas(gold, trees, run.punct_tags):.10f}")
             print(f"seed {seed}  {variant}  uas {score:.10f}  cycle-free {clean:.4f}")
             per_variant.setdefault(variant, []).append(score)
     if len(run.seeds) > 1:

@@ -67,7 +67,8 @@ class RunConfig:
     model_path: str = param("", "paths", key="model")
     output_path: str = param("", "paths", key="output")
     seeds: tuple[int, ...] = param(
-        (1,), "run", valid=(lambda v: len(v) > 0 and min(v) >= 0, "one or more integers >= 0"),
+        (1,), "run", valid=(lambda v: len(v) > 0 and min(v) >= 0 and len(set(v)) == len(v),
+                            "one or more distinct integers >= 0"),
         help="comma-separated seed list, e.g. 1,2,3")
     # empty = the default variant of the model's mode
     variant: str = param("", "run", choices=tuple(VARIANTS))

@@ -15,6 +15,8 @@ __all__ = ["ConllError", "Token", "Sentence", "read_conll", "write_conll"]
 
 # the IDs of multiword-token ranges (1-2) and empty nodes (5.1)
 _SKIPPED_ID = re.compile(r"[0-9]+[-.][0-9]+")
+# token ids and heads: ASCII digits only, no sign, space or other digit script
+_INTEGER = re.compile(r"[0-9]+")
 
 
 class ConllError(ValueError):
@@ -36,10 +38,9 @@ class Token:
     head: int | None = None
     cols: list[str] = field(default_factory=list)
 
-    def line(self, head: int | None = None) -> str:
-        h = self.head if head is None else head
+    def line(self) -> str:
         cols = list(self.cols) if self.cols else self._default_cols()
-        cols[6] = "_" if h is None else str(h)
+        cols[6] = "_" if self.head is None else str(self.head)
         return "\t".join(cols)
 
     def _default_cols(self) -> list[str]:
@@ -86,13 +87,10 @@ class Sentence:
         return Sentence(new, list(self.comments))
 
 
-def _parse_head(text: str, lineno: int) -> int | None:
-    if text == "_":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise ConllError(f"line {lineno}: non-integer head field {text!r}") from None
+def _parse_int(text: str, lineno: int, what: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise ConllError(f"line {lineno}: non-integer {what} {text!r}")
+    return int(text)
 
 
 def _finish(tokens: list[Token], comments: list[str], lineno: int) -> Sentence:
@@ -122,9 +120,10 @@ def read_conll(stream: TextIO) -> list[Sentence]:
     """Parse a CoNLL-X/CoNLL-U stream into sentences.
 
     Multiword-token ranges (``1-2``) and empty nodes (``5.1``) are skipped.
-    Malformed lines, non-integer heads (other than ``_``) and out-of-range
-    heads raise :class:`ConllError` naming the offending line, as does a
-    stream whose bytes are not UTF-8.
+    Token ids and heads are ASCII digits (a head may also be ``_``).
+    Malformed lines, any other id or head, and out-of-range heads raise
+    :class:`ConllError` naming the offending line, as does a stream whose
+    bytes are not UTF-8.
     """
     sentences: list[Sentence] = []
     tokens: list[Token] = []
@@ -150,16 +149,13 @@ def read_conll(stream: TextIO) -> list[Sentence]:
         id_field = cols[0]
         if _SKIPPED_ID.fullmatch(id_field):
             continue
-        try:
-            index = int(id_field)
-        except ValueError:
-            raise ConllError(f"line {lineno}: non-integer token id {id_field!r}") from None
+        index = _parse_int(id_field, lineno, "token id")
         if index != len(tokens) + 1:
             raise ConllError(
                 f"line {lineno}: token id {index} out of sequence (expected {len(tokens) + 1})"
             )
         pos = cols[3] if cols[3] != "_" else (cols[4] if len(cols) > 4 and cols[4] != "_" else None)
-        head = _parse_head(cols[6], lineno)
+        head = None if cols[6] == "_" else _parse_int(cols[6], lineno, "head field")
         tokens.append(Token(index, cols[1], pos, head, cols))
         last_token_line = lineno
     if tokens:

@@ -30,7 +30,6 @@ from .model import (VARIANTS, ModelParams, require_variant, score_sentence,
 __all__ = [
     "AlignmentError",
     "DepTree",
-    "PunctuationPolicy",
     "merge",
     "find_top",
     "greedy_heads",
@@ -284,37 +283,20 @@ def parse(
     return decode_corpus(corpus, model, (variant,), root_agg)[variant][0]
 
 
-@dataclass
-class PunctuationPolicy:
-    """Which tokens to skip when scoring attachments.
-
-    A token is punctuation when its tag is in ``extra_tags``, or when the
-    tag consists solely of Unicode punctuation characters (the PTB style:
-    ".", ",", "``").  Tokens without a tag always count.
-    """
-
-    extra_tags: frozenset[str] = frozenset()
-
-    def is_punct(self, pos: str | None) -> bool:
-        if pos is None or pos == "":
-            return False
-        if pos in self.extra_tags:
-            return True
-        return all(unicodedata.category(ch).startswith("P") for ch in pos)
-
-
 def uas(
     gold: list[Sentence],
     predicted: list[DepTree],
-    punct: PunctuationPolicy | None = None,
+    punct_tags: tuple[str, ...] = (),
 ) -> float:
     """Unlabeled attachment score, in percent.
 
     Counts non-punctuation tokens whose predicted head matches the gold
-    head (the top is correct iff its gold head is 0).  With no countable
-    tokens at all the score is vacuously 100.
+    head (the top is correct iff its gold head is 0).  A token is
+    punctuation when its tag is in ``punct_tags`` or is made only of
+    Unicode punctuation characters (the PTB style: ".", ",", "``"); a
+    missing or empty tag always counts.  With no countable tokens at all
+    the score is vacuously 100.
     """
-    punct = punct or PunctuationPolicy()
     if len(gold) != len(predicted):
         raise AlignmentError(
             f"{len(gold)} gold sentences against {len(predicted)} predictions"
@@ -327,7 +309,9 @@ def uas(
             )
         heads = sent.gold_heads()
         for tok, g, p in zip(sent.tokens, heads, tree.heads):
-            if punct.is_punct(tok.pos):
+            pos = tok.pos
+            if pos and (pos in punct_tags
+                        or all(unicodedata.category(ch).startswith("P") for ch in pos)):
                 continue
             total += 1
             correct += g == p

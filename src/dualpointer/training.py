@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import TrainConfig
 from .conll import ConllError, Sentence
-from .decoding import PunctuationPolicy, parse, uas
+from .decoding import parse, uas
 from .model import MODE_NETS, MODE_VARIANTS, ModelParams, init_model, score_sentence
 from .modelio import load_model, save_model
 from .optim import Adam
@@ -129,12 +129,13 @@ def train(
     config: TrainConfig,
     pretrained: EmbeddingTable | None = None,
     on_epoch=None,
-) -> tuple[Checkpoint, list[EpochRow]]:
-    """Full training run; returns the best-dev checkpoint and the log.
+) -> Checkpoint:
+    """Full training run; returns the best-dev checkpoint.
 
     Sentences are shuffled each epoch with the run seed.  After every
-    epoch the dev set is parsed in inference mode, and the values of the
-    epoch with the highest dev UAS (earliest epoch on ties) are kept.
+    epoch the dev set is parsed in inference mode, the epoch's
+    :class:`EpochRow` goes to ``on_epoch``, and the values of the epoch
+    with the highest dev UAS (earliest epoch on ties) are kept.
     """
     for what, sentences in (("train", corpus), ("dev", dev)):
         if not sentences:
@@ -148,12 +149,10 @@ def train(
     model = init_model(rng, vocab, pretrained=pretrained, **asdict(config.shape))
     optimizer = make_optimizer(model, config)
     variant = default_variant(config.mode)
-    punct = PunctuationPolicy(frozenset(config.punct_tags))
 
     tensors = list(model.tensors.values())
     best_values = [np.empty_like(t.data) for t in tensors]
     best: EpochRow | None = None
-    rows: list[EpochRow] = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(corpus))
         total, counted, skipped = 0.0, 0, 0
@@ -169,14 +168,9 @@ def train(
         mean_loss = total / counted if counted else float("nan")
 
         predicted = parse(dev, model, variant, config.root_agg)
-        dev_uas = uas(dev, predicted, punct)
+        dev_uas = uas(dev, predicted, config.punct_tags)
 
         row = EpochRow(epoch=epoch, mean_loss=mean_loss, dev_uas=dev_uas, skipped=skipped)
-        rows.append(row)
-        log.info(
-            "epoch %d: mean loss %.6f, dev UAS %.2f%%%s",
-            epoch, mean_loss, dev_uas, f", {skipped} skipped" if skipped else "",
-        )
         if on_epoch is not None:
             on_epoch(row)
         if best is None or dev_uas > best.dev_uas:
@@ -188,4 +182,4 @@ def train(
         t.data = kept  # the last epoch's arrays are freed before the save
     buf = io.BytesIO()
     save_model(model, buf)
-    return Checkpoint(epoch=best.epoch, dev_uas=best.dev_uas, model_bytes=buf.getvalue()), rows
+    return Checkpoint(epoch=best.epoch, dev_uas=best.dev_uas, model_bytes=buf.getvalue())

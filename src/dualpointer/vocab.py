@@ -48,8 +48,9 @@ class Vocabulary:
         # forms/counts are parallel, id 0 reserved; counts[0] stays 0
         self.forms = [UNKNOWN_FORM] + forms
         self.counts = [0] + counts
-        self.ids = {f: i for i, f in enumerate(self.forms)}
-        if len(self.ids) != len(self.forms):
+        # the reserved entry is not a key, so a corpus word "<unk>" gets its own id
+        self.ids = {f: i for i, f in enumerate(forms, start=1)}
+        if len(self.ids) != len(forms):
             raise ValueError("duplicate forms in vocabulary")
 
     def __len__(self) -> int:

@@ -21,7 +21,6 @@ from dualpointer.decoding import (
     merge,
     parse,
     uas,
-    PunctuationPolicy,
 )
 from dualpointer.gradcheck import run_gradcheck
 from dualpointer.model import ModelShape, score_sentence
@@ -59,7 +58,8 @@ def overfit():
     corpus = bundled("toy")
     config = TrainConfig(mode="joint", epochs=50, seed=1, bilstm_hidden=64)
     started = time.perf_counter()
-    best, log = train(corpus, corpus, config)
+    log = []
+    best = train(corpus, corpus, config, on_epoch=log.append)
     seconds = time.perf_counter() - started
     return corpus, best, log, seconds
 
@@ -139,7 +139,6 @@ def test_criterion_5_ablation_direction():
     dev_set = bundled("ambiguous-dev")
     assert len(train_set) >= 2000 and len(dev_set) >= 200
     seeds = (1, 2, 3)
-    policy = PunctuationPolicy()
     scores: dict[str, list[float]] = {v: [] for v in ("p1", "p2", "p3", "p4", "p5")}
     for mode, variants in (
         ("joint", ("p1", "p2", "p3")),
@@ -148,11 +147,11 @@ def test_criterion_5_ablation_direction():
     ):
         for seed in seeds:
             config = TrainConfig(mode=mode, epochs=5, seed=seed)
-            best, _ = train(train_set, dev_set, config)
+            best = train(train_set, dev_set, config)
             model = best.load()
             for variant in variants:
                 trees = parse(dev_set, model, variant=variant)
-                scores[variant].append(uas(dev_set, trees, policy))
+                scores[variant].append(uas(dev_set, trees))
     print()
     for variant, values in scores.items():
         row = "  ".join(f"{v:.2f}" for v in values)
@@ -170,8 +169,8 @@ def test_criterion_6_determinism_and_serialization():
     corpus = bundled("toy", 16)
     config = TrainConfig(epochs=2, seed=9, d_pretrained=8, d_random=8,
                          bilstm_hidden=6, ptr_hidden=8)
-    first, _ = train(corpus, corpus, config)
-    second, _ = train(corpus, corpus, config)
+    first = train(corpus, corpus, config)
+    second = train(corpus, corpus, config)
     identical = first.model_bytes == second.model_bytes
 
     model = first.load()

@@ -111,6 +111,39 @@ class TestTrain:
                 blobs.append(f.read())
         assert blobs[0] != blobs[1]
 
+    def test_corpus_word_unk_trains_and_evaluates(self, capsys, tmp_path):
+        """A corpus word spelled like the reserved unknown entry gets its own
+        vocabulary id; it used to end training in "duplicate forms"."""
+        path = tmp_path / "unk.conllu"
+        path.write_text("1\t<UNK>\t_\tX\t_\t_\t2\t_\t_\t_\n"
+                        "2\tbark\t_\tX\t_\t_\t0\t_\t_\t_\n\n", encoding="utf-8")
+        dest = str(tmp_path / "m.bin")
+        code, out, err = run(capsys, [
+            "train", "--train", str(path), "--dev", str(path), "--model", dest] + FAST)
+        assert code == 0 and err == "", err
+        model = load_model(dest)
+        assert model.vocab.lookup("<unk>") != 0 and model.vocab.lookup("zzz") == 0
+        code, out, err = run(capsys, ["eval", "--model", dest, "--test", str(path)])
+        assert code == 0 and err == "", err
+        assert "p1  uas" in out
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_repeated_seed_is_config_error(self, capsys, corpus_path, tmp_path, source):
+        dest = tmp_path / "m.bin"
+        argv = ["train", "--train", corpus_path, "--dev", corpus_path,
+                "--model", str(dest)] + FAST
+        if source == "flag":
+            argv[argv.index("--seeds") + 1] = "1,2,1"
+        else:
+            del argv[argv.index("--seeds"):argv.index("--seeds") + 2]
+            config = tmp_path / "run.ini"
+            config.write_text("[run]\nseeds = 1,2,1\n")
+            argv += ["--config", str(config)]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert_one_error(err, "config", "seeds", "distinct")
+        assert not list(tmp_path.glob("m*.bin"))
+
     def test_missing_corpus_is_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, [
             "train", "--train", str(tmp_path / "nope.conllu"),
@@ -393,6 +426,19 @@ class TestEval:
         code, out, _ = run(capsys, [
             "eval", "--test", corpus_path, "--output", corpus_path])
         assert code == 0
+        assert float(re.search(r"uas (\d+\.\d+)", out).group(1)) == 100.0
+
+    @pytest.mark.parametrize("columns", [10, 7])
+    def test_crlf_line_ends_read(self, capsys, corpus_path, tmp_path, columns):
+        """Text mode turns CRLF into LF, so a Windows-edited file reads as
+        its LF twin does, the head in the last column included."""
+        with open(corpus_path, encoding="utf-8") as f:
+            lines = [line.rstrip("\n") for line in f]
+        lines = ["\t".join(line.split("\t")[:columns]) if line else line for line in lines]
+        crlf = tmp_path / "crlf.conllu"
+        crlf.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
+        code, out, err = run(capsys, ["eval", "--test", str(crlf), "--output", corpus_path])
+        assert code == 0 and err == "", err
         assert float(re.search(r"uas (\d+\.\d+)", out).group(1)) == 100.0
 
     def test_multi_seed_mean_matches_rows(self, capsys, corpus_path, tmp_path):

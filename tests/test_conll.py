@@ -111,6 +111,20 @@ class TestErrors:
         with pytest.raises(ConllError, match="line 2: .*token id"):
             read_conll(io.StringIO(bad))
 
+    @pytest.mark.parametrize("text", ["+1", "0_1", " 1", "1 ", "１"])
+    def test_id_that_int_would_accept_names_line(self, text):
+        """Ids are ASCII digits: a sign, an underscore, a space or another
+        script's digit is an error although int() reads each as 1."""
+        bad = f"{text}\ta\t_\tX\t_\t_\t0\t_\t_\t_\n\n"
+        with pytest.raises(ConllError, match="line 1: non-integer token id"):
+            read_conll(io.StringIO(bad))
+
+    @pytest.mark.parametrize("text", ["+1", "0_1", " 1", "1 ", "１"])
+    def test_head_that_int_would_accept_names_line(self, text):
+        bad = f"1\ta\t_\tX\t_\t_\t0\t_\t_\t_\n2\tb\t_\tX\t_\t_\t{text}\t_\t_\t_\n\n"
+        with pytest.raises(ConllError, match="line 2: non-integer head field"):
+            read_conll(io.StringIO(bad))
+
     def test_bytes_not_utf8(self):
         stream = io.TextIOWrapper(io.BytesIO(TWO_TOKENS.encode("utf-8") + b"\xff\n"),
                                   encoding="utf-8")

@@ -302,7 +302,8 @@ class TestTrain:
 
     def test_single_epoch_returns_that_checkpoint(self):
         config = small_config(epochs=1)
-        best, log = train(self.corpus(), self.corpus(), config)
+        log = []
+        best = train(self.corpus(), self.corpus(), config, on_epoch=log.append)
         assert isinstance(best, Checkpoint)
         assert best.epoch == 1
         assert len(log) == 1
@@ -310,7 +311,8 @@ class TestTrain:
 
     def test_best_checkpoint_has_max_dev_uas(self):
         config = small_config(epochs=4)
-        best, log = train(self.corpus(), self.corpus(), config)
+        log = []
+        best = train(self.corpus(), self.corpus(), config, on_epoch=log.append)
         assert best.dev_uas == max(r.dev_uas for r in log)
         # earliest epoch wins ties
         first_best = next(r.epoch for r in log if r.dev_uas == best.dev_uas)
@@ -320,9 +322,11 @@ class TestTrain:
         """Seed 9 peaks at epoch 3 of 4.  Its checkpoint is byte for byte the
         model of the same run stopped after epoch 3, whose best is also
         epoch 3 (the earliest epoch wins ties)."""
-        best, log = train(self.corpus(), self.corpus(), small_config(epochs=4, seed=9))
+        log = []
+        best = train(self.corpus(), self.corpus(), small_config(epochs=4, seed=9),
+                     on_epoch=log.append)
         assert best.epoch == 3 < len(log)
-        stopped, _ = train(self.corpus(), self.corpus(), small_config(epochs=3, seed=9))
+        stopped = train(self.corpus(), self.corpus(), small_config(epochs=3, seed=9))
         assert stopped.epoch == 3
         assert stopped.model_bytes == best.model_bytes
 
@@ -337,8 +341,9 @@ class TestTrain:
 
     def test_same_seed_reproduces_run(self):
         config = small_config(epochs=2)
-        best1, log1 = train(self.corpus(), self.corpus(), config)
-        best2, log2 = train(self.corpus(), self.corpus(), config)
+        log1, log2 = [], []
+        best1 = train(self.corpus(), self.corpus(), config, on_epoch=log1.append)
+        best2 = train(self.corpus(), self.corpus(), config, on_epoch=log2.append)
         assert log1[0].mean_loss == log2[0].mean_loss
         assert [r.dev_uas for r in log1] == [r.dev_uas for r in log2]
         assert best1.model_bytes == best2.model_bytes
@@ -346,13 +351,13 @@ class TestTrain:
     def test_different_seed_differs(self):
         c1 = small_config(epochs=1, seed=1)
         c2 = small_config(epochs=1, seed=2)
-        best1, _ = train(self.corpus(), self.corpus(), c1)
-        best2, _ = train(self.corpus(), self.corpus(), c2)
+        best1 = train(self.corpus(), self.corpus(), c1)
+        best2 = train(self.corpus(), self.corpus(), c2)
         assert best1.model_bytes != best2.model_bytes
 
     def test_checkpoint_loads_back(self):
         config = small_config(epochs=1)
-        best, _ = train(self.corpus(), self.corpus(), config)
+        best = train(self.corpus(), self.corpus(), config)
         model = best.load()
         assert model.mode == JOINT
 
@@ -372,6 +377,22 @@ class TestTrain:
         train(self.corpus(), self.corpus(), config, on_epoch=seen.append)
         assert [r.epoch for r in seen] == [1, 2, 3]
 
+    def test_on_epoch_is_the_only_report(self, caplog):
+        """Each epoch's row leaves train through on_epoch alone, in order;
+        the checkpoint names the first row with the best dev UAS, and a run
+        without skipped steps logs nothing."""
+        seen = []
+        with caplog.at_level(logging.INFO, logger="dualpointer.training"):
+            best = train(self.corpus(), self.corpus(), small_config(epochs=4, seed=9),
+                         on_epoch=seen.append)
+        assert [r for r in caplog.records if r.name == "dualpointer.training"] == []
+        assert isinstance(best, Checkpoint)
+        assert [r.epoch for r in seen] == [1, 2, 3, 4]
+        assert all(r.skipped == 0 for r in seen)
+        top = max(r.dev_uas for r in seen)
+        first = next(r for r in seen if r.dev_uas == top)
+        assert (best.epoch, best.dev_uas) == (first.epoch, first.dev_uas)
+
     def test_empty_corpora_rejected(self):
         config = small_config()
         with pytest.raises(ValueError):
@@ -388,7 +409,7 @@ class TestTrain:
 
     def test_heads_only_training_runs(self):
         config = small_config(epochs=1, mode=HEADS_ONLY)
-        best, _ = train(self.corpus(), self.corpus(), config)
+        best = train(self.corpus(), self.corpus(), config)
         model = best.load()
         assert model.mode == HEADS_ONLY
         assert not any(name.startswith("ptr.deps.") for name in model.tensors)

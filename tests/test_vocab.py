@@ -61,6 +61,14 @@ def test_every_nonreserved_frequency_positive():
     assert v.counts[UNKNOWN_ID] == 0
 
 
+
+def test_corpus_word_spelled_like_the_reserved_entry_is_a_word():
+    v = build_vocab([sent(["<UNK>", "a", "<unk>"])])
+    assert len(v) == 2 + 1
+    assert v.lookup("<unk>") not in (UNKNOWN_ID, v.lookup("a"))
+    assert v.frequency(v.lookup("<unk>")) == 2
+    assert v.counts[UNKNOWN_ID] == 0 and v.lookup("zzz") == UNKNOWN_ID
+
 EMB = "hello 0.1 0.2 0.3\nworld -1.0 0.0 1.0\n"
 
 
