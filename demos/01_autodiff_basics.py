@@ -6,11 +6,12 @@ from dataclasses import asdict
 import numpy as np
 
 import dualpointer.autodiff as ad
+from dualpointer.config import RunConfig
 from dualpointer.conll import Sentence, Token
 from dualpointer.encoder import bilstm_level, encode_tokens, token_rows
 from dualpointer.model import ModelShape, init_model
 from dualpointer.pointer import output_loss, score_all, target_matrix
-from dualpointer.training import TrainConfig, make_optimizer, sentence_loss, train_sentence
+from dualpointer.training import make_optimizer, sentence_loss, train_sentence
 from dualpointer.vocab import build_vocab
 
 # "the dog barked": the dog heads the, barked heads dog and is the top
@@ -41,7 +42,7 @@ while node._parents:
     node = node._parents[0]
 print("tape, from the loss down:", " <- ".join(str(s) for s in chain))
 
-config = TrainConfig(alpha_word_dropout=0.0, adam_alpha=0.01, **asdict(shape))
+config = RunConfig(alpha_word_dropout=0.0, adam_alpha=0.01, **asdict(shape))
 same = sentence_loss(model, sentence, config, training=False).item()
 print("training's sentence_loss gives the same value:", same == loss.item())
 

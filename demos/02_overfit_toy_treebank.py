@@ -1,8 +1,9 @@
 """Train on the bundled toy treebank until it is memorized, then parse a
 sentence and compare against gold."""
+from dualpointer.config import RunConfig
 from dualpointer.conll import read_conll
 from dualpointer.decoding import parse, uas
-from dualpointer.training import TrainConfig, train
+from dualpointer.training import train
 
 with open("data/toy.conllu", encoding="utf-8") as f:
     corpus = read_conll(f)
@@ -12,7 +13,7 @@ print(f"{len(corpus)} sentences, "
 
 # Small hidden size keeps this near-instant; the treebank is tiny enough
 # that the model should reach 100% on its own training data.
-config = TrainConfig(epochs=12, seed=1, bilstm_hidden=64)
+config = RunConfig(epochs=12, seeds=(1,), bilstm_hidden=64)
 best = train(corpus, corpus, config,
              on_epoch=lambda row: print(
                  f"epoch {row.epoch:2d}  loss {row.mean_loss:.4f}  "

@@ -5,16 +5,17 @@ import io
 
 import numpy as np
 
+from dualpointer.config import RunConfig
 from dualpointer.conll import read_conll
 from dualpointer.decoding import merge
 from dualpointer.model import score_sentence
 from dualpointer.modelio import ModelFormatError, load_model, save_model
-from dualpointer.training import TrainConfig, train
+from dualpointer.training import train
 
 with open("data/toy.conllu", encoding="utf-8") as f:
     corpus = read_conll(f)[:16]
-config = TrainConfig(epochs=2, seed=42, d_pretrained=8, d_random=8,
-                     bilstm_hidden=6, ptr_hidden=8)
+config = RunConfig(epochs=2, seeds=(42,), d_pretrained=8, d_random=8,
+                   bilstm_hidden=6, ptr_hidden=8)
 
 run1 = train(corpus, corpus, config)
 run2 = train(corpus, corpus, config)

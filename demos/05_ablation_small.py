@@ -4,9 +4,10 @@ variants on a corpus with genuine attachment ambiguity.
 The full-size sweep lives in the slow acceptance test; this one trades
 corpus size and epochs for a coffee-break runtime.
 """
+from dualpointer.config import RunConfig
 from dualpointer.conll import read_conll
 from dualpointer.decoding import parse, uas
-from dualpointer.training import TrainConfig, train
+from dualpointer.training import train
 
 with open("data/ambiguous-train.conllu", encoding="utf-8") as f:
     train_set = read_conll(f)[:300]
@@ -20,8 +21,8 @@ for mode, variants in (
     ("heads-only", ("p4",)),
     ("deps-only", ("p5",)),
 ):
-    config = TrainConfig(mode=mode, epochs=2, seed=1,
-                         bilstm_hidden=64, d_pretrained=50, d_random=50)
+    config = RunConfig(mode=mode, epochs=2, seeds=(1,),
+                       bilstm_hidden=64, d_pretrained=50, d_random=50)
     best = train(train_set, dev_set, config)
     model = best.load()
     for variant in variants:

@@ -7,13 +7,13 @@ single line of the form "error:<category>: message".
 """
 import argparse
 import contextlib
+import dataclasses
 import logging
 import os
 import sys
 
 from .conll import ConllError, read_conll, write_conll
-from .config import (FLAGS, ConfigError, RunConfig, dump_config, load_config,
-                     parse_value, validate)
+from .config import FLAGS, ConfigError, RunConfig, dump_config, load_config, parse_value
 # cycle_stats is unused here but stays bound as dualpointer.cli.cycle_stats,
 # a name the benchmark's tracer (perfbench/tracing.py) wraps when it installs
 from .decoding import AlignmentError, DepTree, cycle_stats, decode_corpus, parse, uas
@@ -53,24 +53,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def effective_config(args: argparse.Namespace) -> RunConfig:
+    text = ""
     if args.config:
         with _opened(args.config, "config") as f:
             try:
                 text = f.read()
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"config is not UTF-8 text: {exc.reason}") from None
-        run = load_config(text)
-    else:
-        run = RunConfig()
-    run.command = args.command
-    for flag, fld in FLAGS.items():
-        text = getattr(args, fld.name)
-        if text is not None:
-            setattr(run, fld.name, parse_value(fld, text, flag))
+    flags = {fld.name: parse_value(fld, getattr(args, fld.name), flag)
+             for flag, fld in FLAGS.items() if getattr(args, fld.name) is not None}
+    run = dataclasses.replace(load_config(text), command=args.command, **flags)
     if args.d_pretrained is not None and run.pretrained_path:
         raise ConfigError("--d-pretrained cannot be set beside a pretrained file, "
                           "whose width sets it")
-    validate(run)
     if args.save_config:
         with _opened(args.save_config, "config", "w") as f:
             f.write(dump_config(run))
@@ -95,6 +90,16 @@ def _opened(path: str, what: str, mode: str = "r"):
         raise OSError(f"cannot {'write' if 'w' in mode else 'read'} {what}: {exc}") from None
     except (ConllError, PretrainedError) as exc:
         raise type(exc)(f"{what}: {exc}") from None
+
+
+def _check_writable(path: str, what: str) -> None:
+    """Raise now the OSError that writing ``what`` to ``path`` would end in
+    after training: ``path`` names a directory, or lies in a missing one."""
+    if os.path.isdir(path) or path.endswith(os.sep):
+        raise OSError(f"cannot write {what}: {path!r} is a directory")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise OSError(f"cannot write {what}: no directory {folder!r}")
 
 
 def _read_corpus(path: str, what: str):
@@ -126,12 +131,17 @@ def cmd_train(run: RunConfig) -> int:
     train_set = _read_corpus(run.train_path, "train")
     dev_set = _read_corpus(run.dev_path, "dev")
     _required(run.model_path, "model")
+    dests = [seed_model_path(run.model_path, run.seeds, seed) for seed in run.seeds]
+    for path in dict.fromkeys([run.model_path, *dests]):
+        _check_writable(path, "model")
+    if run.output_path:
+        _check_writable(run.output_path, "training log")
     pretrained = None
     if run.pretrained_path:
         with _opened(run.pretrained_path, "pretrained vectors") as f:
             pretrained = load_pretrained(f)
     log_lines = []
-    for seed in run.seeds:
+    for seed, dest in zip(run.seeds, dests):
         config = run.train_config(seed)
 
         def show(row, seed=seed):
@@ -142,7 +152,6 @@ def cmd_train(run: RunConfig) -> int:
             log_lines.append(line)
 
         best = train(train_set, dev_set, config, pretrained=pretrained, on_epoch=show)
-        dest = seed_model_path(run.model_path, run.seeds, seed)
         with _opened(dest, "model", "wb") as f:
             f.write(best.model_bytes)
         line = (f"seed {seed} best epoch {best.epoch}  "

@@ -9,8 +9,8 @@ Everything else is derived from that field list:
 - the command-line flags: INI key ``some_key`` is flag ``--some-key``, and
   its text goes through the same :func:`parse_value` as the file's, so a
   bad value from either source is a :class:`ConfigError`;
-- :func:`validate`;
-- :class:`TrainConfig`, the fields one training run reads plus its seed.
+- the checks a RunConfig runs when it is built; it is frozen, so every
+  RunConfig, a :func:`dataclasses.replace` copy too, holds valid values.
 
 The mode, the output activation and the five sizes take their defaults
 from :class:`~dualpointer.model.ModelShape`, which also checks them.
@@ -20,7 +20,7 @@ import configparser
 import io
 import math
 import typing
-from dataclasses import Field, dataclass, field, fields, make_dataclass
+from dataclasses import Field, dataclass, field, fields, replace
 
 from .model import ACTIVATIONS, DEPS_ONLY, HEADS_ONLY, MODES, VARIANTS, ModelShape
 
@@ -34,20 +34,18 @@ SHAPE_FIELDS = tuple(f.name for f in fields(ModelShape))
 
 
 def param(default, section: str, key: str = "", valid=None, choices: tuple = (),
-          aliases: dict | None = None, help: str | None = None, flag: bool = True,
-          train: bool = False) -> Field:
+          aliases: dict | None = None, help: str | None = None, flag: bool = True) -> Field:
     """A RunConfig field: its default, where it lives and which values it takes.
 
     ``key`` is its INI key and flag stem (the field name when empty), and
     ``flag`` is false for the one key the subcommand sets.  ``valid`` is a
     (test, rule) pair.  ``choices`` are listed in --help; unless ModelShape
     checks the field, a value must be one of them or the default.
-    ``aliases`` map other spellings onto a choice.  ``train`` makes the
-    field a TrainConfig field too, as every ``[training]`` field is.
+    ``aliases`` map other spellings onto a choice.
     """
     return field(default=default, metadata=dict(
         section=section, key=key, valid=valid, choices=choices, aliases=aliases or {},
-        help=help, flag=flag, train=train or section == "training"))
+        help=help, flag=flag))
 
 
 # the comparisons against inf also reject NaN
@@ -55,9 +53,10 @@ POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
 UNIT_INTERVAL = (lambda v: 0 <= v < 1, "in [0, 1)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """One train/parse/eval/gradcheck invocation."""
+    """One train/parse/eval/gradcheck invocation, checked when it is built;
+    ``train`` reads the RunConfig of one seed."""
 
     command: str = param("", "run", flag=False)
     train_path: str = param("", "paths", key="train")
@@ -72,9 +71,9 @@ class RunConfig:
         help="comma-separated seed list, e.g. 1,2,3")
     # empty = the default variant of the model's mode
     variant: str = param("", "run", choices=tuple(VARIANTS))
-    root_agg: str = param("max", "run", choices=("max", "sum"), train=True)
+    root_agg: str = param("max", "run", choices=("max", "sum"))
     punct_tags: tuple[str, ...] = param(
-        (), "run", train=True,
+        (), "run",
         help="comma-separated POS tags always counted as punctuation")
     mode: str = param(ModelShape.mode, "training", choices=MODES + tuple(MODE_ALIASES),
                       aliases=MODE_ALIASES)
@@ -94,16 +93,38 @@ class RunConfig:
     ptr_hidden: int = param(ModelShape.ptr_hidden, "training")
     activation: str = param(ModelShape.activation, "training", choices=ACTIVATIONS)
 
+    def __post_init__(self):
+        """Raise ConfigError unless every field holds a valid value."""
+        for f in fields(self):
+            if f.name in SHAPE_FIELDS:  # ModelShape checks these below
+                continue
+            value = getattr(self, f.name)
+            choices, valid = f.metadata["choices"], f.metadata["valid"]
+            if choices and value not in choices + (f.default,):
+                raise ConfigError(f"unknown {f.name} {value!r}")
+            if valid and not valid[0](value):
+                raise ConfigError(f"{f.name} must be {valid[1]}, got {value!r}")
+        try:
+            self.shape
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
     @property
     def shape(self) -> ModelShape:
         """The model these hyperparameters build."""
         return ModelShape(**{name: getattr(self, name) for name in SHAPE_FIELDS})
 
-    def train_config(self, seed: int) -> "TrainConfig":
-        return TrainConfig(seed=seed, **{name: getattr(self, name) for name in TRAIN_FIELDS})
+    @property
+    def seed(self) -> int:
+        """The seed of a one-seed run."""
+        if len(self.seeds) != 1:
+            raise ConfigError(f"one seed expected, got {len(self.seeds)}")
+        return self.seeds[0]
 
+    def train_config(self, seed: int) -> "RunConfig":
+        """This run with ``seed`` as its one seed."""
+        return replace(self, seeds=(seed,))
 
-TRAIN_FIELDS = tuple(f.name for f in fields(RunConfig) if f.metadata["train"])
 
 # section -> {INI key -> field}, in file order
 LAYOUT: dict[str, dict[str, Field]] = {}
@@ -113,37 +134,6 @@ for _f in fields(RunConfig):
 FLAGS = {"--" + key.replace("_", "-"): f for entries in LAYOUT.values()
          for key, f in entries.items() if f.metadata["flag"]}
 
-
-def validate(config) -> None:
-    """Raise ConfigError unless every field of ``config``, a RunConfig or a
-    TrainConfig, holds a valid value."""
-    for f in fields(config):
-        if not f.metadata or f.name in SHAPE_FIELDS:  # ModelShape checks these below
-            continue
-        value = getattr(config, f.name)
-        choices, valid = f.metadata["choices"], f.metadata["valid"]
-        if choices and value not in choices + (f.default,):
-            raise ConfigError(f"unknown {f.name} {value!r}")
-        if valid and not valid[0](value):
-            raise ConfigError(f"{f.name} must be {valid[1]}, got {value!r}")
-    try:
-        config.shape
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-TrainConfig = make_dataclass(
-    "TrainConfig",
-    [("seed", int, param(1, "run", valid=(lambda v: v >= 0, ">= 0"), flag=False))]
-    + [(f.name, f.type, field(default=f.default, metadata=f.metadata))
-       for f in fields(RunConfig) if f.metadata["train"]],
-    namespace={
-        "__doc__": "What one training run reads: RunConfig's training fields and a seed.",
-        "__module__": __name__,
-        "__post_init__": validate,
-        "shape": RunConfig.shape,
-    },
-)
 
 
 def parse_value(f: Field, text: str, where: str):
@@ -186,7 +176,7 @@ def load_config(text: str) -> RunConfig:
     # configparser copies [DEFAULT] entries into every other section
     if parser.defaults():
         raise ConfigError(f"unknown config section [{parser.default_section}]")
-    config = RunConfig()
+    values = {}
     for section in parser.sections():
         if section not in LAYOUT:
             raise ConfigError(f"unknown config section [{section}]")
@@ -194,6 +184,5 @@ def load_config(text: str) -> RunConfig:
             if key not in LAYOUT[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
             f = LAYOUT[section][key]
-            setattr(config, f.name, parse_value(f, text_value, f"{section}.{key}"))
-    validate(config)
-    return config
+            values[f.name] = parse_value(f, text_value, f"{section}.{key}")
+    return RunConfig(**values)

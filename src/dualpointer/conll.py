@@ -2,8 +2,10 @@
 
 Both CoNLL-X and CoNLL-U share the columns this parser needs: ID (0), FORM
 (1), a coarse POS tag (3, falling back to 4), and HEAD (6).  Sentences are
-blank-line separated; ``#`` comment lines and the full column list of every
-token are kept so that a read/write round trip is byte-stable.
+blank-line separated.  A read/write round trip keeps ``#`` comments (each
+sentence's ahead of its tokens) and every column of every word token; it
+drops multiword-token ranges (``1-2``), empty nodes (``5.1``), comments
+that no word token follows, and extra blank lines.
 """
 from __future__ import annotations
 
@@ -134,9 +136,7 @@ def read_conll(stream: TextIO) -> list[Sentence]:
         if not line.strip():
             if tokens:
                 sentences.append(_finish(tokens, comments, last_token_line))
-                tokens, comments = [], []
-            elif comments:
-                comments = []
+            tokens, comments = [], []
             continue
         if line.startswith("#"):
             comments.append(line)

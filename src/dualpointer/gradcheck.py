@@ -13,9 +13,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .config import RunConfig
 from .conll import Sentence, Token
 from .model import ModelShape, init_model
-from .training import TrainConfig, sentence_loss
+from .training import sentence_loss
 from .vocab import build_vocab
 
 # Comparisons are relative above this scale and absolute below it.  With the
@@ -85,7 +86,7 @@ def run_gradcheck(
     sentence = random_sentence(rng, n_tokens)
     vocab = build_vocab([sentence])
     model = init_model(rng, vocab, **asdict(shape))
-    config = TrainConfig(alpha_word_dropout=0.0, **asdict(shape))
+    config = RunConfig(alpha_word_dropout=0.0, **asdict(shape))
 
     def loss_value() -> float:
         with ad.no_grad():

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .config import TrainConfig
+from .config import RunConfig
 from .conll import ConllError, Sentence
 from .decoding import parse, uas
 from .model import MODE_NETS, MODE_VARIANTS, ModelParams, init_model, score_sentence
@@ -31,7 +31,6 @@ from .pointer import output_loss, target_matrix
 from .vocab import EmbeddingTable, build_vocab
 
 __all__ = [
-    "TrainConfig",
     "EpochRow",
     "Checkpoint",
     "default_variant",
@@ -73,7 +72,7 @@ class Checkpoint:
 def sentence_loss(
     model: ModelParams,
     sentence: Sentence,
-    config: TrainConfig,
+    config: RunConfig,
     training: bool = True,
     rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
@@ -87,7 +86,7 @@ def sentence_loss(
                        [target_matrix(sentence, tag) for tag in nets], model.shape.activation)
 
 
-def make_optimizer(model: ModelParams, config: TrainConfig) -> Adam:
+def make_optimizer(model: ModelParams, config: RunConfig) -> Adam:
     return Adam(
         list(model.tensors.values()),
         alpha=config.adam_alpha,
@@ -100,7 +99,7 @@ def make_optimizer(model: ModelParams, config: TrainConfig) -> Adam:
 def train_sentence(
     model: ModelParams,
     sentence: Sentence,
-    config: TrainConfig,
+    config: RunConfig,
     optimizer: Adam,
     rng: np.random.Generator,
     sentence_id: str = "?",
@@ -126,17 +125,18 @@ def train_sentence(
 def train(
     corpus: list[Sentence],
     dev: list[Sentence],
-    config: TrainConfig,
+    config: RunConfig,
     pretrained: EmbeddingTable | None = None,
     on_epoch=None,
 ) -> Checkpoint:
-    """Full training run; returns the best-dev checkpoint.
+    """One seed's training run of ``config``; returns the best-dev checkpoint.
 
     Sentences are shuffled each epoch with the run seed.  After every
     epoch the dev set is parsed in inference mode, the epoch's
     :class:`EpochRow` goes to ``on_epoch``, and the values of the epoch
     with the highest dev UAS (earliest epoch on ties) are kept.
     """
+    rng = np.random.default_rng(config.seed)
     for what, sentences in (("train", corpus), ("dev", dev)):
         if not sentences:
             raise ConllError(f"empty {what} corpus")
@@ -144,7 +144,6 @@ def train(
             if len(s) == 0 or not s.has_gold_heads():
                 raise ConllError(f"{what} corpus sentence {si} is empty or lacks gold heads")
 
-    rng = np.random.default_rng(config.seed)
     vocab = build_vocab(corpus)
     model = init_model(rng, vocab, pretrained=pretrained, **asdict(config.shape))
     optimizer = make_optimizer(model, config)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from corpora import bundled
 
+from dualpointer.config import RunConfig
 from dualpointer.conll import Sentence, Token
 from dualpointer.decoding import (
     DepTree,
@@ -26,7 +27,7 @@ from dualpointer.gradcheck import run_gradcheck
 from dualpointer.model import ModelShape, score_sentence
 from dualpointer.modelio import load_model, save_model
 from dualpointer.pointer import target_matrix
-from dualpointer.training import TrainConfig, train
+from dualpointer.training import train
 
 import dualpointer.autodiff as ad
 
@@ -56,7 +57,7 @@ def random_matrix_pair(rng, n):
 def overfit():
     """Criterion 2 training run, shared with criterion 7."""
     corpus = bundled("toy")
-    config = TrainConfig(mode="joint", epochs=50, seed=1, bilstm_hidden=64)
+    config = RunConfig(mode="joint", epochs=50, seeds=(1,), bilstm_hidden=64)
     started = time.perf_counter()
     log = []
     best = train(corpus, corpus, config, on_epoch=log.append)
@@ -146,7 +147,7 @@ def test_criterion_5_ablation_direction():
         ("deps-only", ("p5",)),
     ):
         for seed in seeds:
-            config = TrainConfig(mode=mode, epochs=5, seed=seed)
+            config = RunConfig(mode=mode, epochs=5, seeds=(seed,))
             best = train(train_set, dev_set, config)
             model = best.load()
             for variant in variants:
@@ -167,8 +168,8 @@ def test_criterion_5_ablation_direction():
 
 def test_criterion_6_determinism_and_serialization():
     corpus = bundled("toy", 16)
-    config = TrainConfig(epochs=2, seed=9, d_pretrained=8, d_random=8,
-                         bilstm_hidden=6, ptr_hidden=8)
+    config = RunConfig(epochs=2, seeds=(9,), d_pretrained=8, d_random=8,
+                       bilstm_hidden=6, ptr_hidden=8)
     first = train(corpus, corpus, config)
     second = train(corpus, corpus, config)
     identical = first.model_bytes == second.model_bytes

@@ -96,6 +96,30 @@ class TestTrain:
                 blobs.append(f.read())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("seeds", ["1", "1,2"])
+    @pytest.mark.parametrize("model, log, role, words", [
+        pytest.param("missing/m.bin", None, "model", ["no directory", "missing"],
+                     id="model-in-missing-dir"),
+        pytest.param("out/", None, "model", ["is a directory"], id="model-dir-slash"),
+        pytest.param("out", None, "model", ["is a directory"], id="model-dir"),
+        pytest.param("m.bin", "missing/log.txt", "training log", ["no directory", "missing"],
+                     id="log-in-missing-dir"),
+        pytest.param("m.bin", "out", "training log", ["is a directory"], id="log-dir"),
+    ])
+    def test_unwritable_path_fails_before_training(self, capsys, corpus_path, tmp_path,
+                                                   seeds, model, log, role, words):
+        (tmp_path / "out").mkdir()
+        # joined as text: a Path would drop the trailing separator of "out/"
+        argv = ["train", "--train", corpus_path, "--dev", corpus_path,
+                "--model", f"{tmp_path}/{model}"] + FAST
+        argv[argv.index("--seeds") + 1] = seeds
+        if log:
+            argv += ["--output", f"{tmp_path}/{log}"]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert_one_error(err, "io", f"cannot write {role}:", *words)
+        assert [p.name for p in tmp_path.rglob("*")] == ["out"]
+
     def test_multi_seed_writes_suffixed_files(self, capsys, corpus_path, tmp_path):
         dest = str(tmp_path / "m.bin")
         argv = ["train", "--train", corpus_path, "--dev", corpus_path,

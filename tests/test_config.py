@@ -3,7 +3,7 @@ import dataclasses
 
 import pytest
 
-from dualpointer.config import ConfigError, RunConfig, TrainConfig, dump_config, load_config
+from dualpointer.config import ConfigError, RunConfig, dump_config, load_config
 
 
 def test_default_round_trip():
@@ -101,7 +101,9 @@ def test_train_config_projection():
     run = RunConfig(seeds=(3, 4), epochs=2, bilstm_hidden=9,
                     punct_tags=("X",), root_agg="sum")
     tc = run.train_config(4)
+    assert tc == dataclasses.replace(run, seeds=(4,))
     assert tc.seed == 4
+    assert run.seeds == (3, 4)
     assert tc.epochs == 2
     assert tc.bilstm_hidden == 9
     assert tc.punct_tags == ("X",)
@@ -138,6 +140,28 @@ def test_mode_alias_in_file():
 
 def test_negative_train_seed_rejected():
     # it constructed, and train() then failed inside numpy's default_rng
-    with pytest.raises(ConfigError, match="seed must be >= 0"):
-        TrainConfig(seed=-1)
-    assert TrainConfig(seed=0).seed == 0
+    with pytest.raises(ConfigError, match="seeds must be one or more distinct integers >= 0"):
+        RunConfig(seeds=(-1,))
+    with pytest.raises(ConfigError, match="seeds must be"):
+        RunConfig().train_config(-1)
+    assert RunConfig(seeds=(0,)).seed == 0
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(epochs=0), "epochs must be >= 1"),
+    (dict(seeds=(2, 2)), "seeds must be"),
+    (dict(root_agg="min"), "unknown root_agg"),
+    (dict(bilstm_hidden=0), "bilstm_hidden"),
+])
+def test_bad_value_fails_where_the_config_is_built(kw, message):
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**kw)
+
+
+def test_seed_is_the_one_seed_of_a_run():
+    assert RunConfig().seed == 1
+    assert RunConfig(seeds=(7,)).seed == 7
+    with pytest.raises(ConfigError, match="one seed expected, got 2"):
+        RunConfig(seeds=(1, 2)).seed
+    with pytest.raises(AttributeError):
+        RunConfig().seed = 3

@@ -151,6 +151,29 @@ class TestRoundTrip:
         write_conll(read_conll(io.StringIO(once.getvalue())), twice)
         assert once.getvalue() == twice.getvalue()
 
+    def test_round_trip_keeps_word_tokens_and_drops_the_rest(self):
+        # every line is (kept?, text); what write_conll gives back is the
+        # kept lines in order
+        lines = [
+            (True, "# sent_id = mwt"),
+            (True, "# text = del perro"),
+            (False, "1-2\tdel\t_\t_\t_\t_\t_\t_\t_\t_"),
+            (True, "1\tde\tde\tADP\tIN\tDefinite=Def\t2\tcase\t2:case\tSpaceAfter=No"),
+            (True, "2\tel\tel\tDET\tDT\t_\t3\tdet\t3:det\t_"),
+            (True, "3\tperro\tperro\tNOUN\tNN\tNumber=Sing\t0\troot\t0:root\t_\textra"),
+            (False, "3.1\tghost\t_\t_\t_\t_\t_\t_\t3:conj\t_"),
+            (True, ""),
+            (False, ""),
+            (False, "# a comment of no sentence"),
+            (False, ""),
+            (True, "1\tya\t_\tADV\t_\t_\t0\t_\t_\t_"),
+            (True, ""),
+        ]
+        text = "".join(line + "\n" for _, line in lines)
+        out = io.StringIO()
+        write_conll(read_conll(io.StringIO(text)), out)
+        assert out.getvalue() == "".join(line + "\n" for kept, line in lines if kept)
+
     def test_comments_preserved(self):
         sents = read_conll(io.StringIO(FIXTURE))
         assert sents[0].comments == ["# sent_id = 1", "# text = dogs bark loudly ."]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import max_spanning_tree, tree_score
 
 import dualpointer.decoding as decoding
+from dualpointer.config import RunConfig
 from dualpointer.conll import Sentence, Token
 from dualpointer.decoding import (
     AlignmentError,
@@ -26,7 +27,7 @@ from dualpointer.decoding import (
 )
 from dualpointer.model import (JOINT, MODE_VARIANTS, MODES, VARIANTS, ModeMismatchError,
                                init_model, score_sentence)
-from dualpointer.training import TrainConfig, train
+from dualpointer.training import train
 from dualpointer import autodiff as ad
 from dualpointer.autodiff import Tensor
 from dualpointer.vocab import build_vocab
@@ -665,8 +666,8 @@ def dev_corpus():
 @pytest.fixture(scope="module")
 def trained(dev_corpus):
     """One small model per training mode, trained for two epochs."""
-    return {mode: train(dev_corpus[:80], dev_corpus[80:100], TrainConfig(
-        mode=mode, epochs=2, seed=3, d_pretrained=4, d_random=5, bilstm_hidden=6,
+    return {mode: train(dev_corpus[:80], dev_corpus[80:100], RunConfig(
+        mode=mode, epochs=2, seeds=(3,), d_pretrained=4, d_random=5, bilstm_hidden=6,
         ptr_hidden=7)).load() for mode in MODES}
 
 

@@ -1,4 +1,7 @@
 """Adam update math against hand-computed values and a reference loop."""
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -256,3 +259,11 @@ def test_nonfinite_row_gradient_skips_step():
     assert not opt.step()
     np.testing.assert_array_equal(p.data, np.ones((5, 2)))
     assert opt.t == 0
+
+
+def test_declared_numpy_floor_takes_reshape_copy():
+    # adam_step's reshape(-1, copy=False) is a TypeError before numpy 2.1
+    root = Path(__file__).resolve().parent.parent
+    (floor,) = re.findall(r'"numpy>=([0-9.]+)"', (root / "pyproject.toml").read_text())
+    assert tuple(int(part) for part in floor.split(".")) >= (2, 1)
+    assert f"numpy {floor}+" in " ".join((root / "README.md").read_text().split())

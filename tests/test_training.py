@@ -11,12 +11,13 @@ import pytest
 from corpora import bundled
 
 from dualpointer import autodiff as ad
+from dualpointer import training
+from dualpointer.config import ConfigError, RunConfig
 from dualpointer.conll import Sentence, Token
 from dualpointer.gradcheck import random_sentence
 from dualpointer.model import DEPS_ONLY, HEADS_ONLY, JOINT, MODE_NETS, init_model
 from dualpointer.training import (
     Checkpoint,
-    TrainConfig,
     default_variant,
     make_optimizer,
     sentence_loss,
@@ -31,13 +32,13 @@ def sent(words, heads=None):
     return Sentence([Token(i + 1, w, None, h) for i, (w, h) in enumerate(zip(words, heads))])
 
 
-def small_config(**kw):
+def small_config(seed=5, **kw):
     defaults = dict(
-        epochs=1, seed=5, d_pretrained=4, d_random=5,
+        epochs=1, seeds=(seed,), d_pretrained=4, d_random=5,
         bilstm_hidden=6, bilstm_levels=2, ptr_hidden=7,
     )
     defaults.update(kw)
-    return TrainConfig(**defaults)
+    return RunConfig(**defaults)
 
 
 def small_model(config, corpus, seed=None):
@@ -50,9 +51,19 @@ def small_model(config, corpus, seed=None):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
+        RunConfig(epochs=0)
     with pytest.raises(ValueError):
-        TrainConfig(mode="dual")
+        RunConfig(mode="dual")
+
+
+def test_run_of_two_seeds_fails_before_anything_is_built(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a vocabulary or model was built")
+    monkeypatch.setattr(training, "build_vocab", never)
+    monkeypatch.setattr(training, "init_model", never)
+    corpus = [sent(["a", "b"])]
+    with pytest.raises(ConfigError, match="one seed expected, got 2"):
+        train(corpus, corpus, small_config(seeds=(1, 2)))
 
 
 def test_default_variant_per_mode():
@@ -264,7 +275,7 @@ def test_warm_default_size_step_allocates_less_than_one_weight_matrix():
     gradients took about 15 MB)."""
     rng = np.random.default_rng(11)
     corpus = [random_sentence(rng, n) for n in (5, 3, 11, 7)]
-    config = TrainConfig(seed=11)
+    config = RunConfig(seeds=(11,))
     model = small_model(config, corpus)
     opt = make_optimizer(model, config)
     matrix = model.tensors["lstm.l0.fwd.w"].data.nbytes
