@@ -136,6 +136,12 @@ def cmd_train(run: RunConfig) -> int:
         _check_writable(path, "model")
     if run.output_path:
         _check_writable(run.output_path, "training log")
+        log = os.path.realpath(run.output_path)
+        for what, path in [("train corpus", run.train_path), ("dev corpus", run.dev_path),
+                           ("pretrained vectors", run.pretrained_path),
+                           *(("model", dest) for dest in dests)]:
+            if path and os.path.realpath(path) == log:
+                raise ConfigError(f"training log {run.output_path!r} would overwrite the {what}")
     pretrained = None
     if run.pretrained_path:
         with _opened(run.pretrained_path, "pretrained vectors") as f:

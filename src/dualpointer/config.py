@@ -9,8 +9,9 @@ Everything else is derived from that field list:
 - the command-line flags: INI key ``some_key`` is flag ``--some-key``, and
   its text goes through the same :func:`parse_value` as the file's, so a
   bad value from either source is a :class:`ConfigError`;
-- the checks a RunConfig runs when it is built; it is frozen, so every
-  RunConfig, a :func:`dataclasses.replace` copy too, holds valid values.
+- the checks a RunConfig runs when it is built, after it maps a field's
+  aliases onto the value they spell; it is frozen, so every RunConfig, a
+  :func:`dataclasses.replace` copy too, holds valid values.
 
 The mode, the output activation and the five sizes take their defaults
 from :class:`~dualpointer.model.ModelShape`, which also checks them.
@@ -41,7 +42,7 @@ def param(default, section: str, key: str = "", valid=None, choices: tuple = (),
     ``flag`` is false for the one key the subcommand sets.  ``valid`` is a
     (test, rule) pair.  ``choices`` are listed in --help; unless ModelShape
     checks the field, a value must be one of them or the default.
-    ``aliases`` map other spellings onto a choice.
+    ``aliases`` map other spellings onto a choice when a RunConfig is built.
     """
     return field(default=default, metadata=dict(
         section=section, key=key, valid=valid, choices=choices, aliases=aliases or {},
@@ -94,11 +95,15 @@ class RunConfig:
     activation: str = param(ModelShape.activation, "training", choices=ACTIVATIONS)
 
     def __post_init__(self):
-        """Raise ConfigError unless every field holds a valid value."""
+        """Map aliases onto the values they spell, then raise ConfigError
+        unless every field holds a valid value."""
         for f in fields(self):
+            value, aliases = getattr(self, f.name), f.metadata["aliases"]
+            if aliases and value in aliases:  # frozen, so set through object
+                value = aliases[value]
+                object.__setattr__(self, f.name, value)
             if f.name in SHAPE_FIELDS:  # ModelShape checks these below
                 continue
-            value = getattr(self, f.name)
             choices, valid = f.metadata["choices"], f.metadata["valid"]
             if choices and value not in choices + (f.default,):
                 raise ConfigError(f"unknown {f.name} {value!r}")
@@ -143,10 +148,9 @@ def parse_value(f: Field, text: str, where: str):
         if typing.get_origin(f.type) is tuple:
             item = typing.get_args(f.type)[0]
             return tuple(item(p.strip()) for p in text.split(",") if p.strip())
-        value = f.type(text)
+        return f.type(text)
     except ValueError:
         raise ConfigError(f"bad value for {where}: {text!r}") from None
-    return f.metadata["aliases"].get(value, value)
 
 
 def _format(value) -> str:

@@ -197,10 +197,11 @@ def attention_score(query: Tensor, key: Tensor, w: Tensor, b: Tensor, v: Tensor)
     """Score one (query, key) pair: v . tanh(W [key; query] + b), as entry
     (1, 0) of ``pointer.score_all`` on the two rows [key; query].
 
-    Returns a scalar tensor that equals the corresponding entry of
-    ``score_all`` on any matrix holding both rows bit-for-bit.  The entry
-    is picked with tape ops, so gradients reach both vectors through the
-    kernel.
+    Returns a scalar tensor that matches the corresponding entry of
+    ``score_all`` on any matrix holding both rows within about 1e-15 of the
+    scores' scale; BLAS may round a row differently with the rows around it.
+    The entry is picked with tape ops, so gradients reach both vectors
+    through the kernel.
     """
     pick = np.zeros((2, 2))
     pick[1, 0] = 1.0

@@ -120,6 +120,35 @@ class TestTrain:
         assert_one_error(err, "io", f"cannot write {role}:", *words)
         assert [p.name for p in tmp_path.rglob("*")] == ["out"]
 
+    @pytest.mark.parametrize("log, seeds, what", [
+        pytest.param("./m.bin", "4", "model", id="model"),
+        pytest.param("m.seed5.bin", "4,5", "model", id="seed-model"),
+        pytest.param("./train.conllu", "4", "train corpus", id="train"),
+        pytest.param("sub/../dev.conllu", "4", "dev corpus", id="dev"),
+        pytest.param("vec.txt", "4", "pretrained vectors", id="pretrained"),
+    ])
+    def test_log_naming_another_file_of_the_run_fails_before_training(
+            self, capsys, corpus_path, tmp_path, monkeypatch, log, seeds, what):
+        """--output may not name a file the run reads or writes, however
+        the path is spelled; every file is left as it was."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        with open(corpus_path, encoding="utf-8") as f:
+            corpus = f.read()
+        files = {"train.conllu": corpus, "dev.conllu": corpus, "vec.txt": "the 1 0 0\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        # the vectors file sets the pretrained width, so FAST's flag for it goes
+        argv = ["train", "--train", "train.conllu", "--dev", "dev.conllu",
+                "--model", "m.bin", "--pretrained", "vec.txt", "--output", log] + FAST[2:]
+        argv[argv.index("--seeds") + 1] = seeds
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert_one_error(err, "config", f"would overwrite the {what}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*files, "sub"])
+        for name, text in files.items():
+            assert (tmp_path / name).read_text(encoding="utf-8") == text
+
     def test_multi_seed_writes_suffixed_files(self, capsys, corpus_path, tmp_path):
         dest = str(tmp_path / "m.bin")
         argv = ["train", "--train", corpus_path, "--dev", corpus_path,

@@ -138,6 +138,15 @@ def test_mode_alias_in_file():
     assert load_config("[training]\nmode = heads\n").mode == "heads-only"
 
 
+@pytest.mark.parametrize("alias, mode", [("heads", "heads-only"), ("deps", "deps-only")])
+def test_mode_alias_in_library(alias, mode):
+    # the library takes the spellings the flags and the file take
+    config = RunConfig(mode=alias)
+    assert config.mode == mode
+    assert dataclasses.replace(RunConfig(), mode=alias) == config
+    assert load_config(dump_config(config)) == config
+
+
 def test_negative_train_seed_rejected():
     # it constructed, and train() then failed inside numpy's default_rng
     with pytest.raises(ConfigError, match="seeds must be one or more distinct integers >= 0"):

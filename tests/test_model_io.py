@@ -297,10 +297,10 @@ def test_initial_model_bytes_are_pinned(kw, digest):
 
 
 @pytest.mark.parametrize("pretrained, mode, digest", [
-    (False, None, "1ec6453ba743d800594c179d6a9ed19b2f747dab3be07e635ea789d4ba7b6544"),
-    (True, None, "c9116d26c5f597ac34dcfd3353c7c7f1ee8b6c28fd9554c84f524013e3b7c10d"),
-    (False, "heads", "013d2108ca266dc231d4c5b678f29377ae8f5750239a3fe47ea9a6eeb6290a57"),
-    (False, "deps", "fe04203187ac5f5aa3ff299186e41be1a4b0744c7175e0f77320c7c7c2c6c059"),
+    (False, None, "a9207e2ea58f2980871d79319ae55d216744ca7ac0bda34306d44027bbeab778"),
+    (True, None, "fa28e0fa9e052d90f409204ce2532f3a8828df044355d49df897a051f65effef"),
+    (False, "heads", "c832a9d799e331e2c6e78cd740687947d5d03a9d36865ee4e540880c869c523d"),
+    (False, "deps", "0e5af6b19681a7fb1f931c31088ed9dd7f5d1f0d00ce9c0661baf9fe26283dca"),
 ], ids=["joint", "pretrained", "heads-only", "deps-only"])
 def test_trained_model_bytes_are_pinned(tmp_path, capsys, pretrained, mode, digest):
     """What training computes, pinned across changes to the code: two

@@ -89,7 +89,8 @@ class TestScoreAll:
 
     def test_entries_match_pairwise_calls_exactly(self, rng):
         """Every batched entry equals the standalone pairwise score
-        bit-for-bit, diagonal included."""
+        bit-for-bit, diagonal included, at these small widths; wider ones
+        are held to 1e-12 relative by TestComposedReference."""
         p = make_params(rng, ctx=8, hidden=5)
         ctx = contexts(rng, 7, ctx=8)
         m = score_all(stack(ctx), *p)
@@ -161,14 +162,18 @@ def composed_pair(ci: Tensor, cj: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Te
 
 
 class TestComposedReference:
-    @pytest.mark.parametrize("n", [1, 2, 7])
-    def test_values_and_gradients(self, n):
+    @pytest.mark.parametrize("n, width, hidden", [
+        pytest.param(1, 8, 5, id="1"), pytest.param(2, 8, 5, id="2"),
+        pytest.param(7, 8, 5, id="7"), pytest.param(1, 400, 100, id="1-wide"),
+        pytest.param(7, 400, 100, id="7-wide")])
+    def test_values_and_gradients(self, n, width, hidden):
         """Scores and the gradients of contexts, w, b and v within 1e-12
-        relative of the per-pair composition."""
+        relative of the per-pair composition, also at the default model's
+        widths (context 400, hidden 100), where BLAS may round rows apart."""
         rng = np.random.default_rng(n)
-        p0 = [t.data.copy() for t in make_params(rng, ctx=8, hidden=5)]
-        p0[1] = rng.normal(size=5) * 0.5  # a nonzero b
-        c0 = rng.normal(size=(n, 8))
+        p0 = [t.data.copy() for t in make_params(rng, ctx=width, hidden=hidden)]
+        p0[1] = rng.normal(size=hidden) * 0.5  # a nonzero b
+        c0 = rng.normal(size=(n, width))
         weights = rng.normal(size=(n, n))
 
         params = [Tensor(a.copy(), requires_grad=True) for a in p0]
@@ -194,14 +199,48 @@ class TestComposedReference:
             assert got.shape == want.shape
             assert rel_err(got, want) <= 1e-12
 
-    def test_values_of_a_long_sentence(self):
-        rng = np.random.default_rng(120)
-        p = make_params(rng, ctx=8, hidden=5)
-        rows = contexts(rng, 120, ctx=8)
+    @staticmethod
+    def check_long_sentence(n, width, hidden):
+        rng = np.random.default_rng(n)
+        p = make_params(rng, ctx=width, hidden=hidden)
+        rows = contexts(rng, n, ctx=width)
         got = score_all(stack(rows), *p).data
         with ad.no_grad():
             want = np.array([[composed_pair(ci, cj, *p).item() for cj in rows] for ci in rows])
         assert rel_err(got, want) <= 1e-12
+
+    def test_values_of_a_long_sentence(self):
+        self.check_long_sentence(120, 8, 5)
+
+    def test_values_of_a_long_sentence_at_wide_widths(self):
+        self.check_long_sentence(100, 128, 100)
+
+
+def test_gradients_match_finite_differences_at_blocked_widths():
+    """Central differences of a weighted sum of the scores along random
+    directions of contexts, w, b and v, at sizes (40 rows, context 400,
+    hidden 100) where each matrix-matrix product of the kernel does 1.6M
+    multiply-adds, past BLAS's small-matrix sizes, so it takes the blocked
+    path."""
+    rng = np.random.default_rng(40)
+    w, b, v = make_params(rng, ctx=400, hidden=100)
+    b.data[:] = rng.normal(size=100) * 0.5
+    c = Tensor(rng.normal(size=(40, 400)), requires_grad=True)
+    weights = Tensor(rng.normal(size=(40, 40)))
+    sum_all(mul(score_all(c, w, b, v), weights)).backward()
+    for name, tensor in [("contexts", c), ("w", w), ("b", b), ("v", v)]:
+        x0 = tensor.data.copy()
+        for _ in range(3):
+            u = rng.normal(size=x0.shape)
+
+            def f(step, tensor=tensor, x0=x0, u=u):
+                tensor.data = x0 + step[0] * u
+                with ad.no_grad():
+                    return sum_all(mul(score_all(c, w, b, v), weights)).item()
+
+            num = numeric_grad(f, np.zeros(1))[0]
+            tensor.data = x0
+            assert rel_err(np.sum(tensor.grad * u), num) < 1e-6, name
 
 
 def tree_sentence(heads):
