@@ -149,11 +149,8 @@ class RowGrad:
         return cls(rows, values, shape)
 
     def __add__(self, other: RowGrad) -> RowGrad:
-        rows = np.union1d(self.rows, other.rows)
-        values = np.zeros((rows.size,) + self.shape[1:])
-        values[np.searchsorted(rows, self.rows)] += self.values
-        values[np.searchsorted(rows, other.rows)] += other.values
-        return RowGrad(rows, values, self.shape)
+        return RowGrad.gather(np.concatenate([self.rows, other.rows]),
+                              np.concatenate([self.values, other.values]), self.shape)
 
     def __array__(self, dtype=None, copy=None):
         dense = np.zeros(self.shape, dtype=dtype)

@@ -24,6 +24,11 @@ from .training import default_variant, train
 from .vocab import PretrainedError, load_pretrained
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # the one-line error exit, not argparse's usage text
+        raise ConfigError(message)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", metavar="FILE", help="config file to start from")
@@ -39,7 +44,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             metavar = "FILE" if spec["section"] == "paths" else None
         shared.add_argument(flag, dest=fld.name, metavar=metavar, help=spec["help"])
 
-    parser = argparse.ArgumentParser(prog="dualpointer")
+    parser = _ArgumentParser(prog="dualpointer")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("train", parents=[shared],
                    help="train one model per seed, keeping the best-dev epoch")
@@ -66,6 +71,7 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
     if args.d_pretrained is not None and run.pretrained_path:
         raise ConfigError("--d-pretrained cannot be set beside a pretrained file, "
                           "whose width sets it")
+    _check_paths(run, args.config, args.save_config)
     if args.save_config:
         with _opened(args.save_config, "config", "w") as f:
             f.write(dump_config(run))
@@ -94,12 +100,36 @@ def _opened(path: str, what: str, mode: str = "r"):
 
 def _check_writable(path: str, what: str) -> None:
     """Raise now the OSError that writing ``what`` to ``path`` would end in
-    after training: ``path`` names a directory, or lies in a missing one."""
+    later: ``path`` names a directory, or lies in a missing one."""
     if os.path.isdir(path) or path.endswith(os.sep):
         raise OSError(f"cannot write {what}: {path!r} is a directory")
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise OSError(f"cannot write {what}: no directory {folder!r}")
+
+
+def _check_paths(run: RunConfig, config: str | None, saved: str | None) -> None:
+    """Raise now the OSError that writing a file of the run would end in,
+    or a ConfigError if that file resolves to another file the run names
+    or writes.  A role never clashes with itself, so the saved config may
+    be the config file, which is read before it is written."""
+    output = {"train": "training log", "eval": "predicted corpus"}.get(run.command, "output")
+    named = [("config", config), ("train corpus", run.train_path), ("dev corpus", run.dev_path),
+             ("test corpus", run.test_path), ("pretrained vectors", run.pretrained_path),
+             ("model", run.model_path), (output, run.output_path)]
+    written = [("config", saved)]
+    if run.command in ("train", "parse"):
+        written.append((output, run.output_path))
+    if run.command == "train":
+        written += [("model", path) for path in (run.model_path, *(
+            seed_model_path(run.model_path, run.seeds, seed) for seed in run.seeds))]
+    for role, path in written:
+        if path:
+            _check_writable(path, role)
+            real = os.path.realpath(path)
+            for other, other_path in named + written:
+                if other != role and other_path and os.path.realpath(other_path) == real:
+                    raise ConfigError(f"{role} {path!r} would overwrite the {other}")
 
 
 def _read_corpus(path: str, what: str):
@@ -132,38 +162,28 @@ def cmd_train(run: RunConfig) -> int:
     dev_set = _read_corpus(run.dev_path, "dev")
     _required(run.model_path, "model")
     dests = [seed_model_path(run.model_path, run.seeds, seed) for seed in run.seeds]
-    for path in dict.fromkeys([run.model_path, *dests]):
-        _check_writable(path, "model")
-    if run.output_path:
-        _check_writable(run.output_path, "training log")
-        log = os.path.realpath(run.output_path)
-        for what, path in [("train corpus", run.train_path), ("dev corpus", run.dev_path),
-                           ("pretrained vectors", run.pretrained_path),
-                           *(("model", dest) for dest in dests)]:
-            if path and os.path.realpath(path) == log:
-                raise ConfigError(f"training log {run.output_path!r} would overwrite the {what}")
     pretrained = None
     if run.pretrained_path:
         with _opened(run.pretrained_path, "pretrained vectors") as f:
             pretrained = load_pretrained(f)
     log_lines = []
+
+    def report(line):
+        print(line)
+        log_lines.append(line)
+
     for seed, dest in zip(run.seeds, dests):
         config = run.train_config(seed)
 
         def show(row, seed=seed):
             skipped = f"  skipped {row.skipped}" if row.skipped else ""
-            line = (f"seed {seed} epoch {row.epoch}  loss {row.mean_loss:.4f}  "
-                    f"dev-uas {row.dev_uas:.2f}{skipped}")
-            print(line)
-            log_lines.append(line)
+            report(f"seed {seed} epoch {row.epoch}  loss {row.mean_loss:.4f}  "
+                   f"dev-uas {row.dev_uas:.2f}{skipped}")
 
         best = train(train_set, dev_set, config, pretrained=pretrained, on_epoch=show)
         with _opened(dest, "model", "wb") as f:
             f.write(best.model_bytes)
-        line = (f"seed {seed} best epoch {best.epoch}  "
-                f"dev-uas {best.dev_uas:.2f}  -> {dest}")
-        print(line)
-        log_lines.append(line)
+        report(f"seed {seed} best epoch {best.epoch}  dev-uas {best.dev_uas:.2f}  -> {dest}")
     if run.output_path:
         with _opened(run.output_path, "training log", "w") as f:
             f.write("\n".join(log_lines) + "\n")
@@ -243,9 +263,8 @@ ERROR_CATEGORIES = {
 
 def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(message)s")
-    args = build_arg_parser().parse_args(argv)
     try:
-        run = effective_config(args)
+        run = effective_config(build_arg_parser().parse_args(argv))
         return COMMANDS[run.command](run)
     except Exception as exc:
         for kind, category in ERROR_CATEGORIES.items():

@@ -61,9 +61,6 @@ class Sentence:
     def __iter__(self) -> Iterator[Token]:
         return iter(self.tokens)
 
-    def forms(self) -> list[str]:
-        return [t.form for t in self.tokens]
-
     def gold_heads(self) -> list[int]:
         heads = []
         for t in self.tokens:

@@ -74,11 +74,10 @@ class DepTree:
     top: int = field(init=False)
 
     def __post_init__(self):
-        tops = [i + 1 for i, h in enumerate(self.heads) if h == 0]
-        self.top = tops[0] if len(tops) == 1 else 0
         problem = self.invariant_violation()
         if problem:
             raise ValueError(f"not a valid dependency tree: {problem}")
+        self.top = self.heads.index(0) + 1
 
     def invariant_violation(self) -> str | None:
         n = len(self.heads)
@@ -129,8 +128,6 @@ def merge(
 def find_top(scores: np.ndarray, agg: str = "max") -> int:
     """The token whose head pointers are weakest: argmin over i of the
     aggregated off-diagonal row i.  Ties break to the smallest index."""
-    if len(scores) == 1:
-        return 1
     masked = _masked(scores)
     if agg == "max":
         row = masked.max(axis=1)

@@ -251,8 +251,6 @@ def bilstm_encode(encodings: Tensor,
     (forward w, forward b, backward w, backward b).  The rows are those of
     sentences of ``lengths`` tokens stored one after another, one sentence
     by default."""
-    if encodings.data.shape[0] == 0:
-        raise ValueError("cannot encode an empty sentence")
     xs = encodings
     for level in levels:
         xs = bilstm_level(xs, *level, lengths=lengths)

@@ -1,10 +1,10 @@
 """Whole-model gradient verification.
 
 Backpropagated gradients of the joint sentence loss are compared against
-central finite differences on a random synthetic sentence.  Every parameter
-tensor is covered twice over: a deterministic sample of individual entries
-is perturbed one at a time, and a couple of random unit directions probe
-the tensor as a whole (a directional derivative mixes every entry, so a
+central finite differences on a random synthetic sentence, along unit
+directions.  Each parameter tensor is probed two ways: a deterministic
+sample of entries, each as the unit direction along it, and a couple of
+random unit directions (a directional derivative mixes every entry, so a
 systematically wrong backward rule cannot hide in unsampled entries).
 """
 import time
@@ -72,6 +72,17 @@ class GradCheckReport:
         return bool(self.checks) and self.worst < self.tolerance
 
 
+def _probes(rng: np.random.Generator, size: int, samples: int, directions: int):
+    """(label, unit direction) pairs over a tensor of ``size`` entries, one
+    at a time: up to ``samples`` distinct entries drawn at random, each as
+    the direction along it, then ``directions`` random directions."""
+    for idx in rng.choice(size, size=min(samples, size), replace=False):
+        yield f"entry {int(idx)}", np.eye(1, size, idx)[0]
+    for probe in range(directions):
+        direction = rng.standard_normal(size)
+        yield f"direction {probe}", direction / np.linalg.norm(direction)
+
+
 def run_gradcheck(
     seed: int = 1,
     n_tokens: int = 5,
@@ -95,33 +106,15 @@ def run_gradcheck(
 
     loss = sentence_loss(model, sentence, config, training=False)
     loss.backward()
-    analytic = {}
+    report = GradCheckReport(tolerance=tolerance)
     for name, param in model.tensors.items():
         if param.grad is None:
             raise RuntimeError(f"no gradient reached {name}")
-        analytic[name] = np.array(param.grad)
-
-    report = GradCheckReport(tolerance=tolerance)
-    for name, param in model.tensors.items():
-        grad = analytic[name].reshape(-1)
+        grad = np.asarray(param.grad).reshape(-1)
         data = param.data.reshape(-1)
-        worst, worst_at = 0.0, "-"
-        picked = rng.choice(
-            data.size, size=min(samples_per_tensor, data.size), replace=False,
-        )
-        for idx in picked:
-            orig = data[idx]
-            data[idx] = orig + step
-            hi = loss_value()
-            data[idx] = orig - step
-            lo = loss_value()
-            data[idx] = orig
-            err = compare(grad[idx], (hi - lo) / (2.0 * step))
-            if err > worst:
-                worst, worst_at = err, f"entry {int(idx)}"
-        for probe in range(directions_per_tensor):
-            direction = rng.standard_normal(data.size)
-            direction /= np.linalg.norm(direction)
+        worst, worst_at, checked = 0.0, "-", 0
+        for label, direction in _probes(rng, data.size, samples_per_tensor,
+                                        directions_per_tensor):
             saved = data.copy()
             data += step * direction
             hi = loss_value()
@@ -130,11 +123,9 @@ def run_gradcheck(
             data[:] = saved
             err = compare(float(grad @ direction), (hi - lo) / (2.0 * step))
             if err > worst:
-                worst, worst_at = err, f"direction {probe}"
-        report.checks.append(
-            TensorCheck(name, data.size, len(picked) + directions_per_tensor,
-                        worst, worst_at),
-        )
+                worst, worst_at = err, label
+            checked += 1
+        report.checks.append(TensorCheck(name, data.size, checked, worst, worst_at))
     report.seconds = time.perf_counter() - started
     return report
 

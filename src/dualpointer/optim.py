@@ -78,9 +78,8 @@ class Adam:
     def release(self) -> None:
         """Free the moments and gradient buffers, for when training is over:
         a later step starts the moments from zero again."""
-        self.zero_grad()
         for p in self.params:
-            p.grad_buffer = None
+            p.grad = p.grad_buffer = None
         self.m = [None] * len(self.params)
         self.v = [None] * len(self.params)
 

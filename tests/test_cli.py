@@ -1,9 +1,12 @@
 """End-to-end command-line behavior on a small bundled corpus."""
+import hashlib
 import re
+import shutil
 
 import pytest
 from corpora import bundled
 
+from dualpointer import cli
 from dualpointer.cli import main, seed_model_path
 from dualpointer.conll import read_conll, write_conll
 from dualpointer.decoding import DepTree, cycle_stats, parse, uas
@@ -593,3 +596,91 @@ class TestConfigFlow:
         code, _, err = run(capsys, ["eval", "--config", str(bad)])
         assert code == 1
         assert_one_error(err, "config", "no section headers")
+
+
+def digests(folder):
+    """SHA-256 of every file under ``folder``, by relative path."""
+    return {str(p.relative_to(folder)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in folder.rglob("*") if p.is_file()}
+
+
+class TestWrittenFileClash:
+    """No file a run writes may resolve to a file it names or to another
+    file it writes, however the path is spelled.  Such a run ends before it
+    reads or writes any file."""
+
+    PARSE = ["parse", "--model", "m.bin", "--test", "t.conllu"]
+    TRAIN = ["train", "--train", "t.conllu", "--dev", "d.conllu", "--model", "new.bin"] + FAST
+
+    @pytest.fixture
+    def folder(self, tmp_path, monkeypatch, corpus_path, model_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        for name in ("t.conllu", "d.conllu", "p.conllu"):
+            shutil.copy(corpus_path, tmp_path / name)
+        shutil.copy(model_path, tmp_path / "m.bin")
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, role, other", [
+        pytest.param(PARSE + ["--output", "t.conllu"], "output", "test corpus",
+                     id="parse-output-onto-input"),
+        pytest.param(PARSE + ["--output", "./m.bin"], "output", "model",
+                     id="parse-output-onto-model"),
+        pytest.param(TRAIN + ["--save-config", "sub/../t.conllu"], "config", "train corpus",
+                     id="save-config-onto-train-corpus"),
+        pytest.param(TRAIN + ["--save-config", "new.bin"], "config", "model",
+                     id="save-config-onto-model"),
+        pytest.param(PARSE + ["--output", "o.conllu", "--save-config", "./o.conllu"],
+                     "config", "output", id="save-config-onto-parse-output"),
+        pytest.param(["eval", "--test", "t.conllu", "--output", "p.conllu",
+                      "--save-config", "p.conllu"], "config", "predicted corpus",
+                     id="save-config-onto-eval-predicted"),
+    ])
+    def test_refused_before_any_file_is_touched(self, capsys, folder, monkeypatch,
+                                                argv, role, other):
+        monkeypatch.setattr(cli, "read_conll", lambda f: pytest.fail("read a corpus"))
+        monkeypatch.setattr(cli, "load_model", lambda f: pytest.fail("loaded the model"))
+        before = digests(folder)
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert_one_error(err, "config", f"error:config: {role} ", f"would overwrite the {other}")
+        assert digests(folder) == before
+
+    def test_saved_config_may_be_the_config(self, capsys, folder):
+        (folder / "run.ini").write_text("[paths]\ntest = t.conllu\noutput = p.conllu\n",
+                                        encoding="utf-8")
+        code, out, err = run(capsys, ["eval", "--config", "run.ini",
+                                      "--save-config", "./run.ini"])
+        assert code == 0 and err == "" and "uas 100" in out
+        saved = (folder / "run.ini").read_text(encoding="utf-8")
+        assert "test = t.conllu" in saved and "root_agg = max" in saved
+
+    def test_unwritable_output_fails_before_parsing(self, capsys, folder, monkeypatch):
+        monkeypatch.setattr(cli, "load_model", lambda f: pytest.fail("loaded the model"))
+        code, out, err = run(capsys, self.PARSE + ["--output", "missing/o.conllu"])
+        assert code == 1 and out == ""
+        assert_one_error(err, "io", "cannot write output:", "no directory")
+
+
+class TestUsageErrors:
+    """argparse's own failures end in the one-line error exit too."""
+
+    @pytest.mark.parametrize("argv, words", [
+        pytest.param(["train", "--bogus", "1"], ["unrecognized arguments: --bogus 1"],
+                     id="unknown-flag"),
+        pytest.param(["train", "--epochs"], ["--epochs", "expected one argument"],
+                     id="flag-without-value"),
+        pytest.param([], ["required", "command"], id="no-subcommand"),
+        pytest.param(["fly"], ["invalid choice", "fly"], id="unknown-subcommand"),
+    ])
+    def test_one_config_line(self, capsys, argv, words):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert_one_error(err, "config", *words)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+    def test_help_still_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert "usage: dualpointer" in capsys.readouterr().out

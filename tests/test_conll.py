@@ -30,7 +30,7 @@ def test_two_token_sentence():
     sents = read_conll(io.StringIO(TWO_TOKENS))
     assert len(sents) == 1
     s = sents[0]
-    assert s.forms() == ["dogs", "bark"]
+    assert [t.form for t in s.tokens] == ["dogs", "bark"]
     assert s.gold_heads() == [2, 0]
     assert [t.pos for t in s] == ["NOUN", "VERB"]
     assert s.tokens[1].head == 0  # top
@@ -49,7 +49,7 @@ def test_multiword_range_skipped():
         "\n"
     )
     (s,) = read_conll(io.StringIO(text))
-    assert s.forms() == ["de", "el"]
+    assert [t.form for t in s.tokens] == ["de", "el"]
 
 
 def test_empty_node_skipped():
@@ -59,7 +59,7 @@ def test_empty_node_skipped():
         "\n"
     )
     (s,) = read_conll(io.StringIO(text))
-    assert s.forms() == ["a"]
+    assert [t.form for t in s.tokens] == ["a"]
 
 
 def test_pos_falls_back_to_fifth_column():
@@ -182,7 +182,7 @@ class TestRoundTrip:
         (s, _) = read_conll(io.StringIO(FIXTURE))
         s2 = s.with_heads([2, 0, 2, 3])
         assert s2.gold_heads() == [2, 0, 2, 3]
-        assert s2.forms() == s.forms()
+        assert [t.form for t in s2.tokens] == [t.form for t in s.tokens]
         # original untouched
         assert s.gold_heads() == [2, 0, 2, 2]
         out = io.StringIO()

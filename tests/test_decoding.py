@@ -149,8 +149,9 @@ class TestMerge:
 
 
 class TestFindTop:
-    def test_single_token(self):
-        assert find_top(np.array([[0.7]])) == 1
+    @pytest.mark.parametrize("agg", ["max", "sum"])
+    def test_single_token(self, agg):
+        assert find_top(np.array([[0.7]]), agg=agg) == 1
 
     def test_row_maxima_oracle(self):
         # off-diagonal row maxima 0.9 / 0.08 / 0.7: weakest row is token 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dualpointer.autodiff as ad
-from dualpointer import training
+from dualpointer import gradcheck, training
 from dualpointer.cli import main
 from dualpointer.decoding import DepTree
 from dualpointer.gradcheck import (
@@ -90,6 +90,34 @@ def test_corrupted_sigmoid_backward_fails(monkeypatch):
     monkeypatch.setattr(ad, "_sigmoid_backward", wrong)
     report = run_gradcheck(seed=3, **SMALL)
     assert not report.passed
+
+
+def test_one_wrong_entry_fails_where_it_is(monkeypatch):
+    # negative control: a backward rule wrong in one entry only must be
+    # caught and named by the entry probes once they cover the tensor (no
+    # random direction, which may read the same fault as a larger error)
+    made = []
+    init, backward = gradcheck.init_model, ad.Tensor.backward
+
+    def init_and_keep(*args, **kwargs):
+        made.append(init(*args, **kwargs))
+        return made[-1]
+
+    def offset(self):
+        backward(self)
+        param = made[-1].tensors["ptr.heads.b"]
+        param.grad = np.array(param.grad)
+        param.grad[3] += 1e-3
+
+    monkeypatch.setattr(gradcheck, "init_model", init_and_keep)
+    monkeypatch.setattr(ad.Tensor, "backward", offset)
+    report = run_gradcheck(seed=3, shape=SHAPE, samples_per_tensor=SHAPE.ptr_hidden,
+                           directions_per_tensor=0)
+    checks = {c.name: c for c in report.checks}
+    assert not report.passed
+    assert checks["ptr.heads.b"].checked == SHAPE.ptr_hidden
+    assert checks["ptr.heads.b"].worst_at == "entry 3"
+    assert report.worst == checks["ptr.heads.b"].worst > report.tolerance
 
 
 def poison_score_gradient(monkeypatch):

@@ -87,17 +87,17 @@ class TestScoreAll:
         m = score_all(stack(contexts(rng, 1)), *p)
         assert m.data.shape == (1, 1)
 
-    def test_entries_match_pairwise_calls_exactly(self, rng):
-        """Every batched entry equals the standalone pairwise score
-        bit-for-bit, diagonal included, at these small widths; wider ones
-        are held to 1e-12 relative by TestComposedReference."""
+    def test_entries_match_pairwise_calls(self, rng):
+        """Every batched entry equals the standalone pairwise score within
+        1e-12 of the largest score, relative, diagonal included: the bound
+        TestComposedReference holds.  Not bit for bit, since a BLAS kernel
+        may round a row differently with the rows around it."""
         p = make_params(rng, ctx=8, hidden=5)
         ctx = contexts(rng, 7, ctx=8)
         m = score_all(stack(ctx), *p)
-        for i in range(7):
-            for j in range(7):
-                single = attention_score(ctx[i], ctx[j], *p).item()
-                assert m.data[i, j] == single, (i, j)
+        pairwise = np.array([[attention_score(ctx[i], ctx[j], *p).item() for j in range(7)]
+                             for i in range(7)])
+        assert rel_err(m.data, pairwise) <= 1e-12
 
     def test_two_instances_share_nothing(self, rng):
         ph = make_params(rng)
