@@ -16,7 +16,7 @@ from .conll import ConllError, read_conll, write_conll
 from .config import FLAGS, ConfigError, RunConfig, dump_config, load_config, parse_value
 # cycle_stats is unused here but stays bound as dualpointer.cli.cycle_stats,
 # a name the benchmark's tracer (perfbench/tracing.py) wraps when it installs
-from .decoding import AlignmentError, DepTree, cycle_stats, decode_corpus, parse, uas
+from .decoding import AlignmentError, cycle_stats, decode_corpus, gold_trees, parse, uas
 from .gradcheck import format_report, run_gradcheck
 from .model import MODE_VARIANTS, ModeMismatchError
 from .modelio import ModelFormatError, load_model
@@ -137,19 +137,6 @@ def _read_corpus(path: str, what: str):
         return read_conll(f)
 
 
-def _gold_heads(corpus, what: str, trees: bool = False) -> list:
-    """Every sentence's annotated heads, as a DepTree when ``trees``; a
-    sentence without them is a ConllError naming the corpus and sentence."""
-    out = []
-    for si, sentence in enumerate(corpus, start=1):
-        try:
-            heads = sentence.gold_heads()
-            out.append(DepTree(heads) if trees else heads)
-        except ValueError as exc:
-            raise ConllError(f"{what} corpus sentence {si}: {exc}") from None
-    return out
-
-
 def seed_model_path(path: str, seeds, seed: int) -> str:
     if len(seeds) == 1:
         return path
@@ -206,10 +193,10 @@ def cmd_parse(run: RunConfig) -> int:
 
 def cmd_eval(run: RunConfig) -> int:
     gold = _read_corpus(run.test_path or run.dev_path, "gold")
-    _gold_heads(gold, "gold")
+    gold_trees(gold, "gold")
     if not run.model_path and run.output_path:
         # file-vs-file: the output path names a previously parsed corpus
-        trees = _gold_heads(_read_corpus(run.output_path, "predicted"), "predicted", trees=True)
+        trees = gold_trees(_read_corpus(run.output_path, "predicted"), "predicted")
         score = uas(gold, trees, run.punct_tags)
         print(f"file {run.output_path}  uas {score:.10f}")
         return 0

@@ -5,7 +5,9 @@ Both CoNLL-X and CoNLL-U share the columns this parser needs: ID (0), FORM
 blank-line separated.  A read/write round trip keeps ``#`` comments (each
 sentence's ahead of its tokens) and every column of every word token; it
 drops multiword-token ranges (``1-2``), empty nodes (``5.1``), comments
-that no word token follows, and extra blank lines.
+that no word token follows, and extra blank lines.  Reading checks the
+columns, ids and head syntax only; ``decoding.gold_trees`` checks that a
+gold head column is a tree.
 """
 from __future__ import annotations
 
@@ -22,8 +24,9 @@ _INTEGER = re.compile(r"[0-9]+")
 
 
 class ConllError(ValueError):
-    """Malformed treebank input; message carries the 1-based line number,
-    or the sentence for a sentence that lacks gold heads."""
+    """Malformed treebank input; the message carries the 1-based line
+    number, or the corpus and 1-based sentence whose gold heads are
+    missing or not a tree (``decoding.gold_trees``)."""
 
 
 @dataclass
@@ -69,9 +72,6 @@ class Sentence:
             heads.append(t.head)
         return heads
 
-    def has_gold_heads(self) -> bool:
-        return all(t.head is not None for t in self.tokens)
-
     def with_heads(self, heads: Iterable[int]) -> "Sentence":
         """Copy of this sentence with the head column replaced."""
         heads = list(heads)
@@ -92,22 +92,6 @@ def _parse_int(text: str, lineno: int, what: str) -> int:
     return int(text)
 
 
-def _finish(tokens: list[Token], comments: list[str], lineno: int) -> Sentence:
-    n = len(tokens)
-    for t in tokens:
-        if t.head is None:
-            continue
-        if t.head == t.index:
-            raise ConllError(
-                f"line {lineno}: token {t.index} names itself as head"
-            )
-        if not 0 <= t.head <= n:
-            raise ConllError(
-                f"line {lineno}: head {t.head} of token {t.index} outside [0, {n}]"
-            )
-    return Sentence(tokens, comments)
-
-
 def _numbered_lines(stream: TextIO) -> Iterator[tuple[int, str]]:
     try:
         yield from enumerate(stream, start=1)
@@ -119,20 +103,19 @@ def read_conll(stream: TextIO) -> list[Sentence]:
     """Parse a CoNLL-X/CoNLL-U stream into sentences.
 
     Multiword-token ranges (``1-2``) and empty nodes (``5.1``) are skipped.
-    Token ids and heads are ASCII digits (a head may also be ``_``).
-    Malformed lines, any other id or head, and out-of-range heads raise
-    :class:`ConllError` naming the offending line, as does a stream whose
+    Token ids and heads are ASCII digits (a head may also be ``_``).  A
+    line with too few columns, an id out of sequence, or any other id or
+    head raises :class:`ConllError` naming the line, as does a stream whose
     bytes are not UTF-8.
     """
     sentences: list[Sentence] = []
     tokens: list[Token] = []
     comments: list[str] = []
-    last_token_line = 0
     for lineno, raw in _numbered_lines(stream):
         line = raw.rstrip("\n")
         if not line.strip():
             if tokens:
-                sentences.append(_finish(tokens, comments, last_token_line))
+                sentences.append(Sentence(tokens, comments))
             tokens, comments = [], []
             continue
         if line.startswith("#"):
@@ -154,9 +137,8 @@ def read_conll(stream: TextIO) -> list[Sentence]:
         pos = cols[3] if cols[3] != "_" else (cols[4] if len(cols) > 4 and cols[4] != "_" else None)
         head = None if cols[6] == "_" else _parse_int(cols[6], lineno, "head field")
         tokens.append(Token(index, cols[1], pos, head, cols))
-        last_token_line = lineno
     if tokens:
-        sentences.append(_finish(tokens, comments, last_token_line))
+        sentences.append(Sentence(tokens, comments))
     return sentences
 
 

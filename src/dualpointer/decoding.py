@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .conll import Sentence
+from .conll import ConllError, Sentence
 from .autodiff import Tensor
 from .model import (VARIANTS, ModelParams, require_variant, score_sentence,
                     sentence_contexts)
@@ -30,6 +30,7 @@ from .model import (VARIANTS, ModelParams, require_variant, score_sentence,
 __all__ = [
     "AlignmentError",
     "DepTree",
+    "gold_trees",
     "merge",
     "find_top",
     "greedy_heads",
@@ -94,6 +95,19 @@ class DepTree:
 
     def __len__(self) -> int:
         return len(self.heads)
+
+
+def gold_trees(corpus: list[Sentence], what: str) -> list[DepTree]:
+    """Each sentence's gold heads as a :class:`DepTree`: the one check of a
+    gold head column.  A missing head, or heads that are not a tree, is a
+    ConllError naming the ``what`` corpus and the 1-based sentence."""
+    trees = []
+    for si, sentence in enumerate(corpus, start=1):
+        try:
+            trees.append(DepTree(sentence.gold_heads()))
+        except ValueError as exc:
+            raise ConllError(f"{what} corpus sentence {si}: {exc}") from None
+    return trees
 
 
 def merge(

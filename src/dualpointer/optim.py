@@ -8,7 +8,8 @@ keep their values and their moments frozen, which keeps per-sentence
 updates cheap for large vocabularies.  Every other parameter gets a
 persistent gradient buffer with its moments (``Tensor.grad_buffer``), which
 the backward pass writes into, so a step allocates no parameter-sized
-array; :meth:`Adam.release` frees buffers and moments once training ends.
+array; buffers and moments live as long as the parameters and the
+optimizer do.
 
 Each update folds both bias corrections into the step size and the
 epsilon (Kingma & Ba, Section 2) and keeps the second moment rescaled as
@@ -74,14 +75,6 @@ class Adam:
         """Clear every gradient; the buffers stay for the next backward."""
         for p in self.params:
             p.grad = None
-
-    def release(self) -> None:
-        """Free the moments and gradient buffers, for when training is over:
-        a later step starts the moments from zero again."""
-        for p in self.params:
-            p.grad = p.grad_buffer = None
-        self.m = [None] * len(self.params)
-        self.v = [None] * len(self.params)
 
     def step(self) -> bool:
         """Apply one update from the gradients currently on the parameters.

@@ -8,22 +8,23 @@ and the BiLSTM down to both embedding tables.  A table's gradient names
 only the rows the sentence used, and Adam moves only those rows.
 
 Checkpointing keeps the best epoch's values in one set of arrays, refilled
-in place by each improving epoch; after the last epoch the model takes
-them back and is serialized once, as the run's :class:`Checkpoint`, after
-the optimizer has freed its moments and gradient buffers.
+in place by each improving epoch; after the last epoch a model of those
+arrays is serialized once, as the run's :class:`Checkpoint`, after the
+run's own model and optimizer (the last values, the moments and the
+gradient buffers) have been dropped.
 """
 from __future__ import annotations
 
 import io
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .config import RunConfig
 from .conll import ConllError, Sentence
-from .decoding import parse, uas
+from .decoding import gold_trees, parse, uas
 from .model import MODE_NETS, MODE_VARIANTS, ModelParams, init_model, score_sentence
 from .modelio import load_model, save_model
 from .optim import Adam
@@ -140,17 +141,14 @@ def train(
     for what, sentences in (("train", corpus), ("dev", dev)):
         if not sentences:
             raise ConllError(f"empty {what} corpus")
-        for si, s in enumerate(sentences, start=1):
-            if len(s) == 0 or not s.has_gold_heads():
-                raise ConllError(f"{what} corpus sentence {si} is empty or lacks gold heads")
+        gold_trees(sentences, what)
 
     vocab = build_vocab(corpus)
     model = init_model(rng, vocab, pretrained=pretrained, **asdict(config.shape))
     optimizer = make_optimizer(model, config)
     variant = default_variant(config.mode)
 
-    tensors = list(model.tensors.values())
-    best_values = [np.empty_like(t.data) for t in tensors]
+    best_values = {name: np.empty_like(t.data) for name, t in model.tensors.items()}
     best: EpochRow | None = None
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(corpus))
@@ -174,11 +172,10 @@ def train(
             on_epoch(row)
         if best is None or dev_uas > best.dev_uas:
             best = row
-            for kept, t in zip(best_values, tensors):
-                np.copyto(kept, t.data)
-    optimizer.release()
-    for kept, t in zip(best_values, tensors):
-        t.data = kept  # the last epoch's arrays are freed before the save
+            for name, kept in best_values.items():
+                np.copyto(kept, model.tensors[name].data)
+    best_model = replace(model, tensors={name: ad.Tensor(v) for name, v in best_values.items()})
+    del model, optimizer  # frees the last values, the moments and gradient buffers before the save
     buf = io.BytesIO()
-    save_model(model, buf)
+    save_model(best_model, buf)
     return Checkpoint(epoch=best.epoch, dev_uas=best.dev_uas, model_bytes=buf.getvalue())

@@ -9,7 +9,7 @@ from corpora import bundled
 from dualpointer import cli
 from dualpointer.cli import main, seed_model_path
 from dualpointer.conll import read_conll, write_conll
-from dualpointer.decoding import DepTree, cycle_stats, parse, uas
+from dualpointer.decoding import DepTree, cycle_stats, gold_trees, parse, uas
 from dualpointer.modelio import load_model
 
 FAST = [
@@ -512,6 +512,55 @@ class TestEval:
         mean = float(re.search(r"mean  p1  uas (\d+\.\d+)", out).group(1))
         assert len(rows) == 2
         assert abs(mean - sum(rows) / len(rows)) < 1e-9
+
+
+# sentence 2 of the fixture corpus (4 tokens) given heads that are not a
+# tree, each in one of the ways the gold check names
+NOT_TREES = {
+    "cycle-no-top": (["2", "3", "4", "1"], "0 top tokens"),
+    "two-tops": (["0", "0", "1", "1"], "2 top tokens"),
+    "head-past-end": (["0", "5", "1", "1"], "head 5 of token 2 out of range"),
+    "self-head": (["0", "2", "1", "1"], "token 2 is its own head"),
+}
+
+
+class TestGoldTreeCheck:
+    """A corpus used as gold is checked as trees, sentence by sentence; a
+    corpus to parse is not, since parsing replaces its heads."""
+
+    @pytest.mark.parametrize("case", NOT_TREES)
+    @pytest.mark.parametrize("role", ["train", "dev"])
+    def test_training_corpus(self, capsys, corpus_path, tmp_path, role, case):
+        heads, problem = NOT_TREES[case]
+        bad = rewrite_heads(corpus_path, tmp_path / "bad.conllu", 2, heads)
+        paths = {"train": corpus_path, "dev": corpus_path, role: bad}
+        log = tmp_path / "train.log"
+        code, out, err = run(capsys, [
+            "train", "--train", paths["train"], "--dev", paths["dev"],
+            "--model", str(tmp_path / "m.bin"), "--output", str(log)] + FAST)
+        assert code == 1 and out == ""
+        assert_one_error(err, "corpus", f"{role} corpus sentence 2: ", problem)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.conllu"]
+
+    @pytest.mark.parametrize("case", NOT_TREES)
+    def test_eval_gold(self, capsys, corpus_path, model_path, tmp_path, case):
+        heads, problem = NOT_TREES[case]
+        bad = rewrite_heads(corpus_path, tmp_path / "gold.conllu", 2, heads)
+        for argv in (["--model", model_path], ["--output", corpus_path]):
+            code, out, err = run(capsys, ["eval", "--test", bad] + argv)
+            assert code == 1 and out == ""
+            assert_one_error(err, "corpus", "gold corpus sentence 2: ", problem)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.conllu"]
+
+    @pytest.mark.parametrize("case", NOT_TREES)
+    def test_parse_replaces_the_heads(self, capsys, corpus_path, model_path, tmp_path, case):
+        bad = rewrite_heads(corpus_path, tmp_path / "in.conllu", 2, NOT_TREES[case][0])
+        out_path = tmp_path / "out.conllu"
+        code, _, err = run(capsys, [
+            "parse", "--model", model_path, "--test", bad, "--output", str(out_path)])
+        assert code == 0 and err == ""
+        with open(out_path, encoding="utf-8") as f:
+            assert len(gold_trees(read_conll(f), "parsed")) == 12
 
 
 class TestGradcheckCommand:

@@ -4,7 +4,7 @@ import io
 import pytest
 
 from dualpointer.conll import ConllError, Sentence, Token, read_conll, write_conll
-from dualpointer.decoding import DepTree
+from dualpointer.decoding import DepTree, gold_trees
 
 TWO_TOKENS = (
     "1\tdogs\t_\tNOUN\t_\t_\t2\t_\t_\t_\n"
@@ -72,9 +72,10 @@ def test_unannotated_head_allowed_for_parse_input():
     text = "1\tword\t_\tNOUN\t_\t_\t_\t_\t_\t_\n\n"
     (s,) = read_conll(io.StringIO(text))
     assert s.tokens[0].head is None
-    assert not s.has_gold_heads()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConllError, match="has no gold head"):
         s.gold_heads()
+    with pytest.raises(ConllError, match="gold corpus sentence 1: .*has no gold head"):
+        gold_trees([s], "gold")
 
 
 class TestErrors:
@@ -88,14 +89,18 @@ class TestErrors:
             read_conll(io.StringIO(bad))
 
     def test_head_out_of_range(self):
-        bad = "1\ta\t_\tX\t_\t_\t5\t_\t_\t_\n\n"
-        with pytest.raises(ConllError, match="outside"):
-            read_conll(io.StringIO(bad))
+        """Read as written; the gold check names the corpus and sentence."""
+        bad = TWO_TOKENS + TWO_TOKENS.replace("\t2\t_", "\t5\t_")
+        sents = read_conll(io.StringIO(bad))
+        assert [s.tokens[0].head for s in sents] == [2, 5]
+        with pytest.raises(ConllError, match="gold corpus sentence 2: .*head 5 of token 1 out"):
+            gold_trees(sents, "gold")
 
     def test_self_head(self):
-        bad = "1\ta\t_\tX\t_\t_\t1\t_\t_\t_\n\n"
-        with pytest.raises(ConllError):
-            read_conll(io.StringIO(bad))
+        bad = TWO_TOKENS.replace("\t2\t_", "\t1\t_")
+        sents = read_conll(io.StringIO(bad))
+        with pytest.raises(ConllError, match="dev corpus sentence 1: .*token 1 is its own head"):
+            gold_trees(sents, "dev")
 
     def test_id_out_of_sequence(self):
         bad = "1\ta\t_\tX\t_\t_\t0\t_\t_\t_\n3\tb\t_\tX\t_\t_\t1\t_\t_\t_\n\n"
