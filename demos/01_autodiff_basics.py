@@ -49,7 +49,10 @@ print("training's sentence_loss gives the same value:", same == loss.item())
 # --------------------------------------------------------------- backward
 loss.backward()
 w = t["lstm.l0.fwd.w"]
-print("dloss/d lstm.l0.fwd.w[0, :3] =", w.grad[0, :3])
+# the gate matrix's gradient is kept as two factors, one row per token
+# (an OuterGrad); np.asarray multiplies them out to the dense matrix
+grad = np.asarray(w.grad)
+print("dloss/d lstm.l0.fwd.w[0, :3] =", grad[0, :3])
 
 # ------------------------------------------------ finite-difference check
 # Nudge one weight both ways and compare the slope with the tape's answer.
@@ -67,7 +70,7 @@ def loss_at(value):
 
 w00 = w.data[0, 0]
 numeric = (loss_at(w00 + eps) - loss_at(w00 - eps)) / (2 * eps)
-print(f"analytic {w.grad[0, 0]:.10f}  numeric {numeric:.10f}")
+print(f"analytic {grad[0, 0]:.10f}  numeric {numeric:.10f}")
 
 # ---------------------------------------------------------------- training
 # train_sentence runs the same chain, backpropagates and takes an Adam step.

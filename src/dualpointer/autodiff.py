@@ -4,7 +4,8 @@ The tape is built implicitly: every operation that touches a tensor with
 ``requires_grad`` records its inputs and a backward rule on the output.
 Calling :meth:`Tensor.backward` on a scalar walks the graph once in reverse
 topological order and accumulates gradients on the leaves; a table read
-by row gather gets a :class:`RowGrad` that names only the rows it touched.
+by row gather gets a :class:`RowGrad` that names only the rows it touched,
+and a recurrent weight matrix an :class:`OuterGrad` of two thin factors.
 
 The module holds the tape's mechanics only.  Every node of the parser's
 training graph is a fused kernel of ``encoder`` or ``pointer``, one per
@@ -15,11 +16,6 @@ arrays and at most their own node's parents, so the graph is a pure DAG
 with child-to-parent references only and is freed by reference counting
 as soon as the loss goes out of scope (``backward`` additionally severs
 the graph eagerly).
-
-A tensor may carry a persistent ``grad_buffer``, which an optimizer gives
-its dense weights: the backward rule of the node that owns the weight
-writes the gradient into it (:func:`grad_out`), so a training step
-allocates no weight-sized array.
 """
 from __future__ import annotations
 
@@ -28,9 +24,9 @@ import numpy as np
 __all__ = [
     "Tensor",
     "RowGrad",
+    "OuterGrad",
     "no_grad",
     "make_node",
-    "grad_out",
     "stable_sigmoid",
 ]
 
@@ -62,19 +58,16 @@ class Tensor:
     """A dense float64 array plus its place in the gradient tape.
 
     ``grad`` holds the gradient accumulated by :meth:`backward`: an array
-    of ``data``'s shape, or a :class:`RowGrad` for a table read by row
-    gather.  The array may share memory with other gradients, so treat it
-    as read-only.  It may also be ``grad_buffer``, the optimizer's
-    persistent array for this tensor, which the next backward after
-    ``grad`` is cleared overwrites: copy it to keep it.
+    of ``data``'s shape, a :class:`RowGrad` for a table read by row
+    gather, or an :class:`OuterGrad` for a recurrent weight matrix.  The
+    array may share memory with other gradients, so treat it as read-only.
     """
 
-    __slots__ = ("data", "grad", "grad_buffer", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | RowGrad | None = None
-        self.grad_buffer: np.ndarray | None = None
+        self.grad: np.ndarray | RowGrad | OuterGrad | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
@@ -86,7 +79,7 @@ class Tensor:
         """Backpropagate from a scalar output.
 
         Every intermediate node has its parent links, backward rule and
-        gradient buffer dropped as soon as it has been processed, so the
+        gradient dropped as soon as it has been processed, so the
         tape holds no storage afterwards; leaves keep their gradients.
         """
         if self.data.size != 1:
@@ -158,6 +151,29 @@ class RowGrad:
         return dense
 
 
+class OuterGrad:
+    """Gradient ``left.T @ right`` of a [rows x cols] matrix kept as its
+    factors, [T x rows] and [T x cols], one row per outer product (Goodfellow
+    2015, arXiv:1510.01799).  ``np.asarray(grad)`` gives the dense matrix."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: np.ndarray, right: np.ndarray):
+        self.left = left
+        self.right = right
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.left.shape[1], self.right.shape[1]
+
+    def __add__(self, other: OuterGrad) -> OuterGrad:
+        return OuterGrad(np.concatenate([self.left, other.left]),
+                         np.concatenate([self.right, other.right]))
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.left.T @ self.right, dtype=dtype)
+
+
 def make_node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     """Create an op output, recording the tape edge only when gradients flow."""
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
@@ -166,17 +182,6 @@ def make_node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor
         out._backward = backward
         return out
     return Tensor(data)
-
-
-def grad_out(t: Tensor) -> np.ndarray:
-    """The array a backward rule writes ``t``'s whole gradient into:
-    ``t.grad_buffer`` while ``t`` holds no gradient, else a new array,
-    which the tape adds to the gradient already held.  The tape stores a
-    rule's gradients only after the rule returns, so one rule must not ask
-    here for two parents that are the same tensor."""
-    if t.grad is None and t.grad_buffer is not None:
-        return t.grad_buffer
-    return np.empty(t.data.shape)
 
 
 # Backward rules of the two activations, from their outputs.  The kernels

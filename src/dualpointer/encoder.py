@@ -140,9 +140,8 @@ def _lstm_direction(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
     ``order``, ``sizes[s]`` of them at step s (:func:`_packing`), with one
     [k x h] by [h x 4h] product per step.  Returns the [N x h] states in
     ``xd``'s row order, each the hidden state after reading its row, and
-    the backward rule of a one-sentence batch, mapping their gradient and
-    two arrays shaped like ``wd`` and ``bd`` to (dx, dw, db), with dw and
-    db written into those arrays.
+    the backward rule of a one-sentence batch, mapping their gradient to
+    (dx, dw, db) with dw an :class:`~dualpointer.autodiff.OuterGrad`.
     """
     N, d_in = xd.shape
     h = wd.shape[0] // 4
@@ -169,7 +168,7 @@ def _lstm_direction(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
         tanh_c = np.tanh(c_t, out=tanh_cells[start:end])
         h_t = np.multiply(a[:, 2 * h:3 * h], tanh_c, out=states[start:end])
 
-    def backward(g, dw, db):
+    def backward(g):
         # BPTT with everything that does not depend on the carried gradients
         # computed for all steps up front.  Step s's pre-activation gradient
         # dz[s] is dc * via_cell[s] on the i, f and g rows and dh *
@@ -195,10 +194,9 @@ def _lstm_direction(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
             dc_next = dc * f[s]
             dh_next = dz[s].reshape(-1) @ wh
         dz = _in_order(dz.reshape(N, 4 * h), order)
-        # dW = dz^T [X, H_before] as one product: concatenating the outputs
-        # of two products, a [4h x (d_in + h)] copy, costs more than both
+        # dW = dz^T [X, H_before], left to the optimizer as its two factors
         inputs = np.concatenate([xd, _in_order(_shifted(states), order)], axis=1)
-        return dz @ wx, np.matmul(dz.T, inputs, out=dw), dz.sum(axis=0, out=db)
+        return dz @ wx, ad.OuterGrad(dz, inputs), dz.sum(axis=0)
 
     return _in_order(states, order), backward
 
@@ -232,8 +230,8 @@ def bilstm_level(x: Tensor, fw: Tensor, fb: Tensor, bw: Tensor, bb: Tensor,
     bwd, bwd_backward = _lstm_direction(xd, bw.data, bb.data, bwd_order, sizes)
 
     def backward(g):
-        dx_fwd, dfw, dfb = fwd_backward(g[:, :h], ad.grad_out(fw), ad.grad_out(fb))
-        dx_bwd, dbw, dbb = bwd_backward(g[:, h:], ad.grad_out(bw), ad.grad_out(bb))
+        dx_fwd, dfw, dfb = fwd_backward(g[:, :h])
+        dx_bwd, dbw, dbb = bwd_backward(g[:, h:])
         return dx_fwd + dx_bwd, dfw, dfb, dbw, dbb
 
     out = ad.make_node(np.concatenate([fwd, bwd], axis=1), (x, fw, fb, bw, bb), backward)

@@ -5,11 +5,10 @@ it manages and a single shared step counter.  A parameter whose gradient is
 a :class:`~dualpointer.autodiff.RowGrad` (an embedding table read by row
 gather) is updated on the rows that gradient names only: the other rows
 keep their values and their moments frozen, which keeps per-sentence
-updates cheap for large vocabularies.  Every other parameter gets a
-persistent gradient buffer with its moments (``Tensor.grad_buffer``), which
-the backward pass writes into, so a step allocates no parameter-sized
-array; buffers and moments live as long as the parameters and the
-optimizer do.
+updates cheap for large vocabularies.  A parameter whose gradient is an
+:class:`~dualpointer.autodiff.OuterGrad` (a recurrent weight matrix) gets
+its dense gradient formed one block of rows at a time, so no dense
+gradient of it outlives the block's update.
 
 Each update folds both bias corrections into the step size and the
 epsilon (Kingma & Ba, Section 2) and keeps the second moment rescaled as
@@ -23,20 +22,20 @@ beta1^t and bc2 = 1 - beta2^t at step t,
 
 which is the textbook update p <- p - alpha * (m / bc1) / (sqrt(v' / bc2)
 + eps) on the unscaled moment v' = (1 - beta2) * v, up to rounding.
-Updates run in place, block by block through one small scratch buffer, so
-they allocate nothing beyond a row update's gathered rows and each block
-of parameter, gradient and moments stays in cache while the whole formula
-runs over it.
+Updates run in place, block by block through two small scratch buffers,
+so they allocate nothing beyond a row update's gathered rows and each
+block of parameter, gradient and moments stays in cache while the whole
+formula runs over it.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import RowGrad, Tensor
+from .autodiff import OuterGrad, RowGrad, Tensor
 
 __all__ = ["Adam"]
 
-# elements per block of a dense update: the five blocks one pass touches
+# elements per block of an update: the five blocks one pass touches
 # (parameter, gradient, both moments, one scratch) take 1.3 MB and stay in
 # a core's 2 MB L2 cache.  On the default-size model's dense tensors
 # (interleaved medians, one core) a step took 14.8 ms at this block size,
@@ -49,8 +48,7 @@ class Adam:
 
     ``m``/``v`` hold each parameter's first moment and rescaled second
     moment (module docstring), allocated as zeros when it is first
-    updated, and ``t`` counts the steps applied.  A parameter first updated
-    by a dense gradient gets its ``grad_buffer`` then too.
+    updated, and ``t`` counts the steps applied.
     """
 
     def __init__(
@@ -69,10 +67,10 @@ class Adam:
         self.m: list[np.ndarray | None] = [None] * len(params)
         self.v: list[np.ndarray | None] = [None] * len(params)
         self.t = 0
-        self._scratch = np.empty(ADAM_CHUNK)
+        self._scratch = np.empty((2, ADAM_CHUNK))
 
     def zero_grad(self) -> None:
-        """Clear every gradient; the buffers stay for the next backward."""
+        """Clear every gradient."""
         for p in self.params:
             p.grad = None
 
@@ -81,14 +79,8 @@ class Adam:
 
         Returns False (and applies nothing) if any gradient is non-finite.
         """
-        for p in self.params:
-            if p.grad is None:
-                continue
-            g = p.grad.values if isinstance(p.grad, RowGrad) else p.grad
-            # a finite sum proves every entry finite; only a sum that is not
-            # (non-finite entries, or finite ones overflowing) needs the scan
-            if not np.isfinite(g.sum()) and not np.all(np.isfinite(g)):
-                return False
+        if not all(_finite(p.grad) for p in self.params if p.grad is not None):
+            return False
 
         self.t += 1
         bc1, bc2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
@@ -100,10 +92,7 @@ class Adam:
             if g is None:
                 continue
             if self.m[i] is None:
-                self.m[i] = np.zeros(p.data.shape)
-                self.v[i] = np.zeros(p.data.shape)
-                if not isinstance(g, RowGrad):
-                    p.grad_buffer = np.empty(p.data.shape)
+                self.m[i], self.v[i] = np.zeros(p.data.shape), np.zeros(p.data.shape)
             if isinstance(g, RowGrad):
                 rows, m, v = g.rows, self.m[i], self.v[i]
                 p_rows, m_rows, v_rows = p.data[rows], m[rows], v[rows]
@@ -114,9 +103,25 @@ class Adam:
         return True
 
 
+def _finite(grad) -> bool:
+    """Whether every entry of a gradient of any kind is finite."""
+    if isinstance(grad, RowGrad):
+        grad = grad.values
+    elif isinstance(grad, OuterGrad):
+        # each entry sums T terms of at most max|left| max|right|; half the maximum
+        # covers rounding, and a NaN factor gives a NaN bound, failing the comparison
+        bound = len(grad.left) * float(np.abs(grad.left).max()) * float(np.abs(grad.right).max())
+        if bound < np.finfo(np.float64).max / 2:
+            return True
+        grad = np.asarray(grad)
+    # a finite sum proves every entry finite; only a sum that is not
+    # (non-finite entries, or finite ones overflowing) needs the scan
+    return bool(np.isfinite(grad.sum()) or np.all(np.isfinite(grad)))
+
+
 def adam_step(param, grad, m, v, beta1, beta2, c, eps, scratch) -> None:
-    """In-place dense Adam update on the rescaled second moment ``v``, with
-    the step's size ``c`` and epsilon ``eps`` (c and eps' of the module
+    """In-place Adam update on the rescaled second moment ``v``, with the
+    step's size ``c`` and epsilon ``eps`` (c and eps' of the module
     docstring).
 
     Per element this evaluates, in this order::
@@ -125,19 +130,26 @@ def adam_step(param, grad, m, v, beta1, beta2, c, eps, scratch) -> None:
         v = v * beta2 + grad * grad
         param -= (m / (sqrt(v) + eps)) * c
 
-    ``param``, ``m`` and ``v`` must be C-contiguous; ``scratch`` is a
-    float64 buffer of one block.
+    It runs over blocks of rows of ``param``, seen as one column for a dense
+    ``grad`` and as its matrix for an :class:`OuterGrad`, whose gradient each
+    block forms by one product into ``scratch[1]``.  ``scratch`` is a float64
+    [2 x block] array; ``param``, ``m`` and ``v`` must be C-contiguous.
     """
-    p_flat = param.reshape(-1, copy=False)
-    m_flat = m.reshape(-1, copy=False)
-    v_flat = v.reshape(-1, copy=False)
-    g_flat = grad.reshape(-1)
-    block = scratch.size
-    for start in range(0, p_flat.size, block):
-        stop = min(start + block, p_flat.size)
-        p, g = p_flat[start:stop], g_flat[start:stop]
-        mb, vb = m_flat[start:stop], v_flat[start:stop]
-        s = scratch[:stop - start]
+    outer = isinstance(grad, OuterGrad)
+    cols = grad.shape[1] if outer else 1
+    p_rows, m_rows, v_rows = (x.reshape(-1, cols, copy=False) for x in (param, m, v))
+    g_rows = None if outer else grad.reshape(-1, 1)
+    if cols > scratch.shape[1]:  # a row wider than a block is a block of its own
+        scratch = np.empty((2, cols))
+    step = scratch.shape[1] // cols
+    for start in range(0, len(p_rows), step):
+        stop = min(start + step, len(p_rows))
+        p, mb, vb = (x[start:stop].reshape(-1) for x in (p_rows, m_rows, v_rows))
+        s, g = scratch[0, :p.size], scratch[1, :p.size]
+        if outer:
+            np.matmul(grad.left[:, start:stop].T, grad.right, out=g.reshape(stop - start, cols))
+        else:
+            g = g_rows[start:stop].reshape(-1)
         mb *= beta1
         np.multiply(g, 1.0 - beta1, out=s)
         mb += s

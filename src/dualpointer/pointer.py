@@ -35,8 +35,7 @@ def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
 
     Keys and queries are projected once per row by matrix products, and
     the n x n x hidden tanh is contracted with ``v`` by one more.  The
-    backward builds one more n x n x hidden array and writes the gradients
-    of ``w``, ``b`` and ``v`` through :func:`autodiff.grad_out`.
+    backward builds one more n x n x hidden array.
     """
     cd, wd, bd, vd = contexts.data, w.data, b.data, v.data
     d = wd.shape[1] // 2
@@ -51,18 +50,17 @@ def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
     out = (flat @ vd).reshape(n, n)
 
     def backward(g):
-        dv = np.matmul(g.reshape(-1), flat, out=ad.grad_out(v))
+        dv = g.reshape(-1) @ flat
         dpre = t * t  # then in place: 1.0 - t * t allocates a second n x n x hidden
         np.subtract(1.0, dpre, out=dpre)
         dpre *= g[:, :, None]
         dpre *= vd
         dq = dpre.sum(axis=1)
         dk = dpre.sum(axis=0)
-        db = dq.sum(axis=0, out=ad.grad_out(b))
-        dw = ad.grad_out(w)
+        dw = np.empty(wd.shape)
         np.matmul(dk.T, cd, out=dw[:, :d])
         np.matmul(dq.T, cd, out=dw[:, d:])
-        return dq @ wq + dk @ wk, dw, db, dv
+        return dq @ wq + dk @ wk, dw, dq.sum(axis=0), dv
 
     return ad.make_node(out, (contexts, w, b, v), backward)
 

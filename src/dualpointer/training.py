@@ -10,8 +10,8 @@ only the rows the sentence used, and Adam moves only those rows.
 Checkpointing keeps the best epoch's values in one set of arrays, refilled
 in place by each improving epoch; after the last epoch a model of those
 arrays is serialized once, as the run's :class:`Checkpoint`, after the
-run's own model and optimizer (the last values, the moments and the
-gradient buffers) have been dropped.
+run's own model and optimizer (the last values and the moments) have
+been dropped.
 """
 from __future__ import annotations
 
@@ -175,7 +175,7 @@ def train(
             for name, kept in best_values.items():
                 np.copyto(kept, model.tensors[name].data)
     best_model = replace(model, tensors={name: ad.Tensor(v) for name, v in best_values.items()})
-    del model, optimizer  # frees the last values, the moments and gradient buffers before the save
+    del model, optimizer  # frees the last values and the moments before the save
     buf = io.BytesIO()
     save_model(best_model, buf)
     return Checkpoint(epoch=best.epoch, dev_uas=best.dev_uas, model_bytes=buf.getvalue())

@@ -324,3 +324,20 @@ class TestRowGrad:
         assert isinstance(total, ad.RowGrad)
         assert total.rows.tolist() == [0, 2, 5, 7]
         assert np.array_equal(np.asarray(total), np.asarray(a) + np.asarray(b))
+
+
+class TestOuterGrad:
+    def test_dense_is_the_product_of_the_factors(self, rng):
+        left, right = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+        grad = ad.OuterGrad(left, right)
+        assert grad.shape == (4, 3)
+        assert np.array_equal(np.asarray(grad), left.T @ right)
+
+    @pytest.mark.parametrize("T", [(1, 1), (3, 7), (120, 40)])
+    def test_sum_matches_dense_sum(self, rng, T):
+        a = ad.OuterGrad(rng.normal(size=(T[0], 6)), rng.normal(size=(T[0], 9)))
+        b = ad.OuterGrad(rng.normal(size=(T[1], 6)), rng.normal(size=(T[1], 9)))
+        total = a + b
+        assert isinstance(total, ad.OuterGrad)
+        assert len(total.left) == len(total.right) == sum(T)
+        assert rel_err(np.asarray(total), np.asarray(a) + np.asarray(b)) <= 1e-12

@@ -358,7 +358,7 @@ class TestBilstm:
             num = numeric_grad(f, orig.copy())
             p.data = orig
             assert p.grad is not None, name
-            err = rel_err(p.grad, num)
+            err = rel_err(np.asarray(p.grad), num)
             assert err < 1e-4, f"{name}: rel err {err}"
 
 
@@ -413,7 +413,8 @@ class TestLstmSequence:
 
         fw, fb, bw, bb, x = (Tensor(a.copy(), requires_grad=True) for a in arrays)
         sum_all(mul(bilstm_level(x, fw, fb, bw, bb), Tensor(proj))).backward()
-        got = dict(fw=fw.grad, fb=fb.grad, bw=bw.grad, bb=bb.grad, x=x.grad)
+        got = dict(fw=np.asarray(fw.grad), fb=fb.grad, bw=np.asarray(bw.grad), bb=bb.grad,
+                   x=x.grad)
         idle = ("fw", "fb") if reverse else ("bw", "bb")
 
         for which, name in enumerate(got):
@@ -450,7 +451,7 @@ class TestLstmSequence:
         x = Tensor(x0.copy(), requires_grad=True)
         out = bilstm_level(x, *weights)
         sum_all(mul(out, proj)).backward()
-        fused = [out.data, x.grad] + [t.grad for t in weights]
+        fused = [out.data, x.grad] + [np.asarray(t.grad) for t in weights]
         for t in weights:
             t.grad = None
 

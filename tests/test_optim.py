@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualpointer.autodiff import RowGrad, Tensor
+from fd import rel_err
+
+from dualpointer.autodiff import OuterGrad, RowGrad, Tensor
 from dualpointer.optim import ADAM_CHUNK, Adam
 
 
@@ -259,6 +261,84 @@ def test_nonfinite_row_gradient_skips_step():
     assert not opt.step()
     np.testing.assert_array_equal(p.data, np.ones((5, 2)))
     assert opt.t == 0
+
+
+@pytest.mark.parametrize("T", [1, 7, 120])
+@pytest.mark.parametrize("shape", [
+    (40, 30),                 # less than one block
+    (64, ADAM_CHUNK // 64),   # exactly one block
+    (100, 450),               # more than a block, not a multiple of its rows
+    (3, ADAM_CHUNK + 5),      # one row wider than a block
+])
+def test_factored_update_matches_dense_update(rng, T, shape):
+    """Three steps from factored gradients against the same steps from
+    their dense products: parameter, first and second moment within
+    1e-12 relative.  The parameter starts at zero, so it holds the sum of
+    the updates."""
+    factored, dense = Tensor(np.zeros(shape), requires_grad=True), Tensor(np.zeros(shape))
+    opts = Adam([factored]), Adam([dense])
+    for _ in range(3):
+        grad = OuterGrad(rng.normal(size=(T, shape[0])), rng.normal(size=(T, shape[1])))
+        factored.grad, dense.grad = grad, np.asarray(grad)
+        assert all(opt.step() for opt in opts)
+    for got, want in ((factored.data, dense.data), (opts[0].m[0], opts[1].m[0]),
+                      (opts[0].v[0], opts[1].v[0])):
+        assert rel_err(got, want) <= 1e-12
+
+
+def factored_step_after_one(rng, left, right):
+    """A [5 x 4] parameter and a vector, one step taken; then a step with
+    the factors given on the matrix.  Returns whether that step applied,
+    and whether every parameter, moment and the step count kept its value."""
+    a = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    opt = Adam([a, b])
+    a.grad = OuterGrad(rng.normal(size=(2, 5)), rng.normal(size=(2, 4)))
+    b.grad = rng.normal(size=3)
+    assert opt.step()
+    opt.zero_grad()
+    saved = [x.copy() for x in (a.data, b.data, *opt.m, *opt.v)]
+    a.grad, b.grad = OuterGrad(left, right), rng.normal(size=3)
+    applied = opt.step()
+    kept = all(np.array_equal(x, y) for x, y in zip(saved, (a.data, b.data, *opt.m, *opt.v)))
+    return applied, kept and opt.t == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["left", "right"])
+@np.errstate(invalid="ignore")
+def test_nonfinite_factor_skips_whole_step(rng, bad, side):
+    factors = {"left": rng.normal(size=(7, 5)), "right": rng.normal(size=(7, 4))}
+    factors[side][3, 1] = bad
+    assert factored_step_after_one(rng, **factors) == (False, True)
+
+
+@pytest.mark.parametrize("T, size", [(1, 1e200), (4, 8e153)])
+@np.errstate(over="ignore")
+def test_finite_factors_with_overflowing_product_skip_step(rng, T, size):
+    """Every factor entry is finite; the product's entries are not: 1e400
+    from one term, or four terms of 6.4e307 each, each term below half the
+    float64 maximum."""
+    left, right = np.full((T, 5), size), np.full((T, 4), size)
+    assert factored_step_after_one(rng, left, right) == (False, True)
+
+
+@np.errstate(over="ignore")
+def test_huge_finite_factored_gradient_is_applied():
+    """Factors whose product is 1e308 everywhere pass the finite check on
+    the dense fallback, are applied as the dense gradient is, and leave the
+    parameter finite when the second moment overflows."""
+    factored, dense = Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.ones((2, 3)))
+    opts = Adam([factored]), Adam([dense])
+    for _ in range(2):
+        factored.grad = OuterGrad(np.full((1, 2), 1e154), np.full((1, 3), 1e154))
+        dense.grad = np.asarray(factored.grad)
+        assert np.all(dense.grad == 1e308)
+        assert all(opt.step() for opt in opts)
+    assert opts[0].t == 2
+    assert np.all(np.isfinite(factored.data))
+    assert np.array_equal(factored.data, dense.data)
+    assert np.array_equal(opts[0].m[0], opts[1].m[0])
 
 
 def test_declared_numpy_floor_takes_reshape_copy():

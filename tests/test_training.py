@@ -10,6 +10,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from corpora import bundled
+from fd import rel_err
 
 from dualpointer import autodiff as ad
 from dualpointer import training
@@ -231,26 +232,31 @@ def test_train_step_on_a_long_sentence():
         assert not np.array_equal(t.data, before[name]), name
 
 
-def test_backward_writes_dense_gradients_into_the_optimizers_buffers():
-    """From the first step on, each dense tensor has a persistent gradient
-    buffer that backward fills; the embedding tables keep row gradients."""
+def test_lstm_weight_gradients_stay_factored():
+    """Each LSTM gate matrix gets its gradient as the two factors of an
+    OuterGrad, the embedding tables get row gradients, and a tensor has no
+    slot for a gradient buffer: it holds its data, gradient and tape links."""
     config = small_config(alpha_word_dropout=0.0)
     s = sent(["a", "b", "c"], [2, 0, 2])
     model = small_model(config, [s])
     opt = make_optimizer(model, config)
-    assert all(t.grad_buffer is None for t in model.tensors.values())
     assert train_sentence(model, s, config, opt, np.random.default_rng(0)) is not None
     sentence_loss(model, s, config, training=False).backward()
+    assert set(ad.Tensor.__slots__) == {"data", "grad", "requires_grad", "_parents", "_backward"}
     for name, t in model.tensors.items():
         if name.startswith("emb."):
-            assert t.grad_buffer is None and isinstance(t.grad, ad.RowGrad), name
+            assert isinstance(t.grad, ad.RowGrad), name
+        elif name.startswith("lstm.") and name.endswith(".w"):
+            assert isinstance(t.grad, ad.OuterGrad), name
+            assert t.grad.shape == t.data.shape and len(t.grad.left) == len(s), name
         else:
-            assert t.grad is t.grad_buffer, name
+            assert type(t.grad) is np.ndarray, name
 
 
 def test_two_backwards_without_zero_grad_add_up():
-    """A second backward adds to the gradient held, never overwriting the
-    buffer that holds the first."""
+    """A second backward adds to the gradient held.  Factored gradients
+    stack their factors, which rounds differently from adding two
+    products, so they match within 1e-12 relative; the others exactly."""
     config = small_config(alpha_word_dropout=0.0)
     first, second = sent(["a", "b", "c"], [2, 0, 2]), sent(["c", "a"], [0, 1])
     model = small_model(config, [first, second])
@@ -264,7 +270,11 @@ def test_two_backwards_without_zero_grad_add_up():
     for s in (first, second):
         sentence_loss(model, s, config, training=False).backward()
     for name, t in model.tensors.items():
-        assert np.array_equal(np.asarray(t.grad), alone[0][name] + alone[1][name]), name
+        want = alone[0][name] + alone[1][name]
+        if isinstance(t.grad, ad.OuterGrad):
+            assert rel_err(np.asarray(t.grad), want) <= 1e-12, name
+        else:
+            assert np.array_equal(np.asarray(t.grad), want), name
 
 
 def test_warm_default_size_step_allocates_less_than_one_weight_matrix():
