@@ -27,6 +27,7 @@ __all__ = [
     "OuterGrad",
     "no_grad",
     "make_node",
+    "recording",
     "stable_sigmoid",
 ]
 
@@ -174,9 +175,16 @@ class OuterGrad:
         return np.asarray(self.left.T @ self.right, dtype=dtype)
 
 
+def recording(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``parents`` goes on the tape: gradients are enabled
+    and some parent requires one.  A kernel asks before the forward to know
+    whether its backward will need the forward's intermediates."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def make_node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     """Create an op output, recording the tape edge only when gradients flow."""
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if recording(parents):
         out = Tensor(data, requires_grad=True)
         out._parents = parents
         out._backward = backward

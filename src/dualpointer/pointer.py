@@ -10,9 +10,12 @@ inference the activation is applied downstream, after optional merging of
 the two matrices.
 
 All pairs are scored by one kernel, :func:`score_all`, on BLAS matrix
-products.  BLAS may round a row differently with the rows around it, so an
-entry of the batched matrix matches the single-pair composition of the same
-formula within about 1e-15 of the scores' scale, not bit for bit.
+products, one cache-sized block of query rows at a time, so inference
+memory grows with n^2, not n^2 x hidden; training still saves the whole
+n x n x hidden tanh for the backward.  BLAS may round a row differently with
+the rows around it, so an entry of the batched matrix matches the
+single-pair composition of the same formula within about 1e-15 of the
+scores' scale, not bit for bit.
 """
 from __future__ import annotations
 
@@ -25,6 +28,11 @@ from .conll import Sentence
 __all__ = ["score_all", "target_matrix", "output_loss"]
 
 
+# Elements of the n x n x hidden tanh in one block of query rows: 1 MB of
+# float64, half a core's 2 MB L2 cache (16 rows at n=80 and hidden 100).
+BLOCK = 131072
+
+
 def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
     """n x n pre-activation scores v . tanh(W [c_j; c_i] + b) of all ordered
     pairs (i, j) of the rows of an [n x context] matrix at once, diagonal
@@ -33,36 +41,51 @@ def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
     orientation: "j is the head of i" for the heads net, "j is a dependent
     of i" for the dependents net.
 
-    Keys and queries are projected once per row by matrix products, and
-    the n x n x hidden tanh is contracted with ``v`` by one more.  The
-    backward builds one more n x n x hidden array.
+    Keys and queries are projected once per row by matrix products.  The
+    tanh is formed and contracted with ``v`` one block of
+    ``max(1, BLOCK // (n * hidden))`` query rows at a time.  Off the tape
+    one block buffer is reused, so inference holds O(n^2 + n hidden +
+    BLOCK) floats.  On the tape the blocks are views of one saved
+    n x n x hidden array, which the backward walks in the same blocks.
     """
     cd, wd, bd, vd = contexts.data, w.data, b.data, v.data
     d = wd.shape[1] // 2
     if cd.ndim != 2 or cd.shape[0] == 0 or cd.shape[1] != d:
         raise ValueError(f"score_all needs a non-empty matrix of context rows of width {d}, "
                          f"got shape {cd.shape}")
+    parents = (contexts, w, b, v)
     n, h = cd.shape[0], wd.shape[0]
+    rows = max(1, BLOCK // (n * h))
+    saved = ad.recording(parents)
     wk, wq = wd[:, :d], wd[:, d:]
-    t = (cd @ wq.T + bd)[:, None, :] + (cd @ wk.T)[None, :, :]
-    np.tanh(t, out=t)
-    flat = t.reshape(n * n, h)
-    out = (flat @ vd).reshape(n, n)
+    q = cd @ wq.T + bd
+    k = cd @ wk.T
+    t = np.empty((n if saved else min(rows, n), n, h))
+    out = np.empty((n, n))
+    for i in range(0, n, rows):
+        ti = t[i:i + rows] if saved else t[:min(rows, n - i)]
+        np.add(q[i:i + rows, None, :], k, out=ti)
+        np.tanh(ti, out=ti)
+        np.matmul(ti.reshape(-1, h), vd, out=out[i:i + rows].reshape(-1))
 
     def backward(g):
-        dv = g.reshape(-1) @ flat
-        dpre = t * t  # then in place: 1.0 - t * t allocates a second n x n x hidden
-        np.subtract(1.0, dpre, out=dpre)
-        dpre *= g[:, :, None]
-        dpre *= vd
-        dq = dpre.sum(axis=1)
-        dk = dpre.sum(axis=0)
+        dpre_block = np.empty((min(rows, n), n, h))
+        dq = np.empty((n, h))
+        for i in range(0, n, rows):
+            ti, gi = t[i:i + rows], g[i:i + rows]
+            dpre = np.multiply(ti, ti, out=dpre_block[:len(ti)])
+            np.subtract(1.0, dpre, out=dpre)
+            dpre *= gi[:, :, None]
+            dpre *= vd
+            dpre.sum(axis=1, out=dq[i:i + rows])
+            dk_i, dv_i = dpre.sum(axis=0), gi.reshape(-1) @ ti.reshape(-1, h)
+            dk, dv = (dk + dk_i, dv + dv_i) if i else (dk_i, dv_i)
         dw = np.empty(wd.shape)
         np.matmul(dk.T, cd, out=dw[:, :d])
         np.matmul(dq.T, cd, out=dw[:, d:])
         return dq @ wq + dk @ wk, dw, dq.sum(axis=0), dv
 
-    return ad.make_node(out, (contexts, w, b, v), backward)
+    return ad.make_node(out, parents, backward)
 
 
 def target_matrix(sentence: Sentence, tag: str) -> np.ndarray:

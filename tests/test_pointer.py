@@ -1,5 +1,8 @@
 """Attention scorer: closed-form zeros, batched-vs-pairwise exactness,
-the composed per-pair reference, target matrices, and gradients."""
+the composed per-pair reference, blocks of query rows and the memory they
+bound, target matrices, and gradients."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from fd import numeric_grad, rel_err
@@ -8,9 +11,14 @@ from hypothesis import strategies as st
 from oracles import add, affine, attention_score, concat, mul, stack, sum_all, tanh
 
 from dualpointer import autodiff as ad
+from dualpointer import pointer
 from dualpointer.autodiff import Tensor
 from dualpointer.conll import Sentence, Token
+from dualpointer.decoding import parse
+from dualpointer.gradcheck import random_sentence
+from dualpointer.model import init_model
 from dualpointer.pointer import score_all, target_matrix
+from dualpointer.vocab import build_vocab
 
 
 def make_params(rng, ctx=6, hidden=4):
@@ -161,6 +169,44 @@ def composed_pair(ci: Tensor, cj: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Te
     return sum_all(mul(v, tanh(affine(w, concat([cj, ci]), b))))
 
 
+def weighted_problem(n, width, hidden):
+    """Contexts, one net's parameters with a nonzero b, and weights of a
+    weighted sum of the n x n scores."""
+    rng = np.random.default_rng(n)
+    p0 = [t.data.copy() for t in make_params(rng, ctx=width, hidden=hidden)]
+    p0[1] = rng.normal(size=hidden) * 0.5
+    return rng.normal(size=(n, width)), p0, rng.normal(size=(n, n))
+
+
+def assert_matches_composed_reference(c0, p0, weights):
+    """``score_all``'s scores and the gradients of the weighted sum of them
+    with respect to contexts, w, b and v are within 1e-12 relative of the
+    per-pair composition."""
+    n = len(c0)
+    params = [Tensor(a.copy(), requires_grad=True) for a in p0]
+    c = Tensor(c0.copy(), requires_grad=True)
+    m = score_all(c, *params)
+    sum_all(mul(m, Tensor(weights))).backward()
+    fused = [m.data, c.grad] + [t.grad for t in params]
+
+    params = [Tensor(a.copy(), requires_grad=True) for a in p0]
+    rows = [Tensor(r.copy(), requires_grad=True) for r in c0]
+    pairs = [[composed_pair(rows[i], rows[j], *params) for j in range(n)]
+             for i in range(n)]
+    loss = None
+    for i in range(n):
+        for j in range(n):
+            term = mul(pairs[i][j], Tensor(weights[i, j]))
+            loss = term if loss is None else add(loss, term)
+    loss.backward()
+    reference = [np.array([[s.item() for s in row] for row in pairs]),
+                 np.stack([r.grad for r in rows])] + [t.grad for t in params]
+
+    for got, want in zip(fused, reference):
+        assert got.shape == want.shape
+        assert rel_err(got, want) <= 1e-12
+
+
 class TestComposedReference:
     @pytest.mark.parametrize("n, width, hidden", [
         pytest.param(1, 8, 5, id="1"), pytest.param(2, 8, 5, id="2"),
@@ -170,34 +216,7 @@ class TestComposedReference:
         """Scores and the gradients of contexts, w, b and v within 1e-12
         relative of the per-pair composition, also at the default model's
         widths (context 400, hidden 100), where BLAS may round rows apart."""
-        rng = np.random.default_rng(n)
-        p0 = [t.data.copy() for t in make_params(rng, ctx=width, hidden=hidden)]
-        p0[1] = rng.normal(size=hidden) * 0.5  # a nonzero b
-        c0 = rng.normal(size=(n, width))
-        weights = rng.normal(size=(n, n))
-
-        params = [Tensor(a.copy(), requires_grad=True) for a in p0]
-        c = Tensor(c0.copy(), requires_grad=True)
-        m = score_all(c, *params)
-        sum_all(mul(m, Tensor(weights))).backward()
-        fused = [m.data, c.grad] + [t.grad for t in params]
-
-        params = [Tensor(a.copy(), requires_grad=True) for a in p0]
-        rows = [Tensor(r.copy(), requires_grad=True) for r in c0]
-        pairs = [[composed_pair(rows[i], rows[j], *params) for j in range(n)]
-                 for i in range(n)]
-        loss = None
-        for i in range(n):
-            for j in range(n):
-                term = mul(pairs[i][j], Tensor(weights[i, j]))
-                loss = term if loss is None else add(loss, term)
-        loss.backward()
-        reference = [np.array([[s.item() for s in row] for row in pairs]),
-                     np.stack([r.grad for r in rows])] + [t.grad for t in params]
-
-        for got, want in zip(fused, reference):
-            assert got.shape == want.shape
-            assert rel_err(got, want) <= 1e-12
+        assert_matches_composed_reference(*weighted_problem(n, width, hidden))
 
     @staticmethod
     def check_long_sentence(n, width, hidden):
@@ -241,6 +260,86 @@ def test_gradients_match_finite_differences_at_blocked_widths():
             num = numeric_grad(f, np.zeros(1))[0]
             tensor.data = x0
             assert rel_err(np.sum(tensor.grad * u), num) < 1e-6, name
+
+
+# (n, hidden, block) with blocks of max(1, block // (n * hidden)) query rows
+BLOCK_CASES = [
+    pytest.param(3, 5, 80, id="below-one-block"),        # 5 rows: one block, part full
+    pytest.param(4, 5, 80, id="one-full-block"),         # 4 rows: n x n x hidden == block
+    pytest.param(7, 5, 80, id="short-last-block"),       # 2 rows: blocks of 2, 2, 2 and 1
+    pytest.param(9, 5, 40, id="one-row-blocks"),         # n x hidden > block: 1 row each
+    pytest.param(32, 128, pointer.BLOCK, id="module-block"),     # exactly one block
+    pytest.param(33, 128, pointer.BLOCK, id="module-block+1"),   # blocks of 31 and 2
+]
+
+
+class TestBlocks:
+    """``score_all`` walks blocks of query rows.  Each geometry is checked
+    against the composed per-pair reference, against central differences
+    of all four inputs, and for equal forwards on and off the tape."""
+
+    def test_cases_have_the_named_geometries(self):
+        assert [max(1, block // (n * hidden)) for n, hidden, block in
+                (c.values for c in BLOCK_CASES)] == [5, 4, 2, 1, 32, 31]
+
+    @pytest.mark.parametrize("n, hidden, block", BLOCK_CASES)
+    def test_values_and_gradients_match_composed_reference(self, monkeypatch, n, hidden, block):
+        monkeypatch.setattr(pointer, "BLOCK", block)
+        assert_matches_composed_reference(*weighted_problem(n, 3, hidden))
+
+    @pytest.mark.parametrize("n, hidden, block", [c for c in BLOCK_CASES if c.values[0] < 10])
+    def test_gradients_match_finite_differences(self, monkeypatch, n, hidden, block):
+        monkeypatch.setattr(pointer, "BLOCK", block)
+        c0, p0, weights = weighted_problem(n, 3, hidden)
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in [c0] + p0]
+        sum_all(mul(score_all(*inputs), Tensor(weights))).backward()
+        for name, tensor in zip(("contexts", "w", "b", "v"), inputs):
+            x0 = tensor.data.copy()
+
+            def f(x, tensor=tensor):
+                tensor.data = x
+                with ad.no_grad():
+                    return float(np.sum(score_all(*inputs).data * weights))
+
+            num = numeric_grad(f, x0.copy())
+            tensor.data = x0
+            assert rel_err(tensor.grad, num) < 1e-6, name
+
+    @pytest.mark.parametrize("n, hidden, block", BLOCK_CASES)
+    def test_forward_is_the_same_on_and_off_the_tape(self, monkeypatch, n, hidden, block):
+        monkeypatch.setattr(pointer, "BLOCK", block)
+        c0, p0, _ = weighted_problem(n, 3, hidden)
+        on_tape = score_all(Tensor(c0), *(Tensor(a, requires_grad=True) for a in p0))
+        assert on_tape.requires_grad
+        with ad.no_grad():
+            off_tape = score_all(Tensor(c0), *(Tensor(a, requires_grad=True) for a in p0))
+        assert not off_tape.requires_grad
+        np.testing.assert_array_equal(on_tape.data, off_tape.data)
+
+    def test_one_tape_node_over_many_blocks(self, monkeypatch):
+        monkeypatch.setattr(pointer, "BLOCK", 40)
+        c0, p0, _ = weighted_problem(9, 3, 5)
+        inputs = tuple(Tensor(a, requires_grad=True) for a in [c0] + p0)
+        m = score_all(*inputs)
+        assert m._parents == inputs
+
+
+def test_parsing_a_long_sentence_allocates_a_bounded_peak():
+    """Parsing one 300-token sentence at small encoder sizes and pointer
+    hidden 100 stays under 8 MB at its peak (tracemalloc).  A whole
+    n x n x hidden tanh array would take 72 MB per net."""
+    rng = np.random.default_rng(3)
+    sentence = random_sentence(rng, 300)
+    model = init_model(rng, build_vocab([sentence]), d_pretrained=4, d_random=4,
+                       bilstm_hidden=4, ptr_hidden=100)
+    tracemalloc.start()
+    try:
+        (tree,) = parse([sentence], model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tree.heads) == 300
+    assert peak < 8 * 2**20, peak
 
 
 def tree_sentence(heads):

@@ -278,9 +278,10 @@ def test_two_backwards_without_zero_grad_add_up():
 
 
 def test_warm_default_size_step_allocates_less_than_one_weight_matrix():
-    """Once the buffers exist, a hidden-200 step on 3-11-token sentences
-    allocates less than one LSTM weight matrix at its peak (fresh weight
-    gradients took about 15 MB)."""
+    """After a first step has made Adam's moments, a hidden-200 step on
+    3-11-token sentences allocates less than one LSTM weight matrix at its
+    peak: the LSTM weight gradients stay factored, where dense ones would
+    take about 15 MB."""
     rng = np.random.default_rng(11)
     corpus = [random_sentence(rng, n) for n in (5, 3, 11, 7)]
     config = RunConfig(seeds=(11,))
