@@ -5,7 +5,7 @@ The tape is built implicitly: every operation that touches a tensor with
 Calling :meth:`Tensor.backward` on a scalar walks the graph once in reverse
 topological order and accumulates gradients on the leaves; a table read
 by row gather gets a :class:`RowGrad` that names only the rows it touched,
-and a recurrent weight matrix an :class:`OuterGrad` of two thin factors.
+and a weight matrix an :class:`OuterGrad` of two thin factors.
 
 The module holds the tape's mechanics only.  Every node of the parser's
 training graph is a fused kernel of ``encoder`` or ``pointer``, one per
@@ -27,7 +27,6 @@ __all__ = [
     "OuterGrad",
     "no_grad",
     "make_node",
-    "recording",
     "stable_sigmoid",
 ]
 
@@ -60,7 +59,7 @@ class Tensor:
 
     ``grad`` holds the gradient accumulated by :meth:`backward`: an array
     of ``data``'s shape, a :class:`RowGrad` for a table read by row
-    gather, or an :class:`OuterGrad` for a recurrent weight matrix.  The
+    gather, or an :class:`OuterGrad` for a weight matrix.  The
     array may share memory with other gradients, so treat it as read-only.
     """
 
@@ -155,36 +154,31 @@ class RowGrad:
 class OuterGrad:
     """Gradient ``left.T @ right`` of a [rows x cols] matrix kept as its
     factors, [T x rows] and [T x cols], one row per outer product (Goodfellow
-    2015, arXiv:1510.01799).  ``np.asarray(grad)`` gives the dense matrix."""
+    2015, arXiv:1510.01799).  The matrix is the parameter's row-major values
+    seen as [rows x cols]; ``shape`` is the parameter's shape, that of the
+    matrix by default.  ``np.asarray(grad)`` gives the dense gradient in
+    ``shape``."""
 
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "shape")
 
-    def __init__(self, left: np.ndarray, right: np.ndarray):
+    def __init__(self, left: np.ndarray, right: np.ndarray,
+                 shape: tuple[int, ...] | None = None):
         self.left = left
         self.right = right
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.left.shape[1], self.right.shape[1]
+        self.shape = (left.shape[1], right.shape[1]) if shape is None else tuple(shape)
 
     def __add__(self, other: OuterGrad) -> OuterGrad:
         return OuterGrad(np.concatenate([self.left, other.left]),
-                         np.concatenate([self.right, other.right]))
+                         np.concatenate([self.right, other.right]), self.shape)
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.left.T @ self.right, dtype=dtype)
-
-
-def recording(parents: tuple[Tensor, ...]) -> bool:
-    """Whether an op on ``parents`` goes on the tape: gradients are enabled
-    and some parent requires one.  A kernel asks before the forward to know
-    whether its backward will need the forward's intermediates."""
-    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        return np.asarray((self.left.T @ self.right).reshape(self.shape), dtype=dtype)
 
 
 def make_node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """Create an op output, recording the tape edge only when gradients flow."""
-    if recording(parents):
+    """Create an op output, recording the tape edge only when gradients are
+    enabled and some parent requires one."""
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out = Tensor(data, requires_grad=True)
         out._parents = parents
         out._backward = backward

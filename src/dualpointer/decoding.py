@@ -260,11 +260,13 @@ def decode_corpus(
     greedy decode was already a tree); an empty corpus counts as fully
     cycle-free.
 
-    A sentence's context rows come from a BiLSTM step shared with its batch
-    neighbours, and the rounding of that product depends on how many rows
-    it has (about 1e-15 relative).  So a head chosen on a near-tie can
-    differ between decoding a sentence inside a corpus and decoding it
-    alone.
+    A sentence's context rows come from BiLSTM products shared with its
+    batch neighbours: each step's, and level 0's input product over the
+    batch's distinct words.  The rounding of a product depends on how many
+    rows it has (about 1e-15 relative), so on the sentences running beside
+    it and on the words the batch holds.  A head chosen on a near-tie can
+    therefore differ between decoding a sentence inside a corpus and
+    decoding it alone.
     """
     for variant in variants:
         require_variant(model, variant)

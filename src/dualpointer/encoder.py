@@ -15,7 +15,13 @@ recurrence starts (the hoisting of Appleyard, Kocisky & Blunsom 2016,
 arXiv:1604.01946), so each step only adds the recurrent product and
 applies the gates; its backward pass collects the gate gradients of all
 positions in one matrix and forms the weight gradients from it with one
-product per weight block.
+product per weight block.  Level 0 reads word vectors, and a batch repeats
+words: it is given the batch's distinct (pretrained row, random row) pairs
+and a row index naming each token's pair, so its input product runs once
+per distinct word and is reused by every token of that word, whose
+gradients its backward adds up on the word's row (the pre-computation of
+Chen & Manning 2014, "A Fast and Accurate Dependency Parser using Neural
+Networks", EMNLP).
 
 The same recurrence runs a batch of sentences stored one after another.
 Their rows are read packed, a step at a time with no padding, so each step
@@ -80,12 +86,12 @@ def token_rows(
     return rows
 
 
-def encode_tokens(rows: list[tuple[int, int]], pre: Tensor, rand: Tensor) -> Tensor:
+def encode_tokens(rows, pre: Tensor, rand: Tensor) -> Tensor:
     """Token encodings as one [n x (d_pretrained + d_random)] matrix: one
-    tape node gathering the :func:`token_rows` pairs from the pretrained
-    and random tables.  Its backward gives each table a
-    :class:`~dualpointer.autodiff.RowGrad` over the rows used, repeated
-    rows adding."""
+    tape node gathering n (pretrained row, random row) pairs, such as
+    :func:`token_rows` gives, from the pretrained and random tables.  Its
+    backward gives each table a :class:`~dualpointer.autodiff.RowGrad`
+    over the rows used, repeated rows adding."""
     idx = np.asarray(rows, dtype=np.intp).reshape(len(rows), 2)
     pre_shape, rand_shape = pre.data.shape, rand.data.shape
     d = pre_shape[1]
@@ -131,27 +137,29 @@ def _shifted(rows: np.ndarray) -> np.ndarray:
 
 
 def _lstm_direction(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
-                    order: np.ndarray, sizes: list[int]):
+                    order: np.ndarray, sizes: list[int], rows: np.ndarray):
     """One LSTM direction over a batch of sentences, each from zero state.
 
-    ``xd`` is [N x d_in], the rows of every sentence of the batch; ``wd``
-    is [4h x (d_in + h)] with gate blocks in order input, forget, output,
-    candidate, and ``bd`` is [4h].  The direction reads the rows in
+    ``xd`` is [U x d_in], the distinct input rows, and ``rows`` the [N]
+    index of each token's row of ``xd``, the tokens of every sentence of
+    the batch; ``wd`` is [4h x (d_in + h)] with gate blocks in order
+    input, forget, output, candidate, and ``bd`` is [4h].  The input
+    product runs once per row of ``xd``.  The direction reads the tokens in
     ``order``, ``sizes[s]`` of them at step s (:func:`_packing`), with one
     [k x h] by [h x 4h] product per step.  Returns the [N x h] states in
-    ``xd``'s row order, each the hidden state after reading its row, and
-    the backward rule of a one-sentence batch, mapping their gradient to
-    (dx, dw, db) with dw an :class:`~dualpointer.autodiff.OuterGrad`.
+    token order, each the hidden state after reading its token, and the
+    backward rule of a one-sentence batch, mapping their gradient to (dx,
+    dw, db) with dx one row per token and dw an
+    :class:`~dualpointer.autodiff.OuterGrad`.
     """
-    N, d_in = xd.shape
+    N, d_in = len(rows), xd.shape[1]
     h = wd.shape[0] // 4
     wx, wh = wd[:, :d_in], wd[:, d_in:]
     wh_t = wh.T
-    zx = (xd @ wx.T + bd)[order]
+    zx = (xd @ wx.T + bd)[rows[order]]
     # step order from here on: row s is the s-th row read
     gates = np.empty((N, 4 * h))  # activated i, f, o, g
     cells = np.empty((N, h))
-    tanh_cells = np.empty((N, h))
     states = np.empty((N, h))
     h_t = c_t = np.zeros((sizes[0], h))
     end = 0
@@ -165,54 +173,69 @@ def _lstm_direction(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
         # and states, written in place
         c_t = np.multiply(a[:, h:2 * h], c_t[:k], out=cells[start:end])
         c_t += a[:, :h] * a[:, 3 * h:]
-        tanh_c = np.tanh(c_t, out=tanh_cells[start:end])
-        h_t = np.multiply(a[:, 2 * h:3 * h], tanh_c, out=states[start:end])
+        h_t = np.multiply(a[:, 2 * h:3 * h], np.tanh(c_t), out=states[start:end])
 
     def backward(g):
-        # BPTT with everything that does not depend on the carried gradients
-        # computed for all steps up front.  Step s's pre-activation gradient
-        # dz[s] is dc * via_cell[s] on the i, f and g rows and dh *
-        # via_state[s] on the o row, with dh = g[s] + dz[s+1] Wh and dc =
-        # dh * dc_by_dh[s] + dc[s+1] * f[s+1].  Activation derivatives are
-        # the tape's own backward rules applied to a unit gradient.
-        g = g[order]
-        i, f, o, cand = (gates[:, k * h:(k + 1) * h] for k in range(4))
-        d_sig = ad._sigmoid_backward(gates[:, :3 * h], 1.0)
-        via_cell = np.zeros((N, 4, h))
-        via_cell[:, 0] = cand * d_sig[:, :h]
-        via_cell[:, 1] = _shifted(cells) * d_sig[:, h:2 * h]
-        via_cell[:, 3] = i * ad._tanh_backward(cand, 1.0)
-        via_state = tanh_cells * d_sig[:, 2 * h:]
-        dc_by_dh = o * ad._tanh_backward(tanh_cells, 1.0)
-        dz = np.empty((N, 4, h))
-        dh_next, dc_next = np.zeros(h), np.zeros(h)
-        for s in range(N - 1, -1, -1):
-            dh = g[s] + dh_next
-            dc = dh * dc_by_dh[s] + dc_next
-            np.multiply(via_cell[s], dc, out=dz[s])
-            np.multiply(dh, via_state[s], out=dz[s, 2])
-            dc_next = dc * f[s]
-            dh_next = dz[s].reshape(-1) @ wh
-        dz = _in_order(dz.reshape(N, 4 * h), order)
+        dz = _in_order(_gate_gradients(g[order], gates, cells, wh), order)
         # dW = dz^T [X, H_before], left to the optimizer as its two factors
-        inputs = np.concatenate([xd, _in_order(_shifted(states), order)], axis=1)
+        inputs = np.empty((N, d_in + h))
+        np.take(xd, rows, axis=0, out=inputs[:, :d_in])
+        inputs[order, d_in:] = _shifted(states)
         return dz @ wx, ad.OuterGrad(dz, inputs), dz.sum(axis=0)
 
     return _in_order(states, order), backward
 
 
+def _gate_gradients(g: np.ndarray, gates: np.ndarray, cells: np.ndarray,
+                    wh: np.ndarray) -> np.ndarray:
+    """BPTT through one sentence read in step order: the [N x 4h] gradient
+    of each step's gate pre-activations, given ``g``, that of its hidden
+    states, what the forward kept of each step (activated gates and cell)
+    and the recurrent weights ``wh``.
+
+    Everything that does not depend on the carried gradients is computed
+    for all steps up front.  Step s's gradient dz[s] is dc times its
+    multiplier on the i, f and g rows, which dz[s] holds until step s, and
+    dh * via_state[s] on the o row, with dh = g[s] + dz[s+1] Wh and dc = dh
+    * dc_by_dh[s] + dc[s+1] * f[s+1].  The activation derivatives are the
+    tape's own backward rules, applied to the factor they multiply.
+    """
+    N, h = cells.shape
+    i, f, o, cand = (gates[:, k * h:(k + 1) * h] for k in range(4))
+    dz = np.zeros((N, 4, h))
+    dz[:, 0] = ad._sigmoid_backward(i, cand)
+    dz[:, 1] = ad._sigmoid_backward(f, _shifted(cells))
+    dz[:, 3] = ad._tanh_backward(cand, i)
+    tanh_cells = np.tanh(cells)
+    via_state = ad._sigmoid_backward(o, tanh_cells)
+    dc_by_dh = ad._tanh_backward(tanh_cells, o)
+    dh_next, dc_next = np.zeros(h), np.zeros(h)
+    for s in range(N - 1, -1, -1):
+        dh = g[s] + dh_next
+        dc = dh * dc_by_dh[s] + dc_next
+        dz[s] *= dc
+        np.multiply(dh, via_state[s], out=dz[s, 2])
+        dc_next = dc * f[s]
+        dh_next = dz[s].reshape(-1) @ wh
+    return dz.reshape(N, 4 * h)
+
+
 def bilstm_level(x: Tensor, fw: Tensor, fb: Tensor, bw: Tensor, bb: Tensor,
-                 lengths: list[int] | None = None) -> Tensor:
-    """One BiLSTM level as a single tape node: [N x d_in] inputs to the
+                 lengths: list[int] | None = None, rows=None) -> Tensor:
+    """One BiLSTM level as a single tape node: [U x d_in] input rows to the
     [N x 2h] matrix whose row is the forward state beside the backward
-    state at that token.  The rows are those of sentences of ``lengths``
+    state at that token.  ``rows`` names each of the N tokens' row of ``x``,
+    so a row repeated by several tokens is projected once; by default
+    token t reads row t.  The tokens are those of sentences of ``lengths``
     tokens stored one after another, one sentence by default.
 
     ``fw``/``bw`` are each direction's [4h x (d_in + h)] gate matrix and
     ``fb``/``bb`` its [4h] bias.  Computes what chains of single LSTM steps
     from zero state compute, up to floating-point evaluation order; the
-    tests hold it to such chains composed from tape primitives.  The tape
-    takes one sentence at a time: a batch is encoded under ``no_grad``.
+    tests hold it to such chains composed from tape primitives.  The
+    gradient of ``x`` adds up the gradients of the tokens reading each
+    row.  The tape takes one sentence at a time: a batch is encoded under
+    ``no_grad``.
     """
     xd = x.data
     h = fw.data.shape[0] // 4
@@ -222,17 +245,25 @@ def bilstm_level(x: Tensor, fw: Tensor, fb: Tensor, bw: Tensor, bb: Tensor,
             raise ValueError(
                 f"bilstm_level shapes: x {xd.shape}, W {w.data.shape}, b {b.data.shape}"
             )
-    lengths = [xd.shape[0]] if lengths is None else list(lengths)
-    if not lengths or min(lengths) < 1 or sum(lengths) != xd.shape[0]:
-        raise ValueError(f"bilstm_level: sentence lengths {lengths} for {xd.shape[0]} rows")
+    rows = np.arange(len(xd)) if rows is None else np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 1 or (rows.size and not 0 <= rows.min() <= rows.max() < len(xd)):
+        raise ValueError(f"bilstm_level: token rows out of range for {len(xd)} input rows")
+    lengths = [len(rows)] if lengths is None else list(lengths)
+    if not lengths or min(lengths) < 1 or sum(lengths) != len(rows):
+        raise ValueError(f"bilstm_level: sentence lengths {lengths} for {len(rows)} tokens")
     fwd_order, bwd_order, sizes = _packing(lengths)
-    fwd, fwd_backward = _lstm_direction(xd, fw.data, fb.data, fwd_order, sizes)
-    bwd, bwd_backward = _lstm_direction(xd, bw.data, bb.data, bwd_order, sizes)
+    fwd, fwd_backward = _lstm_direction(xd, fw.data, fb.data, fwd_order, sizes, rows)
+    bwd, bwd_backward = _lstm_direction(xd, bw.data, bb.data, bwd_order, sizes, rows)
 
     def backward(g):
         dx_fwd, dfw, dfb = fwd_backward(g[:, :h])
         dx_bwd, dbw, dbb = bwd_backward(g[:, h:])
-        return dx_fwd + dx_bwd, dfw, dfb, dbw, dbb
+        dx_fwd += dx_bwd
+        # row u's gradient sums those of the tokens reading it: one product
+        # with the 0/1 matrix of which token reads which row
+        reads = np.zeros((len(xd), len(rows)))
+        reads[rows, np.arange(len(rows))] = 1.0
+        return reads @ dx_fwd, dfw, dfb, dbw, dbb
 
     out = ad.make_node(np.concatenate([fwd, bwd], axis=1), (x, fw, fb, bw, bb), backward)
     if len(lengths) > 1 and out.requires_grad:
@@ -243,13 +274,15 @@ def bilstm_level(x: Tensor, fw: Tensor, fb: Tensor, bw: Tensor, bb: Tensor,
 
 def bilstm_encode(encodings: Tensor,
                   levels: list[tuple[Tensor, Tensor, Tensor, Tensor]],
-                  lengths: list[int] | None = None) -> Tensor:
-    """Stacked bidirectional pass: [n x d] encodings to [n x 2h] context
+                  lengths: list[int] | None = None, rows=None) -> Tensor:
+    """Stacked bidirectional pass: [U x d] encodings to [N x 2h] context
     vectors, one :func:`bilstm_level` node per level.  Each level is its
-    (forward w, forward b, backward w, backward b).  The rows are those of
-    sentences of ``lengths`` tokens stored one after another, one sentence
-    by default."""
-    xs = encodings
-    for level in levels:
+    (forward w, forward b, backward w, backward b).  ``rows`` names each
+    token's row of ``encodings`` (token t reads row t by default) and goes
+    to level 0 only: the levels above read one contextual row per token.
+    The tokens are those of sentences of ``lengths`` tokens stored one
+    after another, one sentence by default."""
+    xs = bilstm_level(encodings, *levels[0], lengths=lengths, rows=rows)
+    for level in levels[1:]:
         xs = bilstm_level(xs, *level, lengths=lengths)
     return xs

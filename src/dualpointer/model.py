@@ -204,18 +204,23 @@ def sentence_contexts(
     alpha: float = 0.25,
     rng: np.random.Generator | None = None,
 ) -> list[Tensor]:
-    """Each sentence's [n x 2h] context rows, the sentences embedded by one
-    gather and run through the BiLSTM as one batch, each tensor looked up
-    by its :func:`tensor_layout` name.  Only a lone sentence's rows stay on
-    the tape; a batch of several is encoded under ``no_grad``."""
+    """Each sentence's [n x 2h] context rows, the sentences run through the
+    BiLSTM as one batch, each tensor looked up by its :func:`tensor_layout`
+    name.  One gather embeds the batch's distinct (pretrained row, random
+    row) pairs, and the BiLSTM's first level reads each token's pair by
+    its index among them.  Only a lone sentence's rows stay on the tape; a
+    batch of several is encoded under ``no_grad``."""
     t = model.tensors
     rows = [token_rows(s, model.vocab, model.index, training, alpha, rng) for s in sentences]
-    encodings = encode_tokens([pair for sentence_rows in rows for pair in sentence_rows],
-                              t["emb.pretrained"], t["emb.random"])
+    # each distinct pair numbered in order of first appearance; the pairs
+    # are the keys, so no key built from two table sizes can overflow
+    distinct: dict[tuple[int, int], int] = {}
+    index = [distinct.setdefault(pair, len(distinct)) for r in rows for pair in r]
+    encodings = encode_tokens(list(distinct), t["emb.pretrained"], t["emb.random"])
     levels = [tuple(t[f"lstm.l{li}.{d}.{p}"] for d in ("fwd", "bwd") for p in "wb")
               for li in range(model.shape.bilstm_levels)]
     lengths = [len(r) for r in rows]
-    contexts = bilstm_encode(encodings, levels, lengths)
+    contexts = bilstm_encode(encodings, levels, lengths, rows=index)
     if len(sentences) == 1:
         return [contexts]
     return [Tensor(c) for c in np.split(contexts.data, np.cumsum(lengths)[:-1])]

@@ -6,7 +6,7 @@ a :class:`~dualpointer.autodiff.RowGrad` (an embedding table read by row
 gather) is updated on the rows that gradient names only: the other rows
 keep their values and their moments frozen, which keeps per-sentence
 updates cheap for large vocabularies.  A parameter whose gradient is an
-:class:`~dualpointer.autodiff.OuterGrad` (a recurrent weight matrix) gets
+:class:`~dualpointer.autodiff.OuterGrad` (a weight matrix) gets
 its dense gradient formed one block of rows at a time, so no dense
 gradient of it outlives the block's update.
 
@@ -131,12 +131,13 @@ def adam_step(param, grad, m, v, beta1, beta2, c, eps, scratch) -> None:
         param -= (m / (sqrt(v) + eps)) * c
 
     It runs over blocks of rows of ``param``, seen as one column for a dense
-    ``grad`` and as its matrix for an :class:`OuterGrad`, whose gradient each
-    block forms by one product into ``scratch[1]``.  ``scratch`` is a float64
+    ``grad`` and as the factors' [rows x cols] matrix for an
+    :class:`OuterGrad`, whose gradient each block forms by one product into
+    ``scratch[1]``.  ``scratch`` is a float64
     [2 x block] array; ``param``, ``m`` and ``v`` must be C-contiguous.
     """
     outer = isinstance(grad, OuterGrad)
-    cols = grad.shape[1] if outer else 1
+    cols = grad.right.shape[1] if outer else 1
     p_rows, m_rows, v_rows = (x.reshape(-1, cols, copy=False) for x in (param, m, v))
     g_rows = None if outer else grad.reshape(-1, 1)
     if cols > scratch.shape[1]:  # a row wider than a block is a block of its own

@@ -10,10 +10,10 @@ inference the activation is applied downstream, after optional merging of
 the two matrices.
 
 All pairs are scored by one kernel, :func:`score_all`, on BLAS matrix
-products, one cache-sized block of query rows at a time, so inference
-memory grows with n^2, not n^2 x hidden; training still saves the whole
-n x n x hidden tanh for the backward.  BLAS may round a row differently with
-the rows around it, so an entry of the batched matrix matches the
+products, one cache-sized block of query rows at a time, so its memory
+grows with n^2, not n^2 x hidden, in training as in inference: the
+backward forms each block's tanh again.  BLAS may round a row differently
+with the rows around it, so an entry of the batched matrix matches the
 single-pair composition of the same formula within about 1e-15 of the
 scores' scale, not bit for bit.
 """
@@ -43,49 +43,68 @@ def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
 
     Keys and queries are projected once per row by matrix products.  The
     tanh is formed and contracted with ``v`` one block of
-    ``max(1, BLOCK // (n * hidden))`` query rows at a time.  Off the tape
-    one block buffer is reused, so inference holds O(n^2 + n hidden +
-    BLOCK) floats.  On the tape the blocks are views of one saved
-    n x n x hidden array, which the backward walks in the same blocks.
+    ``max(1, BLOCK // (n * hidden))`` query rows at a time, in one reused
+    block buffer.  The backward forms each block's tanh again, from the
+    saved keys and queries, rather than keeping the n x n x hidden array
+    (recomputation as in Chen et al. 2016, arXiv:1604.06174), so on and off
+    the tape the kernel holds O(n^2 + n hidden + BLOCK) floats.  The
+    gradient of ``w`` is an :class:`~dualpointer.autodiff.OuterGrad` of n
+    outer products, which the optimizer forms a block at a time.
     """
     cd, wd, bd, vd = contexts.data, w.data, b.data, v.data
     d = wd.shape[1] // 2
     if cd.ndim != 2 or cd.shape[0] == 0 or cd.shape[1] != d:
         raise ValueError(f"score_all needs a non-empty matrix of context rows of width {d}, "
                          f"got shape {cd.shape}")
-    parents = (contexts, w, b, v)
     n, h = cd.shape[0], wd.shape[0]
     rows = max(1, BLOCK // (n * h))
-    saved = ad.recording(parents)
     wk, wq = wd[:, :d], wd[:, d:]
     q = cd @ wq.T + bd
     k = cd @ wk.T
-    t = np.empty((n if saved else min(rows, n), n, h))
     out = np.empty((n, n))
-    for i in range(0, n, rows):
-        ti = t[i:i + rows] if saved else t[:min(rows, n - i)]
-        np.add(q[i:i + rows, None, :], k, out=ti)
-        np.tanh(ti, out=ti)
+    for i, ti in _tanh_blocks(q, k, rows):
         np.matmul(ti.reshape(-1, h), vd, out=out[i:i + rows].reshape(-1))
 
     def backward(g):
-        dpre_block = np.empty((min(rows, n), n, h))
-        dq = np.empty((n, h))
-        for i in range(0, n, rows):
-            ti, gi = t[i:i + rows], g[i:i + rows]
-            dpre = np.multiply(ti, ti, out=dpre_block[:len(ti)])
-            np.subtract(1.0, dpre, out=dpre)
-            dpre *= gi[:, :, None]
-            dpre *= vd
-            dpre.sum(axis=1, out=dq[i:i + rows])
-            dk_i, dv_i = dpre.sum(axis=0), gi.reshape(-1) @ ti.reshape(-1, h)
-            dk, dv = (dk + dk_i, dv + dv_i) if i else (dk_i, dv_i)
-        dw = np.empty(wd.shape)
-        np.matmul(dk.T, cd, out=dw[:, :d])
-        np.matmul(dq.T, cd, out=dw[:, d:])
-        return dq @ wq + dk @ wk, dw, dq.sum(axis=0), dv
+        dq, dk, dv = _tanh_gradients(q, k, vd, g, rows)
+        # dw = [dk^T C, dq^T C], left to the optimizer as two factors over w
+        # seen as [2 hidden x context]: its row 2r is wk's row r, 2r + 1 wq's
+        left = np.empty((n, 2 * h))
+        left[:, 0::2], left[:, 1::2] = dk, dq
+        return dq @ wq + dk @ wk, ad.OuterGrad(left, cd, wd.shape), dq.sum(axis=0), dv
 
-    return ad.make_node(out, parents, backward)
+    return ad.make_node(out, (contexts, w, b, v), backward)
+
+
+def _tanh_blocks(q: np.ndarray, k: np.ndarray, rows: int):
+    """Yield (i, tanh(q[i:i + rows, None] + k)) for each block of ``rows``
+    query rows starting at row i, every block written into one buffer."""
+    n = len(q)
+    buf = np.empty((min(rows, n),) + k.shape)
+    for i in range(0, n, rows):
+        ti = buf[:min(rows, n - i)]
+        np.add(q[i:i + rows, None, :], k, out=ti)
+        np.tanh(ti, out=ti)
+        yield i, ti
+
+
+def _tanh_gradients(q: np.ndarray, k: np.ndarray, v: np.ndarray, g: np.ndarray, rows: int):
+    """The gradients (dq, dk, dv) of the scores v . tanh(q[i] + k[j]) given
+    theirs, ``g``, over the blocks of :func:`_tanh_blocks`: each block's
+    tanh is formed again and turned in place into the gradient of its
+    pre-activations."""
+    dq = np.empty(q.shape)
+    for i, ti in _tanh_blocks(q, k, rows):
+        gi = g[i:i + rows]
+        dv_i = gi.reshape(-1) @ ti.reshape(-1, len(v))
+        dpre = np.multiply(ti, ti, out=ti)
+        np.subtract(1.0, dpre, out=dpre)
+        dpre *= gi[:, :, None]
+        dpre *= v
+        dpre.sum(axis=1, out=dq[i:i + rows])
+        dk_i = dpre.sum(axis=0)
+        dk, dv = (dk + dk_i, dv + dv_i) if i else (dk_i, dv_i)
+    return dq, dk, dv
 
 
 def target_matrix(sentence: Sentence, tag: str) -> np.ndarray:

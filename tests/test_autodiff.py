@@ -333,6 +333,17 @@ class TestOuterGrad:
         assert grad.shape == (4, 3)
         assert np.array_equal(np.asarray(grad), left.T @ right)
 
+    def test_dense_takes_the_parameter_shape(self, rng):
+        """Factors over a [3 x 8] parameter seen as [6 x 4]: the dense
+        gradient, and a sum's, comes in the parameter's shape."""
+        factors = [(rng.normal(size=(5, 6)), rng.normal(size=(5, 4))) for _ in range(2)]
+        a, b = (ad.OuterGrad(left, right, (3, 8)) for left, right in factors)
+        assert a.shape == (3, 8)
+        assert np.array_equal(np.asarray(a), (factors[0][0].T @ factors[0][1]).reshape(3, 8))
+        total = a + b
+        assert total.shape == (3, 8)
+        assert rel_err(np.asarray(total), np.asarray(a) + np.asarray(b)) <= 1e-12
+
     @pytest.mark.parametrize("T", [(1, 1), (3, 7), (120, 40)])
     def test_sum_matches_dense_sum(self, rng, T):
         a = ad.OuterGrad(rng.normal(size=(T[0], 6)), rng.normal(size=(T[0], 9)))

@@ -1,6 +1,7 @@
 """Encoder behaviour: dropout law, embedding lookup paths, LSTM math,
 bidirectional stacking, gradients against finite differences, and the
 BiLSTM level node against the composed per-step cells it replaces."""
+import contextlib
 import io
 
 import numpy as np
@@ -473,7 +474,8 @@ class TestLstmSequence:
         fused = [parse([s], model)[0].heads for s in sentences]
         monkeypatch.setattr(
             model_module, "bilstm_encode",
-            lambda x, levels, lengths: composed_bilstm([Tensor(r) for r in x.data], levels),
+            lambda x, levels, lengths, rows: composed_bilstm(
+                [Tensor(x.data[r]) for r in rows], levels),
         )
         composed = [parse([s], model)[0].heads for s in sentences]
         assert len(fused) == 200
@@ -483,6 +485,166 @@ class TestLstmSequence:
 def relative_gap(got, want):
     """max |got - want| over max |want|."""
     return np.abs(got - want).max() / np.abs(want).max()
+
+
+def per_token_reference(model, sentences, training=False, alpha=0.25, seed=0):
+    """Each sentence's rows by :func:`composed_bilstm` over every token's
+    own concatenated (pretrained, random) vector, the pairs drawn by
+    :func:`token_rows` with an rng of ``seed``: (contexts, the per-token
+    input tensors, the pairs) per sentence."""
+    rng = np.random.default_rng(seed)
+    pre, rand = tables(model)
+    out = []
+    for s in sentences:
+        pairs = token_rows(s, model.vocab, model.index, training, alpha, rng)
+        xs = [Tensor(np.concatenate([pre.data[p], rand.data[r]]), requires_grad=True)
+              for p, r in pairs]
+        out.append((composed_bilstm(xs, lstm_levels(model)), xs, pairs))
+    return out
+
+
+def encoder_gradients(model, xs=None, pairs=None):
+    """The dense gradients of the encoder's tensors after a backward, then
+    cleared.  Given the reference's per-token inputs and their pairs, the
+    tables' gradients are those of the inputs added onto their rows."""
+    grads = {}
+    for name, t in model.tensors.items():
+        if name.startswith("ptr."):
+            continue
+        grads[name] = np.zeros(t.data.shape) if t.grad is None else np.asarray(t.grad)
+        t.grad = None
+    if xs is not None:
+        d = model.shape.d_pretrained
+        idx = np.array(pairs)
+        g = np.stack([x.grad for x in xs])
+        np.add.at(grads["emb.pretrained"], idx[:, 0], g[:, :d])
+        np.add.at(grads["emb.random"], idx[:, 1], g[:, d:])
+    return grads
+
+
+class TestDistinctRows:
+    """``model.sentence_contexts`` embeds each distinct (pretrained row,
+    random row) pair of a batch once, and level 0 projects each once,
+    against the composition of single LSTM steps over every token's own
+    vector: values, and on the tape every encoder gradient, within 1e-12
+    relative."""
+
+    WORDS = ["a", "b", "c", "d", "e"]
+
+    def check(self, model, sentences, training=False, alpha=0.25, seed=0):
+        """Compare the library with :func:`per_token_reference`; return the
+        reference's pairs, all sentences' in order."""
+        reference = per_token_reference(model, sentences, training, alpha, seed)
+        on_tape = len(sentences) == 1
+        with contextlib.nullcontext() if on_tape else ad.no_grad():
+            got = model_module.sentence_contexts(
+                model, sentences, training, alpha, np.random.default_rng(seed))
+        for ctx, (want, _, _) in zip(got, reference, strict=True):
+            assert ctx.data.shape == want.data.shape
+            assert relative_gap(ctx.data, want.data) <= 1e-12
+        if on_tape:
+            ((want, xs, pairs),) = reference
+            proj = Tensor(np.random.default_rng(seed + 1).normal(size=want.data.shape))
+            sum_all(mul(got[0], proj)).backward()
+            fused = encoder_gradients(model)
+            sum_all(mul(want, proj)).backward()
+            composed = encoder_gradients(model, xs, pairs)
+            for name, grad in fused.items():
+                assert rel_err(grad, composed[name]) <= 1e-12, name
+        return [pair for _, _, pairs in reference for pair in pairs]
+
+    def model(self, rng, hidden=5):
+        return tiny_model(rng, build_vocab([sent(self.WORDS)]), hidden=hidden)
+
+    @pytest.mark.parametrize("hidden", [5, 64])
+    @pytest.mark.parametrize("words", [
+        ["a", "b", "c", "d", "e"],
+        ["a", "b", "a", "c", "b", "a", "zzz", "zzz"],
+        ["c"] * 6,
+    ], ids=["all-distinct", "repeated", "one-word"])
+    def test_one_sentence_on_the_tape(self, rng, words, hidden):
+        pairs = self.check(self.model(rng, hidden), [sent(words)])
+        assert len(set(pairs)) == len(set(words))
+
+    def test_packed_batch(self, rng):
+        sentences = [sent(w) for w in (["a", "b", "a"], ["c"], ["e", "a", "zzz", "e", "b"],
+                                       ["b", "b"], ["zzz", "d", "c", "a"])]
+        pairs = self.check(self.model(rng), sentences)
+        assert len(pairs) == 15 and len(set(pairs)) == 6
+
+    def test_word_dropout_on_the_tape(self, rng):
+        words = ["a", "b", "a", "c", "d", "a", "b", "e", "zzz"]
+        pairs = self.check(self.model(rng), [sent(words)], training=True, alpha=2.0, seed=3)
+        unknown = (UNKNOWN_ID, UNKNOWN_ID)
+        # dropout made unknown pairs of known words, which share one row
+        # with the unknown word's own pair
+        assert pairs.count(unknown) > 1 and pairs[-1] == unknown
+        assert len(set(pairs)) > 1
+
+    def test_rows_shared_across_tables(self, rng):
+        """"dog" and "cow", unknown to the pretrained table, share its row
+        but not a random row; "cat" and "Cat", one vocabulary entry with a
+        pretrained row each, share the random row but not a pretrained
+        one."""
+        words = ["cat", "Cat", "dog", "cow", "cat", "bird", "dog"]
+        vocab = build_vocab([sent(["cat", "dog", "cow"])])
+        table = load_pretrained(io.StringIO("cat 1 0 0\nCat 0 1 0\nbird 0 0 1\n"))
+        model = small_model(rng, vocab, table, d_pretrained=3, d_random=4, hidden=5, levels=2)
+        pairs = self.check(model, [sent(words)])
+        cat, big_cat, dog, cow = pairs[:4]
+        assert dog[0] == cow[0] == UNKNOWN_ID and dog[1] != cow[1]
+        assert cat[1] == big_cat[1] != UNKNOWN_ID and cat[0] != big_cat[0]
+        assert len(set(pairs)) == 5
+
+    def test_level_zero_projects_distinct_rows(self, rng, monkeypatch):
+        """Twelve tokens of four distinct words: the gather and level 0's
+        input product see four rows, and level 0 still gives twelve."""
+        model = self.model(rng)
+        seen = []
+
+        def gather(rows, pre, rand):
+            seen.append(("encode_tokens", len(rows)))
+            return encode_tokens(rows, pre, rand)
+
+        def level(x, *weights, **kwargs):
+            out = bilstm_level(x, *weights, **kwargs)
+            seen.append(("bilstm_level", len(x.data), len(out.data)))
+            return out
+
+        monkeypatch.setattr(model_module, "encode_tokens", gather)
+        monkeypatch.setattr(enc, "bilstm_level", level)
+        words = ["a", "b", "a", "c", "b", "a", "d", "a", "b", "c", "a", "a"]
+        with ad.no_grad():
+            model_module.sentence_contexts(model, [sent(words[:5]), sent(words[5:])])
+        assert seen == [("encode_tokens", 4), ("bilstm_level", 4, 12), ("bilstm_level", 12, 12)]
+
+    def test_encoder_gradient_with_repeated_words(self, rng):
+        """Central differences of a scalar of the contexts of a sentence with
+        repeated words, w.r.t. every encoder tensor: the gradients of the
+        tokens of one word add up on its row."""
+        model = tiny_model(rng, build_vocab([sent(["a", "b", "c"])]), d_pre=2, d_rand=3,
+                           hidden=3, levels=2)
+        s = sent(["a", "b", "a", "a", "c", "b"])
+        proj = Tensor(rng.normal(size=(6, 6)))
+
+        def loss():
+            (ctx,) = model_module.sentence_contexts(model, [s])
+            return sum_all(mul(ctx, proj))
+
+        loss().backward()
+        for name, p in model.tensors.items():
+            if name.startswith("ptr."):
+                continue
+            orig = p.data.copy()
+
+            def f(arr, p=p):
+                p.data = arr
+                with ad.no_grad():
+                    return loss().item()
+
+            num = numeric_grad(f, orig.copy())
+            p.data = orig
+            assert rel_err(np.asarray(p.grad), num) < 1e-6, name
 
 
 class TestPackedBatch:

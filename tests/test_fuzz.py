@@ -10,12 +10,13 @@ import zlib
 import numpy as np
 import pytest
 from corpora import DATA
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualpointer.cli import main
 from dualpointer.config import ConfigError, RunConfig, dump_config, load_config
 from dualpointer.conll import ConllError, Sentence, Token, read_conll, write_conll
+from dualpointer.decoding import gold_trees
 from dualpointer.model import init_model
 from dualpointer.modelio import ModelFormatError, load_model, save_model
 from dualpointer.vocab import (WEIGHT_BOUND, PretrainedError, build_vocab, load_pretrained,
@@ -100,11 +101,16 @@ class TestReadConll:
 
     @FUZZ
     @given(CONLL_TEXT)
+    @example("1\t_\t_\t_\t_\t_\t2")
     def test_conll_shaped_text(self, text):
+        """Reading checks ids and head syntax; a head out of range gets past
+        the reader only to be refused by the one check of gold heads."""
         sentences = read_or_conll_error(io.StringIO(text))
         for s in sentences or []:
             assert [t.index for t in s] == list(range(1, len(s) + 1))
-            assert all(t.head is None or 0 <= t.head <= len(s) for t in s)
+            if not all(t.head is None or 0 <= t.head <= len(s) for t in s):
+                with pytest.raises(ConllError):
+                    gold_trees([s], "fuzzed")
 
     @FUZZ
     @given(EDITS)

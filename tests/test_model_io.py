@@ -300,10 +300,10 @@ def test_initial_model_bytes_are_pinned(kw, digest):
 
 
 @pytest.mark.parametrize("pretrained, mode, digest", [
-    (False, None, "43ef0d39342e1289f0de60e85d7a28371a724d5d61f35f32fef03c6dc6b00245"),
-    (True, None, "a87301190c38276e7f4b46fdd7da07139c04eb9d4ecabaa210d88d83dc9c730f"),
-    (False, "heads", "22025dbc1dc8d940c9387cd2cce1606d791c195d13077f4937908e3e92d99cfd"),
-    (False, "deps", "6c3c56b49a9178ef4d28c23b15f176b3eb89746c86d7592506e172ac980f608f"),
+    (False, None, "12d140f02f700447a6138aae2ea786c6af974eee7b10d2e93a81456357175408"),
+    (True, None, "518c110929406fa4d6597a11c01f999f9af8a805b4571e1afa6dcff079f30aa8"),
+    (False, "heads", "fe1253b3d7ae73fa832b83428261aacf2e62a1f6870a1e4755a10766f7fc28ad"),
+    (False, "deps", "794af4bf187f68d91a36cac1f86248eeaeb54096e375cb6cfa0a432940b8698e"),
 ], ids=["joint", "pretrained", "heads-only", "deps-only"])
 def test_trained_model_bytes_are_pinned(tmp_path, pretrained, mode, digest):
     """What training computes, pinned across changes to the code: two

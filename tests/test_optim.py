@@ -286,6 +286,26 @@ def test_factored_update_matches_dense_update(rng, T, shape):
         assert rel_err(got, want) <= 1e-12
 
 
+@pytest.mark.parametrize("T", [1, 30])
+def test_factored_update_of_a_reshaped_parameter(rng, T):
+    """A pointer net's [hidden x 2 context] weight takes factors over its
+    [2 hidden x context] view: three steps match the dense steps within
+    1e-12 relative."""
+    hidden, ctx = 100, 400
+    factored, dense = (Tensor(np.zeros((hidden, 2 * ctx)), requires_grad=True),
+                       Tensor(np.zeros((hidden, 2 * ctx))))
+    opts = Adam([factored]), Adam([dense])
+    for _ in range(3):
+        grad = OuterGrad(rng.normal(size=(T, 2 * hidden)), rng.normal(size=(T, ctx)),
+                         factored.data.shape)
+        factored.grad, dense.grad = grad, np.asarray(grad)
+        assert dense.grad.shape == (hidden, 2 * ctx)
+        assert all(opt.step() for opt in opts)
+    for got, want in ((factored.data, dense.data), (opts[0].m[0], opts[1].m[0]),
+                      (opts[0].v[0], opts[1].v[0])):
+        assert rel_err(got, want) <= 1e-12
+
+
 def factored_step_after_one(rng, left, right):
     """A [5 x 4] parameter and a vector, one step taken; then a step with
     the factors given on the matrix.  Returns whether that step applied,

@@ -262,6 +262,25 @@ def test_gradients_match_finite_differences_at_blocked_widths():
             assert rel_err(np.sum(tensor.grad * u), num) < 1e-6, name
 
 
+def test_weight_gradient_is_factored_over_key_and_query_rows(rng):
+    """``w``'s gradient is an OuterGrad of one outer product per context row
+    over ``w`` seen as [2 hidden x context]: rows 2r and 2r + 1 are the
+    key and query halves of ``w``'s row r.  Its dense form has ``w``'s
+    shape, each half is the product of the context rows with the gradient
+    of their keys or queries, and the query gradients sum to ``b``'s."""
+    w, b, v = make_params(rng, ctx=6, hidden=4)
+    c = Tensor(rng.normal(size=(5, 6)))
+    sum_all(mul(score_all(c, w, b, v), Tensor(rng.normal(size=(5, 5))))).backward()
+    grad = w.grad
+    assert isinstance(grad, ad.OuterGrad)
+    assert grad.shape == (4, 12) and grad.left.shape == (5, 8) and grad.right is c.data
+    dense = np.asarray(grad)
+    dk, dq = grad.left[:, 0::2], grad.left[:, 1::2]
+    np.testing.assert_allclose(dense[:, :6], dk.T @ c.data, rtol=1e-12)
+    np.testing.assert_allclose(dense[:, 6:], dq.T @ c.data, rtol=1e-12)
+    np.testing.assert_allclose(dq.sum(axis=0), b.grad, rtol=1e-12)
+
+
 # (n, hidden, block) with blocks of max(1, block // (n * hidden)) query rows
 BLOCK_CASES = [
     pytest.param(3, 5, 80, id="below-one-block"),        # 5 rows: one block, part full

@@ -233,9 +233,10 @@ def test_train_step_on_a_long_sentence():
 
 
 def test_lstm_weight_gradients_stay_factored():
-    """Each LSTM gate matrix gets its gradient as the two factors of an
-    OuterGrad, the embedding tables get row gradients, and a tensor has no
-    slot for a gradient buffer: it holds its data, gradient and tape links."""
+    """Each LSTM gate matrix, and each pointer net's weight matrix, gets its
+    gradient as the two factors of an OuterGrad of one outer product per
+    token, the embedding tables get row gradients, and a tensor has no slot
+    for a gradient buffer: it holds its data, gradient and tape links."""
     config = small_config(alpha_word_dropout=0.0)
     s = sent(["a", "b", "c"], [2, 0, 2])
     model = small_model(config, [s])
@@ -246,7 +247,7 @@ def test_lstm_weight_gradients_stay_factored():
     for name, t in model.tensors.items():
         if name.startswith("emb."):
             assert isinstance(t.grad, ad.RowGrad), name
-        elif name.startswith("lstm.") and name.endswith(".w"):
+        elif name.endswith(".w"):
             assert isinstance(t.grad, ad.OuterGrad), name
             assert t.grad.shape == t.data.shape and len(t.grad.left) == len(s), name
         else:
@@ -279,11 +280,12 @@ def test_two_backwards_without_zero_grad_add_up():
 
 def test_warm_default_size_step_allocates_less_than_one_weight_matrix():
     """After a first step has made Adam's moments, a hidden-200 step on
-    3-11-token sentences allocates less than one LSTM weight matrix at its
-    peak: the LSTM weight gradients stay factored, where dense ones would
-    take about 15 MB."""
+    3-30-token sentences allocates less than one LSTM weight matrix at its
+    peak: the LSTM and pointer weight gradients stay factored, where dense
+    ones would take about 15 MB, and the pointer's backward forms its
+    n x n x hidden tanh again a block at a time rather than keeping it."""
     rng = np.random.default_rng(11)
-    corpus = [random_sentence(rng, n) for n in (5, 3, 11, 7)]
+    corpus = [random_sentence(rng, n) for n in (5, 3, 11, 7, 16, 20, 30)]
     config = RunConfig(seeds=(11,))
     model = small_model(config, corpus)
     opt = make_optimizer(model, config)
