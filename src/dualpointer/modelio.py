@@ -13,13 +13,23 @@ Layout, all integers little-endian, all floats IEEE-754 float64:
     crc      u32      CRC-32 of every preceding byte
 
 where ``str`` is a u32 byte length followed by UTF-8 bytes.  Writing is
-deterministic: identical parameters produce identical bytes.  Loading
-verifies magic, version and checksum before reconstructing anything, so a
-damaged file never yields a partial model, and every loaded value is finite
-and within ``vocab.WEIGHT_BOUND``.
+deterministic: identical parameters produce identical bytes.
+
+Loading reads the file in one pass, front to back, from a stream that can
+seek: its length bounds every read before anything is allocated for it.
+Each tensor's values are read straight into that tensor's own array, a
+:data:`CHUNK` at a time, and each chunk is checksummed and held to
+``vocab.WEIGHT_BOUND`` while it is still in cache, so the model is held
+once and never beside a copy of the file.  The checksum is compared
+before a model is returned, so a damaged file never yields a partial
+model.  Magic and version are checked first; after them, a damaged file
+reports its checksum mismatch even when the damage also broke its
+structure or its values, since any other fault is raised only once the
+checksum over the whole body has passed.
 """
 from __future__ import annotations
 
+import io
 import math
 import struct
 import zlib
@@ -38,6 +48,10 @@ __all__ = ["ModelFormatError", "FORMAT_VERSION", "MAGIC", "save_model", "load_mo
 
 MAGIC = b"DPTRMODL"
 FORMAT_VERSION = 1
+# Tensor values read, checksummed and bound-checked at a time: 32,768
+# float64 values, 256 KB, which a core's 2 MB L2 cache still holds when the
+# checksum and the bound check pass over them, like ``pointer.BLOCK``.
+CHUNK = 32768
 
 
 class ModelFormatError(Exception):
@@ -51,19 +65,51 @@ def _pack_str(out: BytesIO, s: str) -> None:
 
 
 class _Reader:
-    def __init__(self, data: memoryview):
-        self.data = data
-        self.pos = 0
+    """A seekable stream read front to back once, from where it stands to
+    its end (``size`` bytes, the stored checksum the last 4 of them), with
+    the CRC-32 of the body bytes read so far.  Every read is bounded by the
+    bytes left before anything is allocated for it."""
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
-            raise ModelFormatError(
-                f"truncated model file: needed {n} bytes at offset {self.pos}, "
-                f"file ends at {len(self.data)}"
-            )
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
+    def __init__(self, stream: BinaryIO):
+        if not stream.seekable():
+            raise ModelFormatError("cannot read a model from a stream that cannot seek, "
+                                   "such as a pipe: give the model file's path")
+        self.stream = stream
+        self.start = stream.tell()
+        self.size = stream.seek(0, io.SEEK_END) - self.start
+        stream.seek(self.start)
+        self.body = self.size - 4
+        self.pos = 0
+        self.crc = 0
+
+    def _truncated(self, n: int, at: int) -> ModelFormatError:
+        return ModelFormatError(
+            f"truncated model file: needed {n} bytes at offset {at}, file ends at {self.size}"
+        )
+
+    def _consumed(self, chunk) -> None:
+        left = self.body - self.pos
+        self.crc = zlib.crc32(chunk if left >= len(chunk) else chunk[:max(left, 0)], self.crc)
+        self.pos += len(chunk)
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > self.size:
+            raise self._truncated(n, self.pos)
+        chunk = self.stream.read(n)
+        if len(chunk) != n:
+            raise self._truncated(n, self.pos)
+        self._consumed(chunk)
         return chunk
+
+    def read_into(self, buf: memoryview) -> None:
+        """Fill ``buf``, which the bytes left are known to hold."""
+        done = 0
+        while done < len(buf):
+            got = self.stream.readinto(buf[done:])
+            if not got:
+                raise self._truncated(len(buf) - done, self.pos + done)
+            done += got
+        self._consumed(buf)
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -77,6 +123,46 @@ class _Reader:
             return str(self.take(n), "utf-8")
         except UnicodeDecodeError as e:
             raise ModelFormatError(f"bad UTF-8 at offset {self.pos}: {e}") from None
+
+    def dims(self) -> tuple[int, ...]:
+        """A tensor's u32 rank and u64 dims; a rank that the bytes left
+        cannot hold fails where reading its dims one by one would."""
+        ndim = self.u32()
+        if self.pos + 8 * ndim > self.size:
+            raise self._truncated(8, self.pos + 8 * ((self.size - self.pos) // 8))
+        return struct.unpack(f"<{ndim}Q", self.take(8 * ndim))
+
+    def values(self, name: str, dims: tuple[int, ...]) -> np.ndarray:
+        """A tensor's values, read into their own array a chunk at a time,
+        each chunk checksummed and bound-checked while it is in cache."""
+        data = np.empty(dims, dtype="<f8")
+        flat = data.reshape(-1)
+        raw = memoryview(flat.view(np.uint8))
+        for i in range(0, flat.size, CHUNK):
+            part = flat[i:i + CHUNK]
+            self.read_into(raw[8 * i:8 * (i + part.size)])
+            if not within_bound(part):
+                raise ModelFormatError(
+                    f"tensor {name!r} holds a non-finite value or one beyond {WEIGHT_BOUND:g}")
+        return data
+
+    def verify(self) -> None:
+        """Checksum the rest of the body in bounded reads and compare the
+        result with the stored checksum."""
+        if self.pos < self.body:
+            buf = memoryview(bytearray(min(8 * CHUNK, self.body - self.pos)))
+            while self.pos < self.body:
+                self.read_into(buf[:min(len(buf), self.body - self.pos)])
+        if self.pos != self.body:
+            # a crafted header ran into the stored checksum
+            self.stream.seek(self.start + self.body)
+            self.pos = self.body
+        expected = self.u32()
+        if expected != self.crc:
+            raise ModelFormatError(
+                f"checksum mismatch over {self.body} bytes: stored {expected:#010x}, "
+                f"computed {self.crc:#010x}"
+            )
 
 
 def save_model(model: ModelParams, dest: BinaryIO | str | Path) -> None:
@@ -132,16 +218,16 @@ def save_model(model: ModelParams, dest: BinaryIO | str | Path) -> None:
 
 
 def load_model(src: BinaryIO | str | Path) -> ModelParams:
-    """Read a model file back; inverse of :func:`save_model`."""
+    """Read a model file back; inverse of :func:`save_model`.  A stream is
+    read from where it stands to its end, and must be able to seek."""
     if isinstance(src, (str, Path)):
         with open(src, "rb") as fh:
-            data = fh.read()
-    else:
-        data = src.read()
-    # views, not copies: the file's bytes are copied once, into the tensors
-    data = memoryview(data)
+            return _load(fh)
+    return _load(src)
 
-    r = _Reader(data)
+
+def _load(stream: BinaryIO) -> ModelParams:
+    r = _Reader(stream)
     if r.take(len(MAGIC)) != MAGIC:
         raise ModelFormatError("not a model file (bad magic)")
     version = r.u32()
@@ -149,17 +235,20 @@ def load_model(src: BinaryIO | str | Path) -> ModelParams:
         raise ModelFormatError(
             f"model format version {version} not supported (expected {FORMAT_VERSION})"
         )
-    if len(data) < len(MAGIC) + 8:
+    if r.size < len(MAGIC) + 8:
         raise ModelFormatError("truncated model file")
-    body, crc_bytes = data[:-4], data[-4:]
-    expected = struct.unpack("<I", crc_bytes)[0]
-    actual = zlib.crc32(body) & 0xFFFFFFFF
-    if expected != actual:
-        raise ModelFormatError(
-            f"checksum mismatch over {len(body)} bytes: stored {expected:#010x}, "
-            f"computed {actual:#010x}"
-        )
+    # a damaged file reports its checksum before anything its damage broke
+    try:
+        model = _read_body(r)
+    except ModelFormatError:
+        r.verify()
+        raise
+    r.verify()
+    return model
 
+
+def _read_body(r: _Reader) -> ModelParams:
+    """Everything after the version, up to the stored checksum."""
     meta: dict[str, str] = {}
     for _ in range(r.u32()):
         k = r.string()
@@ -196,7 +285,7 @@ def load_model(src: BinaryIO | str | Path) -> ModelParams:
     tensors: dict[str, Tensor] = {}
     for expected_name, expected_shape in tensor_layout(shape, len(vocab), indexed):
         name = r.string()
-        dims = tuple(r.u64() for _ in range(r.u32()))
+        dims = r.dims()
         fits = len(dims) == len(expected_shape) and all(
             e is None or d == e for d, e in zip(dims, expected_shape))
         if name != expected_name or not fits:
@@ -207,22 +296,18 @@ def load_model(src: BinaryIO | str | Path) -> ModelParams:
         if expected_shape[0] is None and max(index.values(), default=0) >= dims[0]:
             raise ModelFormatError(f"pretrained index points past the {dims[0]} table rows")
         nbytes = 8 * math.prod(dims)
-        if nbytes > len(body) - r.pos:
+        if nbytes > r.body - r.pos:
             raise ModelFormatError(
-                f"tensor {name!r} needs {nbytes} bytes, {len(body) - r.pos} remain"
+                f"tensor {name!r} needs {nbytes} bytes, {r.body - r.pos} remain"
             )
-        data = np.frombuffer(r.take(nbytes), dtype="<f8").reshape(dims).copy()
-        if not within_bound(data):
-            raise ModelFormatError(
-                f"tensor {name!r} holds a non-finite value or one beyond {WEIGHT_BOUND:g}")
-        tensors[name] = Tensor(data, requires_grad=True)
+        tensors[name] = Tensor(r.values(name, dims), requires_grad=True)
     if count != len(tensors):
         raise ModelFormatError(
             f"model file declares {count} tensors, its metadata calls for {len(tensors)}"
         )
-    if r.pos != len(body):
+    if r.pos != r.body:
         raise ModelFormatError(
-            f"{len(body) - r.pos} unexpected trailing bytes at offset {r.pos}"
+            f"{r.body - r.pos} unexpected trailing bytes at offset {r.pos}"
         )
 
     return ModelParams(shape, vocab, tensors, index if indexed else None)

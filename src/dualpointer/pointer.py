@@ -12,10 +12,15 @@ the two matrices.
 All pairs are scored by one kernel, :func:`score_all`, on BLAS matrix
 products, one cache-sized block of query rows at a time, so its memory
 grows with n^2, not n^2 x hidden, in training as in inference: the
-backward forms each block's tanh again.  BLAS may round a row differently
-with the rows around it, so an entry of the batched matrix matches the
-single-pair composition of the same formula within about 1e-15 of the
-scores' scale, not bit for bit.
+backward forms each block's tanh again.  The kernel starts from each
+row's key and query, :func:`project`'s two products.  Training projects a
+sentence's rows inside the kernel; inference projects a whole batch of
+sentences' rows at once and hands each sentence its slices.  BLAS may
+round a row differently with the rows around it, so an entry of the
+batched matrix matches the single-pair composition of the same formula
+within about 1e-15 of the scores' scale, not bit for bit, and a sentence's
+scores in an inference batch depend, by as much, on the sentences beside
+it.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .conll import Sentence
 
-__all__ = ["score_all", "target_matrix", "output_loss"]
+__all__ = ["project", "score_all", "target_matrix", "output_loss"]
 
 
 # Elements of the n x n x hidden tanh in one block of query rows: 1 MB of
@@ -33,7 +38,18 @@ __all__ = ["score_all", "target_matrix", "output_loss"]
 BLOCK = 131072
 
 
-def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
+def project(contexts: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The key rows ``W_k c`` and the query rows ``W_q c + b`` of the rows
+    ``c`` of an [n x context] matrix, by one matrix product each, where
+    ``W_k`` and ``W_q`` are the left and right halves of ``w``."""
+    d = w.shape[1] // 2
+    queries = contexts @ w[:, d:].T
+    queries += b
+    return contexts @ w[:, :d].T, queries
+
+
+def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor,
+              projected: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """n x n pre-activation scores v . tanh(W [c_j; c_i] + b) of all ordered
     pairs (i, j) of the rows of an [n x context] matrix at once, diagonal
     included, by the net whose tensors are ``w`` [hidden x 2 context],
@@ -41,7 +57,11 @@ def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
     orientation: "j is the head of i" for the heads net, "j is a dependent
     of i" for the dependents net.
 
-    Keys and queries are projected once per row by matrix products.  The
+    Keys and queries are projected once per row by matrix products
+    (:func:`project`), unless ``projected`` brings them: the (keys,
+    queries) of these context rows, which inference projects once for a
+    whole batch of sentences.  Training forms them here, from
+    ``contexts``.  The
     tanh is formed and contracted with ``v`` one block of
     ``max(1, BLOCK // (n * hidden))`` query rows at a time, in one reused
     block buffer.  The backward forms each block's tanh again, from the
@@ -58,15 +78,14 @@ def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
                          f"got shape {cd.shape}")
     n, h = cd.shape[0], wd.shape[0]
     rows = max(1, BLOCK // (n * h))
-    wk, wq = wd[:, :d], wd[:, d:]
-    q = cd @ wq.T + bd
-    k = cd @ wk.T
+    k, q = project(cd, wd, bd) if projected is None else projected
     out = np.empty((n, n))
     for i, ti in _tanh_blocks(q, k, rows):
         np.matmul(ti.reshape(-1, h), vd, out=out[i:i + rows].reshape(-1))
 
     def backward(g):
         dq, dk, dv = _tanh_gradients(q, k, vd, g, rows)
+        wk, wq = wd[:, :d], wd[:, d:]
         # dw = [dk^T C, dq^T C], left to the optimizer as two factors over w
         # seen as [2 hidden x context]: its row 2r is wk's row r, 2r + 1 wq's
         left = np.empty((n, 2 * h))

@@ -1,12 +1,21 @@
 """Composed references that the library is checked against: a per-step
 LSTM cell and the vector ops it is built from, a single-pair attention
-score, the unfused output losses, and an exact maximum spanning tree
-decoder.  Only tests use them."""
+score, the unfused output losses, an exact maximum spanning tree decoder,
+and a model loader that reads the whole file before it parses it.  Only
+tests use them."""
+import math
+import struct
+import zlib
+from dataclasses import fields
+
 import numpy as np
 
 from dualpointer import autodiff as ad
 from dualpointer.autodiff import Tensor
+from dualpointer.model import ModelParams, ModelShape, tensor_layout
+from dualpointer.modelio import FORMAT_VERSION, MAGIC, ModelFormatError
 from dualpointer.pointer import score_all
+from dualpointer.vocab import WEIGHT_BOUND, Vocabulary, within_bound
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -275,3 +284,121 @@ def _cycle(heads: list[int]) -> list[int] | None:
         for p in path:
             done[p] = True
     return None
+
+
+class _WholeFile:
+    def __init__(self, data: memoryview):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int) -> memoryview:
+        if self.pos + n > len(self.data):
+            raise ModelFormatError(
+                f"truncated model file: needed {n} bytes at offset {self.pos}, "
+                f"file ends at {len(self.data)}"
+            )
+        chunk = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return chunk
+
+    def u32(self) -> int:
+        return struct.unpack("<I", self.take(4))[0]
+
+    def u64(self) -> int:
+        return struct.unpack("<Q", self.take(8))[0]
+
+    def string(self) -> str:
+        n = self.u32()
+        try:
+            return str(self.take(n), "utf-8")
+        except UnicodeDecodeError as e:
+            raise ModelFormatError(f"bad UTF-8 at offset {self.pos}: {e}") from None
+
+
+def load_whole_model(data: bytes) -> ModelParams:
+    """The model in a model file's bytes, by ``modelio``'s format, or its
+    ModelFormatError: magic and version first, then the checksum over the
+    whole body, then the body parsed from memory and each tensor copied out
+    of it.  The loader ``modelio.load_model`` must give the same tensors
+    and the same error messages, in the same precedence."""
+    data = memoryview(data)
+    r = _WholeFile(data)
+    if r.take(len(MAGIC)) != MAGIC:
+        raise ModelFormatError("not a model file (bad magic)")
+    version = r.u32()
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(
+            f"model format version {version} not supported (expected {FORMAT_VERSION})"
+        )
+    if len(data) < len(MAGIC) + 8:
+        raise ModelFormatError("truncated model file")
+    body, crc_bytes = data[:-4], data[-4:]
+    expected = struct.unpack("<I", crc_bytes)[0]
+    actual = zlib.crc32(body) & 0xFFFFFFFF
+    if expected != actual:
+        raise ModelFormatError(
+            f"checksum mismatch over {len(body)} bytes: stored {expected:#010x}, "
+            f"computed {actual:#010x}"
+        )
+
+    meta: dict[str, str] = {}
+    for _ in range(r.u32()):
+        k = r.string()
+        meta[k] = r.string()
+    try:
+        shape = ModelShape(**{f.name: type(f.default)(meta[f.name])
+                              for f in fields(ModelShape)})
+        indexed = meta["pretrained_indexed"] == "1"
+    except KeyError as e:
+        raise ModelFormatError(f"missing metadata entry {e}") from None
+    except ValueError as e:
+        raise ModelFormatError(f"bad metadata in model file: {e}") from None
+
+    nvocab = r.u32()
+    forms, counts = [], []
+    for _ in range(nvocab):
+        forms.append(r.string())
+        counts.append(r.u64())
+    try:
+        vocab = Vocabulary(forms, counts)
+    except ValueError as e:
+        raise ModelFormatError(f"bad vocabulary in model file: {e}") from None
+
+    index: dict[str, int] = {}
+    for _ in range(r.u32()):
+        word = r.string()
+        index[word] = r.u32()
+
+    count = r.u32()
+    tensors: dict[str, Tensor] = {}
+    for expected_name, expected_shape in tensor_layout(shape, len(vocab), indexed):
+        name = r.string()
+        dims = tuple(r.u64() for _ in range(r.u32()))
+        fits = len(dims) == len(expected_shape) and all(
+            e is None or d == e for d, e in zip(dims, expected_shape))
+        if name != expected_name or not fits:
+            raise ModelFormatError(
+                f"tensor {name!r} of shape {dims} where the metadata calls for "
+                f"{expected_name!r} of shape {expected_shape}"
+            )
+        if expected_shape[0] is None and max(index.values(), default=0) >= dims[0]:
+            raise ModelFormatError(f"pretrained index points past the {dims[0]} table rows")
+        nbytes = 8 * math.prod(dims)
+        if nbytes > len(body) - r.pos:
+            raise ModelFormatError(
+                f"tensor {name!r} needs {nbytes} bytes, {len(body) - r.pos} remain"
+            )
+        values = np.frombuffer(r.take(nbytes), dtype="<f8").reshape(dims).copy()
+        if not within_bound(values):
+            raise ModelFormatError(
+                f"tensor {name!r} holds a non-finite value or one beyond {WEIGHT_BOUND:g}")
+        tensors[name] = Tensor(values, requires_grad=True)
+    if count != len(tensors):
+        raise ModelFormatError(
+            f"model file declares {count} tensors, its metadata calls for {len(tensors)}"
+        )
+    if r.pos != len(body):
+        raise ModelFormatError(
+            f"{len(body) - r.pos} unexpected trailing bytes at offset {r.pos}"
+        )
+    return ModelParams(shape, vocab, tensors, index if indexed else None)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import max_spanning_tree, tree_score
 
 import dualpointer.decoding as decoding
+from dualpointer import pointer
 from dualpointer.config import RunConfig
 from dualpointer.conll import Sentence, Token
 from dualpointer.decoding import (
@@ -25,8 +26,8 @@ from dualpointer.decoding import (
     parse,
     uas,
 )
-from dualpointer.model import (JOINT, MODE_VARIANTS, MODES, VARIANTS, ModeMismatchError,
-                               init_model, score_sentence)
+from dualpointer.model import (JOINT, MODE_NETS, MODE_VARIANTS, MODES, VARIANTS,
+                               ModeMismatchError, init_model, score_sentence)
 from dualpointer.training import train
 from dualpointer import autodiff as ad
 from dualpointer.autodiff import Tensor
@@ -725,3 +726,75 @@ class TestBatchedDecode:
         model, variants = trained[mode], MODE_VARIANTS[mode]
         assert parse([], model, variants[0]) == []
         assert decode_corpus([], model, variants) == {v: ([], 1.0) for v in variants}
+
+
+class TestBatchedProjections:
+    """Corpus decoding projects each net's keys and queries once per batch,
+    over all the batch's context rows, and scores each sentence from its
+    slices of them."""
+
+    WORDS = ["a", "b", "c", "d", "e"]
+
+    @staticmethod
+    def model(mode):
+        vocab = build_vocab([sent(TestBatchedProjections.WORDS)])
+        return init_model(np.random.default_rng(4), vocab, mode=mode, d_pretrained=3,
+                          d_random=4, bilstm_hidden=5, bilstm_levels=2, ptr_hidden=6)
+
+    def corpus(self, rng):
+        """A 1-token sentence, short ones, and one of 14 tokens."""
+        lengths = [1, 3, 2, 14, 5, 1, 4]
+        return [sent([self.WORDS[int(i)] for i in rng.integers(0, 5, size=n)])
+                for n in lengths]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_scores_match_one_sentence_scoring(self, mode, rng, monkeypatch):
+        # 14 tokens at pointer hidden 6 take blocks of 2 query rows
+        monkeypatch.setattr(pointer, "BLOCK", 170)
+        model, corpus = self.model(mode), self.corpus(rng)
+        scored = []
+        real = decoding.score_sentence
+
+        def kept(model, sentence, **kwargs):
+            scored.append(real(model, sentence, **kwargs))
+            return scored[-1]
+
+        monkeypatch.setattr(decoding, "score_sentence", kept)
+        decode_corpus(corpus, model, MODE_VARIANTS[mode])
+        assert len(scored) == len(corpus)
+        for sentence, batched in zip(corpus, scored):
+            alone = score_sentence(model, sentence)
+            for tag in MODE_NETS[mode]:
+                got, want = getattr(batched, tag).data, getattr(alone, tag).data
+                assert got.shape == want.shape == (len(sentence),) * 2
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), tag
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_projection_products_once_per_batch(self, mode, rng, monkeypatch):
+        """Each owned net's weight enters two matrix products per batch,
+        keys and queries, each over every context row of the batch."""
+        model, corpus = self.model(mode), self.corpus(rng) * 2
+        monkeypatch.setattr(decoding, "BATCH_TOKENS", 16)
+        batches = list(decoding._batches(corpus))
+        assert 1 < len(batches) < len(corpus)
+        products = {tag: [] for tag in MODE_NETS[mode]}
+
+        class Counted(np.ndarray):
+            def __array_finalize__(self, base):
+                self.tag = getattr(base, "tag", None)  # views of w keep its tag
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    products[self.tag].append(len(inputs[0]))
+                plain = tuple(x.view(np.ndarray) if isinstance(x, Counted) else x
+                              for x in inputs)
+                return getattr(ufunc, method)(*plain, **kwargs)
+
+        for tag in products:
+            w = model.tensors[f"ptr.{tag}.w"]
+            w.data = w.data.view(Counted)
+            w.data.tag = tag
+        decode_corpus(corpus, model, MODE_VARIANTS[mode])
+        tokens = [sum(map(len, batch)) for batch in batches]
+        for tag, rows in products.items():
+            assert rows == [n for n in tokens for _ in range(2)], tag

@@ -5,11 +5,14 @@ import os
 import struct
 import subprocess
 import sys
+import threading
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 from corpora import DATA, bundled
+from oracles import load_whole_model
 
 from dualpointer.cli import main
 from dualpointer.conll import Sentence, Token, write_conll
@@ -330,3 +333,168 @@ def test_trained_model_bytes_are_pinned(tmp_path, pretrained, mode, digest):
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest
+
+
+def outcome(load, data):
+    """What loading ``data`` gives: its error message, or every value of
+    the model, tensors as dtype, shape and bytes."""
+    try:
+        m = load(data)
+    except ModelFormatError as e:
+        return str(e)
+    return (m.shape, m.vocab.forms, m.vocab.counts, m.index,
+            [(name, t.data.dtype.str, t.data.shape, t.data.tobytes(), t.requires_grad)
+             for name, t in m.tensors.items()])
+
+
+def with_crc(body):
+    return bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+class TestAgainstWholeFileLoader:
+    """``load_model`` reads a file in one pass; the oracle reads it whole,
+    checks its checksum, then parses it.  Both give the same tensors, or the
+    same error message, in the same precedence."""
+
+    @pytest.fixture(params=["joint", "pretrained"])
+    def data(self, request):
+        """A model file of a few kilobytes, so that every cut of it loads."""
+        table = None
+        if request.param == "pretrained":
+            table = load_pretrained(io.StringIO("dog 1 0\nThe 0 1\n"))
+        vocab = build_vocab([sent(["a", "b", "c", "dog"])])
+        return save_bytes(init_model(
+            np.random.default_rng(0), vocab, pretrained=table, d_pretrained=2, d_random=2,
+            bilstm_hidden=2, bilstm_levels=1, ptr_hidden=2,
+            mode=JOINT if table is None else HEADS_ONLY))
+
+    @staticmethod
+    def assert_same(data):
+        mine = outcome(lambda d: load_model(io.BytesIO(d)), data)
+        assert mine == outcome(load_whole_model, data)
+        return mine
+
+    def test_every_truncation(self, data):
+        for cut in range(len(data)):
+            assert isinstance(self.assert_same(data[:cut]), str)
+            if cut >= 4:
+                self.assert_same(with_crc(data[:cut - 4]))
+
+    def test_random_byte_flips(self, data):
+        rng = np.random.default_rng(5)
+        loaded = 0
+        for _ in range(300):
+            body = bytearray(data[:-4])
+            for pos in rng.integers(0, len(body), size=rng.integers(1, 4)):
+                body[pos] ^= int(rng.integers(1, 256))
+            assert isinstance(self.assert_same(bytes(body) + data[-4:]), str)
+            loaded += not isinstance(self.assert_same(with_crc(body)), str)
+        assert loaded  # some flips land in tensor values and still load
+
+    def test_intact_with_trailing_bytes_and_from_mid_stream(self, data):
+        assert not isinstance(self.assert_same(data), str)
+        for tail in (b"x", b"xyzw", b"\0" * 9):
+            assert isinstance(self.assert_same(data + tail), str)
+        stream = io.BytesIO(b"prefix" + data)
+        stream.seek(6)
+        assert outcome(load_model, stream) == outcome(load_whole_model, data)
+
+
+def test_flipped_header_byte_reports_the_checksum():
+    """Damage that breaks the header's structure still reads as a checksum
+    mismatch: every byte from the metadata count to the first tensor's
+    values, flipped."""
+    data = save_bytes(make_model())
+    first_values = data.index(b"emb.pretrained") + len("emb.pretrained") + 4 + 2 * 8
+    for pos in range(len(MAGIC) + 4, first_values):
+        damaged = bytearray(data)
+        damaged[pos] ^= 0xFF
+        with pytest.raises(ModelFormatError, match="^checksum mismatch over"):
+            load_model(io.BytesIO(bytes(damaged)))
+
+
+def test_loading_holds_the_model_once(tmp_path):
+    """``load_model(path)`` on a default-size model peaks below 1.25 times
+    its tensor bytes (tracemalloc): the values go straight from the file
+    into their tensors, with no whole-file buffer beside them."""
+    model = init_model(np.random.default_rng(0), build_vocab(bundled("toy")))
+    tensor_bytes = sum(t.data.nbytes for t in model.tensors.values())
+    path = tmp_path / "default.bin"
+    save_model(model, path)
+    del model
+    tracemalloc.start()
+    try:
+        loaded = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(t.data.nbytes for t in loaded.tensors.values()) == tensor_bytes
+    assert peak < 1.25 * tensor_bytes, peak / tensor_bytes
+
+
+@pytest.mark.parametrize("field, error", [
+    ("metadata key", "truncated model file: needed 2147483648 bytes"),
+    ("tensor name", "truncated model file: needed 4294967295 bytes"),
+    ("rank", "truncated model file: needed 8 bytes"),
+    ("dims", "tensor 'emb.pretrained' needs 26388279066624 bytes"),
+])
+def test_crafted_lengths_fail_before_allocating(field, error):
+    """A header length, rank or shape beyond the file is refused before
+    anything of its size is allocated, behind a valid checksum."""
+    table = load_pretrained(io.StringIO("dog 1 0 0\nThe 0 1 0\n"))
+    body = bytearray(save_bytes(make_model(pretrained=table))[:-4])
+    at = body.index(b"lstm.l0.fwd.w")
+    if field == "metadata key":
+        struct.pack_into("<I", body, len(MAGIC) + 8, 2**31)
+    elif field == "tensor name":
+        struct.pack_into("<I", body, at - 4, 2**32 - 1)
+    elif field == "rank":
+        struct.pack_into("<I", body, at + len("lstm.l0.fwd.w"), 2**32 - 1)
+    else:
+        # the word index bounds only the rows of a table read from a file
+        body = bytearray(with_tensor_dims(with_crc(body), "emb.pretrained", (2**40, 3))[:-4])
+    data = with_crc(body)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelFormatError) as caught:
+            load_model(io.BytesIO(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value).startswith(error)
+    assert str(caught.value) == outcome(load_whole_model, data)
+    assert peak < 64 * len(data), peak
+
+
+def test_stream_that_cannot_seek_is_a_model_error(tmp_path, capsys):
+    # the loader refuses the stream before reading from it; a model's first
+    # 4,096 bytes fit a pipe's buffer, so no writer waits on a reader
+    data = save_bytes(make_model())[:4096]
+    read_end, write_end = os.pipe()
+    os.write(write_end, data)
+    os.close(write_end)
+    with open(read_end, "rb") as pipe, pytest.raises(ModelFormatError, match="cannot seek"):
+        load_model(pipe)
+
+    if not hasattr(os, "mkfifo"):
+        return
+    fifo = tmp_path / "model.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as f:
+                f.write(data)
+        except BrokenPipeError:
+            pass  # the reader may close before the write
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    test_path = tmp_path / "test.conllu"
+    with open(test_path, "w", encoding="utf-8") as f:
+        write_conll([sent(["a", "b"])], f)
+    code = main(["eval", "--model", str(fifo), "--test", str(test_path)])
+    writer.join(timeout=10)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:model:") and captured.err.count("\n") == 1, captured.err
