@@ -135,11 +135,11 @@ class RowGrad:
     @classmethod
     def gather(cls, idx: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> RowGrad:
         """The gradient of ``table[idx]`` given ``g``, the gradient of the
-        gathered rows; repeated rows add in order of appearance."""
-        rows, inverse = np.unique(idx, return_inverse=True)
-        values = np.zeros((rows.size,) + shape[1:])
-        np.add.at(values, inverse, g)
-        return cls(rows, values, shape)
+        gathered rows; repeated rows add in one product with the 0/1 matrix
+        of which row each gathered row is, in BLAS's order."""
+        rows = np.unique(idx)
+        reads = np.equal.outer(rows, idx).astype(np.float64)
+        return cls(rows, reads @ g, shape)
 
     def __add__(self, other: RowGrad) -> RowGrad:
         return RowGrad.gather(np.concatenate([self.rows, other.rows]),

@@ -317,6 +317,24 @@ class TestRowGrad:
         assert grad.rows.tolist() == [0, 1, 4]
         assert np.array_equal(np.asarray(grad), dense)
 
+    @pytest.mark.parametrize("idx", [
+        pytest.param([3, 0, 3, 5, 0, 2], id="rows-repeated-once"),
+        pytest.param([1, 6, 1, 1, 2, 6, 1], id="a-row-repeated-three-times"),
+        pytest.param([4] * 9, id="all-tokens-on-one-row"),
+        pytest.param(np.random.default_rng(80).permutation(80), id="80-rows")])
+    def test_gather_sums_within_1e_12_of_add_at(self, rng, idx):
+        """The rows are the distinct gathered rows in ascending order, and
+        their values are the gathered gradients summed as ``np.add.at``
+        sums them, within 1e-12 relative."""
+        idx = np.asarray(idx)
+        g = rng.normal(size=(len(idx), 100))
+        grad = ad.RowGrad.gather(idx, g, (90, 100))
+        dense = np.zeros((90, 100))
+        np.add.at(dense, idx, g)
+        assert grad.rows.tolist() == sorted(set(idx.tolist()))
+        assert rel_err(grad.values, dense[grad.rows]) <= 1e-12
+        assert rel_err(np.asarray(grad), dense) <= 1e-12
+
     def test_sum_matches_dense_sum(self, rng):
         a = ad.RowGrad.gather(np.array([5, 2, 5]), rng.normal(size=(3, 2)), (8, 2))
         b = ad.RowGrad.gather(np.array([7, 5, 0]), rng.normal(size=(3, 2)), (8, 2))

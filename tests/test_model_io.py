@@ -303,20 +303,23 @@ def test_initial_model_bytes_are_pinned(kw, digest):
 
 
 @pytest.mark.parametrize("pretrained, mode, digest", [
-    (False, None, "12d140f02f700447a6138aae2ea786c6af974eee7b10d2e93a81456357175408"),
-    (True, None, "518c110929406fa4d6597a11c01f999f9af8a805b4571e1afa6dcff079f30aa8"),
-    (False, "heads", "fe1253b3d7ae73fa832b83428261aacf2e62a1f6870a1e4755a10766f7fc28ad"),
-    (False, "deps", "794af4bf187f68d91a36cac1f86248eeaeb54096e375cb6cfa0a432940b8698e"),
+    (False, None, "ed1f7194b307e2d17f63ee063b4d2712b98c5573a4a3a9e2c784289c644c472b"),
+    (True, None, "99e83b0551c5198b4faa7e0d2ab6d7d7c386076379f184f0be6a793854c2cbf4"),
+    (False, "heads", "fbdcaf4fdc28779587a4cd768d37c28290da46be74a756af231d78a897cf99d2"),
+    (False, "deps", "acec7c4ce117195c153af394b10358d49721cd30f85134b87a6e08e1ca831105"),
 ], ids=["joint", "pretrained", "heads-only", "deps-only"])
 def test_trained_model_bytes_are_pinned(tmp_path, pretrained, mode, digest):
     """What training computes, pinned across changes to the code: two
     epochs on the bundled toy corpus, seed 3, BiLSTM hidden 16.
 
     A BLAS kernel's blocking and FMA order set the rounding of every matrix
-    product, so each run is a child process on OpenBLAS's Haswell (AVX2)
-    kernel and one thread, set in the child's environment only.  The
-    digests come from OpenBLAS 0.3.31 (numpy 2.4.6); another BLAS build
-    ignores the variables and may round differently."""
+    product, and numpy picks its ufunc loops by CPU (``np.exp`` and
+    ``np.log1p`` round apart on AVX-512), so each run is a child process
+    on OpenBLAS's Haswell (AVX2) kernel and one thread, with numpy's
+    dispatch capped at AVX2 (``NPY_DISABLE_CPU_FEATURES``), set in the
+    child's environment only.  The digests come from OpenBLAS 0.3.31 and
+    numpy 2.4.6; another BLAS or numpy build ignores the variables or may
+    round differently."""
     dest = tmp_path / "m.bin"
     argv = ["train", "--train", str(TOY), "--dev", str(TOY), "--model", str(dest),
             "--epochs", "2", "--bilstm-hidden", "16", "--seeds", "3"]
@@ -326,7 +329,8 @@ def test_trained_model_bytes_are_pinned(tmp_path, pretrained, mode, digest):
         vectors = tmp_path / "vec.txt"
         vectors.write_text(VEC3, encoding="utf-8")
         argv += ["--pretrained", str(vectors)]
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1",
+               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(DATA.parent / "src"), env.get("PYTHONPATH")) if p)
     result = subprocess.run([sys.executable, "-m", "dualpointer.cli", *argv], env=env,

@@ -1,6 +1,6 @@
 """Attention scorer: closed-form zeros, batched-vs-pairwise exactness,
 the composed per-pair reference, blocks of query rows and the memory they
-bound, target matrices, and gradients."""
+bound, the factored tanh and its range, target matrices, and gradients."""
 import tracemalloc
 
 import numpy as np
@@ -341,6 +341,97 @@ class TestBlocks:
         inputs = tuple(Tensor(a, requires_grad=True) for a in [c0] + p0)
         m = score_all(*inputs)
         assert m._parents == inputs
+
+
+LOW, HIGH = pointer.FACTORED_RANGE
+# n and hidden of FACTORED_MIN tanh elements, the fewest a call factors
+N, H = 32, 16
+
+
+def scaled_keys_and_queries(q_top, k_top, n=N, hidden=H):
+    """Queries and keys, uniform in sign and size, whose largest
+    magnitudes are exactly ``q_top`` and ``k_top``."""
+    rng = np.random.default_rng(n * hidden)
+    q, k = rng.uniform(-1.0, 1.0, size=(2, n, hidden))
+    return q * (q_top / np.abs(q).max()), k * (k_top / np.abs(k).max())
+
+
+def stacked_blocks(q, k, rows=5):
+    """Every block of ``_tanh_blocks``, copied out of its buffer, as one
+    n x n x hidden array."""
+    return np.concatenate([ti.copy() for _, ti in pointer._tanh_blocks(q, k, rows)])
+
+
+def tanh_of_sums(q, k):
+    """The blocks of the np.add + np.tanh form, as one array."""
+    return np.tanh(q[:, None, :] + k)
+
+
+SCALES = [1e-8, 1e-4, LOW, 1e-2, 1.0, 30.0, 176.0, 349.0]
+RANGE_ENDS = [
+    pytest.param(LOW * 1.001, id="low-inside"), pytest.param(LOW * 0.999, id="low-outside"),
+    pytest.param(HIGH * 0.999, id="high-inside"), pytest.param(HIGH * 1.001, id="high-outside")]
+
+
+class TestFactoredBlocks:
+    """From ``FACTORED_MIN`` elements up and inside ``FACTORED_RANGE`` the
+    blocks are tanh(q + k) formed as 1 - 2 / (1 + e^{2q} e^{2k});
+    otherwise, as np.tanh of the sums."""
+
+    @pytest.mark.parametrize("k_top", SCALES)
+    @pytest.mark.parametrize("q_top", SCALES)
+    def test_scores_agree_with_tanh_of_sums(self, q_top, k_top):
+        q, k = scaled_keys_and_queries(q_top, k_top)
+        v = np.random.default_rng(1).normal(size=H)
+        got, want = stacked_blocks(q, k), tanh_of_sums(q, k)
+        assert rel_err(got, want) <= 1e-12
+        assert rel_err(got @ v, want @ v) <= 1e-12
+
+    @pytest.mark.parametrize("top", RANGE_ENDS)
+    @pytest.mark.parametrize("side", ["q", "k"])
+    def test_scores_agree_at_the_range_ends(self, top, side):
+        """The largest |q| or |k| just inside or just outside either end;
+        outside, the blocks are those of np.tanh bit for bit."""
+        other = min(0.5, top / 2)
+        q, k = scaled_keys_and_queries(*((top, other) if side == "q" else (other, top)))
+        v = np.random.default_rng(1).normal(size=H)
+        got, want = stacked_blocks(q, k), tanh_of_sums(q, k)
+        assert rel_err(got @ v, want @ v) <= 1e-12
+        if not LOW <= top <= HIGH:
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, HIGH * 1.001, -HIGH * 1.001])
+    @pytest.mark.parametrize("side", ["q", "k"])
+    def test_outside_the_range_the_blocks_are_tanh_of_sums(self, value, side):
+        """One entry of q or of k beyond the range, or not a number, sends
+        the whole call to the np.add + np.tanh form, bit for bit."""
+        q, k = scaled_keys_and_queries(2.0, 2.0)
+        (q if side == "q" else k)[3, 4] = value
+        np.testing.assert_array_equal(stacked_blocks(q, k), tanh_of_sums(q, k))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_no_floating_point_exception_at_the_top_of_the_range(self, sign):
+        """With every |q| and |k| at the top of the range, the
+        exponentials and their products stay finite and normal."""
+        q, k = np.full((2, N, H), sign * HIGH)
+        with np.errstate(all="raise"):
+            got = stacked_blocks(q, k)
+        np.testing.assert_array_equal(got, tanh_of_sums(q, k))
+
+    def test_geometry_has_the_fewest_elements_factored(self):
+        assert N * N * H == pointer.FACTORED_MIN
+
+    @pytest.mark.parametrize("n, hidden", [(N - 1, H), (N, H - 1), (11, 100)])
+    def test_below_the_fewest_elements_the_blocks_are_tanh_of_sums(self, n, hidden):
+        q, k = scaled_keys_and_queries(4.0, 3.0, n, hidden)
+        np.testing.assert_array_equal(stacked_blocks(q, k), tanh_of_sums(q, k))
+
+    @pytest.mark.parametrize("rows", [1, 5, N])
+    def test_inside_the_range_the_blocks_are_the_factored_form(self, rows):
+        q, k = scaled_keys_and_queries(4.0, 3.0)
+        eq, ek = np.exp(2.0 * q), np.exp(2.0 * k)
+        want = 1.0 + -2.0 / (1.0 + eq[:, None, :] * ek)
+        np.testing.assert_array_equal(stacked_blocks(q, k, rows), want)
 
 
 def test_parsing_a_long_sentence_allocates_a_bounded_peak():
