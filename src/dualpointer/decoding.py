@@ -6,11 +6,9 @@ and ``decode`` turns that array into a tree (top, greedy heads, cycle
 repair) and says whether the greedy heads were already a tree.
 ``decode_corpus`` is the one inference path.  It encodes runs of
 consecutive sentences, :data:`BATCH_TOKENS` tokens at most, as one BiLSTM
-batch (``model.sentence_contexts``), projects each pointer net's keys and
-queries once for the batch (``model.batch_projections``), scores each
-sentence once from its slices of them and decodes every requested variant
-from those two matrices; ``parse`` and ``cycle_stats`` are single-variant
-views of it.
+batch (``model.sentence_contexts``), scores each sentence once from its
+context rows and decodes every requested variant from those two matrices;
+``parse`` and ``cycle_stats`` are single-variant views of it.
 
 Token indices here are 1-based to match the treebank convention; a head
 value of 0 marks the top token.  There is no virtual root element: the top
@@ -26,8 +24,8 @@ import numpy as np
 from . import autodiff as ad
 from .conll import ConllError, Sentence
 from .autodiff import Tensor
-from .model import (VARIANTS, ModelParams, batch_projections, require_variant,
-                    score_sentence, sentence_contexts)
+from .model import (VARIANTS, ModelParams, require_variant, score_sentence,
+                    sentence_contexts)
 
 __all__ = [
     "AlignmentError",
@@ -255,22 +253,21 @@ def decode_corpus(
     variants: tuple[str, ...],
     root_agg: str = "max",
 ) -> dict[str, tuple[list[DepTree], float]]:
-    """Encode the corpus a batch at a time, project each pointer net's
-    keys and queries once per batch, score each sentence once from its
-    slices of them and decode every variant from its matrices.
+    """Encode the corpus a batch at a time, score each sentence once from
+    its context rows and decode every variant from its matrices.
 
     Returns variant -> (trees in input order, fraction of sentences whose
     greedy decode was already a tree); an empty corpus counts as fully
     cycle-free.
 
-    A sentence's scores come from products shared with its batch
-    neighbours: each BiLSTM step's, level 0's input product over the
-    batch's distinct words, and each pointer net's key and query products
-    over all the batch's context rows.  The rounding of a product depends
-    on how many rows it has (about 1e-15 relative), so on the sentences
-    running beside it and on the words the batch holds.  A head chosen on
-    a near-tie can therefore differ between decoding a sentence inside a
-    corpus and decoding it alone.
+    A sentence's context rows come from BiLSTM products shared with its
+    batch neighbours: each step's, and level 0's input product over the
+    batch's distinct words.  The rounding of a product depends on how many
+    rows it has (about 1e-15 relative), so on the sentences running beside
+    it and on the words the batch holds.  A head chosen on a near-tie can
+    therefore differ between decoding a sentence inside a corpus and
+    decoding it alone.  The pointer nets project each sentence's rows on
+    their own, so they add no such dependence.
     """
     for variant in variants:
         require_variant(model, variant)
@@ -279,8 +276,7 @@ def decode_corpus(
     for batch in _batches(corpus):
         with ad.no_grad():
             contexts = sentence_contexts(model, batch)
-            scored = [score_sentence(model, s, contexts=c, projected=p) for s, c, p
-                      in zip(batch, contexts, batch_projections(model, contexts))]
+            scored = [score_sentence(model, s, contexts=c) for s, c in zip(batch, contexts)]
         for sentence_scores in scored:
             for variant in variants:
                 merged = merge(sentence_scores.heads, sentence_scores.deps, variant,

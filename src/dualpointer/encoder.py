@@ -225,9 +225,9 @@ def bilstm_level(x: Tensor, fw: Tensor, fb: Tensor, bw: Tensor, bb: Tensor,
     """One BiLSTM level as a single tape node: [U x d_in] input rows to the
     [N x 2h] matrix whose row is the forward state beside the backward
     state at that token.  ``rows`` names each of the N tokens' row of ``x``,
-    so a row repeated by several tokens is projected once; by default
-    token t reads row t.  The tokens are those of sentences of ``lengths``
-    tokens stored one after another, one sentence by default.
+    so a row repeated by several tokens meets the input weights once; by
+    default token t reads row t.  The tokens are those of sentences of
+    ``lengths`` tokens stored one after another, one sentence by default.
 
     ``fw``/``bw`` are each direction's [4h x (d_in + h)] gate matrix and
     ``fb``/``bb`` its [4h] bias.  Computes what chains of single LSTM steps
@@ -259,11 +259,8 @@ def bilstm_level(x: Tensor, fw: Tensor, fb: Tensor, bw: Tensor, bb: Tensor,
         dx_fwd, dfw, dfb = fwd_backward(g[:, :h])
         dx_bwd, dbw, dbb = bwd_backward(g[:, h:])
         dx_fwd += dx_bwd
-        # row u's gradient sums those of the tokens reading it: one product
-        # with the 0/1 matrix of which token reads which row
-        reads = np.zeros((len(xd), len(rows)))
-        reads[rows, np.arange(len(rows))] = 1.0
-        return reads @ dx_fwd, dfw, dfb, dbw, dbb
+        # row u's gradient sums those of the tokens reading it
+        return np.asarray(ad.RowGrad.gather(rows, dx_fwd, xd.shape)), dfw, dfb, dbw, dbb
 
     out = ad.make_node(np.concatenate([fwd, bwd], axis=1), (x, fw, fb, bw, bb), backward)
     if len(lengths) > 1 and out.requires_grad:

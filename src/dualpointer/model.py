@@ -19,7 +19,7 @@ import numpy as np
 from .conll import Sentence
 from .autodiff import Tensor
 from .encoder import bilstm_encode, encode_tokens, token_rows
-from .pointer import project, score_all
+from .pointer import score_all
 from .vocab import UNKNOWN_ID, EmbeddingTable, Vocabulary
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "init_model",
     "require_variant",
     "sentence_contexts",
-    "batch_projections",
     "score_sentence",
 ]
 
@@ -227,26 +226,6 @@ def sentence_contexts(
     return [Tensor(c) for c in np.split(contexts.data, np.cumsum(lengths)[:-1])]
 
 
-def batch_projections(model: ModelParams, contexts: list[Tensor]) -> list[dict]:
-    """Each sentence's pointer projections for inference: for each net the
-    model owns, by its tag, the (keys, queries) that
-    :func:`~dualpointer.pointer.score_all` takes as ``projected``.  Each
-    net's come from one :func:`~dualpointer.pointer.project` over the
-    context rows of all the given sentences (the pre-computation of Chen
-    & Manning 2014), not from one per sentence."""
-    # one copy of the batch's rows (3.3 MB at most, at hidden 200) buys one
-    # product per net in place of one per sentence
-    stacked = np.concatenate([c.data for c in contexts])
-    ends = np.cumsum([len(c.data) for c in contexts]).tolist()
-    t = model.tensors
-    projected = [{} for _ in contexts]
-    for tag in MODE_NETS[model.mode]:
-        keys, queries = project(stacked, t[f"ptr.{tag}.w"].data, t[f"ptr.{tag}.b"].data)
-        for sentence, start, end in zip(projected, [0] + ends, ends):
-            sentence[tag] = (keys[start:end], queries[start:end])
-    return projected
-
-
 def score_sentence(
     model: ModelParams,
     sentence: Sentence,
@@ -254,17 +233,14 @@ def score_sentence(
     alpha: float = 0.25,
     rng: np.random.Generator | None = None,
     contexts: Tensor | None = None,
-    projected: dict | None = None,
 ) -> SentenceScores:
     """Run whichever pointer nets the model owns over the sentence's
     context rows, encoding the sentence unless its ``contexts`` (from
-    :func:`sentence_contexts`) are given.  ``projected``, from
-    :func:`batch_projections`, brings each net's keys and queries of those
-    context rows."""
+    :func:`sentence_contexts`) are given.  Each net projects its keys and
+    queries from these rows alone, in training as in inference."""
     if contexts is None:
         (contexts,) = sentence_contexts(model, [sentence], training, alpha, rng)
     t = model.tensors
     return SentenceScores(**{
-        tag: score_all(contexts, *(t[f"ptr.{tag}.{p}"] for p in "wbv"),
-                       projected=None if projected is None else projected[tag])
+        tag: score_all(contexts, *(t[f"ptr.{tag}.{p}"] for p in "wbv"))
         for tag in MODE_NETS[model.mode]})

@@ -12,15 +12,12 @@ the two matrices.
 All pairs are scored by one kernel, :func:`score_all`, on BLAS matrix
 products, one cache-sized block of query rows at a time, so its memory
 grows with n^2, not n^2 x hidden, in training as in inference: the
-backward forms each block's tanh again.  The kernel starts from each
-row's key and query, :func:`project`'s two products.  Training projects a
-sentence's rows inside the kernel; inference projects a whole batch of
-sentences' rows at once and hands each sentence its slices.  BLAS may
-round a row differently with the rows around it, so an entry of the
-batched matrix matches the single-pair composition of the same formula
-within about 1e-15 of the scores' scale, not bit for bit, and a sentence's
-scores in an inference batch depend, by as much, on the sentences beside
-it.
+backward forms each block's tanh again.  The kernel projects each of a
+sentence's rows to its key and query by two matrix products over that
+sentence's rows alone, in training as in inference.  BLAS may round a row
+differently with the rows around it, so an entry of the batched matrix
+matches the single-pair composition of the same formula within about
+1e-15 of the scores' scale, not bit for bit.
 
 The tanh of a block is factored, tanh(q + k) = 1 - 2 / (1 + e^{2q} e^{2k}),
 so a sentence takes 2 n hidden exponentials per net, not n^2 hidden tanh
@@ -39,7 +36,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .conll import Sentence
 
-__all__ = ["project", "score_all", "target_matrix", "output_loss"]
+__all__ = ["score_all", "target_matrix", "output_loss"]
 
 
 # Elements of the n x n x hidden tanh in one block of query rows: 1 MB of
@@ -59,18 +56,7 @@ FACTORED_RANGE = (1e-3, 177.0)
 FACTORED_MIN = 16384
 
 
-def project(contexts: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The key rows ``W_k c`` and the query rows ``W_q c + b`` of the rows
-    ``c`` of an [n x context] matrix, by one matrix product each, where
-    ``W_k`` and ``W_q`` are the left and right halves of ``w``."""
-    d = w.shape[1] // 2
-    queries = contexts @ w[:, d:].T
-    queries += b
-    return contexts @ w[:, :d].T, queries
-
-
-def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor,
-              projected: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
     """n x n pre-activation scores v . tanh(W [c_j; c_i] + b) of all ordered
     pairs (i, j) of the rows of an [n x context] matrix at once, diagonal
     included, by the net whose tensors are ``w`` [hidden x 2 context],
@@ -78,23 +64,19 @@ def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor,
     orientation: "j is the head of i" for the heads net, "j is a dependent
     of i" for the dependents net.
 
-    Keys and queries are projected once per row by matrix products
-    (:func:`project`), unless ``projected`` brings them: the (keys,
-    queries) of these context rows, which inference projects once for a
-    whole batch of sentences.  Training forms them here, from
-    ``contexts``.  The
+    The rows' keys and queries come from one matrix product each.  The
     tanh is formed and contracted with ``v`` one block of
     ``max(1, BLOCK // (n * hidden))`` query rows at a time, in one reused
     block buffer: as 1 - 2 / (1 + e^{2q} e^{2k}) from the exponentials of
     the keys and queries, taken once per call, when there are at least
     ``FACTORED_MIN`` elements and the largest |q| or |k| lies in
     ``FACTORED_RANGE``, and as np.tanh of q + k otherwise.  The backward
-    forms each block's tanh again, from the
-    saved keys and queries, rather than keeping the n x n x hidden array
-    (recomputation as in Chen et al. 2016, arXiv:1604.06174), so on and off
-    the tape the kernel holds O(n^2 + n hidden + BLOCK) floats.  The
-    gradient of ``w`` is an :class:`~dualpointer.autodiff.OuterGrad` of n
-    outer products, which the optimizer forms a block at a time.
+    forms each block's tanh again, from the saved keys and queries, rather
+    than keeping the n x n x hidden array (recomputation as in Chen et al.
+    2016, arXiv:1604.06174), so on and off the tape the kernel holds
+    O(n^2 + n hidden + BLOCK) floats.  The gradient of ``w`` is an
+    :class:`~dualpointer.autodiff.OuterGrad` of n outer products, which the
+    optimizer forms a block at a time.
     """
     cd, wd, bd, vd = contexts.data, w.data, b.data, v.data
     d = wd.shape[1] // 2
@@ -103,14 +85,16 @@ def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor,
                          f"got shape {cd.shape}")
     n, h = cd.shape[0], wd.shape[0]
     rows = max(1, BLOCK // (n * h))
-    k, q = project(cd, wd, bd) if projected is None else projected
+    wk, wq = wd[:, :d], wd[:, d:]
+    q = cd @ wq.T
+    q += bd
+    k = cd @ wk.T
     out = np.empty((n, n))
     for i, ti in _tanh_blocks(q, k, rows):
         np.matmul(ti.reshape(-1, h), vd, out=out[i:i + rows].reshape(-1))
 
     def backward(g):
         dq, dk, dv = _tanh_gradients(q, k, vd, g, rows)
-        wk, wq = wd[:, :d], wd[:, d:]
         # dw = [dk^T C, dq^T C], left to the optimizer as two factors over w
         # seen as [2 hidden x context]: its row 2r is wk's row r, 2r + 1 wq's
         left = np.empty((n, 2 * h))

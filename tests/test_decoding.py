@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import max_spanning_tree, tree_score
 
 import dualpointer.decoding as decoding
+import dualpointer.model as model_module
 from dualpointer import pointer
 from dualpointer.config import RunConfig
 from dualpointer.conll import Sentence, Token
@@ -729,9 +730,9 @@ class TestBatchedDecode:
 
 
 class TestBatchedProjections:
-    """Corpus decoding projects each net's keys and queries once per batch,
-    over all the batch's context rows, and scores each sentence from its
-    slices of them."""
+    """Corpus decoding encodes a batch of sentences at once, then scores
+    each sentence by ``pointer.score_all`` alone, which projects that
+    sentence's keys and queries from its own context rows."""
 
     WORDS = ["a", "b", "c", "d", "e"]
 
@@ -770,14 +771,15 @@ class TestBatchedProjections:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), tag
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_projection_products_once_per_batch(self, mode, rng, monkeypatch):
-        """Each owned net's weight enters two matrix products per batch,
-        keys and queries, each over every context row of the batch."""
+    def test_projection_products_per_sentence(self, mode, rng, monkeypatch):
+        """Each owned net's weight enters two matrix products per sentence,
+        keys and queries, each over that sentence's context rows and inside
+        a ``pointer.score_all`` call, whatever batch the sentence is in."""
         model, corpus = self.model(mode), self.corpus(rng) * 2
         monkeypatch.setattr(decoding, "BATCH_TOKENS", 16)
-        batches = list(decoding._batches(corpus))
-        assert 1 < len(batches) < len(corpus)
+        assert 1 < len(list(decoding._batches(corpus))) < len(corpus)
         products = {tag: [] for tag in MODE_NETS[mode]}
+        inside = []
 
         class Counted(np.ndarray):
             def __array_finalize__(self, base):
@@ -785,16 +787,25 @@ class TestBatchedProjections:
 
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
                 if ufunc is np.matmul:
-                    products[self.tag].append(len(inputs[0]))
+                    products[self.tag].append((len(inputs[0]), bool(inside)))
                 plain = tuple(x.view(np.ndarray) if isinstance(x, Counted) else x
                               for x in inputs)
                 return getattr(ufunc, method)(*plain, **kwargs)
 
+        real = model_module.score_all
+
+        def scoring(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(model_module, "score_all", scoring)
         for tag in products:
             w = model.tensors[f"ptr.{tag}.w"]
             w.data = w.data.view(Counted)
             w.data.tag = tag
         decode_corpus(corpus, model, MODE_VARIANTS[mode])
-        tokens = [sum(map(len, batch)) for batch in batches]
         for tag, rows in products.items():
-            assert rows == [n for n in tokens for _ in range(2)], tag
+            assert rows == [(len(s), True) for s in corpus for _ in range(2)], tag
