@@ -12,21 +12,26 @@ the two matrices.
 All pairs are scored by one kernel, :func:`score_all`, on BLAS matrix
 products, one cache-sized block of query rows at a time, so its memory
 grows with n^2, not n^2 x hidden, in training as in inference: the
-backward forms each block's tanh again.  The kernel projects each of a
+backward forms each block again.  The kernel projects each of a
 sentence's rows to its key and query by two matrix products over that
 sentence's rows alone, in training as in inference.  BLAS may round a row
 differently with the rows around it, so an entry of the batched matrix
 matches the single-pair composition of the same formula within about
 1e-15 of the scores' scale, not bit for bit.
 
-The tanh of a block is factored, tanh(q + k) = 1 - 2 / (1 + e^{2q} e^{2k}),
-so a sentence takes 2 n hidden exponentials per net, not n^2 hidden tanh
-values, whenever it has ``FACTORED_MIN`` tanh elements or more and its
-largest |q| or |k| lies in ``FACTORED_RANGE``; else, short sentences and
-NaN or infinities included, it is np.tanh of the sums.  Above the range
-the exponentials may overflow; below it the factored form's error, about
-one ulp of 1 whatever the scale, is too large a part of the scores.  The
-two forms agree within 1e-12 of the scores' scale, not bit for bit.
+The tanh is factored: with a = e^{-2q} and e = e^{2k},
+tanh(q + k) = 1 - 2 a / (a + e), so a score is sum(v) - 2 (v a_i) . r_ij
+with r_ij = 1 / (a_i + e_j).  A sentence then takes 2 n hidden
+exponentials per net, not n^2 hidden tanh values, and each block is an
+add and a reciprocal per element and one matrix-vector product per query
+row; the backward forms the same reciprocals.  That holds whenever the
+call has ``FACTORED_MIN`` tanh elements or more and its largest |q| or |k|
+lies in ``FACTORED_RANGE``; else, short sentences and NaN or infinities
+included, the blocks are np.tanh of the sums.  Above the range the
+products of exponentials and reciprocals may leave the normal floats;
+below it the factored form's error, about one ulp of sum(|v|) whatever
+the scale, is too large a part of the scores.  The two forms agree within
+1e-12 of the scores' scale, not bit for bit.
 """
 from __future__ import annotations
 
@@ -39,20 +44,25 @@ from .conll import Sentence
 __all__ = ["score_all", "target_matrix", "output_loss"]
 
 
-# Elements of the n x n x hidden tanh in one block of query rows: 1 MB of
+# Elements of the n x n x hidden pair array in one block of query rows: 1 MB of
 # float64, half a core's 2 MB L2 cache (16 rows at n=80 and hidden 100).
 BLOCK = 131072
 
 # The range of the largest |q| or |k| in which the tanh is factored.  Up to
-# 177, e^{2q}, e^{2k} and their product stay finite and normal (e^{709.8}
-# overflows).  Below it the factored tanh, within 4.4e-16 of np.tanh in
-# absolute terms at every scale, errs by more than 1e-13 of the scores'
-# scale (1.1e-12 at 1e-4).
-FACTORED_RANGE = (1e-3, 177.0)
+# 88, every product of up to three exponentials and reciprocals that the
+# kernel forms, as small as e^{-6 x 88} = 1.4e-229 and as large as
+# e^{4 x 88} = 1e153, is finite and normal, and leaves 79 decades for the
+# factors v and the scores' gradient (at 177, e^{-708} is the normal floor).
+# Below it the factored form's error, about one ulp of sum(|v|) in absolute
+# terms at every scale, grows against the scores: at 1e-2 it measured 5e-14
+# of the scores' scale and 1.2e-13 of v's gradient, at 1e-3 4.4e-13 and
+# 1.2e-12, past the 1e-12 that the kernel is held to.
+FACTORED_RANGE = (1e-2, 88.0)
 
 # The fewest tanh elements (n^2 hidden) that a call factors.  Below about
 # this many the exponentials and the range check cost more than the tanh
-# they save: at hidden 100 the two forms broke even at n = 11.
+# they save: at hidden 100 the two forms' forward broke even at n = 12 to
+# 13, forward and backward at n = 11.
 FACTORED_MIN = 16384
 
 
@@ -65,18 +75,18 @@ def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
     of i" for the dependents net.
 
     The rows' keys and queries come from one matrix product each.  The
-    tanh is formed and contracted with ``v`` one block of
-    ``max(1, BLOCK // (n * hidden))`` query rows at a time, in one reused
-    block buffer: as 1 - 2 / (1 + e^{2q} e^{2k}) from the exponentials of
-    the keys and queries, taken once per call, when there are at least
+    scores are formed one block of ``max(1, BLOCK // (n * hidden))`` query
+    rows at a time, in one reused block buffer: as sum(v) - 2 (v a_i) . r_ij
+    with r_ij = 1 / (e^{-2q_i} + e^{2k_j}), from exponentials of the keys
+    and queries taken once per call, when there are at least
     ``FACTORED_MIN`` elements and the largest |q| or |k| lies in
-    ``FACTORED_RANGE``, and as np.tanh of q + k otherwise.  The backward
-    forms each block's tanh again, from the saved keys and queries, rather
-    than keeping the n x n x hidden array (recomputation as in Chen et al.
-    2016, arXiv:1604.06174), so on and off the tape the kernel holds
-    O(n^2 + n hidden + BLOCK) floats.  The gradient of ``w`` is an
-    :class:`~dualpointer.autodiff.OuterGrad` of n outer products, which the
-    optimizer forms a block at a time.
+    ``FACTORED_RANGE``, and as v . np.tanh(q + k) otherwise.  The backward
+    forms each block again, from the saved exponentials or keys and
+    queries, rather than keeping the n x n x hidden array (recomputation
+    as in Chen et al. 2016, arXiv:1604.06174), so on and off the tape the
+    kernel holds O(n^2 + n hidden + BLOCK) floats.  The gradient of ``w``
+    is an :class:`~dualpointer.autodiff.OuterGrad` of n outer products,
+    which the optimizer forms a block at a time.
     """
     cd, wd, bd, vd = contexts.data, w.data, b.data, v.data
     d = wd.shape[1] // 2
@@ -84,17 +94,14 @@ def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
         raise ValueError(f"score_all needs a non-empty matrix of context rows of width {d}, "
                          f"got shape {cd.shape}")
     n, h = cd.shape[0], wd.shape[0]
-    rows = max(1, BLOCK // (n * h))
     wk, wq = wd[:, :d], wd[:, d:]
     q = cd @ wq.T
     q += bd
     k = cd @ wk.T
-    out = np.empty((n, n))
-    for i, ti in _tanh_blocks(q, k, rows):
-        np.matmul(ti.reshape(-1, h), vd, out=out[i:i + rows].reshape(-1))
+    out, pair_gradients = _pair_scores(q, k, vd, max(1, BLOCK // (n * h)))
 
     def backward(g):
-        dq, dk, dv = _tanh_gradients(q, k, vd, g, rows)
+        dq, dk, dv = pair_gradients(g)
         # dw = [dk^T C, dq^T C], left to the optimizer as two factors over w
         # seen as [2 hidden x context]: its row 2r is wk's row r, 2r + 1 wq's
         left = np.empty((n, 2 * h))
@@ -104,37 +111,53 @@ def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
     return ad.make_node(out, (contexts, w, b, v), backward)
 
 
-def _tanh_blocks(q: np.ndarray, k: np.ndarray, rows: int):
-    """Yield (i, tanh(q[i:i + rows, None] + k)) for each block of ``rows``
-    query rows starting at row i, every block written into one buffer, in
-    the factored form when the call qualifies (module docstring)."""
-    n = len(q)
-    buf = np.empty((min(rows, n),) + k.shape)
-    factored = n * k.size >= FACTORED_MIN and (
+def _factored(q: np.ndarray, k: np.ndarray) -> bool:
+    """Whether a call takes the factored form (module docstring): it has
+    ``FACTORED_MIN`` tanh elements or more and its largest |q| or |k| lies
+    in ``FACTORED_RANGE``, NaN excluded."""
+    return q.size * len(k) >= FACTORED_MIN and (
         FACTORED_RANGE[0] <= np.maximum(np.abs(q).max(), np.abs(k).max()) <= FACTORED_RANGE[1])
-    if factored:
-        eq = np.exp(2.0 * q)
-        ek = np.exp(2.0 * k)
+
+
+def _pair_scores(q: np.ndarray, k: np.ndarray, v: np.ndarray, rows: int):
+    """The scores v . tanh(q[i] + k[j]) of all pairs (i, j), in blocks of
+    ``rows`` query rows, and the function that maps their gradient to
+    (dq, dk, dv).  Factored, a score is sum(v) - 2 wv[i] . r[i, j] with
+    at = e^{-2q}, ek = e^{2k}, wv = v at and r = 1 / (at[i] + ek[j])."""
+    n, h = q.shape
+    out = np.empty((n, n))
+    if not _factored(q, k):
+        for i, ti in _blocks(q, k, rows, np.tanh):
+            np.matmul(ti.reshape(-1, h), v, out=out[i:i + rows].reshape(-1))
+        return out, lambda g: _tanh_gradients(q, k, v, g, rows)
+    at, ek = np.exp(-2.0 * q), np.exp(2.0 * k)
+    wv = at * v
+    for i, ri in _blocks(at, ek, rows, np.reciprocal):
+        np.matmul(ri, wv[i:i + rows, :, None], out=out[i:i + rows, :, None])
+    out *= -2.0
+    out += v.sum()
+    return out, lambda g: _reciprocal_gradients(at, ek, wv, g, rows)
+
+
+def _blocks(a: np.ndarray, b: np.ndarray, rows: int, f):
+    """Yield (i, f(a[i:i + rows, None] + b)) for each block of ``rows``
+    rows of ``a`` starting at row i, every block written into one buffer
+    by ``f``'s out=."""
+    n = len(a)
+    buf = np.empty((min(rows, n),) + b.shape)
     for i in range(0, n, rows):
         ti = buf[:min(rows, n - i)]
-        if factored:
-            np.multiply(eq[i:i + rows, None, :], ek, out=ti)
-            ti += 1.0
-            np.divide(-2.0, ti, out=ti)
-            ti += 1.0
-        else:
-            np.add(q[i:i + rows, None, :], k, out=ti)
-            np.tanh(ti, out=ti)
+        np.add(a[i:i + rows, None, :], b, out=ti)
+        f(ti, out=ti)
         yield i, ti
 
 
 def _tanh_gradients(q: np.ndarray, k: np.ndarray, v: np.ndarray, g: np.ndarray, rows: int):
     """The gradients (dq, dk, dv) of the scores v . tanh(q[i] + k[j]) given
-    theirs, ``g``, over the blocks of :func:`_tanh_blocks`: each block's
-    tanh is formed again and turned in place into the gradient of its
-    pre-activations."""
+    theirs, ``g``: each block's tanh is formed again and turned in place
+    into the gradient of its pre-activations."""
     dq = np.empty(q.shape)
-    for i, ti in _tanh_blocks(q, k, rows):
+    for i, ti in _blocks(q, k, rows, np.tanh):
         gi = g[i:i + rows]
         dv_i = gi.reshape(-1) @ ti.reshape(-1, len(v))
         dpre = np.multiply(ti, ti, out=ti)
@@ -145,6 +168,29 @@ def _tanh_gradients(q: np.ndarray, k: np.ndarray, v: np.ndarray, g: np.ndarray, 
         dk_i = dpre.sum(axis=0)
         dk, dv = (dk + dk_i, dv + dv_i) if i else (dk_i, dv_i)
     return dq, dk, dv
+
+
+def _reciprocal_gradients(at: np.ndarray, ek: np.ndarray, wv: np.ndarray, g: np.ndarray,
+                          rows: int):
+    """The gradients (dq, dk, dv) of the factored scores of
+    :func:`_pair_scores` given theirs, ``g``.  As 1 - tanh^2 = 4 at ek r^2,
+    dq[i] = 4 wv[i] sum_j g[i, j] ek[j] r^2,
+    dk[j] = 4 sum_i g[i, j] wv[i] ek[j] r^2 and
+    dv = sum(g) - 2 sum_i at[i] sum_j g[i, j] r: each block's reciprocals
+    are formed again and turned in place into those terms, and every sum
+    is a stacked matrix-vector product."""
+    n, h = at.shape
+    gr, dq, dk = np.empty((n, 1, h)), np.empty((n, 1, h)), np.zeros((n, 1, h))
+    for i, ri in _blocks(at, ek, rows, np.reciprocal):
+        gi = g[i:i + rows, None, :]
+        np.matmul(gi, ri, out=gr[i:i + rows])
+        ri *= ri
+        ri *= ek
+        np.matmul(gi, ri, out=dq[i:i + rows])
+        ri *= wv[i:i + rows, None, :]
+        dk += np.matmul(g[i:i + rows].T[:, None, :], ri.transpose(1, 0, 2))
+    dv = g.sum() - 2.0 * (at * gr.reshape(n, h)).sum(axis=0)
+    return 4.0 * wv * dq.reshape(n, h), 4.0 * dk.reshape(n, h), dv
 
 
 def target_matrix(sentence: Sentence, tag: str) -> np.ndarray:

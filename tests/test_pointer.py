@@ -1,6 +1,7 @@
 """Attention scorer: closed-form zeros, batched-vs-pairwise exactness,
 the composed per-pair reference, blocks of query rows and the memory they
-bound, the factored tanh and its range, target matrices, and gradients."""
+bound, the factored tanh on reciprocals and its range, target matrices,
+and gradients."""
 import tracemalloc
 
 import numpy as np
@@ -281,6 +282,35 @@ def test_weight_gradient_is_factored_over_key_and_query_rows(rng):
     np.testing.assert_allclose(dq.sum(axis=0), b.grad, rtol=1e-12)
 
 
+def assert_gradients_match_finite_differences(n, hidden):
+    """The gradients of a weighted sum of ``score_all``'s scores with
+    respect to contexts, w, b and v within 1e-6 of central differences."""
+    c0, p0, weights = weighted_problem(n, 3, hidden)
+    inputs = [Tensor(a.copy(), requires_grad=True) for a in [c0] + p0]
+    sum_all(mul(score_all(*inputs), Tensor(weights))).backward()
+    for name, tensor in zip(("contexts", "w", "b", "v"), inputs):
+        x0 = tensor.data.copy()
+
+        def f(x, tensor=tensor):
+            tensor.data = x
+            with ad.no_grad():
+                return float(np.sum(score_all(*inputs).data * weights))
+
+        num = numeric_grad(f, x0.copy())
+        tensor.data = x0
+        assert rel_err(tensor.grad, num) < 1e-6, name
+
+
+def assert_same_forward_on_and_off_the_tape(n, hidden):
+    c0, p0, _ = weighted_problem(n, 3, hidden)
+    on_tape = score_all(Tensor(c0), *(Tensor(a, requires_grad=True) for a in p0))
+    assert on_tape.requires_grad
+    with ad.no_grad():
+        off_tape = score_all(Tensor(c0), *(Tensor(a, requires_grad=True) for a in p0))
+    assert not off_tape.requires_grad
+    np.testing.assert_array_equal(on_tape.data, off_tape.data)
+
+
 # (n, hidden, block) with blocks of max(1, block // (n * hidden)) query rows
 BLOCK_CASES = [
     pytest.param(3, 5, 80, id="below-one-block"),        # 5 rows: one block, part full
@@ -309,31 +339,12 @@ class TestBlocks:
     @pytest.mark.parametrize("n, hidden, block", [c for c in BLOCK_CASES if c.values[0] < 10])
     def test_gradients_match_finite_differences(self, monkeypatch, n, hidden, block):
         monkeypatch.setattr(pointer, "BLOCK", block)
-        c0, p0, weights = weighted_problem(n, 3, hidden)
-        inputs = [Tensor(a.copy(), requires_grad=True) for a in [c0] + p0]
-        sum_all(mul(score_all(*inputs), Tensor(weights))).backward()
-        for name, tensor in zip(("contexts", "w", "b", "v"), inputs):
-            x0 = tensor.data.copy()
-
-            def f(x, tensor=tensor):
-                tensor.data = x
-                with ad.no_grad():
-                    return float(np.sum(score_all(*inputs).data * weights))
-
-            num = numeric_grad(f, x0.copy())
-            tensor.data = x0
-            assert rel_err(tensor.grad, num) < 1e-6, name
+        assert_gradients_match_finite_differences(n, hidden)
 
     @pytest.mark.parametrize("n, hidden, block", BLOCK_CASES)
     def test_forward_is_the_same_on_and_off_the_tape(self, monkeypatch, n, hidden, block):
         monkeypatch.setattr(pointer, "BLOCK", block)
-        c0, p0, _ = weighted_problem(n, 3, hidden)
-        on_tape = score_all(Tensor(c0), *(Tensor(a, requires_grad=True) for a in p0))
-        assert on_tape.requires_grad
-        with ad.no_grad():
-            off_tape = score_all(Tensor(c0), *(Tensor(a, requires_grad=True) for a in p0))
-        assert not off_tape.requires_grad
-        np.testing.assert_array_equal(on_tape.data, off_tape.data)
+        assert_same_forward_on_and_off_the_tape(n, hidden)
 
     def test_one_tape_node_over_many_blocks(self, monkeypatch):
         monkeypatch.setattr(pointer, "BLOCK", 40)
@@ -356,49 +367,107 @@ def scaled_keys_and_queries(q_top, k_top, n=N, hidden=H):
     return q * (q_top / np.abs(q).max()), k * (k_top / np.abs(k).max())
 
 
-def stacked_blocks(q, k, rows=5):
-    """Every block of ``_tanh_blocks``, copied out of its buffer, as one
-    n x n x hidden array."""
-    return np.concatenate([ti.copy() for _, ti in pointer._tanh_blocks(q, k, rows)])
+def score_weights(n=N, hidden=H):
+    """A net's ``v`` and the gradient ``g`` of its n x n scores."""
+    rng = np.random.default_rng(1)
+    return rng.normal(size=hidden), rng.normal(size=(n, n))
 
 
-def tanh_of_sums(q, k):
-    """The blocks of the np.add + np.tanh form, as one array."""
-    return np.tanh(q[:, None, :] + k)
+def kernel(q, k, v, g, rows=5):
+    """The scores of ``score_all``'s pair kernel and the gradients
+    (dq, dk, dv) it gives for ``g``."""
+    out, gradients = pointer._pair_scores(q, k, v, rows)
+    return (out,) + tuple(gradients(g))
 
 
-SCALES = [1e-8, 1e-4, LOW, 1e-2, 1.0, 30.0, 176.0, 349.0]
+def tanh_reference(q, k, v, g):
+    """The scores and gradients of ``kernel`` from the whole n x n x hidden
+    np.tanh array, and the scale of each: its bound with |tanh| <= 1."""
+    t = np.tanh(q[:, None, :] + k)
+    dpre = g[:, :, None] * v * (1.0 - t * t)
+    values = (t @ v, dpre.sum(axis=1), dpre.sum(axis=0), np.einsum("ij,ijh->h", g, t))
+    av, ag = np.abs(v), np.abs(g)
+    scales = (av.sum(), av.max() * ag.sum(axis=1).max(), av.max() * ag.sum(axis=0).max(),
+              ag.sum())
+    return values, scales
+
+
+def assert_matches_tanh_reference(got, q, k, v, g, of_scale=False):
+    """Each of ``got`` within 1e-12 of the reference, relative to the
+    reference's largest entry, or with ``of_scale`` to its scale: the
+    yardstick where the reference cancels to zero."""
+    values, scales = tanh_reference(q, k, v, g)
+    for name, a, want, scale in zip(("scores", "dq", "dk", "dv"), got, values, scales):
+        assert a.shape == want.shape, name
+        assert np.abs(a - want).max() <= 1e-12 * (scale if of_scale else np.abs(want).max()), name
+
+
+def tanh_form(q, k, v, rows=5):
+    """The scores of the np.add + np.tanh form, by the same matrix-vector
+    products, one block of ``rows`` query rows each, as the kernel's."""
+    blocks = [np.tanh(q[i:i + rows, None, :] + k).reshape(-1, len(v)) @ v
+              for i in range(0, len(q), rows)]
+    return np.concatenate(blocks).reshape(len(q), len(k))
+
+
+@pytest.fixture
+def block_kinds(monkeypatch):
+    """The ufunc (np.tanh or np.reciprocal) of every block the kernel
+    forms, with the block's first row and a copy of it, in order."""
+    seen = []
+    blocks = pointer._blocks
+
+    def spy(a, b, rows, f):
+        for i, ti in blocks(a, b, rows, f):
+            seen.append((f, i, ti.copy()))
+            yield i, ti
+
+    monkeypatch.setattr(pointer, "_blocks", spy)
+    return seen
+
+
+SCALES = [1e-8, 1e-4, 1e-3, 1e-2, 1.0, 30.0, 176.0, 349.0]
 RANGE_ENDS = [
     pytest.param(LOW * 1.001, id="low-inside"), pytest.param(LOW * 0.999, id="low-outside"),
     pytest.param(HIGH * 0.999, id="high-inside"), pytest.param(HIGH * 1.001, id="high-outside")]
+# (n, hidden, block) of at least FACTORED_MIN tanh elements, in blocks of
+# max(1, block // (n * hidden)) query rows
+FACTORED_CASES = [
+    pytest.param(N, H, pointer.BLOCK, id="below-one-block"),  # 256 rows: one block, part full
+    pytest.param(N, H, N * N * H, id="one-full-block"),       # 32 rows
+    pytest.param(N + 1, H, N * N * H, id="short-last-block"),  # blocks of 31 and 2
+    pytest.param(N, H, N * H, id="one-row-blocks"),
+]
 
 
 class TestFactoredBlocks:
     """From ``FACTORED_MIN`` elements up and inside ``FACTORED_RANGE`` the
-    blocks are tanh(q + k) formed as 1 - 2 / (1 + e^{2q} e^{2k});
-    otherwise, as np.tanh of the sums."""
+    scores and their gradients come from blocks of reciprocals
+    1 / (e^{-2q} + e^{2k}); otherwise from blocks of np.tanh of the sums.
+    Both are held to the n x n x hidden np.tanh reference within 1e-12 of
+    its scale, and the np.tanh form to its own products bit for bit."""
 
     @pytest.mark.parametrize("k_top", SCALES)
     @pytest.mark.parametrize("q_top", SCALES)
     def test_scores_agree_with_tanh_of_sums(self, q_top, k_top):
         q, k = scaled_keys_and_queries(q_top, k_top)
-        v = np.random.default_rng(1).normal(size=H)
-        got, want = stacked_blocks(q, k), tanh_of_sums(q, k)
-        assert rel_err(got, want) <= 1e-12
-        assert rel_err(got @ v, want @ v) <= 1e-12
+        v, g = score_weights()
+        assert_matches_tanh_reference(kernel(q, k, v, g), q, k, v, g)
 
     @pytest.mark.parametrize("top", RANGE_ENDS)
     @pytest.mark.parametrize("side", ["q", "k"])
-    def test_scores_agree_at_the_range_ends(self, top, side):
+    def test_scores_agree_at_the_range_ends(self, top, side, block_kinds):
         """The largest |q| or |k| just inside or just outside either end;
-        outside, the blocks are those of np.tanh bit for bit."""
+        outside, the scores are those of the np.tanh form bit for bit."""
         other = min(0.5, top / 2)
         q, k = scaled_keys_and_queries(*((top, other) if side == "q" else (other, top)))
-        v = np.random.default_rng(1).normal(size=H)
-        got, want = stacked_blocks(q, k), tanh_of_sums(q, k)
-        assert rel_err(got @ v, want @ v) <= 1e-12
-        if not LOW <= top <= HIGH:
-            np.testing.assert_array_equal(got, want)
+        v, g = score_weights()
+        got = kernel(q, k, v, g)
+        assert_matches_tanh_reference(got, q, k, v, g)
+        inside = LOW <= top <= HIGH
+        assert {f for f, _, _ in block_kinds} == {np.reciprocal if inside else np.tanh}
+        if not inside:
+            np.testing.assert_array_equal(got[0], tanh_form(q, k, v))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, HIGH * 1.001, -HIGH * 1.001])
     @pytest.mark.parametrize("side", ["q", "k"])
@@ -407,16 +476,41 @@ class TestFactoredBlocks:
         the whole call to the np.add + np.tanh form, bit for bit."""
         q, k = scaled_keys_and_queries(2.0, 2.0)
         (q if side == "q" else k)[3, 4] = value
-        np.testing.assert_array_equal(stacked_blocks(q, k), tanh_of_sums(q, k))
+        v, _ = score_weights()
+        out, _ = pointer._pair_scores(q, k, v, 5)
+        np.testing.assert_array_equal(out, tanh_form(q, k, v))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_no_floating_point_exception_at_the_top_of_the_range(self, sign):
-        """With every |q| and |k| at the top of the range, the
-        exponentials and their products stay finite and normal."""
-        q, k = np.full((2, N, H), sign * HIGH)
-        with np.errstate(all="raise"):
-            got = stacked_blocks(q, k)
-        np.testing.assert_array_equal(got, tanh_of_sums(q, k))
+        """Every query at ``sign`` times the top of the range and every key
+        at either sign of it, through score_all's forward and backward:
+        each step stays finite and normal.  Contexts of the n x n identity
+        make the queries and keys exactly the rows of w's halves."""
+        v, g = score_weights()
+        for k_sign in (1.0, -1.0):
+            q, k = np.full((N, H), sign * HIGH), np.full((N, H), k_sign * HIGH)
+            assert pointer._factored(q, k)
+            c = Tensor(np.eye(N), requires_grad=True)
+            w = Tensor(np.concatenate([k.T, q.T], axis=1), requires_grad=True)
+            b, vt = Tensor(np.zeros(H), requires_grad=True), Tensor(v, requires_grad=True)
+            with np.errstate(all="raise"):
+                m = score_all(c, w, b, vt)
+                sum_all(mul(m, Tensor(g))).backward()
+                dw = np.asarray(w.grad)
+            # with identity contexts, dq and dk are the halves of dw
+            got = (m.data, dw[:, N:].T, dw[:, :N].T, vt.grad)
+            assert_matches_tanh_reference(got, q, k, v, g, of_scale=True)
+
+    @pytest.mark.parametrize("top", [LOW * 1.001, 1.0, 20.0, HIGH])
+    def test_scores_where_every_sum_is_zero(self, top):
+        """q + k = 0 for every pair: the scores sum(v) - 2 sum(v) / 2 and
+        the gradient of v cancel to within 1e-12 of their scales."""
+        u = np.random.default_rng(0).uniform(-1.0, 1.0, size=H)
+        q = np.tile(u * (top / np.abs(u).max()), (N, 1))
+        k = -q
+        v, g = score_weights()
+        assert pointer._factored(q, k)
+        assert_matches_tanh_reference(kernel(q, k, v, g), q, k, v, g, of_scale=True)
 
     def test_geometry_has_the_fewest_elements_factored(self):
         assert N * N * H == pointer.FACTORED_MIN
@@ -424,14 +518,43 @@ class TestFactoredBlocks:
     @pytest.mark.parametrize("n, hidden", [(N - 1, H), (N, H - 1), (11, 100)])
     def test_below_the_fewest_elements_the_blocks_are_tanh_of_sums(self, n, hidden):
         q, k = scaled_keys_and_queries(4.0, 3.0, n, hidden)
-        np.testing.assert_array_equal(stacked_blocks(q, k), tanh_of_sums(q, k))
+        v, _ = score_weights(n, hidden)
+        out, _ = pointer._pair_scores(q, k, v, 5)
+        np.testing.assert_array_equal(out, tanh_form(q, k, v))
 
     @pytest.mark.parametrize("rows", [1, 5, N])
-    def test_inside_the_range_the_blocks_are_the_factored_form(self, rows):
+    def test_inside_the_range_the_blocks_are_the_factored_form(self, rows, block_kinds):
+        """The blocks of the forward and again of the backward are
+        1 / (e^{-2q} + e^{2k}), bit for bit, each of its ``rows``."""
         q, k = scaled_keys_and_queries(4.0, 3.0)
-        eq, ek = np.exp(2.0 * q), np.exp(2.0 * k)
-        want = 1.0 + -2.0 / (1.0 + eq[:, None, :] * ek)
-        np.testing.assert_array_equal(stacked_blocks(q, k, rows), want)
+        v, g = score_weights()
+        got = kernel(q, k, v, g, rows)
+        assert_matches_tanh_reference(got, q, k, v, g)
+        want = 1.0 / (np.exp(-2.0 * q)[:, None, :] + np.exp(2.0 * k))
+        starts = list(range(0, N, rows))
+        assert [(f, i) for f, i, _ in block_kinds] == [(np.reciprocal, i) for i in starts * 2]
+        for _, i, ti in block_kinds:
+            np.testing.assert_array_equal(ti, want[i:i + rows])
+
+    @pytest.mark.parametrize("n, hidden, block", FACTORED_CASES)
+    def test_values_and_gradients_match_composed_reference(self, monkeypatch, block_kinds,
+                                                           n, hidden, block):
+        monkeypatch.setattr(pointer, "BLOCK", block)
+        assert_matches_composed_reference(*weighted_problem(n, 3, hidden))
+        assert {f for f, _, _ in block_kinds} == {np.reciprocal}
+
+    @pytest.mark.parametrize("n, hidden, block", FACTORED_CASES[2:])
+    def test_gradients_match_finite_differences(self, monkeypatch, block_kinds, n, hidden, block):
+        monkeypatch.setattr(pointer, "BLOCK", block)
+        assert_gradients_match_finite_differences(n, hidden)
+        assert {f for f, _, _ in block_kinds} == {np.reciprocal}
+
+    @pytest.mark.parametrize("n, hidden, block", FACTORED_CASES)
+    def test_forward_is_the_same_on_and_off_the_tape(self, monkeypatch, block_kinds,
+                                                     n, hidden, block):
+        monkeypatch.setattr(pointer, "BLOCK", block)
+        assert_same_forward_on_and_off_the_tape(n, hidden)
+        assert {f for f, _, _ in block_kinds} == {np.reciprocal}
 
 
 def test_parsing_a_long_sentence_allocates_a_bounded_peak():
