@@ -469,7 +469,8 @@ class TestFactoredBlocks:
         if not inside:
             np.testing.assert_array_equal(got[0], tanh_form(q, k, v))
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, HIGH * 1.001, -HIGH * 1.001])
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, HIGH * 1.001, -HIGH * 1.001, 177.177, -177.177])
     @pytest.mark.parametrize("side", ["q", "k"])
     def test_outside_the_range_the_blocks_are_tanh_of_sums(self, value, side):
         """One entry of q or of k beyond the range, or not a number, sends
