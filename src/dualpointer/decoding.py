@@ -316,6 +316,7 @@ def uas(
             f"{len(gold)} gold sentences against {len(predicted)} predictions"
         )
     correct = total = 0
+    punct: dict[str | None, bool] = {}  # each distinct tag decided once
     for si, (sent, tree) in enumerate(zip(gold, predicted)):
         if len(sent) != len(tree):
             raise AlignmentError(
@@ -324,8 +325,11 @@ def uas(
         heads = sent.gold_heads()
         for tok, g, p in zip(sent.tokens, heads, tree.heads):
             pos = tok.pos
-            if pos and (pos in punct_tags
-                        or all(unicodedata.category(ch).startswith("P") for ch in pos)):
+            if pos not in punct:
+                punct[pos] = bool(pos) and (
+                    pos in punct_tags
+                    or all(unicodedata.category(ch).startswith("P") for ch in pos))
+            if punct[pos]:
                 continue
             total += 1
             correct += g == p

@@ -22,9 +22,13 @@ matches the single-pair composition of the same formula within about
 The tanh is factored: with a = e^{-2q} and e = e^{2k},
 tanh(q + k) = 1 - 2 a / (a + e), so a score is sum(v) - 2 (v a_i) . r_ij
 with r_ij = 1 / (a_i + e_j).  A sentence then takes 2 n hidden
-exponentials per net, not n^2 hidden tanh values, and each block is an
-add and a reciprocal per element and one matrix-vector product per query
-row; the backward forms the same reciprocals.  That holds whenever the
+exponentials per net, not n^2 hidden tanh values.  The blocks are
+hidden-major, [hidden, rows, n]: for each hidden unit the sums a_i + e_j
+are the rank-2 product [a, 1] [1; e]^T, whose entries 1 a + 1 e are
+rounded once, to the bits of np.add, so a block is one stacked BLAS
+product and a reciprocal per element, then one stacked matrix-vector
+product per query row.  The backward forms the same reciprocals, and its
+sums are stacked matrix-vector products.  That holds whenever the
 call has ``FACTORED_MIN`` tanh elements or more and its largest |q| or |k|
 lies in ``FACTORED_RANGE``; else, short sentences and NaN or infinities
 included, the blocks are np.tanh of the sums.  Above the range the
@@ -61,8 +65,8 @@ FACTORED_RANGE = (1e-2, 88.0)
 
 # The fewest tanh elements (n^2 hidden) that a call factors.  Below about
 # this many the exponentials and the range check cost more than the tanh
-# they save: at hidden 100 the two forms' forward broke even at n = 12 to
-# 13, forward and backward at n = 11.
+# they save: at hidden 100 the two forms' forward broke even at n = 13,
+# forward and backward at n = 12 to 13.
 FACTORED_MIN = 16384
 
 
@@ -78,7 +82,8 @@ def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
     scores are formed one block of ``max(1, BLOCK // (n * hidden))`` query
     rows at a time, in one reused block buffer: as sum(v) - 2 (v a_i) . r_ij
     with r_ij = 1 / (e^{-2q_i} + e^{2k_j}), from exponentials of the keys
-    and queries taken once per call, when there are at least
+    and queries taken once per call, each hidden-major block of sums one
+    stacked rank-2 matrix product, when there are at least
     ``FACTORED_MIN`` elements and the largest |q| or |k| lies in
     ``FACTORED_RANGE``, and as v . np.tanh(q + k) otherwise.  The backward
     forms each block again, from the saved exponentials or keys and
@@ -122,34 +127,61 @@ def _factored(q: np.ndarray, k: np.ndarray) -> bool:
 def _pair_scores(q: np.ndarray, k: np.ndarray, v: np.ndarray, rows: int):
     """The scores v . tanh(q[i] + k[j]) of all pairs (i, j), in blocks of
     ``rows`` query rows, and the function that maps their gradient to
-    (dq, dk, dv).  Factored, a score is sum(v) - 2 wv[i] . r[i, j] with
-    at = e^{-2q}, ek = e^{2k}, wv = v at and r = 1 / (at[i] + ek[j])."""
+    (dq, dk, dv).  Factored, a score is sum(v) - 2 wv[i] . r[:, i, j] with
+    at = e^{-2q}, ek = e^{2k}, wv = v at and r = 1 / (at[i] + ek[j]),
+    hidden-major."""
     n, h = q.shape
     out = np.empty((n, n))
     if not _factored(q, k):
-        for i, ti in _blocks(q, k, rows, np.tanh):
+        for i, ti in _blocks(q, k, rows):
             np.matmul(ti.reshape(-1, h), v, out=out[i:i + rows].reshape(-1))
         return out, lambda g: _tanh_gradients(q, k, v, g, rows)
     at, ek = np.exp(-2.0 * q), np.exp(2.0 * k)
     wv = at * v
-    for i, ri in _blocks(at, ek, rows, np.reciprocal):
-        np.matmul(ri, wv[i:i + rows, :, None], out=out[i:i + rows, :, None])
+    left, right = _sum_factors(at, ek)
+    for i, ri in _reciprocal_blocks(left, right, rows):
+        np.matmul(wv[i:i + rows, None, :], ri.transpose(1, 0, 2), out=out[i:i + rows, None, :])
     out *= -2.0
     out += v.sum()
-    return out, lambda g: _reciprocal_gradients(at, ek, wv, g, rows)
+    return out, lambda g: _reciprocal_gradients(at, wv, left, right, g, rows)
 
 
-def _blocks(a: np.ndarray, b: np.ndarray, rows: int, f):
-    """Yield (i, f(a[i:i + rows, None] + b)) for each block of ``rows``
-    rows of ``a`` starting at row i, every block written into one buffer
-    by ``f``'s out=."""
+def _blocks(a: np.ndarray, b: np.ndarray, rows: int):
+    """Yield (i, np.tanh(a[i:i + rows, None] + b)) for each block of
+    ``rows`` rows of ``a`` starting at row i, every block written into one
+    buffer by np.tanh's out=."""
     n = len(a)
     buf = np.empty((min(rows, n),) + b.shape)
     for i in range(0, n, rows):
         ti = buf[:min(rows, n - i)]
         np.add(a[i:i + rows, None, :], b, out=ti)
-        f(ti, out=ti)
+        np.tanh(ti, out=ti)
         yield i, ti
+
+
+def _sum_factors(at: np.ndarray, ek: np.ndarray):
+    """left = [at, 1] [hidden, n, 2] and right = [1; ek] [hidden, 2, n],
+    whose stacked product is hidden-major at[i] + ek[j]: for each hidden
+    unit the n x n sums have rank 2, and each entry 1 at + 1 ek of the
+    product is rounded once, to the bits of np.add."""
+    n, h = at.shape
+    left, right = np.ones((h, n, 2)), np.ones((h, 2, n))
+    left[:, :, 0], right[:, 1] = at.T, ek.T
+    return left, right
+
+
+def _reciprocal_blocks(left: np.ndarray, right: np.ndarray, rows: int):
+    """Yield (i, 1 / (left[:, i:i + rows] @ right)) for each block of
+    ``rows`` query rows starting at row i, hidden-major [hidden, rows, n]:
+    each block's sums are one stacked rank-2 matrix product, written with
+    its reciprocals into one contiguous buffer."""
+    h, n, _ = left.shape
+    buf = np.empty(h * min(rows, n) * n)
+    for i in range(0, n, rows):
+        ri = buf[:h * min(rows, n - i) * n].reshape(h, -1, n)
+        np.matmul(left[:, i:i + rows], right, out=ri)
+        np.reciprocal(ri, out=ri)
+        yield i, ri
 
 
 def _tanh_gradients(q: np.ndarray, k: np.ndarray, v: np.ndarray, g: np.ndarray, rows: int):
@@ -157,7 +189,7 @@ def _tanh_gradients(q: np.ndarray, k: np.ndarray, v: np.ndarray, g: np.ndarray, 
     theirs, ``g``: each block's tanh is formed again and turned in place
     into the gradient of its pre-activations."""
     dq = np.empty(q.shape)
-    for i, ti in _blocks(q, k, rows, np.tanh):
+    for i, ti in _blocks(q, k, rows):
         gi = g[i:i + rows]
         dv_i = gi.reshape(-1) @ ti.reshape(-1, len(v))
         dpre = np.multiply(ti, ti, out=ti)
@@ -170,27 +202,29 @@ def _tanh_gradients(q: np.ndarray, k: np.ndarray, v: np.ndarray, g: np.ndarray, 
     return dq, dk, dv
 
 
-def _reciprocal_gradients(at: np.ndarray, ek: np.ndarray, wv: np.ndarray, g: np.ndarray,
-                          rows: int):
+def _reciprocal_gradients(at: np.ndarray, wv: np.ndarray, left: np.ndarray, right: np.ndarray,
+                          g: np.ndarray, rows: int):
     """The gradients (dq, dk, dv) of the factored scores of
-    :func:`_pair_scores` given theirs, ``g``.  As 1 - tanh^2 = 4 at ek r^2,
-    dq[i] = 4 wv[i] sum_j g[i, j] ek[j] r^2,
-    dk[j] = 4 sum_i g[i, j] wv[i] ek[j] r^2 and
+    :func:`_pair_scores` given theirs, ``g``, with ek = right[:, 1] the
+    keys' exponentials.  As 1 - tanh^2 = 4 at ek r^2,
+    dq[i] = 4 wv[i] sum_j (g[i, j] r^2) ek[j],
+    dk[j] = 4 ek[j] sum_i wv[i] (g[i, j] r^2) and
     dv = sum(g) - 2 sum_i at[i] sum_j g[i, j] r: each block's reciprocals
-    are formed again and turned in place into those terms, and every sum
-    is a stacked matrix-vector product."""
+    are formed again and turned in place into g r^2, every sum is a
+    stacked matrix-vector product, and the factors 4 wv and 4 ek are
+    applied once, to the n x hidden sums."""
     n, h = at.shape
-    gr, dq, dk = np.empty((n, 1, h)), np.empty((n, 1, h)), np.zeros((n, 1, h))
-    for i, ri in _blocks(at, ek, rows, np.reciprocal):
-        gi = g[i:i + rows, None, :]
-        np.matmul(gi, ri, out=gr[i:i + rows])
+    ekt, wvt = right[:, 1], wv.T[:, None, :]
+    gr, dqt, dkt = np.empty((n, h, 1)), np.empty((h, n, 1)), np.zeros((h, 1, n))
+    for i, ri in _reciprocal_blocks(left, right, rows):
+        gi = g[i:i + rows]
+        np.matmul(ri.transpose(1, 0, 2), gi[:, :, None], out=gr[i:i + rows])
         ri *= ri
-        ri *= ek
-        np.matmul(gi, ri, out=dq[i:i + rows])
-        ri *= wv[i:i + rows, None, :]
-        dk += np.matmul(g[i:i + rows].T[:, None, :], ri.transpose(1, 0, 2))
+        ri *= gi
+        np.matmul(ri, ekt[:, :, None], out=dqt[:, i:i + rows])
+        dkt += np.matmul(wvt[:, :, i:i + rows], ri)
     dv = g.sum() - 2.0 * (at * gr.reshape(n, h)).sum(axis=0)
-    return 4.0 * wv * dq.reshape(n, h), 4.0 * dk.reshape(n, h), dv
+    return 4.0 * wv * dqt.reshape(h, n).T, 4.0 * ekt.T * dkt.reshape(h, n).T, dv
 
 
 def target_matrix(sentence: Sentence, tag: str) -> np.ndarray:

@@ -413,20 +413,22 @@ def tanh_form(q, k, v, rows=5):
 @pytest.fixture
 def block_kinds(monkeypatch):
     """The ufunc (np.tanh or np.reciprocal) of every block the kernel
-    forms, with the block's first row and a copy of it, in order."""
+    forms, with the block's first row and a copy of it, in order: the
+    np.tanh blocks of ``_blocks`` are [rows, n, hidden], the reciprocal
+    blocks of ``_reciprocal_blocks`` hidden-major [hidden, rows, n]."""
     seen = []
-    blocks = pointer._blocks
+    for name, f in (("_blocks", np.tanh), ("_reciprocal_blocks", np.reciprocal)):
+        def spy(*args, former=getattr(pointer, name), f=f):
+            for i, ti in former(*args):
+                seen.append((f, i, ti.copy()))
+                yield i, ti
 
-    def spy(a, b, rows, f):
-        for i, ti in blocks(a, b, rows, f):
-            seen.append((f, i, ti.copy()))
-            yield i, ti
-
-    monkeypatch.setattr(pointer, "_blocks", spy)
+        monkeypatch.setattr(pointer, name, spy)
     return seen
 
 
 SCALES = [1e-8, 1e-4, 1e-3, 1e-2, 1.0, 30.0, 176.0, 349.0]
+SUM_SCALES = [LOW, 0.1, 1.0, 10.0, HIGH]
 RANGE_ENDS = [
     pytest.param(LOW * 1.001, id="low-inside"), pytest.param(LOW * 0.999, id="low-outside"),
     pytest.param(HIGH * 0.999, id="high-inside"), pytest.param(HIGH * 1.001, id="high-outside")]
@@ -442,8 +444,9 @@ FACTORED_CASES = [
 
 class TestFactoredBlocks:
     """From ``FACTORED_MIN`` elements up and inside ``FACTORED_RANGE`` the
-    scores and their gradients come from blocks of reciprocals
-    1 / (e^{-2q} + e^{2k}); otherwise from blocks of np.tanh of the sums.
+    scores and their gradients come from hidden-major blocks of
+    reciprocals 1 / (e^{-2q} + e^{2k}), their sums stacked rank-2 matrix
+    products; otherwise from blocks of np.tanh of the sums.
     Both are held to the n x n x hidden np.tanh reference within 1e-12 of
     its scale, and the np.tanh form to its own products bit for bit."""
 
@@ -482,15 +485,18 @@ class TestFactoredBlocks:
         np.testing.assert_array_equal(out, tanh_form(q, k, v))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_no_floating_point_exception_at_the_top_of_the_range(self, sign):
+    def test_no_floating_point_exception_at_the_top_of_the_range(self, sign, block_kinds):
         """Every query at ``sign`` times the top of the range and every key
-        at either sign of it, through score_all's forward and backward:
-        each step stays finite and normal.  Contexts of the n x n identity
+        at either sign of it, through score_all's forward and backward,
+        both on the factored blocks: each step stays finite and normal,
+        the backward's (g r^2) ek of dq and wv (g r^2) of dk included,
+        whose products reach e^{-528}.  Contexts of the n x n identity
         make the queries and keys exactly the rows of w's halves."""
         v, g = score_weights()
         for k_sign in (1.0, -1.0):
             q, k = np.full((N, H), sign * HIGH), np.full((N, H), k_sign * HIGH)
             assert pointer._factored(q, k)
+            block_kinds.clear()
             c = Tensor(np.eye(N), requires_grad=True)
             w = Tensor(np.concatenate([k.T, q.T], axis=1), requires_grad=True)
             b, vt = Tensor(np.zeros(H), requires_grad=True), Tensor(v, requires_grad=True)
@@ -498,6 +504,7 @@ class TestFactoredBlocks:
                 m = score_all(c, w, b, vt)
                 sum_all(mul(m, Tensor(g))).backward()
                 dw = np.asarray(w.grad)
+            assert [(f, i) for f, i, _ in block_kinds] == [(np.reciprocal, 0)] * 2
             # with identity contexts, dq and dk are the halves of dw
             got = (m.data, dw[:, N:].T, dw[:, :N].T, vt.grad)
             assert_matches_tanh_reference(got, q, k, v, g, of_scale=True)
@@ -526,16 +533,36 @@ class TestFactoredBlocks:
     @pytest.mark.parametrize("rows", [1, 5, N])
     def test_inside_the_range_the_blocks_are_the_factored_form(self, rows, block_kinds):
         """The blocks of the forward and again of the backward are
-        1 / (e^{-2q} + e^{2k}), bit for bit, each of its ``rows``."""
+        1 / (e^{-2q} + e^{2k}), hidden-major, bit for bit, each of its
+        ``rows``."""
         q, k = scaled_keys_and_queries(4.0, 3.0)
         v, g = score_weights()
         got = kernel(q, k, v, g, rows)
         assert_matches_tanh_reference(got, q, k, v, g)
-        want = 1.0 / (np.exp(-2.0 * q)[:, None, :] + np.exp(2.0 * k))
+        want = 1.0 / (np.exp(-2.0 * q).T[:, :, None] + np.exp(2.0 * k).T[:, None, :])
         starts = list(range(0, N, rows))
         assert [(f, i) for f, i, _ in block_kinds] == [(np.reciprocal, i) for i in starts * 2]
         for _, i, ti in block_kinds:
-            np.testing.assert_array_equal(ti, want[i:i + rows])
+            np.testing.assert_array_equal(ti, want[:, i:i + rows])
+
+    @pytest.mark.parametrize("rows", [1, 5, N])
+    @pytest.mark.parametrize("k_top", SUM_SCALES)
+    @pytest.mark.parametrize("q_top", SUM_SCALES)
+    def test_rank_2_products_are_the_sums(self, q_top, k_top, rows):
+        """Each block's stacked product of the factors [e^{-2q}, 1] and
+        [1; e^{2k}], written through out= as the kernel writes it, is
+        np.add's e^{-2q}[i] + e^{2k}[j], hidden-major, bit for bit: at
+        random keys and queries of either end of the range and between,
+        in blocks of ``rows`` of n + 1 query rows, so that the last block
+        of 5 or of 32 rows is short."""
+        q, k = scaled_keys_and_queries(q_top, k_top, N + 1)
+        at, ek = np.exp(-2.0 * q), np.exp(2.0 * k)
+        left, right = pointer._sum_factors(at, ek)
+        want = np.add(at.T[:, :, None], ek.T[:, None, :])
+        for i in range(0, N + 1, rows):
+            got = np.empty((H, min(rows, N + 1 - i), N + 1))
+            np.matmul(left[:, i:i + rows], right, out=got)
+            np.testing.assert_array_equal(got, want[:, i:i + rows])
 
     @pytest.mark.parametrize("n, hidden, block", FACTORED_CASES)
     def test_values_and_gradients_match_composed_reference(self, monkeypatch, block_kinds,
