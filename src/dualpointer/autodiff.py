@@ -3,9 +3,7 @@
 The tape is built implicitly: every operation that touches a tensor with
 ``requires_grad`` records its inputs and a backward rule on the output.
 Calling :meth:`Tensor.backward` on a scalar walks the graph once in reverse
-topological order and accumulates gradients on the leaves; a table read
-by row gather gets a :class:`RowGrad` that names only the rows it touched,
-and a weight matrix an :class:`OuterGrad` of two thin factors.
+topological order and accumulates gradients on the leaves.
 
 The module holds the tape's mechanics only.  Every node of the parser's
 training graph is a fused kernel of ``encoder`` or ``pointer``, one per
@@ -13,9 +11,8 @@ layer, recording itself through :func:`make_node`.
 
 Everything is double precision.  Backward closures capture plain numpy
 arrays and at most their own node's parents, so the graph is a pure DAG
-with child-to-parent references only and is freed by reference counting
-as soon as the loss goes out of scope (``backward`` additionally severs
-the graph eagerly).
+with child-to-parent references only, freed by reference counting as soon
+as the loss goes out of scope.
 """
 from __future__ import annotations
 

@@ -1,9 +1,6 @@
-"""Command-line entry point.
-
-Subcommands: train, parse, eval, gradcheck.  A config file (--config)
-supplies defaults, individual flags override it, and --save-config records
-the effective configuration for exact reruns.  Errors exit nonzero with a
-single line of the form "error:<category>: message".
+"""Command-line entry point: the subcommands of :data:`COMMANDS`, each run
+from the flags over a --config file, and one "error:<category>: message"
+line, by :data:`ERROR_CATEGORIES`, for each error.
 """
 import argparse
 import contextlib

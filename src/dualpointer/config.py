@@ -1,21 +1,21 @@
 """Declarative run configuration.
 
-Every hyperparameter is declared once, as a field of :class:`RunConfig`:
-its type, its default, its INI section and key, and its valid values.
-Everything else is derived from that field list:
+Every hyperparameter is declared once, as a field of :class:`RunConfig`
+(:func:`param`).  Everything else is derived from that field list:
 
 - the INI layout, three sections ``[run]``, ``[paths]`` and ``[training]``,
   which :func:`dump_config` writes and :func:`load_config` reads;
 - the command-line flags: INI key ``some_key`` is flag ``--some-key``, and
   its text goes through the same :func:`parse_value` as the file's, so a
   bad value from either source is a :class:`ConfigError`;
-- the checks a RunConfig runs when it is built, after it maps a field's
-  aliases onto the value they spell; it is frozen, so every RunConfig, a
-  :func:`dataclasses.replace` copy too, holds valid values.
+- the checks a RunConfig runs when it is built; it is frozen, so every
+  RunConfig, a :func:`dataclasses.replace` copy too, holds valid values.
 
 The mode, the output activation and the five sizes take their defaults
-from :class:`~dualpointer.model.ModelShape`, which also checks them.
-Dumping and reloading a config reproduces it exactly.
+from :class:`~dualpointer.model.ModelShape`, which also checks them, the
+word dropout's from ``encoder.WORD_DROPOUT`` and Adam's from
+:class:`~dualpointer.optim.Adam`.  Dumping and reloading a config
+reproduces it exactly.
 """
 import configparser
 import io
@@ -23,7 +23,9 @@ import math
 import typing
 from dataclasses import Field, dataclass, field, fields, replace
 
+from .encoder import WORD_DROPOUT
 from .model import ACTIVATIONS, DEPS_ONLY, HEADS_ONLY, MODES, VARIANTS, ModelShape
+from .optim import Adam
 
 
 class ConfigError(ValueError):
@@ -80,11 +82,11 @@ class RunConfig:
                       aliases=MODE_ALIASES)
     epochs: int = param(10, "training", valid=(lambda v: v >= 1, ">= 1"))
     alpha_word_dropout: float = param(
-        0.25, "training", valid=(lambda v: 0 <= v < math.inf, "finite and >= 0"))
-    adam_alpha: float = param(0.001, "training", valid=POSITIVE)
-    adam_beta1: float = param(0.9, "training", valid=UNIT_INTERVAL)
-    adam_beta2: float = param(0.999, "training", valid=UNIT_INTERVAL)
-    adam_eps: float = param(1e-8, "training", valid=POSITIVE)
+        WORD_DROPOUT, "training", valid=(lambda v: 0 <= v < math.inf, "finite and >= 0"))
+    adam_alpha: float = param(Adam.alpha, "training", valid=POSITIVE)
+    adam_beta1: float = param(Adam.beta1, "training", valid=UNIT_INTERVAL)
+    adam_beta2: float = param(Adam.beta2, "training", valid=UNIT_INTERVAL)
+    adam_eps: float = param(Adam.eps, "training", valid=POSITIVE)
     d_pretrained: int = param(
         ModelShape.d_pretrained, "training",
         help="width of the pretrained embeddings; a --pretrained file's width sets it")

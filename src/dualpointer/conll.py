@@ -100,13 +100,11 @@ def _numbered_lines(stream: TextIO) -> Iterator[tuple[int, str]]:
 
 
 def read_conll(stream: TextIO) -> list[Sentence]:
-    """Parse a CoNLL-X/CoNLL-U stream into sentences.
-
-    Multiword-token ranges (``1-2``) and empty nodes (``5.1``) are skipped.
-    Token ids and heads are ASCII digits (a head may also be ``_``).  A
-    line with too few columns, an id out of sequence, or any other id or
-    head raises :class:`ConllError` naming the line, as does a stream whose
-    bytes are not UTF-8.
+    """Parse a CoNLL-X/CoNLL-U stream into sentences, skipping
+    multiword-token ranges and empty nodes.  A line with too few columns,
+    an id out of sequence, or an id or head that is not ASCII digits (a
+    head may also be ``_``) raises :class:`ConllError` naming the line, as
+    does a stream whose bytes are not UTF-8.
     """
     sentences: list[Sentence] = []
     tokens: list[Token] = []

@@ -2,17 +2,13 @@
 assign heads greedily, repair cycles, score with UAS.
 
 ``merge`` turns the pointer nets' score tensors into one activated array,
-and ``decode`` turns that array into a tree (top, greedy heads, cycle
-repair) and says whether the greedy heads were already a tree.
-``decode_corpus`` is the one inference path.  It encodes runs of
-consecutive sentences, :data:`BATCH_TOKENS` tokens at most, as one BiLSTM
-batch (``model.sentence_contexts``), scores each sentence once from its
-context rows and decodes every requested variant from those two matrices;
-``parse`` and ``cycle_stats`` are single-variant views of it.
+and ``decode`` turns that array into a tree.  ``decode_corpus`` is the one
+inference path; ``parse`` and ``cycle_stats`` are single-variant views of
+it.
 
 Token indices here are 1-based to match the treebank convention; a head
-value of 0 marks the top token.  There is no virtual root element: the top
-is detected as the token whose head pointers are weakest across the board.
+value of 0 marks the top token, which :func:`find_top` picks, since there
+is no virtual root element.
 """
 from __future__ import annotations
 
@@ -99,8 +95,11 @@ class DepTree:
 
 def gold_trees(corpus: list[Sentence], what: str) -> list[DepTree]:
     """Each sentence's gold heads as a :class:`DepTree`: the one check of a
-    gold head column.  A missing head, or heads that are not a tree, is a
-    ConllError naming the ``what`` corpus and the 1-based sentence."""
+    gold corpus.  An empty corpus is a ConllError naming the ``what``
+    corpus; a missing head, or heads that are not a tree, one naming it and
+    the 1-based sentence."""
+    if not corpus:
+        raise ConllError(f"empty {what} corpus")
     trees = []
     for si, sentence in enumerate(corpus, start=1):
         try:
@@ -261,13 +260,11 @@ def decode_corpus(
     cycle-free.
 
     A sentence's context rows come from BiLSTM products shared with its
-    batch neighbours: each step's, and level 0's input product over the
-    batch's distinct words.  The rounding of a product depends on how many
-    rows it has (about 1e-15 relative), so on the sentences running beside
-    it and on the words the batch holds.  A head chosen on a near-tie can
-    therefore differ between decoding a sentence inside a corpus and
-    decoding it alone.  The pointer nets project each sentence's rows on
-    their own, so they add no such dependence.
+    batch neighbours, each step's and level 0's over the batch's distinct
+    words, whose rounding depends on how many rows they have (about 1e-15
+    relative).  So a head chosen on a near-tie can differ between decoding
+    a sentence inside a corpus and decoding it alone.  The pointer nets
+    project each sentence's rows on their own, adding no such dependence.
     """
     for variant in variants:
         require_variant(model, variant)

@@ -1,5 +1,5 @@
 """Sentence encoder: dual embedding lookup with word dropout, then a
-2-level bidirectional LSTM producing one context vector per token.
+stacked bidirectional LSTM producing one context vector per token.
 
 Each token is the concatenation of a pretrained-map vector and a randomly
 initialized vector, both fine-tuned during training.  Word dropout replaces
@@ -7,28 +7,9 @@ both halves with the corresponding unknown vectors, with probability
 decreasing in the training-set frequency of the word.
 
 Sentences travel as matrices, one row per token: the lookup is one tape
-node gathering from both tables, whose gradient names only the rows the
-sentence used, and each level of the BiLSTM is one tape node,
-:func:`bilstm_level`, running both directions.  Each direction projects
-the inputs of every position with one matrix product before the
-recurrence starts (the hoisting of Appleyard, Kocisky & Blunsom 2016,
-arXiv:1604.01946), so each step only adds the recurrent product and
-applies the gates; its backward pass collects the gate gradients of all
-positions in one matrix and forms the weight gradients from it with one
-product per weight block.  Level 0 reads word vectors, and a batch repeats
-words: it is given the batch's distinct (pretrained row, random row) pairs
-and a row index naming each token's pair, so its input product runs once
-per distinct word and is reused by every token of that word, whose
-gradients its backward adds up on the word's row (the pre-computation of
-Chen & Manning 2014, "A Fast and Accurate Dependency Parser using Neural
-Networks", EMNLP).
-
-The same recurrence runs a batch of sentences stored one after another.
-Their rows are read packed, a step at a time with no padding, so each step
-is one [k x h] by [h x 4h] product over the k sentences still running
-(operation batching as in Neubig, Goldberg & Dyer 2017, arXiv:1705.07860).
-Inference encodes whole batches under ``no_grad``; training is the batch
-of one sentence, which the tape records.
+node, :func:`encode_tokens`, and each BiLSTM level another,
+:func:`bilstm_level`, whose one direction over a batch of sentences is
+:func:`_lstm_direction`.
 
 The functions take the tensors they read, which ``model.sentence_contexts``
 looks up by their layout names; every width comes from a tensor's shape.
@@ -50,6 +31,9 @@ __all__ = [
     "bilstm_encode",
 ]
 
+# word dropout's alpha (:func:`dropout_prob`) where a run sets none
+WORD_DROPOUT = 0.25
+
 
 def dropout_prob(frequency: int, alpha: float) -> float:
     """Chance of replacing a training token with the unknown vector."""
@@ -65,7 +49,7 @@ def token_rows(
     vocab: Vocabulary,
     index: dict[str, int] | None = None,
     training: bool = False,
-    alpha: float = 0.25,
+    alpha: float = WORD_DROPOUT,
     rng: np.random.Generator | None = None,
 ) -> list[tuple[int, int]]:
     """Resolve each token to (pretrained row, random row), applying word
@@ -143,10 +127,16 @@ def _lstm_direction(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
     ``xd`` is [U x d_in], the distinct input rows, and ``rows`` the [N]
     index of each token's row of ``xd``, the tokens of every sentence of
     the batch; ``wd`` is [4h x (d_in + h)] with gate blocks in order
-    input, forget, output, candidate, and ``bd`` is [4h].  The input
-    product runs once per row of ``xd``.  The direction reads the tokens in
-    ``order``, ``sizes[s]`` of them at step s (:func:`_packing`), with one
-    [k x h] by [h x 4h] product per step.  Returns the [N x h] states in
+    input, forget, output, candidate, and ``bd`` is [4h].
+
+    The input product runs before the recurrence, once per row of ``xd``
+    (the hoisting of Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946),
+    so a word that several tokens read meets the input weights once (the
+    pre-computation of Chen & Manning 2014, EMNLP).  The direction reads
+    the tokens in ``order``, ``sizes[s]`` of them at step s
+    (:func:`_packing`), with one [k x h] by [h x 4h] product per step over
+    the k sentences still running (operation batching as in Neubig,
+    Goldberg & Dyer 2017, arXiv:1705.07860).  Returns the [N x h] states in
     token order, each the hidden state after reading its token, and the
     backward rule of a one-sentence batch, mapping their gradient to (dx,
     dw, db) with dx one row per token and dw an
@@ -224,9 +214,8 @@ def bilstm_level(x: Tensor, fw: Tensor, fb: Tensor, bw: Tensor, bb: Tensor,
                  lengths: list[int] | None = None, rows=None) -> Tensor:
     """One BiLSTM level as a single tape node: [U x d_in] input rows to the
     [N x 2h] matrix whose row is the forward state beside the backward
-    state at that token.  ``rows`` names each of the N tokens' row of ``x``,
-    so a row repeated by several tokens meets the input weights once; by
-    default token t reads row t.  The tokens are those of sentences of
+    state at that token.  ``rows`` names each of the N tokens' row of ``x``
+    (token t reads row t by default), the tokens of sentences of
     ``lengths`` tokens stored one after another, one sentence by default.
 
     ``fw``/``bw`` are each direction's [4h x (d_in + h)] gate matrix and
@@ -259,7 +248,6 @@ def bilstm_level(x: Tensor, fw: Tensor, fb: Tensor, bw: Tensor, bb: Tensor,
         dx_fwd, dfw, dfb = fwd_backward(g[:, :h])
         dx_bwd, dbw, dbb = bwd_backward(g[:, h:])
         dx_fwd += dx_bwd
-        # row u's gradient sums those of the tokens reading it
         return np.asarray(ad.RowGrad.gather(rows, dx_fwd, xd.shape)), dfw, dfb, dbw, dbb
 
     out = ad.make_node(np.concatenate([fwd, bwd], axis=1), (x, fw, fb, bw, bb), backward)
@@ -274,11 +262,9 @@ def bilstm_encode(encodings: Tensor,
                   lengths: list[int] | None = None, rows=None) -> Tensor:
     """Stacked bidirectional pass: [U x d] encodings to [N x 2h] context
     vectors, one :func:`bilstm_level` node per level.  Each level is its
-    (forward w, forward b, backward w, backward b).  ``rows`` names each
-    token's row of ``encodings`` (token t reads row t by default) and goes
-    to level 0 only: the levels above read one contextual row per token.
-    The tokens are those of sentences of ``lengths`` tokens stored one
-    after another, one sentence by default."""
+    (forward w, forward b, backward w, backward b).  ``lengths`` and
+    ``rows`` are as for :func:`bilstm_level`; ``rows`` goes to level 0 only,
+    since the levels above read one contextual row per token."""
     xs = bilstm_level(encodings, *levels[0], lengths=lengths, rows=rows)
     for level in levels[1:]:
         xs = bilstm_level(xs, *level, lengths=lengths)

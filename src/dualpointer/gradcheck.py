@@ -1,11 +1,10 @@
 """Whole-model gradient verification.
 
 Backpropagated gradients of the joint sentence loss are compared against
-central finite differences on a random synthetic sentence, along unit
-directions.  Each parameter tensor is probed two ways: a deterministic
-sample of entries, each as the unit direction along it, and a couple of
-random unit directions (a directional derivative mixes every entry, so a
-systematically wrong backward rule cannot hide in unsampled entries).
+central finite differences on a random synthetic sentence, along the unit
+directions of :func:`_probes`: sampled entries, and random directions
+because a directional derivative mixes every entry, so a systematically
+wrong backward rule cannot hide in unsampled entries.
 """
 import time
 from dataclasses import asdict, dataclass, field

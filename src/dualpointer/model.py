@@ -1,14 +1,8 @@
 """The full parser model: vocabulary, encoder, and one or two pointer nets.
 
 A model carries its training mode.  :data:`VARIANTS` is the one table of
-inference variants: joint training produces both scorers and serves the
-merged (p1) and single-matrix (p2, p3) variants; single-task models serve
-only their own variant (p4 heads, p5 dependents).
-
-Every trainable tensor is named, sized and ordered by :func:`tensor_layout`
-alone, and :attr:`ModelParams.tensors`, keyed by those names, is the one
-description of a model's weights: init, the optimizer, the model file and
-the forward pass, which looks each tensor up by its name, all read it.
+inference variants, and :func:`tensor_layout` alone names, sizes and orders
+every trainable tensor.
 """
 from __future__ import annotations
 
@@ -18,7 +12,7 @@ import numpy as np
 
 from .conll import Sentence
 from .autodiff import Tensor
-from .encoder import bilstm_encode, encode_tokens, token_rows
+from .encoder import WORD_DROPOUT, bilstm_encode, encode_tokens, token_rows
 from .pointer import score_all
 from .vocab import UNKNOWN_ID, EmbeddingTable, Vocabulary
 
@@ -136,11 +130,10 @@ def _initial_draw(rng: np.random.Generator, name: str, dims: tuple[int, ...]) ->
 @dataclass
 class ModelParams:
     """A model: its shape, its vocabulary and its trainable tensors, keyed
-    and ordered as :func:`tensor_layout` yields them.  The order is
-    load-bearing: optimizer slots, model file records and gradient-check
-    reports all follow it.  ``index`` maps words to rows of a pretrained
-    table read from a file; it is None when that table is indexed by the
-    vocabulary."""
+    and ordered as :func:`tensor_layout` yields them, the one description
+    of its weights that init, the optimizer, the model file and the forward
+    pass read.  ``index`` maps words to rows of a pretrained table read
+    from a file; it is None when that table is indexed by the vocabulary."""
 
     shape: ModelShape
     vocab: Vocabulary
@@ -159,12 +152,11 @@ def init_model(
     **shape,
 ) -> ModelParams:
     """Draw all parameters of a model whose :class:`ModelShape` has the
-    given keyword arguments as fields.  Tensors are drawn in layout order,
-    so one seed plus one configuration pins every value.  A given
-    pretrained table brings its own width and word index, and the model
-    starts from a copy of its values, so training leaves the table as it
-    was read; without one, ``emb.pretrained`` is drawn as a second
-    vocabulary-indexed table."""
+    given keyword arguments as fields, in layout order, so one seed plus
+    one configuration pins every value.  A given pretrained table brings
+    its own width and word index, and the model starts from a copy of its
+    values, so training leaves the table as it was read; without one,
+    ``emb.pretrained`` is drawn as a second vocabulary-indexed table."""
     shape = ModelShape(**shape)
     given, index = {}, None
     if pretrained is not None:
@@ -201,7 +193,7 @@ def sentence_contexts(
     model: ModelParams,
     sentences: list[Sentence],
     training: bool = False,
-    alpha: float = 0.25,
+    alpha: float = WORD_DROPOUT,
     rng: np.random.Generator | None = None,
 ) -> list[Tensor]:
     """Each sentence's [n x 2h] context rows, the sentences run through the
@@ -230,7 +222,7 @@ def score_sentence(
     model: ModelParams,
     sentence: Sentence,
     training: bool = False,
-    alpha: float = 0.25,
+    alpha: float = WORD_DROPOUT,
     rng: np.random.Generator | None = None,
     contexts: Tensor | None = None,
 ) -> SentenceScores:

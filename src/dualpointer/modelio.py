@@ -13,19 +13,8 @@ Layout, all integers little-endian, all floats IEEE-754 float64:
     crc      u32      CRC-32 of every preceding byte
 
 where ``str`` is a u32 byte length followed by UTF-8 bytes.  Writing is
-deterministic: identical parameters produce identical bytes.
-
-Loading reads the file in one pass, front to back, from a stream that can
-seek: its length bounds every read before anything is allocated for it.
-Each tensor's values are read straight into that tensor's own array, a
-:data:`CHUNK` at a time, and each chunk is checksummed and held to
-``vocab.WEIGHT_BOUND`` while it is still in cache, so the model is held
-once and never beside a copy of the file.  The checksum is compared
-before a model is returned, so a damaged file never yields a partial
-model.  Magic and version are checked first; after them, a damaged file
-reports its checksum mismatch even when the damage also broke its
-structure or its values, since any other fault is raised only once the
-checksum over the whole body has passed.
+deterministic: identical parameters produce identical bytes.  Loading reads
+the file in one pass through a :class:`_Reader`.
 """
 from __future__ import annotations
 
@@ -68,7 +57,8 @@ class _Reader:
     """A seekable stream read front to back once, from where it stands to
     its end (``size`` bytes, the stored checksum the last 4 of them), with
     the CRC-32 of the body bytes read so far.  Every read is bounded by the
-    bytes left before anything is allocated for it."""
+    bytes left before anything is allocated for it, and the model is held
+    once, never beside a copy of the file."""
 
     def __init__(self, stream: BinaryIO):
         if not stream.seekable():
@@ -133,8 +123,9 @@ class _Reader:
         return struct.unpack(f"<{ndim}Q", self.take(8 * ndim))
 
     def values(self, name: str, dims: tuple[int, ...]) -> np.ndarray:
-        """A tensor's values, read into their own array a chunk at a time,
-        each chunk checksummed and bound-checked while it is in cache."""
+        """A tensor's values, read straight into their own array a
+        :data:`CHUNK` at a time, each chunk checksummed and held to
+        ``vocab.WEIGHT_BOUND`` while it is in cache."""
         data = np.empty(dims, dtype="<f8")
         flat = data.reshape(-1)
         raw = memoryview(flat.view(np.uint8))
@@ -227,6 +218,10 @@ def load_model(src: BinaryIO | str | Path) -> ModelParams:
 
 
 def _load(stream: BinaryIO) -> ModelParams:
+    """Magic and version are checked first.  After them a damaged file
+    reports its checksum mismatch even when the damage also broke its
+    structure or its values: the model, or any other fault, comes only
+    once the checksum over the whole body has passed."""
     r = _Reader(stream)
     if r.take(len(MAGIC)) != MAGIC:
         raise ModelFormatError("not a model file (bad magic)")
@@ -237,7 +232,6 @@ def _load(stream: BinaryIO) -> ModelParams:
         )
     if r.size < len(MAGIC) + 8:
         raise ModelFormatError("truncated model file")
-    # a damaged file reports its checksum before anything its damage broke
     try:
         model = _read_body(r)
     except ModelFormatError:

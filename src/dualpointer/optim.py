@@ -1,31 +1,13 @@
 """Adam optimizer over tape tensors (Kingma & Ba 2015, arXiv:1412.6980).
 
-One optimizer instance owns first/second moment buffers for every parameter
-it manages and a single shared step counter.  A parameter whose gradient is
-a :class:`~dualpointer.autodiff.RowGrad` (an embedding table read by row
-gather) is updated on the rows that gradient names only: the other rows
-keep their values and their moments frozen, which keeps per-sentence
-updates cheap for large vocabularies.  A parameter whose gradient is an
-:class:`~dualpointer.autodiff.OuterGrad` (a weight matrix) gets
-its dense gradient formed one block of rows at a time, so no dense
-gradient of it outlives the block's update.
-
-Each update folds both bias corrections into the step size and the
-epsilon (Kingma & Ba, Section 2) and keeps the second moment rescaled as
-v / (1 - beta2), so that it takes 11 elementwise passes: with bc1 = 1 -
-beta1^t and bc2 = 1 - beta2^t at step t,
-
-    m <- beta1 * m + (1 - beta1) * g
-    v <- beta2 * v + g * g
-    p <- p - c * (m / (sqrt(v) + eps'))
-    c = alpha * sqrt(bc2) / (bc1 * sqrt(1 - beta2)),  eps' = eps * sqrt(bc2 / (1 - beta2))
-
-which is the textbook update p <- p - alpha * (m / bc1) / (sqrt(v' / bc2)
-+ eps) on the unscaled moment v' = (1 - beta2) * v, up to rounding.
-Updates run in place, block by block through two small scratch buffers,
-so they allocate nothing beyond a row update's gathered rows and each
-block of parameter, gradient and moments stays in cache while the whole
-formula runs over it.
+A parameter whose gradient is a :class:`~dualpointer.autodiff.RowGrad`
+(an embedding table read by row gather) is updated on the rows that
+gradient names only: the other rows keep their values and their moments
+frozen, which keeps per-sentence updates cheap for large vocabularies.  A
+parameter whose gradient is an :class:`~dualpointer.autodiff.OuterGrad`
+(a weight matrix) gets its dense gradient formed one block of rows at a
+time, so no dense gradient of it outlives the block's update.
+:func:`adam_step` gives the update itself.
 """
 from __future__ import annotations
 
@@ -47,17 +29,21 @@ class Adam:
     """Adam with bias correction (step size alpha, decay rates beta1/beta2).
 
     ``m``/``v`` hold each parameter's first moment and rescaled second
-    moment (module docstring), allocated as zeros when it is first
+    moment (:func:`adam_step`), allocated as zeros when it is first
     updated, and ``t`` counts the steps applied.
     """
+
+    # the defaults Kingma & Ba suggest (Algorithm 1); an instance's own
+    # values shadow them
+    alpha, beta1, beta2, eps = 0.001, 0.9, 0.999, 1e-8
 
     def __init__(
         self,
         params: list[Tensor],
-        alpha: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
+        alpha: float = alpha,
+        beta1: float = beta1,
+        beta2: float = beta2,
+        eps: float = eps,
     ):
         self.params = params
         self.alpha = alpha
@@ -120,21 +106,24 @@ def _finite(grad) -> bool:
 
 
 def adam_step(param, grad, m, v, beta1, beta2, c, eps, scratch) -> None:
-    """In-place Adam update on the rescaled second moment ``v``, with the
-    step's size ``c`` and epsilon ``eps`` (c and eps' of the module
-    docstring).
-
-    Per element this evaluates, in this order::
+    """In-place Adam update on the second moment rescaled as
+    v = v' / (1 - beta2), with both bias corrections folded into the step
+    size ``c`` and the epsilon ``eps`` (Kingma & Ba, Section 2): at step t,
+    with bc1 = 1 - beta1^t and bc2 = 1 - beta2^t,
+    c = alpha sqrt(bc2) / (bc1 sqrt(1 - beta2)) and ``eps`` is Adam's
+    epsilon times sqrt(bc2 / (1 - beta2)).  Per element this evaluates, in
+    this order, in 11 elementwise passes::
 
         m = m * beta1 + grad * (1 - beta1)
         v = v * beta2 + grad * grad
         param -= (m / (sqrt(v) + eps)) * c
 
-    It runs over blocks of rows of ``param``, seen as one column for a dense
-    ``grad`` and as the factors' [rows x cols] matrix for an
-    :class:`OuterGrad`, whose gradient each block forms by one product into
-    ``scratch[1]``.  ``scratch`` is a float64
-    [2 x block] array; ``param``, ``m`` and ``v`` must be C-contiguous.
+    which is the textbook p -= alpha (m / bc1) / (sqrt(v' / bc2) + epsilon)
+    up to rounding.  It runs over blocks of rows of ``param``, seen as one
+    column for a dense ``grad`` and as the factors' [rows x cols] matrix
+    for an :class:`OuterGrad`, whose gradient each block forms by one
+    product into ``scratch[1]``, a float64 [2 x block] array.  ``param``,
+    ``m`` and ``v`` must be C-contiguous.
     """
     outer = isinstance(grad, OuterGrad)
     cols = grad.right.shape[1] if outer else 1

@@ -9,33 +9,8 @@ logistic (or optional tanh) output activation and the loss in one node; in
 inference the activation is applied downstream, after optional merging of
 the two matrices.
 
-All pairs are scored by one kernel, :func:`score_all`, on BLAS matrix
-products, one cache-sized block of query rows at a time, so its memory
-grows with n^2, not n^2 x hidden, in training as in inference: the
-backward forms each block again.  The kernel projects each of a
-sentence's rows to its key and query by two matrix products over that
-sentence's rows alone, in training as in inference.  BLAS may round a row
-differently with the rows around it, so an entry of the batched matrix
-matches the single-pair composition of the same formula within about
-1e-15 of the scores' scale, not bit for bit.
-
-The tanh is factored: with a = e^{-2q} and e = e^{2k},
-tanh(q + k) = 1 - 2 a / (a + e), so a score is sum(v) - 2 (v a_i) . r_ij
-with r_ij = 1 / (a_i + e_j).  A sentence then takes 2 n hidden
-exponentials per net, not n^2 hidden tanh values.  The blocks are
-hidden-major, [hidden, rows, n]: for each hidden unit the sums a_i + e_j
-are the rank-2 product [a, 1] [1; e]^T, whose entries 1 a + 1 e are
-rounded once, to the bits of np.add, so a block is one stacked BLAS
-product and a reciprocal per element, then one stacked matrix-vector
-product per query row.  The backward forms the same reciprocals, and its
-sums are stacked matrix-vector products.  That holds whenever the
-call has ``FACTORED_MIN`` tanh elements or more and its largest |q| or |k|
-lies in ``FACTORED_RANGE``; else, short sentences and NaN or infinities
-included, the blocks are np.tanh of the sums.  Above the range the
-products of exponentials and reciprocals may leave the normal floats;
-below it the factored form's error, about one ulp of sum(|v|) whatever
-the scale, is too large a part of the scores.  The two forms agree within
-1e-12 of the scores' scale, not bit for bit.
+All pairs are scored by one kernel, :func:`score_all`, whose docstring
+says how it blocks, factors and differentiates the pairs' tanh.
 """
 from __future__ import annotations
 
@@ -73,25 +48,20 @@ FACTORED_MIN = 16384
 def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
     """n x n pre-activation scores v . tanh(W [c_j; c_i] + b) of all ordered
     pairs (i, j) of the rows of an [n x context] matrix at once, diagonal
-    included, by the net whose tensors are ``w`` [hidden x 2 context],
-    ``b`` and ``v`` [hidden].  Entry (i, j) reads in the net's own
-    orientation: "j is the head of i" for the heads net, "j is a dependent
-    of i" for the dependents net.
+    included and in the net's own orientation, by the net whose tensors
+    are ``w`` [hidden x 2 context], ``b`` and ``v`` [hidden].
 
-    The rows' keys and queries come from one matrix product each.  The
-    scores are formed one block of ``max(1, BLOCK // (n * hidden))`` query
-    rows at a time, in one reused block buffer: as sum(v) - 2 (v a_i) . r_ij
-    with r_ij = 1 / (e^{-2q_i} + e^{2k_j}), from exponentials of the keys
-    and queries taken once per call, each hidden-major block of sums one
-    stacked rank-2 matrix product, when there are at least
-    ``FACTORED_MIN`` elements and the largest |q| or |k| lies in
-    ``FACTORED_RANGE``, and as v . np.tanh(q + k) otherwise.  The backward
-    forms each block again, from the saved exponentials or keys and
-    queries, rather than keeping the n x n x hidden array (recomputation
-    as in Chen et al. 2016, arXiv:1604.06174), so on and off the tape the
-    kernel holds O(n^2 + n hidden + BLOCK) floats.  The gradient of ``w``
-    is an :class:`~dualpointer.autodiff.OuterGrad` of n outer products,
-    which the optimizer forms a block at a time.
+    The rows' keys and queries come from one matrix product each, over
+    this matrix's rows alone.  BLAS may round a row apart from its
+    neighbours, so an entry matches the single-pair composition of the
+    same formula within about 1e-15 of the scores' scale, not bit for bit.
+    :func:`_pair_scores` forms the pairs one block of
+    ``max(1, BLOCK // (n * hidden))`` query rows at a time, in one reused
+    buffer, factored when :func:`_factored` holds and as v . np.tanh(q + k)
+    otherwise; the two forms agree within 1e-12 of the scores' scale.  The
+    backward forms each block again rather than keeping the n x n x hidden
+    array (recomputation as in Chen et al. 2016, arXiv:1604.06174), so on
+    and off the tape the kernel holds O(n^2 + n hidden + BLOCK) floats.
     """
     cd, wd, bd, vd = contexts.data, w.data, b.data, v.data
     d = wd.shape[1] // 2
@@ -117,9 +87,8 @@ def score_all(contexts: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
 
 
 def _factored(q: np.ndarray, k: np.ndarray) -> bool:
-    """Whether a call takes the factored form (module docstring): it has
-    ``FACTORED_MIN`` tanh elements or more and its largest |q| or |k| lies
-    in ``FACTORED_RANGE``, NaN excluded."""
+    """Whether :func:`_pair_scores` factors these queries and keys; a NaN
+    fails the range test."""
     return q.size * len(k) >= FACTORED_MIN and (
         FACTORED_RANGE[0] <= np.maximum(np.abs(q).max(), np.abs(k).max()) <= FACTORED_RANGE[1])
 
@@ -127,9 +96,13 @@ def _factored(q: np.ndarray, k: np.ndarray) -> bool:
 def _pair_scores(q: np.ndarray, k: np.ndarray, v: np.ndarray, rows: int):
     """The scores v . tanh(q[i] + k[j]) of all pairs (i, j), in blocks of
     ``rows`` query rows, and the function that maps their gradient to
-    (dq, dk, dv).  Factored, a score is sum(v) - 2 wv[i] . r[:, i, j] with
-    at = e^{-2q}, ek = e^{2k}, wv = v at and r = 1 / (at[i] + ek[j]),
-    hidden-major."""
+    (dq, dk, dv).
+
+    Factored: with at = e^{-2q} and ek = e^{2k}, tanh(q + k) =
+    1 - 2 at / (at + ek), so a score is sum(v) - 2 wv[i] . r[:, i, j] with
+    wv = v at and r = 1 / (at[i] + ek[j]), hidden-major: a call takes
+    2 n hidden exponentials, not n^2 hidden tanh values, and a block of r
+    one stacked matrix-vector product per query row."""
     n, h = q.shape
     out = np.empty((n, n))
     if not _factored(q, k):
@@ -171,10 +144,9 @@ def _sum_factors(at: np.ndarray, ek: np.ndarray):
 
 
 def _reciprocal_blocks(left: np.ndarray, right: np.ndarray, rows: int):
-    """Yield (i, 1 / (left[:, i:i + rows] @ right)) for each block of
-    ``rows`` query rows starting at row i, hidden-major [hidden, rows, n]:
-    each block's sums are one stacked rank-2 matrix product, written with
-    its reciprocals into one contiguous buffer."""
+    """Yield (i, 1 / (left[:, i:i + rows] @ right)), hidden-major
+    [hidden, rows, n], for each block of ``rows`` query rows starting at
+    row i, every block written into one contiguous buffer."""
     h, n, _ = left.shape
     buf = np.empty(h * min(rows, n) * n)
     for i in range(0, n, rows):

@@ -1,17 +1,9 @@
 """Training: per-sentence joint (or single-task) updates with Adam, epoch
 shuffling, dev-set model selection, and checkpointing.
 
-One sentence is one optimizer step.  The loss is the mean binary
-cross-entropy of each owned score matrix against its 0/1 target matrix,
-the two tasks summed unweighted; gradients flow through the pointer nets
-and the BiLSTM down to both embedding tables.  A table's gradient names
-only the rows the sentence used, and Adam moves only those rows.
-
-Checkpointing keeps the best epoch's values in one set of arrays, refilled
-in place by each improving epoch; after the last epoch a model of those
-arrays is serialized once, as the run's :class:`Checkpoint`, after the
-run's own model and optimizer (the last values and the moments) have
-been dropped.
+One sentence is one optimizer step, on the loss of
+``pointer.output_loss``; gradients flow through the pointer nets and the
+BiLSTM down to both embedding tables.
 """
 from __future__ import annotations
 
@@ -23,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import RunConfig
-from .conll import ConllError, Sentence
+from .conll import Sentence
 from .decoding import gold_trees, parse, uas
 from .model import MODE_NETS, MODE_VARIANTS, ModelParams, init_model, score_sentence
 from .modelio import load_model, save_model
@@ -135,13 +127,13 @@ def train(
     Sentences are shuffled each epoch with the run seed.  After every
     epoch the dev set is parsed in inference mode, the epoch's
     :class:`EpochRow` goes to ``on_epoch``, and the values of the epoch
-    with the highest dev UAS (earliest epoch on ties) are kept.
+    with the highest dev UAS (earliest epoch on ties) are kept in one set
+    of arrays, refilled in place.  After the last epoch a model of those
+    arrays is serialized once.
     """
     rng = np.random.default_rng(config.seed)
-    for what, sentences in (("train", corpus), ("dev", dev)):
-        if not sentences:
-            raise ConllError(f"empty {what} corpus")
-        gold_trees(sentences, what)
+    gold_trees(corpus, "train")
+    gold_trees(dev, "dev")
 
     vocab = build_vocab(corpus)
     model = init_model(rng, vocab, pretrained=pretrained, **asdict(config.shape))

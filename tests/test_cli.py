@@ -466,6 +466,17 @@ class TestEval:
         assert code == 1 and out == ""
         assert_one_error(err, "corpus", "predicted corpus sentence 3", "cycle")
 
+    def test_empty_corpus_is_corpus_error(self, capsys, corpus_path, model_path, tmp_path):
+        # an empty gold corpus has no score to report, whichever side it is on
+        empty = tmp_path / "empty.conllu"
+        empty.write_text("", encoding="utf-8")
+        for argv, role in ((["--test", str(empty), "--model", model_path], "gold"),
+                           (["--test", str(empty), "--output", corpus_path], "gold"),
+                           (["--test", corpus_path, "--output", str(empty)], "predicted")):
+            code, out, err = run(capsys, ["eval"] + argv)
+            assert code == 1 and out == ""
+            assert_one_error(err, "corpus", f"empty {role} corpus")
+
     def test_not_utf8_gold_is_corpus_error(self, capsys, model_path, tmp_path):
         bad = tmp_path / "gold.conllu"
         bad.write_bytes(b"\xff\xfe1\n")
