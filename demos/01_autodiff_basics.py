@@ -6,12 +6,12 @@ from dataclasses import asdict
 import numpy as np
 
 import dualpointer.autodiff as ad
-from dualpointer.config import RunConfig
 from dualpointer.conll import Sentence, Token
 from dualpointer.encoder import bilstm_level, encode_tokens, token_rows
 from dualpointer.model import ModelShape, init_model
+from dualpointer.optim import Adam
 from dualpointer.pointer import output_loss, score_all, target_matrix
-from dualpointer.training import make_optimizer, sentence_loss, train_sentence
+from dualpointer.training import sentence_loss, train_sentence
 from dualpointer.vocab import build_vocab
 
 # "the dog barked": the dog heads the, barked heads dog and is the top
@@ -42,8 +42,7 @@ while node._parents:
     node = node._parents[0]
 print("tape, from the loss down:", " <- ".join(str(s) for s in chain))
 
-config = RunConfig(alpha_word_dropout=0.0, adam_alpha=0.01, **asdict(shape))
-same = sentence_loss(model, sentence, config, training=False).item()
+same = sentence_loss(model, sentence, training=False).item()
 print("training's sentence_loss gives the same value:", same == loss.item())
 
 # --------------------------------------------------------------- backward
@@ -63,7 +62,7 @@ def loss_at(value):
     saved = w.data[0, 0]
     w.data[0, 0] = value
     with ad.no_grad():
-        out = sentence_loss(model, sentence, config, training=False).item()
+        out = sentence_loss(model, sentence, training=False).item()
     w.data[0, 0] = saved
     return out
 
@@ -73,11 +72,12 @@ numeric = (loss_at(w00 + eps) - loss_at(w00 - eps)) / (2 * eps)
 print(f"analytic {grad[0, 0]:.10f}  numeric {numeric:.10f}")
 
 # ---------------------------------------------------------------- training
-# train_sentence runs the same chain, backpropagates and takes an Adam step.
-optimizer = make_optimizer(model, config)
+# train_sentence runs the same chain, backpropagates and takes an Adam step;
+# alpha=0.0 turns word dropout off.
+optimizer = Adam(list(t.values()), alpha=0.01)
 optimizer.zero_grad()  # drop the gradients of the backward pass above
 for step in range(60):
-    value = train_sentence(model, sentence, config, optimizer, rng)
+    value = train_sentence(model, sentence, optimizer, rng, alpha=0.0)
     if step % 15 == 0:
         print(f"step {step:2d}  loss {value:.6f}")
-print(f"after 60 steps  loss {sentence_loss(model, sentence, config, training=False).item():.6f}")
+print(f"after 60 steps  loss {sentence_loss(model, sentence, training=False).item():.6f}")

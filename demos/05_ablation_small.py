@@ -4,9 +4,12 @@ variants on a corpus with genuine attachment ambiguity.
 The full-size sweep lives in the slow acceptance test; this one trades
 corpus size and epochs for a coffee-break runtime.
 """
+import io
+
 from dualpointer.config import RunConfig
 from dualpointer.conll import read_conll
 from dualpointer.decoding import parse, uas
+from dualpointer.modelio import load_model
 from dualpointer.training import train
 
 with open("data/ambiguous-train.conllu", encoding="utf-8") as f:
@@ -23,8 +26,8 @@ for mode, variants in (
 ):
     config = RunConfig(mode=mode, epochs=2, seeds=(1,),
                        bilstm_hidden=64, d_pretrained=50, d_random=50)
-    best = train(train_set, dev_set, config)
-    model = best.load()
+    best, model_bytes = train(train_set, dev_set, config)
+    model = load_model(io.BytesIO(model_bytes))
     for variant in variants:
         trees = parse(dev_set, model, variant=variant)
         table[variant] = uas(dev_set, trees)

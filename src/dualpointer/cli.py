@@ -164,9 +164,10 @@ def cmd_train(run: RunConfig) -> int:
             report(f"seed {seed} epoch {row.epoch}  loss {row.mean_loss:.4f}  "
                    f"dev-uas {row.dev_uas:.2f}{skipped}")
 
-        best = train(train_set, dev_set, config, pretrained=pretrained, on_epoch=show)
+        best, model_bytes = train(train_set, dev_set, config, pretrained=pretrained,
+                                  on_epoch=show)
         with _opened(dest, "model", "wb") as f:
-            f.write(best.model_bytes)
+            f.write(model_bytes)
         report(f"seed {seed} best epoch {best.epoch}  dev-uas {best.dev_uas:.2f}  -> {dest}")
     if run.output_path:
         with _opened(run.output_path, "training log", "w") as f:

@@ -12,7 +12,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .config import RunConfig
 from .conll import Sentence, Token
 from .model import ModelShape, init_model
 from .training import sentence_loss
@@ -96,14 +95,13 @@ def run_gradcheck(
     sentence = random_sentence(rng, n_tokens)
     vocab = build_vocab([sentence])
     model = init_model(rng, vocab, **asdict(shape))
-    config = RunConfig(alpha_word_dropout=0.0, **asdict(shape))
 
     def loss_value() -> float:
         with ad.no_grad():
-            loss = sentence_loss(model, sentence, config, training=False)
+            loss = sentence_loss(model, sentence, training=False)
         return loss.item()
 
-    loss = sentence_loss(model, sentence, config, training=False)
+    loss = sentence_loss(model, sentence, training=False)
     loss.backward()
     report = GradCheckReport(tolerance=tolerance)
     for name, param in model.tensors.items():

@@ -1,5 +1,5 @@
 """Training: per-sentence joint (or single-task) updates with Adam, epoch
-shuffling, dev-set model selection, and checkpointing.
+shuffling, and dev-set model selection.
 
 One sentence is one optimizer step, on the loss of
 ``pointer.output_loss``; gradients flow through the pointer nets and the
@@ -17,15 +17,15 @@ from . import autodiff as ad
 from .config import RunConfig
 from .conll import Sentence
 from .decoding import gold_trees, parse, uas
+from .encoder import WORD_DROPOUT
 from .model import MODE_NETS, MODE_VARIANTS, ModelParams, init_model, score_sentence
-from .modelio import load_model, save_model
+from .modelio import save_model
 from .optim import Adam
 from .pointer import output_loss, target_matrix
 from .vocab import EmbeddingTable, build_vocab
 
 __all__ = [
     "EpochRow",
-    "Checkpoint",
     "default_variant",
     "sentence_loss",
     "train_sentence",
@@ -50,30 +50,15 @@ class EpochRow:
     skipped: int = 0
 
 
-@dataclass
-class Checkpoint:
-    """The model file of the best epoch, tagged with that epoch."""
-
-    epoch: int
-    dev_uas: float
-    model_bytes: bytes
-
-    def load(self) -> ModelParams:
-        return load_model(io.BytesIO(self.model_bytes))
-
-
 def sentence_loss(
     model: ModelParams,
     sentence: Sentence,
-    config: RunConfig,
     training: bool = True,
+    alpha: float = WORD_DROPOUT,
     rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
     """Forward pass returning the loss tensor."""
-    scored = score_sentence(
-        model, sentence, training=training,
-        alpha=config.alpha_word_dropout, rng=rng,
-    )
+    scored = score_sentence(model, sentence, training=training, alpha=alpha, rng=rng)
     nets = MODE_NETS[model.mode]
     return output_loss([getattr(scored, tag) for tag in nets],
                        [target_matrix(sentence, tag) for tag in nets], model.shape.activation)
@@ -92,15 +77,15 @@ def make_optimizer(model: ModelParams, config: RunConfig) -> Adam:
 def train_sentence(
     model: ModelParams,
     sentence: Sentence,
-    config: RunConfig,
     optimizer: Adam,
     rng: np.random.Generator,
+    alpha: float = WORD_DROPOUT,
     sentence_id: str = "?",
 ) -> float | None:
-    """One forward/backward/update step.  Returns the loss value, or None
-    when the step was skipped because the loss or a gradient was not
-    finite."""
-    loss = sentence_loss(model, sentence, config, training=True, rng=rng)
+    """One forward/backward/update step, with word dropout at rate
+    ``alpha``.  Returns the loss value, or None when the step was skipped
+    because the loss or a gradient was not finite."""
+    loss = sentence_loss(model, sentence, training=True, alpha=alpha, rng=rng)
     value = loss.item()
     if not np.isfinite(value):
         log.warning("sentence %s: non-finite loss, step skipped", sentence_id)
@@ -121,8 +106,9 @@ def train(
     config: RunConfig,
     pretrained: EmbeddingTable | None = None,
     on_epoch=None,
-) -> Checkpoint:
-    """One seed's training run of ``config``; returns the best-dev checkpoint.
+) -> tuple[EpochRow, bytes]:
+    """One seed's training run of ``config``; returns the best epoch's row,
+    the very object ``on_epoch`` received, and its model file's bytes.
 
     Sentences are shuffled each epoch with the run seed.  After every
     epoch the dev set is parsed in inference mode, the epoch's
@@ -146,9 +132,8 @@ def train(
         order = rng.permutation(len(corpus))
         total, counted, skipped = 0.0, 0, 0
         for si in order:
-            value = train_sentence(
-                model, corpus[si], config, optimizer, rng, sentence_id=str(si + 1)
-            )
+            value = train_sentence(model, corpus[si], optimizer, rng,
+                                   alpha=config.alpha_word_dropout, sentence_id=str(si + 1))
             if value is None:
                 skipped += 1
             else:
@@ -170,4 +155,4 @@ def train(
     del model, optimizer  # frees the last values and the moments before the save
     buf = io.BytesIO()
     save_model(best_model, buf)
-    return Checkpoint(epoch=best.epoch, dev_uas=best.dev_uas, model_bytes=buf.getvalue())
+    return best, buf.getvalue()

@@ -60,9 +60,9 @@ def overfit():
     config = RunConfig(mode="joint", epochs=50, seeds=(1,), bilstm_hidden=64)
     started = time.perf_counter()
     log = []
-    best = train(corpus, corpus, config, on_epoch=log.append)
+    best, model_bytes = train(corpus, corpus, config, on_epoch=log.append)
     seconds = time.perf_counter() - started
-    return corpus, best, log, seconds
+    return corpus, best, model_bytes, log, seconds
 
 
 def test_criterion_1_gradient_integrity():
@@ -76,7 +76,7 @@ def test_criterion_1_gradient_integrity():
 
 
 def test_criterion_2_overfit_convergence(overfit):
-    corpus, best, log, seconds = overfit
+    corpus, best, _, log, seconds = overfit
     lengths = {len(s.tokens) for s in corpus}
     assert len(corpus) >= 50 and min(lengths) >= 3 and max(lengths) <= 10
     report(
@@ -148,8 +148,8 @@ def test_criterion_5_ablation_direction():
     ):
         for seed in seeds:
             config = RunConfig(mode=mode, epochs=5, seeds=(seed,))
-            best = train(train_set, dev_set, config)
-            model = best.load()
+            _, model_bytes = train(train_set, dev_set, config)
+            model = load_model(io.BytesIO(model_bytes))
             for variant in variants:
                 trees = parse(dev_set, model, variant=variant)
                 scores[variant].append(uas(dev_set, trees))
@@ -170,11 +170,11 @@ def test_criterion_6_determinism_and_serialization():
     corpus = bundled("toy", 16)
     config = RunConfig(epochs=2, seeds=(9,), d_pretrained=8, d_random=8,
                        bilstm_hidden=6, ptr_hidden=8)
-    first = train(corpus, corpus, config)
-    second = train(corpus, corpus, config)
-    identical = first.model_bytes == second.model_bytes
+    _, first = train(corpus, corpus, config)
+    _, second = train(corpus, corpus, config)
+    identical = first == second
 
-    model = first.load()
+    model = load_model(io.BytesIO(first))
     buffer = io.BytesIO()
     save_model(model, buffer)
     buffer.seek(0)
@@ -194,8 +194,8 @@ def test_criterion_6_determinism_and_serialization():
 
 
 def test_criterion_7_cycle_free_diagnostic(overfit):
-    corpus, best, _, _ = overfit
-    fraction = cycle_stats(corpus, best.load(), variant="p1")
+    corpus, _, model_bytes, _, _ = overfit
+    fraction = cycle_stats(corpus, load_model(io.BytesIO(model_bytes)), variant="p1")
     report(
         "7 cycle-free diagnostic",
         fraction >= 0.9,

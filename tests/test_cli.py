@@ -11,6 +11,7 @@ from dualpointer.cli import main, seed_model_path
 from dualpointer.conll import read_conll, write_conll
 from dualpointer.decoding import DepTree, cycle_stats, gold_trees, parse, uas
 from dualpointer.modelio import load_model
+from dualpointer.optim import Adam
 
 FAST = [
     "--d-pretrained", "6", "--d-random", "6", "--bilstm-hidden", "5",
@@ -86,6 +87,22 @@ class TestTrain:
         assert log_path.read_text() == out
         with open(dest, "rb") as f:
             assert f.read(8) == b"DPTRMODL"
+
+    def test_skipped_step_is_on_its_epoch_line(self, capsys, corpus_path, tmp_path,
+                                              monkeypatch):
+        step, steps = Adam.step, []
+
+        def first_fails(optimizer):
+            steps.append(optimizer)
+            return False if len(steps) == 1 else step(optimizer)
+
+        monkeypatch.setattr(Adam, "step", first_fails)
+        code, out, _ = run(capsys, ["train", "--train", corpus_path, "--dev", corpus_path,
+                                    "--model", str(tmp_path / "m.bin")] + FAST)
+        assert code == 0
+        first, second = out.splitlines()[:2]
+        assert first.startswith("seed 4 epoch 1 ") and first.endswith("  skipped 1")
+        assert second.startswith("seed 4 epoch 2 ") and "skipped" not in second
 
     def test_same_seed_identical_files(self, capsys, corpus_path, tmp_path):
         blobs = []

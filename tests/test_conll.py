@@ -194,6 +194,12 @@ class TestRoundTrip:
         write_conll([s2], out)
         assert "4\t.\t.\tPUNCT\t.\t_\t3\tpunct\t_\t_" in out.getvalue()
 
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_with_heads_needs_one_head_per_token(self, count):
+        (s, _) = read_conll(io.StringIO(FIXTURE))
+        with pytest.raises(ValueError, match=f"^{count} heads for a 4-token sentence$"):
+            s.with_heads([0] * count)
+
 
 class TestGoldTreeCheck:
     def test_valid_tree(self):

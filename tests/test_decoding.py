@@ -1,10 +1,11 @@
 """Decoding pipeline: merge math, top detection, greedy selection, cycle
 repair, UAS, and the structural guarantees on every output."""
+import io
 import itertools
 
 import numpy as np
 import pytest
-from corpora import bundled
+from corpora import bundled, sent
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import max_spanning_tree, tree_score
@@ -13,7 +14,6 @@ import dualpointer.decoding as decoding
 import dualpointer.model as model_module
 from dualpointer import pointer
 from dualpointer.config import RunConfig
-from dualpointer.conll import Sentence, Token
 from dualpointer.decoding import (
     AlignmentError,
     DepTree,
@@ -29,6 +29,7 @@ from dualpointer.decoding import (
 )
 from dualpointer.model import (JOINT, MODE_NETS, MODE_VARIANTS, MODES, VARIANTS,
                                ModeMismatchError, init_model, score_sentence)
+from dualpointer.modelio import load_model
 from dualpointer.training import train
 from dualpointer import autodiff as ad
 from dualpointer.autodiff import Tensor
@@ -37,12 +38,6 @@ from dualpointer.vocab import build_vocab
 
 def mat(data):
     return Tensor(np.array(data, dtype=np.float64))
-
-
-def sent(words, heads=None, pos=None):
-    heads = heads or ([0] + [1] * (len(words) - 1))
-    pos = pos or [None] * len(words)
-    return Sentence([Token(i + 1, w, p, h) for i, (w, h, p) in enumerate(zip(words, heads, pos))])
 
 
 def act(activation):
@@ -677,9 +672,13 @@ def dev_corpus():
 @pytest.fixture(scope="module")
 def trained(dev_corpus):
     """One small model per training mode, trained for two epochs."""
-    return {mode: train(dev_corpus[:80], dev_corpus[80:100], RunConfig(
-        mode=mode, epochs=2, seeds=(3,), d_pretrained=4, d_random=5, bilstm_hidden=6,
-        ptr_hidden=7)).load() for mode in MODES}
+    models = {}
+    for mode in MODES:
+        _, model_bytes = train(dev_corpus[:80], dev_corpus[80:100], RunConfig(
+            mode=mode, epochs=2, seeds=(3,), d_pretrained=4, d_random=5, bilstm_hidden=6,
+            ptr_hidden=7))
+        models[mode] = load_model(io.BytesIO(model_bytes))
+    return models
 
 
 class TestBatchedDecode:

@@ -6,7 +6,7 @@ import io
 
 import numpy as np
 import pytest
-from corpora import bundled
+from corpora import bundled, sent
 from fd import numeric_grad, rel_err
 from oracles import add, concat, lstm_cell, mul, stack, sum_all
 
@@ -14,7 +14,6 @@ from dualpointer import autodiff as ad
 from dualpointer import encoder as enc
 from dualpointer.autodiff import Tensor
 from dualpointer import model as model_module
-from dualpointer.conll import Sentence, Token
 from dualpointer.decoding import parse
 from dualpointer.encoder import (
     bilstm_encode,
@@ -25,10 +24,6 @@ from dualpointer.encoder import (
 )
 from dualpointer.model import init_model
 from dualpointer.vocab import UNKNOWN_ID, build_vocab, load_pretrained, pretrained_row
-
-
-def sent(words):
-    return Sentence([Token(i + 1, w, None, 0 if i == 0 else 1) for i, w in enumerate(words)])
 
 
 def small_model(rng, vocab, pretrained, d_pretrained, d_random, hidden, levels):
@@ -714,3 +709,9 @@ class TestPackedBatch:
         fw, fb = init_lstm(rng, 3, 4)
         with ad.no_grad(), pytest.raises(ValueError):
             bilstm_level(Tensor(np.ones((5, 3))), fw, fb, fw, fb, lengths=lengths)
+
+    @pytest.mark.parametrize("rows", [[0, -1, 2], [0, 5, 1], [[0, 1]]])
+    def test_token_rows_must_index_input_rows(self, rng, rows):
+        fw, fb = init_lstm(rng, 3, 4)
+        with pytest.raises(ValueError, match="token rows out of range for 5 input rows"):
+            bilstm_level(Tensor(np.ones((5, 3))), fw, fb, fw, fb, rows=rows)

@@ -9,13 +9,13 @@ import zlib
 
 import numpy as np
 import pytest
-from corpora import DATA
+from corpora import DATA, sent
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualpointer.cli import main
 from dualpointer.config import ConfigError, RunConfig, dump_config, load_config
-from dualpointer.conll import ConllError, Sentence, Token, read_conll, write_conll
+from dualpointer.conll import ConllError, read_conll, write_conll
 from dualpointer.decoding import gold_trees
 from dualpointer.model import init_model
 from dualpointer.modelio import ModelFormatError, load_model, save_model
@@ -26,15 +26,11 @@ TOY = (DATA / "toy.conllu").read_text(encoding="utf-8")
 FUZZ = settings(max_examples=300)
 
 
-def sentence(words):
-    return Sentence([Token(i + 1, w, None, 0 if i == 0 else 1) for i, w in enumerate(words)])
-
-
 def tiny_model():
     """A tiny model file's bytes, and (name, byte offset of its data, element
     count) of every tensor in it.  Only bytes are kept: a live model would
     leave tensors behind for other modules' garbage checks to find."""
-    vocab = build_vocab([sentence(["a", "b", "c"])])
+    vocab = build_vocab([sent(["a", "b", "c"])])
     model = init_model(np.random.default_rng(0), vocab, d_pretrained=2, d_random=2,
                        bilstm_hidden=2, bilstm_levels=1, ptr_hidden=2)
     buf = io.BytesIO()
@@ -276,7 +272,7 @@ class TestCommandLine:
         model, gold = workdir / "flipped.bin", workdir / "gold.conllu"
         model.write_bytes(flipped(flips))
         with open(gold, "w", encoding="utf-8") as f:
-            write_conll([sentence(["a", "b", "zz"]), sentence(["c"])], f)
+            write_conll([sent(["a", "b", "zz"]), sent(["c"])], f)
         assert cli_error(["eval", "--model", str(model), "--test", str(gold)]) in (
             None, "model")
 
@@ -310,7 +306,7 @@ class TestCommandLine:
         model = workdir / "vec.bin"
         vectors.write_bytes(mutated(VECTORS, edits, VECTOR_CHARS).encode("utf-8") + tail)
         with open(corpus, "w", encoding="utf-8") as f:
-            write_conll([sentence(["the", "dog", "a"]), sentence(["bird"])], f)
+            write_conll([sent(["the", "dog", "a"]), sent(["bird"])], f)
         category = cli_error(["train", "--train", str(corpus), "--dev", str(corpus),
                               "--model", str(model), "--pretrained", str(vectors),
                               "--epochs", "1", "--d-random", "2", "--bilstm-hidden", "2",

@@ -1,8 +1,8 @@
 """Model assembly: init modes, parameter registry, variant gating."""
 import numpy as np
 import pytest
+from corpora import sent
 
-from dualpointer.conll import Sentence, Token
 from dualpointer.model import (
     DEPS_ONLY,
     HEADS_ONLY,
@@ -17,11 +17,6 @@ from dualpointer.model import (
     score_sentence,
 )
 from dualpointer.vocab import build_vocab
-
-
-def sent(words, heads=None):
-    heads = heads or ([0] + [1] * (len(words) - 1))
-    return Sentence([Token(i + 1, w, None, h) for i, (w, h) in enumerate(zip(words, heads))])
 
 
 @pytest.fixture

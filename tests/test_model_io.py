@@ -11,11 +11,11 @@ import zlib
 
 import numpy as np
 import pytest
-from corpora import DATA, bundled
+from corpora import DATA, bundled, sent
 from oracles import load_whole_model
 
 from dualpointer.cli import main
-from dualpointer.conll import Sentence, Token, write_conll
+from dualpointer.conll import write_conll
 from dualpointer.model import DEPS_ONLY, HEADS_ONLY, JOINT, init_model, score_sentence
 from dualpointer.modelio import (
     FORMAT_VERSION,
@@ -26,11 +26,6 @@ from dualpointer.modelio import (
 )
 from dualpointer.vocab import build_vocab, load_pretrained, pretrained_row
 from dualpointer.decoding import merge, parse
-
-
-def sent(words, heads=None):
-    heads = heads or ([0] + [1] * (len(words) - 1))
-    return Sentence([Token(i + 1, w, None, h) for i, (w, h) in enumerate(zip(words, heads))])
 
 
 def make_model(seed=3, mode=JOINT, pretrained=None):
@@ -132,6 +127,21 @@ def with_tensor_dims(data, name, dims):
     return bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
+class ShrinksOnceMeasured(io.BytesIO):
+    """``data`` whose end moves back to ``keep`` bytes once a reader has
+    measured it, as a file truncated after it was opened does."""
+
+    def __init__(self, data, keep):
+        super().__init__(data)
+        self.keep = keep
+
+    def seek(self, offset, whence=io.SEEK_SET):
+        at = super().seek(offset, whence)
+        if whence == io.SEEK_END:
+            self.truncate(self.keep)
+        return at
+
+
 class TestDamage:
     def test_bad_magic(self):
         data = b"NOTMODEL" + save_bytes(make_model())[8:]
@@ -149,6 +159,17 @@ class TestDamage:
         for cut in (len(data) // 2, len(data) - 5):
             with pytest.raises(ModelFormatError):
                 load_model(io.BytesIO(data[:cut]))
+
+    @pytest.mark.parametrize("where", ["header", "tensor"])
+    def test_file_truncated_after_opening(self, where):
+        """A stream that delivers fewer bytes than its measured size, as a
+        file truncated after it was opened: the read that comes up short
+        ends in a truncation error."""
+        data = save_bytes(make_model())
+        keep = {"header": len(MAGIC) + 2, "tensor": len(data) - 12}[where]
+        with pytest.raises(ModelFormatError,
+                           match=f"^truncated model file: .*, file ends at {len(data)}$"):
+            load_model(ShrinksOnceMeasured(data, keep))
 
     def test_flipped_byte_fails_checksum_with_offset(self):
         data = bytearray(save_bytes(make_model()))

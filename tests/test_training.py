@@ -9,17 +9,18 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from corpora import bundled
+from corpora import bundled, sent
 from fd import rel_err
 
 from dualpointer import autodiff as ad
 from dualpointer import training
 from dualpointer.config import ConfigError, RunConfig
-from dualpointer.conll import Sentence, Token
 from dualpointer.gradcheck import random_sentence
 from dualpointer.model import DEPS_ONLY, HEADS_ONLY, JOINT, MODE_NETS, init_model
+from dualpointer.modelio import load_model
+from dualpointer.optim import Adam
 from dualpointer.training import (
-    Checkpoint,
+    EpochRow,
     default_variant,
     make_optimizer,
     sentence_loss,
@@ -27,11 +28,6 @@ from dualpointer.training import (
     train_sentence,
 )
 from dualpointer.vocab import EmbeddingTable, build_vocab, load_pretrained, pretrained_row
-
-
-def sent(words, heads=None):
-    heads = heads or ([0] + [1] * (len(words) - 1))
-    return Sentence([Token(i + 1, w, None, h) for i, (w, h) in enumerate(zip(words, heads))])
 
 
 def small_config(seed=5, **kw):
@@ -80,7 +76,7 @@ def test_single_token_sentence_loss_is_bce_against_zero():
     config = small_config()
     corpus = [sent(["a"])]
     model = small_model(config, corpus)
-    loss = sentence_loss(model, sent(["a"]), config, training=False)
+    loss = sentence_loss(model, sent(["a"]), training=False)
     from dualpointer.encoder import token_rows
     from dualpointer.model import score_sentence
     rows = token_rows(sent(["a"]), model.vocab, model.index)
@@ -97,7 +93,7 @@ def test_heads_only_loss_has_single_term():
     config = small_config(mode=HEADS_ONLY)
     corpus = [sent(["a", "b"])]
     model = small_model(config, corpus)
-    loss = sentence_loss(model, sent(["a", "b"]), config, training=False)
+    loss = sentence_loss(model, sent(["a", "b"]), training=False)
     assert np.isfinite(loss.item())
     names = list(model.tensors)
     assert not any("deps" in n for n in names)
@@ -110,7 +106,7 @@ def test_train_sentence_updates_only_used_embedding_rows():
     opt = make_optimizer(model, config)
     before = model.tensors["emb.random"].data.copy()
     rng = np.random.default_rng(0)
-    value = train_sentence(model, sent(["a", "b"], [2, 0]), config, opt, rng)
+    value = train_sentence(model, sent(["a", "b"], [2, 0]), opt, rng)
     assert value is not None and np.isfinite(value)
     after = model.tensors["emb.random"].data
     unused_row = model.vocab.lookup("c")
@@ -128,12 +124,12 @@ def test_large_pretrained_table_moves_only_used_rows():
     size = 100_000
     table = EmbeddingTable(rng.normal(size=(size, 3)),
                            index={f"w{i}": i for i in range(1, size)})
-    config = small_config(alpha_word_dropout=0.0)
+    config = small_config()
     first, second = sent(["w5", "w99999", "w7"]), sent(["w42", "w5", "w42"], [0, 1, 1])
     model = init_model(rng, build_vocab([first, second]), pretrained=table,
                        d_random=5, bilstm_hidden=6, bilstm_levels=1, ptr_hidden=7)
     opt = make_optimizer(model, config)
-    assert train_sentence(model, first, config, opt, rng) is not None
+    assert train_sentence(model, first, opt, rng, alpha=0.0) is not None
     weights = model.tensors["emb.pretrained"]
     slot = opt.params.index(weights)
     before = [x.copy() for x in (weights.data, opt.m[slot], opt.v[slot])]
@@ -147,7 +143,7 @@ def test_large_pretrained_table_moves_only_used_rows():
         return step()
 
     opt.step = spy
-    assert train_sentence(model, second, config, opt, rng) is not None
+    assert train_sentence(model, second, opt, rng, alpha=0.0) is not None
     (grad,) = seen
     used = [pretrained_row(table.index, "w5"), pretrained_row(table.index, "w42")]
     assert grad.rows.tolist() == sorted(used)
@@ -165,7 +161,7 @@ def test_nonfinite_loss_skips_step(caplog):
     opt = make_optimizer(model, config)
     snapshot = model.tensors["emb.random"].data.copy()
     with caplog.at_level(logging.WARNING):
-        value = train_sentence(model, sent(["a", "b"], [2, 0]), config, opt,
+        value = train_sentence(model, sent(["a", "b"], [2, 0]), opt,
                                np.random.default_rng(0), sentence_id="7")
     assert value is None
     assert "7" in caplog.text and "skipped" in caplog.text
@@ -183,7 +179,7 @@ def test_nonfinite_gradient_logs_one_warning(caplog, monkeypatch):
     snapshot = model.tensors["emb.random"].data.copy()
     monkeypatch.setattr(ad, "_sigmoid_backward", lambda out, g: np.full(np.shape(out), np.nan))
     with caplog.at_level(logging.WARNING):
-        value = train_sentence(model, sent(["a", "b"], [2, 0]), config, opt,
+        value = train_sentence(model, sent(["a", "b"], [2, 0]), opt,
                                np.random.default_rng(0), sentence_id="7")
     assert value is None
     warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
@@ -211,7 +207,7 @@ def test_one_tape_node_per_layer(monkeypatch, mode, activation, levels):
         return make_node(*args)
 
     monkeypatch.setattr(ad, "make_node", counted)
-    value = train_sentence(model, s, config, make_optimizer(model, config),
+    value = train_sentence(model, s, make_optimizer(model, config),
                            np.random.default_rng(0))
     assert value is not None
     assert len(made) == 1 + levels + len(MODE_NETS[mode]) + 1
@@ -222,10 +218,10 @@ def test_train_step_on_a_long_sentence():
     moves and stays finite."""
     rng = np.random.default_rng(2)
     s = random_sentence(rng, 120)
-    config = small_config(alpha_word_dropout=0.0)
+    config = small_config()
     model = small_model(config, [s])
     before = {name: t.data.copy() for name, t in model.tensors.items()}
-    value = train_sentence(model, s, config, make_optimizer(model, config), rng)
+    value = train_sentence(model, s, make_optimizer(model, config), rng, alpha=0.0)
     assert value is not None and np.isfinite(value)
     for name, t in model.tensors.items():
         assert np.isfinite(t.data).all(), name
@@ -237,12 +233,12 @@ def test_lstm_weight_gradients_stay_factored():
     gradient as the two factors of an OuterGrad of one outer product per
     token, the embedding tables get row gradients, and a tensor has no slot
     for a gradient buffer: it holds its data, gradient and tape links."""
-    config = small_config(alpha_word_dropout=0.0)
+    config = small_config()
     s = sent(["a", "b", "c"], [2, 0, 2])
     model = small_model(config, [s])
     opt = make_optimizer(model, config)
-    assert train_sentence(model, s, config, opt, np.random.default_rng(0)) is not None
-    sentence_loss(model, s, config, training=False).backward()
+    assert train_sentence(model, s, opt, np.random.default_rng(0), alpha=0.0) is not None
+    sentence_loss(model, s, training=False).backward()
     assert set(ad.Tensor.__slots__) == {"data", "grad", "requires_grad", "_parents", "_backward"}
     for name, t in model.tensors.items():
         if name.startswith("emb."):
@@ -258,18 +254,18 @@ def test_two_backwards_without_zero_grad_add_up():
     """A second backward adds to the gradient held.  Factored gradients
     stack their factors, which rounds differently from adding two
     products, so they match within 1e-12 relative; the others exactly."""
-    config = small_config(alpha_word_dropout=0.0)
+    config = small_config()
     first, second = sent(["a", "b", "c"], [2, 0, 2]), sent(["c", "a"], [0, 1])
     model = small_model(config, [first, second])
     opt = make_optimizer(model, config)
-    assert train_sentence(model, first, config, opt, np.random.default_rng(0)) is not None
+    assert train_sentence(model, first, opt, np.random.default_rng(0), alpha=0.0) is not None
     alone = []
     for s in (first, second):
-        sentence_loss(model, s, config, training=False).backward()
+        sentence_loss(model, s, training=False).backward()
         alone.append({name: np.array(t.grad) for name, t in model.tensors.items()})
         opt.zero_grad()
     for s in (first, second):
-        sentence_loss(model, s, config, training=False).backward()
+        sentence_loss(model, s, training=False).backward()
     for name, t in model.tensors.items():
         want = alone[0][name] + alone[1][name]
         if isinstance(t.grad, ad.OuterGrad):
@@ -290,11 +286,11 @@ def test_warm_default_size_step_allocates_less_than_one_weight_matrix():
     model = small_model(config, corpus)
     opt = make_optimizer(model, config)
     matrix = model.tensors["lstm.l0.fwd.w"].data.nbytes
-    assert train_sentence(model, corpus[0], config, opt, rng) is not None
+    assert train_sentence(model, corpus[0], opt, rng) is not None
     for s in corpus[1:]:
         tracemalloc.start()
         try:
-            assert train_sentence(model, s, config, opt, rng) is not None
+            assert train_sentence(model, s, opt, rng) is not None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -304,14 +300,14 @@ def test_warm_default_size_step_allocates_less_than_one_weight_matrix():
 def test_loss_trend_decreases_on_repeated_sentence():
     """Repeated steps on one fixed 5-token sentence: the 30-step moving
     average of the loss must fall monotonically and end far below its start."""
-    config = small_config(alpha_word_dropout=0.0)
+    config = small_config()
     s = sent(["a", "b", "c", "d", "e"], [2, 3, 0, 3, 4])
     model = small_model(config, [s])
     opt = make_optimizer(model, config)
     rng = np.random.default_rng(1)
     losses = []
     for _ in range(600):
-        losses.append(train_sentence(model, s, config, opt, rng))
+        losses.append(train_sentence(model, s, opt, rng, alpha=0.0))
     assert all(v is not None for v in losses)
     window = [sum(losses[i:i + 30]) / 30 for i in range(0, 600, 30)]
     assert window[-1] < window[0] * 0.5
@@ -325,16 +321,17 @@ class TestTrain:
     def test_single_epoch_returns_that_checkpoint(self):
         config = small_config(epochs=1)
         log = []
-        best = train(self.corpus(), self.corpus(), config, on_epoch=log.append)
-        assert isinstance(best, Checkpoint)
+        best, model_bytes = train(self.corpus(), self.corpus(), config, on_epoch=log.append)
+        assert isinstance(best, EpochRow) and isinstance(model_bytes, bytes)
         assert best.epoch == 1
         assert len(log) == 1
         assert log[0].dev_uas == best.dev_uas
+        assert best is log[0]
 
     def test_best_checkpoint_has_max_dev_uas(self):
         config = small_config(epochs=4)
         log = []
-        best = train(self.corpus(), self.corpus(), config, on_epoch=log.append)
+        best, _ = train(self.corpus(), self.corpus(), config, on_epoch=log.append)
         assert best.dev_uas == max(r.dev_uas for r in log)
         # earliest epoch wins ties
         first_best = next(r.epoch for r in log if r.dev_uas == best.dev_uas)
@@ -345,12 +342,13 @@ class TestTrain:
         model of the same run stopped after epoch 3, whose best is also
         epoch 3 (the earliest epoch wins ties)."""
         log = []
-        best = train(self.corpus(), self.corpus(), small_config(epochs=4, seed=9),
-                     on_epoch=log.append)
+        best, best_bytes = train(self.corpus(), self.corpus(),
+                                 small_config(epochs=4, seed=9), on_epoch=log.append)
         assert best.epoch == 3 < len(log)
-        stopped = train(self.corpus(), self.corpus(), small_config(epochs=3, seed=9))
+        stopped, stopped_bytes = train(self.corpus(), self.corpus(),
+                                       small_config(epochs=3, seed=9))
         assert stopped.epoch == 3
-        assert stopped.model_bytes == best.model_bytes
+        assert stopped_bytes == best_bytes
 
     def test_pretrained_table_is_left_as_read(self):
         """Each run starts from the file's vectors: training on a table
@@ -364,23 +362,23 @@ class TestTrain:
     def test_same_seed_reproduces_run(self):
         config = small_config(epochs=2)
         log1, log2 = [], []
-        best1 = train(self.corpus(), self.corpus(), config, on_epoch=log1.append)
-        best2 = train(self.corpus(), self.corpus(), config, on_epoch=log2.append)
+        _, bytes1 = train(self.corpus(), self.corpus(), config, on_epoch=log1.append)
+        _, bytes2 = train(self.corpus(), self.corpus(), config, on_epoch=log2.append)
         assert log1[0].mean_loss == log2[0].mean_loss
         assert [r.dev_uas for r in log1] == [r.dev_uas for r in log2]
-        assert best1.model_bytes == best2.model_bytes
+        assert bytes1 == bytes2
 
     def test_different_seed_differs(self):
         c1 = small_config(epochs=1, seed=1)
         c2 = small_config(epochs=1, seed=2)
-        best1 = train(self.corpus(), self.corpus(), c1)
-        best2 = train(self.corpus(), self.corpus(), c2)
-        assert best1.model_bytes != best2.model_bytes
+        _, bytes1 = train(self.corpus(), self.corpus(), c1)
+        _, bytes2 = train(self.corpus(), self.corpus(), c2)
+        assert bytes1 != bytes2
 
     def test_checkpoint_loads_back(self):
         config = small_config(epochs=1)
-        best = train(self.corpus(), self.corpus(), config)
-        model = best.load()
+        _, model_bytes = train(self.corpus(), self.corpus(), config)
+        model = load_model(io.BytesIO(model_bytes))
         assert model.mode == JOINT
 
     def test_optimizer_buffers_are_freed_before_the_save(self, monkeypatch):
@@ -411,19 +409,48 @@ class TestTrain:
 
     def test_on_epoch_is_the_only_report(self, caplog):
         """Each epoch's row leaves train through on_epoch alone, in order;
-        the checkpoint names the first row with the best dev UAS, and a run
+        train returns the first row with the best dev UAS itself, and a run
         without skipped steps logs nothing."""
         seen = []
         with caplog.at_level(logging.INFO, logger="dualpointer.training"):
-            best = train(self.corpus(), self.corpus(), small_config(epochs=4, seed=9),
-                         on_epoch=seen.append)
+            best, _ = train(self.corpus(), self.corpus(), small_config(epochs=4, seed=9),
+                            on_epoch=seen.append)
         assert [r for r in caplog.records if r.name == "dualpointer.training"] == []
-        assert isinstance(best, Checkpoint)
+        assert isinstance(best, EpochRow)
         assert [r.epoch for r in seen] == [1, 2, 3, 4]
         assert all(r.skipped == 0 for r in seen)
         top = max(r.dev_uas for r in seen)
         first = next(r for r in seen if r.dev_uas == top)
         assert (best.epoch, best.dev_uas) == (first.epoch, first.dev_uas)
+        assert best is first
+
+    def test_skipped_step_is_counted_and_left_out_of_the_mean(self, monkeypatch, caplog):
+        """An optimizer step that reports a non-finite gradient: that
+        epoch's row counts one skipped step, its mean loss averages the
+        applied steps' losses only, and one warning is logged."""
+        losses, steps = [], []
+        loss_of, step = training.sentence_loss, Adam.step
+
+        def recorded(*args, **kwargs):
+            loss = loss_of(*args, **kwargs)
+            losses.append(loss.item())
+            return loss
+
+        def third_fails(optimizer):
+            steps.append(optimizer)
+            return False if len(steps) == 3 else step(optimizer)
+
+        monkeypatch.setattr(training, "sentence_loss", recorded)
+        monkeypatch.setattr(Adam, "step", third_fails)
+        seen = []
+        with caplog.at_level(logging.WARNING, logger="dualpointer.training"):
+            train(self.corpus(), self.corpus(), small_config(epochs=1), on_epoch=seen.append)
+        (row,) = seen
+        applied = losses[:2] + losses[3:]
+        assert len(losses) == len(steps) == 12 and row.skipped == 1
+        assert row.mean_loss == sum(applied) / len(applied) != sum(losses) / len(losses)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1 and "non-finite gradient, step skipped" in warnings[0]
 
     def test_empty_corpora_rejected(self):
         config = small_config()
@@ -441,7 +468,7 @@ class TestTrain:
 
     def test_heads_only_training_runs(self):
         config = small_config(epochs=1, mode=HEADS_ONLY)
-        best = train(self.corpus(), self.corpus(), config)
-        model = best.load()
+        _, model_bytes = train(self.corpus(), self.corpus(), config)
+        model = load_model(io.BytesIO(model_bytes))
         assert model.mode == HEADS_ONLY
         assert not any(name.startswith("ptr.deps.") for name in model.tensors)

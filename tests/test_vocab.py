@@ -4,15 +4,10 @@ import logging
 
 import numpy as np
 import pytest
+from corpora import sent
 
-from dualpointer.conll import Sentence, Token
 from dualpointer.model import init_model
 from dualpointer.vocab import UNKNOWN_ID, build_vocab, load_pretrained, pretrained_row
-
-
-def sent(words, heads=None):
-    heads = heads or [0] + [1] * (len(words) - 1)
-    return Sentence([Token(i + 1, w, None, h) for i, (w, h) in enumerate(zip(words, heads))])
 
 
 def test_counts():
