@@ -45,10 +45,26 @@ class no_grad:
         return False
 
 
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, overflow-free for any finite input."""
+def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function 1 / (1 + e^{-x}), written into ``out`` when given
+    (``out=x`` activates in place), in four passes: negate, exponentiate,
+    add one, take the reciprocal.
+
+    Within 2 ulp of the exact value wherever the result is a normal number,
+    but for x in (-37.5, -36.7): there 1 + e^{-x} has just passed 2^53, the
+    add rounds part of the one away, and the bound is 3 ulp.  Always in
+    [0, 1]; NaN stays NaN.  Below x = -709.78, e^{-x} overflows to inf and
+    the result is exactly 0 (the exact value there is subnormal, as it is
+    below x = -708.40); above x = 36.74 it is exactly 1.  That overflow,
+    and the underflows near both ends, are the intended rounding, so they
+    raise no floating-point error, whatever ``np.errstate`` the caller has
+    set."""
     x = np.asarray(x, dtype=np.float64)
-    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.negative(x, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.reciprocal(out, out=out)
 
 
 class Tensor:

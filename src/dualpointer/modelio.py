@@ -71,11 +71,18 @@ class _Reader:
         self.body = self.size - 4
         self.pos = 0
         self.crc = 0
+        # set once a read comes up short: the stream ended before its
+        # measured size, as a file truncated after it was opened does
+        self.short = False
 
     def _truncated(self, n: int, at: int) -> ModelFormatError:
         return ModelFormatError(
             f"truncated model file: needed {n} bytes at offset {at}, file ends at {self.size}"
         )
+
+    def _came_up_short(self, n: int, at: int) -> ModelFormatError:
+        self.short = True
+        return self._truncated(n, at)
 
     def _consumed(self, chunk) -> None:
         left = self.body - self.pos
@@ -87,7 +94,7 @@ class _Reader:
             raise self._truncated(n, self.pos)
         chunk = self.stream.read(n)
         if len(chunk) != n:
-            raise self._truncated(n, self.pos)
+            raise self._came_up_short(n, self.pos)
         self._consumed(chunk)
         return chunk
 
@@ -97,7 +104,7 @@ class _Reader:
         while done < len(buf):
             got = self.stream.readinto(buf[done:])
             if not got:
-                raise self._truncated(len(buf) - done, self.pos + done)
+                raise self._came_up_short(len(buf) - done, self.pos + done)
             done += got
         self._consumed(buf)
 
@@ -221,7 +228,8 @@ def _load(stream: BinaryIO) -> ModelParams:
     """Magic and version are checked first.  After them a damaged file
     reports its checksum mismatch even when the damage also broke its
     structure or its values: the model, or any other fault, comes only
-    once the checksum over the whole body has passed."""
+    once the checksum over the whole body has passed.  A read that came up
+    short reports itself: the rest of the body cannot be read to checksum."""
     r = _Reader(stream)
     if r.take(len(MAGIC)) != MAGIC:
         raise ModelFormatError("not a model file (bad magic)")
@@ -235,7 +243,8 @@ def _load(stream: BinaryIO) -> ModelParams:
     try:
         model = _read_body(r)
     except ModelFormatError:
-        r.verify()
+        if not r.short:
+            r.verify()
         raise
     r.verify()
     return model

@@ -139,6 +139,59 @@ class TestForwardValues:
             add(b, a)
 
 
+EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
+
+
+class TestStableSigmoid:
+    """The one logistic of the program: LSTM gates, decoded scores and the
+    cross-entropy gradient."""
+
+    @pytest.mark.skipif(not EXTENDED, reason="long double is no wider than float64 here")
+    def test_against_extended_reference(self):
+        """Where 1 + e^{-x} passes 2^53 (x just below -36.74), the add
+        rounds part of the one away and the result's mantissa is near 2,
+        so that band is held to 3 ulp instead (2.55 seen at most)."""
+        rng = np.random.default_rng(0)
+        x = np.concatenate([np.linspace(-745.0, 745.0, 200_001),
+                            np.linspace(-38.0, -35.0, 100_001),
+                            rng.uniform(-745.0, 745.0, 100_000),
+                            rng.normal(scale=4.0, size=100_000)])
+        got = ad.stable_sigmoid(x)
+        one = np.longdouble(1)
+        want = one / (one + np.exp(-x.astype(np.longdouble)))
+        normal = got >= np.finfo(np.float64).tiny
+        assert normal.sum() > 0.9 * x.size
+        err = np.abs(got.astype(np.longdouble) - want)
+        ulps = np.where(normal, err / np.spacing(want.astype(np.float64)), 0.0)
+        band = (x > -37.5) & (x < -36.7)
+        assert ulps[~band].max() <= 2.0
+        assert ulps[band].max() <= 3.0
+
+    def test_saturates_exactly_and_passes_nan(self):
+        x = np.array([-np.inf, -1e4, -800.0, 0.0, 800.0, 1e4, np.inf, np.nan])
+        out = ad.stable_sigmoid(x)
+        assert out[:-1].tolist() == [0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0]
+        assert np.isnan(out[-1])
+
+    def test_in_unit_interval_without_floating_point_errors(self):
+        x = np.concatenate([[-np.inf, -1e300, -1e4], np.linspace(-800.0, 800.0, 160_001),
+                            [1e4, 1e300, np.inf]])
+        before = np.geterr()
+        with np.errstate(all="raise"):
+            out = ad.stable_sigmoid(x)
+        assert np.geterr() == before
+        assert out.min() == 0.0 and out.max() == 1.0
+        assert np.all((out >= 0.0) & (out <= 1.0))
+
+    def test_in_place_matches_allocating_call(self):
+        x = np.random.default_rng(1).normal(scale=50.0, size=(37, 24))
+        block = x.copy()
+        want = ad.stable_sigmoid(x)
+        assert np.array_equal(x, block)
+        assert ad.stable_sigmoid(block, out=block) is block
+        assert np.array_equal(block, want)
+
+
 class TestBackwardAgainstFiniteDifferences:
     """Every op's analytic gradient vs central differences at 1e-6."""
 

@@ -715,3 +715,55 @@ class TestPackedBatch:
         fw, fb = init_lstm(rng, 3, 4)
         with pytest.raises(ValueError, match="token rows out of range for 5 input rows"):
             bilstm_level(Tensor(np.ones((5, 3))), fw, fb, fw, fb, rows=rows)
+
+
+class TestSaturatedGates:
+    """Weights scaled until the gate pre-activations lie far beyond +-800,
+    where the logistic is exactly 0 or 1 and its exponential overflows: the
+    BiLSTM stays finite and raises no floating-point error, even where the
+    caller has every one of them raise, and leaves that setting as it was."""
+
+    SCALE = 1e4
+
+    def levels(self, rng, d_in=7, hidden=8):
+        stack = random_levels(rng, d_in, hidden, levels=2)
+        for level in stack:
+            for t in level:
+                t.data *= self.SCALE
+        return stack
+
+    def check_saturated(self, x, stack):
+        fw, fb = stack[0][0].data, stack[0][1].data
+        z = x @ fw[:, :x.shape[1]].T + fb
+        assert z.min() < -800.0 and z.max() > 800.0
+
+    def test_packed_batch(self, rng):
+        stack = self.levels(rng)
+        lengths = [5, 1, 9, 3]
+        x = rng.normal(size=(sum(lengths), 7))
+        self.check_saturated(x, stack)
+        before = np.geterr()
+        with np.errstate(all="raise"), ad.no_grad():
+            out = bilstm_encode(Tensor(x), stack, lengths).data
+        assert np.geterr() == before
+        assert out.shape == (sum(lengths), 16)
+        assert np.all(np.isfinite(out))
+
+    def test_one_sentence_with_backward(self, rng):
+        stack = self.levels(rng)
+        x = Tensor(rng.normal(size=(6, 7)), requires_grad=True)
+        self.check_saturated(x.data, stack)
+        proj = Tensor(rng.normal(size=(6, 16)))
+        before = np.geterr()
+        with np.errstate(all="raise"):
+            out = bilstm_encode(x, stack)
+        # the loss's own product may underflow; its backward multiplies by
+        # the unit gradient only, exactly, and so passes the BiLSTM's
+        # backward the projection as it is
+        loss = sum_all(mul(out, proj))
+        with np.errstate(all="raise"):
+            loss.backward()
+        assert np.geterr() == before
+        assert np.all(np.isfinite(out.data))
+        grads = [x.grad] + [np.asarray(t.grad) for level in stack for t in level]
+        assert all(np.all(np.isfinite(g)) for g in grads)

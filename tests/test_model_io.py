@@ -160,16 +160,22 @@ class TestDamage:
             with pytest.raises(ModelFormatError):
                 load_model(io.BytesIO(data[:cut]))
 
-    @pytest.mark.parametrize("where", ["header", "tensor"])
+    @pytest.mark.parametrize("where", ["header", "metadata", "tensor"])
     def test_file_truncated_after_opening(self, where):
         """A stream that delivers fewer bytes than its measured size, as a
         file truncated after it was opened: the read that comes up short
-        ends in a truncation error."""
+        ends in a truncation error that names its own byte count and offset,
+        in the header (the version), in the body's first string and in the
+        last tensor's values."""
         data = save_bytes(make_model())
-        keep = {"header": len(MAGIC) + 2, "tensor": len(data) - 12}[where]
-        with pytest.raises(ModelFormatError,
-                           match=f"^truncated model file: .*, file ends at {len(data)}$"):
+        assert len(data) == 12510
+        keep, needed = {"header": (len(MAGIC) + 2, "4 bytes at offset 8"),
+                        "metadata": (40, "10 bytes at offset 37"),
+                        "tensor": (len(data) - 12, "8 bytes at offset 12498")}[where]
+        with pytest.raises(ModelFormatError) as caught:
             load_model(ShrinksOnceMeasured(data, keep))
+        assert str(caught.value) == (
+            f"truncated model file: needed {needed}, file ends at {len(data)}")
 
     def test_flipped_byte_fails_checksum_with_offset(self):
         data = bytearray(save_bytes(make_model()))
@@ -324,10 +330,10 @@ def test_initial_model_bytes_are_pinned(kw, digest):
 
 
 @pytest.mark.parametrize("pretrained, mode, digest", [
-    (False, None, "ed1f7194b307e2d17f63ee063b4d2712b98c5573a4a3a9e2c784289c644c472b"),
-    (True, None, "99e83b0551c5198b4faa7e0d2ab6d7d7c386076379f184f0be6a793854c2cbf4"),
-    (False, "heads", "fbdcaf4fdc28779587a4cd768d37c28290da46be74a756af231d78a897cf99d2"),
-    (False, "deps", "acec7c4ce117195c153af394b10358d49721cd30f85134b87a6e08e1ca831105"),
+    (False, None, "ef5997531f694f742c5a2ca0e4c13d1f3717c7db7fd52d34223be0fcdb93e954"),
+    (True, None, "991d2aaedf8c13958b03ebd6c8ed9d393ef2dc8c708e1f5567647c573e32e19d"),
+    (False, "heads", "5fe16195692cc22a489ffef285cc11fe0049db04b8bb5770d68b5e89c4a587d2"),
+    (False, "deps", "3550fd86d67ffc2cfd8814aa2a2d872f18d39135a321027171aa027b43c99082"),
 ], ids=["joint", "pretrained", "heads-only", "deps-only"])
 def test_trained_model_bytes_are_pinned(tmp_path, pretrained, mode, digest):
     """What training computes, pinned across changes to the code: two
